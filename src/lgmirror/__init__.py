@@ -7,8 +7,8 @@ non-abelian dual group, verifies the restricted mirror isomorphisms on the
 untwisted-broad / narrow-diagonal corners, and reports full bigraded
 dimension comparisons together with the parity-condition diagnosis.
 
-All arithmetic is exact (rationals and phases mod 1); there are no
-tolerances anywhere.
+All arithmetic is exact: phases are integers mod N, rationals appear at
+input and output only; there are no tolerances anywhere.
 """
 
 from .errors import (
@@ -39,7 +39,6 @@ from .polynomial import (
     classify_atoms,
     compute_weights,
     parse_polynomial,
-    transpose,
 )
 from .symmetry import (
     FixedLocus,
@@ -49,7 +48,6 @@ from .symmetry import (
     diagonal_group,
     exponential_grading,
     is_symmetry,
-    mod1,
     parse_generator,
     sl_subgroup,
 )

@@ -5,9 +5,10 @@ Problem files are line oriented::
     W = x1^4 + x2^4 + x3^4 + x4^4
     G = j; (1 2 3)
 
-with optional ``cap = N`` and ``#`` comments.  Generators follow the
-generator grammar ('j', 'diag(1/2, 1/4, 1/4, 0)', '(1 2)(3 4)', or a
-'diag(…)*(cycles)' product) and are combined by group closure.
+with optional ``cap = N`` (N ≥ 1, bounding G and G*) and ``#`` comments.
+Generators follow the generator grammar ('j', 'diag(1/2, 1/4, 1/4, 0)',
+'(1 2)(3 4)', or a 'diag(…)*(cycles)' product) and are combined by group
+closure.
 
 Rationals serialize as "p/q" strings; every list is emitted in canonical
 order, so identical input yields identical bytes.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import duality, mirror, polynomial, state_space, symmetry
 from .errors import LGError, ParseError
@@ -51,6 +51,8 @@ class ProblemSpec:
 
 
 def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
+    if cap is not None and cap < 1:
+        raise ParseError(f"cap must be at least 1, got {cap}")
     poly = None
     gens: list[str] = []
     file_cap = 10 ** 6
@@ -71,6 +73,8 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
                     file_cap = int(value)
                 except ValueError:
                     raise ParseError(f"line {lineno}: cap must be an integer") from None
+                if file_cap < 1:
+                    raise ParseError(f"line {lineno}: cap must be at least 1, got {file_cap}")
             else:
                 raise ParseError(f"line {lineno}: unknown field {name!r}")
     if poly is None:
@@ -80,16 +84,12 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
 
 # --- serialization helpers ---------------------------------------------------
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _bidegree(bd) -> list[str]:
-    return [_frac(bd[0]), _frac(bd[1])]
+    return [str(bd[0]), str(bd[1])]
 
 
 def _element_json(g: symmetry.MonomialSymmetry) -> dict:
-    return {"perm": g.cycle_string(), "phases": [_frac(p) for p in g.phases]}
+    return {"perm": g.cycle_string(), "phases": [str(p) for p in g.phases]}
 
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
@@ -104,7 +104,7 @@ def _space_json(space: state_space.GradedSpace) -> dict:
         basis.append({
             "bidegree": _bidegree(v.bidegree),
             "label": state_space.vector_label(v, space.poly),
-            "terms": [{"phase": _frac(ph), "exponents": list(exps),
+            "terms": [{"phase": str(ph), "exponents": list(exps),
                        "element": _element_json(g)}
                       for ph, exps, g in v.terms],
         })
@@ -148,9 +148,9 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
     text: list[str] = []
 
     if command == "weights":
-        doc["weights"] = [_frac(q) for q in poly.weights]
+        doc["weights"] = [str(q) for q in poly.weights]
         doc["boundary_weight"] = poly.has_boundary_weight
-        text.append(" ".join(_frac(q) for q in poly.weights))
+        text.append(" ".join(str(q) for q in poly.weights))
         if poly.has_boundary_weight:
             text.append("note: a weight equals 1/2 (boundary of the admissible range)")
 
@@ -167,9 +167,9 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
     elif command == "dual-poly":
         dual = poly.transpose()
         doc["dual"] = str(dual)
-        doc["dual_weights"] = [_frac(q) for q in dual.weights]
+        doc["dual_weights"] = [str(q) for q in dual.weights]
         text.append(str(dual))
-        text.append("weights: " + " ".join(_frac(q) for q in dual.weights))
+        text.append("weights: " + " ".join(str(q) for q in dual.weights))
 
     elif command == "group":
         group = spec.group()
@@ -190,7 +190,7 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
 
     elif command == "nonabelian-dual":
         group = spec.group()
-        star = duality.nonabelian_dual(group, poly)
+        star = duality.nonabelian_dual(group, poly, spec.cap)
         doc["group"] = _group_json(group)
         doc["nonabelian_dual"] = {
             "order": star.order,
@@ -222,7 +222,7 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
         if command == "astate":
             space = state_space.a_state_space(poly, group)
         else:
-            star = duality.nonabelian_dual(group, poly)
+            star = duality.nonabelian_dual(group, poly, spec.cap)
             space = state_space.b_state_space(poly.transpose(), star)
             doc["dual_polynomial"] = str(poly.transpose())
             doc["group"] = _group_json(star)
@@ -242,7 +242,7 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
 
     elif command == "mirror-check":
         group = spec.group()
-        report = mirror.full_comparison(poly, group)
+        report = mirror.full_comparison(poly, group, spec.cap)
         doc["mirror"] = {
             "verdict": report.verdict.value,
             "pc": {"holds": report.pc_holds,
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     parser.add_argument("specfile", help="problem file with W = … and G = … lines")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--cap", type=int, default=None,
-                        help="group closure size cap (default 10^6)")
+                        help="size cap of G and G*, at least 1 (default 10^6)")
     args = parser.parse_args(argv)
     try:
         spec = read_problem(args.specfile, cap=args.cap)

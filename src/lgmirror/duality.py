@@ -13,9 +13,7 @@ G_{Wᵀ}^max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import (
     NotDiagonalError,
@@ -53,46 +51,28 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
         if not is_symmetry(g, poly):
             raise ValueError(f"{g.label()} is not a symmetry of {poly}")
     h_elems = [g for g in group if g.is_diagonal]
-    k_elems = []
-    for g in group:
-        if g.is_pure_permutation:
-            if g.perm_parity != 0:
-                raise OddPermutationError(
-                    f"pure permutation {g.cycle_string()} is odd")
-            k_elems.append(g)
+    k_elems = [g for g in group if g.is_pure_permutation]
+    for g in k_elems:
+        if g.perm_parity != 0:
+            raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
     h = SymmetryGroup(h_elems)
     k = SymmetryGroup(k_elems)
+    make = MonomialSymmetry.from_numerators
+    ident, zeros = group.identity.perm, (0,) * group.n
     for g in group:
-        diag_part = MonomialSymmetry.diagonal(g.phases)
-        perm_part = MonomialSymmetry(g.perm, (Fraction(0),) * g.n)
-        if diag_part not in h or perm_part not in k:
+        if make(ident, g.nums, g.mod) not in h or make(g.perm, zeros, 1) not in k:
             raise NotHKProductError(
                 f"{g.label()} does not factor as diagonal · pure even permutation")
     assert h.order * k.order >= group.order
     return HKDecomposition(group, h, k)
 
 
-def integral_pairing(g: MonomialSymmetry, matrix, h: MonomialSymmetry) -> bool:
-    """g·A·hᵀ ∈ ℤ, computed over cleared denominators."""
-    m1 = lcm(*(p.denominator for p in g.phases), 1)
-    m2 = lcm(*(p.denominator for p in h.phases), 1)
-    gnum = [int(p * m1) for p in g.phases]
-    hnum = [int(p * m2) for p in h.phases]
-    total = 0
-    for i, gi in enumerate(gnum):
-        if gi:
-            row = matrix[i]
-            total += gi * sum(row[j] * hnum[j] for j in range(len(hnum)))
-    return total % (m1 * m2) == 0
-
-
 @lru_cache(maxsize=None)
 def _dual_candidates(poly: InvertiblePolynomial):
-    """Diagonal symmetries of Wᵀ with integer numerators cleared once."""
-    candidates = diagonal_group(poly.transpose()).elements
-    m = lcm(*(p.denominator for g in candidates for p in g.phases), 1)
-    numerators = tuple(tuple(int(p * m) for p in g.phases) for g in candidates)
-    return candidates, numerators, m
+    """Diagonal symmetries of Wᵀ with their numerators over one modulus."""
+    group = diagonal_group(poly.transpose())
+    m = group.modulus
+    return group.elements, tuple(g.over(m)[1] for g in group), m
 
 
 def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
@@ -104,31 +84,29 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
     if not h.is_diagonal:
         raise NotDiagonalError("dual groups are defined for diagonal groups")
     candidates, numerators, m = _dual_candidates(poly)
-    gens = list(h.generators)
-    if not gens:
-        return SymmetryGroup(candidates)
     matrix = poly.exponents
     n = poly.n_vars
-    checks = []
-    for hh in gens:
-        row_sums = [sum((matrix[i][j] * hh.phases[j] for j in range(n)),
-                        Fraction(0)) for i in range(n)]
-        mh = lcm(*(x.denominator for x in row_sums), 1)
-        checks.append(([int(x * mh) for x in row_sums], mh * m))
+    # g/m·A_W·(hh/mh)ᵀ ∈ ℤ  ⇔  g·(A_W·hhᵀ) ≡ 0 mod m·mh
+    checks = [([sum(matrix[i][j] * hh.nums[j] for j in range(n)) for i in range(n)],
+               m * hh.mod) for hh in h.generators]
     members = [g for g, gnum in zip(candidates, numerators)
                if all(sum(a * b for a, b in zip(gnum, wnum)) % modulus == 0
                       for wnum, modulus in checks)]
     return SymmetryGroup(members)
 
 
-def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
+def star_group(parts: HKDecomposition, h_dual: SymmetryGroup,
+               cap: int = 10 ** 6) -> SymmetryGroup:
+    """G* = Hᵀ·K from G's split and Hᵀ; errors past ``cap`` elements."""
+    gens = list(h_dual.generators) + list(parts.k.generators)
+    return closure(gens or [parts.group.identity], cap)
+
+
+def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,
+                    cap: int = 10 ** 6) -> SymmetryGroup:
     """G* = Hᵀ·K for G = H·K; a subgroup of the dual polynomial's symmetries."""
     parts = decompose_hk(group, poly)
-    h_dual = dual_group(parts.h, poly)
-    gens = list(h_dual.generators) + list(parts.k.generators)
-    if not gens:
-        return SymmetryGroup([group.identity])
-    return closure(gens)
+    return star_group(parts, dual_group(parts.h, poly), cap)
 
 
 def parity_condition(k: SymmetryGroup, n: int
@@ -142,20 +120,8 @@ def parity_condition(k: SymmetryGroup, n: int
     if any(not g.is_pure_permutation for g in k):
         raise NotPurePermutationsError("parity condition needs pure permutations")
     for sub in k.subgroups():
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for g in sub:
-            for i, j in enumerate(g.perm):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        orbits = sum(1 for i in range(n) if find(i) == i)
-        if (orbits - n) % 2 != 0:
+        # in a group, the orbit of i is {g(i) : g ∈ T}
+        orbits = {frozenset(g.perm[i] for g in sub) for i in range(n)}
+        if (len(orbits) - n) % 2 != 0:
             return False, sub
     return True, None

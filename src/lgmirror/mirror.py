@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .duality import HKDecomposition, decompose_hk, dual_group, nonabelian_dual, parity_condition
+from .duality import HKDecomposition, decompose_hk, dual_group, parity_condition, star_group
 from .errors import NotDiagonalError, NotDiagonalSectorError, TheoremViolationError
 from .polynomial import InvertiblePolynomial
 from .state_space import (
@@ -44,7 +44,7 @@ def narrow_diagonal_set(h: SymmetryGroup) -> tuple[MonomialSymmetry, ...]:
     """Diagonal elements with every phase nonzero (trivial fixed locus)."""
     if not h.is_diagonal:
         raise NotDiagonalError("narrow diagonal set needs a diagonal group")
-    return tuple(g for g in h if all(p != 0 for p in g.phases))
+    return tuple(g for g in h if all(g.nums))
 
 
 def unprojected_mirror(poly: InvertiblePolynomial,
@@ -60,21 +60,23 @@ def unprojected_mirror(poly: InvertiblePolynomial,
     if not g.is_diagonal:
         raise NotDiagonalSectorError("the unprojected map needs a diagonal sector")
     d = poly.fermat_exponents()
-    fixed = [i for i in range(poly.n_vars) if g.phases[i] == 0]
-    moving = [i for i in range(poly.n_vars) if g.phases[i] != 0]
+    n = poly.n_vars
+    fixed = [i for i in range(n) if g.nums[i] == 0]
+    moving = [i for i in range(n) if g.nums[i] != 0]
     if len(exponents) != len(fixed):
         raise ValueError("one exponent per fixed coordinate required")
-    phases = [Fraction(0)] * poly.n_vars
+    mod = lcm(*d)
+    nums = [0] * n
     for b, i in zip(exponents, fixed):
         if not 0 <= b <= d[i] - 2:
             raise ValueError(f"exponent {b} outside the Milnor range of x{i + 1}")
-        phases[i] = Fraction(b + 1, d[i])
+        nums[i] = (b + 1) * (mod // d[i])
     image = []
     for j in moving:
-        numerator = g.phases[j] * d[j]
-        assert numerator.denominator == 1
-        image.append(int(numerator) - 1)
-    return tuple(image), MonomialSymmetry.diagonal(phases)
+        numerator, rest = divmod(g.nums[j] * d[j], g.mod)
+        assert rest == 0
+        image.append(numerator - 1)
+    return tuple(image), MonomialSymmetry.from_numerators(g.perm, nums, mod)
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,27 @@ class RestrictedMirror:
     narrow_to_b0: tuple[tuple[GradedBasisVector, GradedBasisVector], ...]
 
 
+def _match(poly, sources, targets, target_key, part, source_name, target_name):
+    """Pair each source vector with the target vector its image hits."""
+    by_key = {target_key(w): w for w in targets}
+    pairs = []
+    for v in sources:
+        image = frozenset(unprojected_mirror(poly, exps, g)[part]
+                          for _, exps, g in v.terms)
+        w = by_key.pop(image, None)
+        if w is None:
+            raise TheoremViolationError(
+                f"{source_name} maps to no {target_name}: {v.terms}")
+        if w.bidegree != v.bidegree:
+            raise TheoremViolationError(
+                f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
+        pairs.append((v, w))
+    if by_key:
+        raise TheoremViolationError(
+            f"{len(by_key)} {target_name}s are not hit by the {source_name}s")
+    return tuple(pairs)
+
+
 def _corner_pairs(poly, a_space, b_space, h, h_dual):
     a_narrow = frozenset(narrow_diagonal_set(h))
     b_narrow = frozenset(narrow_diagonal_set(h_dual))
@@ -92,50 +115,20 @@ def _corner_pairs(poly, a_space, b_space, h, h_dual):
     anar = [v for v in a_space.basis if v.leading[2] in a_narrow]
     b0 = [v for v in b_space.basis if v.leading[2].is_identity]
     bnar = [v for v in b_space.basis if v.leading[2] in b_narrow]
-
-    by_elements = {frozenset(v.sector_elements): v for v in bnar}
-    pairs0 = []
-    for v in a0:
-        image = frozenset(unprojected_mirror(poly, exps, g)[1]
-                          for _, exps, g in v.terms)
-        w = by_elements.pop(image, None)
-        if w is None:
-            raise TheoremViolationError(
-                f"untwisted vector maps to no narrow class sum: {v.terms}")
-        if w.bidegree != v.bidegree:
-            raise TheoremViolationError(
-                f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
-        pairs0.append((v, w))
-    if by_elements:
-        raise TheoremViolationError(
-            f"{len(by_elements)} narrow class sums are not hit by the untwisted sector")
-
-    by_monomials = {frozenset(exps for _, exps, _ in v.terms): v for v in b0}
-    pairs_nar = []
-    for v in anar:
-        image = frozenset(unprojected_mirror(poly, exps, g)[0]
-                          for _, exps, g in v.terms)
-        w = by_monomials.pop(image, None)
-        if w is None:
-            raise TheoremViolationError(
-                f"narrow class sum maps to no untwisted vector: {v.terms}")
-        if w.bidegree != v.bidegree:
-            raise TheoremViolationError(
-                f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
-        pairs_nar.append((v, w))
-    if by_monomials:
-        raise TheoremViolationError(
-            f"{len(by_monomials)} untwisted vectors are not hit by the narrow sector")
-    return RestrictedMirror(tuple(pairs0), tuple(pairs_nar))
+    return RestrictedMirror(
+        _match(poly, a0, bnar, lambda w: frozenset(w.sector_elements), 1,
+               "untwisted vector", "narrow class sum"),
+        _match(poly, anar, b0, lambda w: frozenset(e for _, e, _ in w.terms), 0,
+               "narrow class sum", "untwisted vector"))
 
 
-def _build_both_sides(poly, group):
+def _build_both_sides(poly, group, cap=10 ** 6):
     parts = decompose_hk(group, poly)
+    h_dual = dual_group(parts.h, poly)
+    g_star = star_group(parts, h_dual, cap)
     dual_poly = poly.transpose()
-    g_star = nonabelian_dual(group, poly)
     a_space = a_state_space(poly, group)
     b_space = b_state_space(dual_poly, g_star)
-    h_dual = dual_group(parts.h, poly)
     return parts, dual_poly, g_star, a_space, b_space, h_dual
 
 
@@ -168,10 +161,11 @@ class MirrorReport:
     mismatches: tuple[tuple[Bidegree, int, int], ...]
 
 
-def full_comparison(poly: InvertiblePolynomial,
-                    group: SymmetryGroup) -> MirrorReport:
+def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,
+                    cap: int = 10 ** 6) -> MirrorReport:
+    """Both models and their comparison; G* errors past ``cap`` elements."""
     parts, dual_poly, g_star, a_space, b_space, h_dual = \
-        _build_both_sides(poly, group)
+        _build_both_sides(poly, group, cap)
     restricted = _corner_pairs(poly, a_space, b_space, parts.h, h_dual)
     pc_holds, pc_witness = parity_condition(parts.k, poly.n_vars)
     if a_space.dims == b_space.dims:
@@ -180,12 +174,9 @@ def full_comparison(poly: InvertiblePolynomial,
         verdict = Verdict.DIMENSIONS_MATCH_BIGRADING_FAILS
     else:
         verdict = Verdict.DIMENSION_MISMATCH
-    mismatches = []
-    for bd in sorted(set(a_space.dims) | set(b_space.dims)):
-        da = a_space.dims.get(bd, 0)
-        db = b_space.dims.get(bd, 0)
-        if da != db:
-            mismatches.append((bd, da, db))
+    counts = [(bd, a_space.dims.get(bd, 0), b_space.dims.get(bd, 0))
+              for bd in sorted(set(a_space.dims) | set(b_space.dims))]
+    mismatches = [c for c in counts if c[1] != c[2]]
     return MirrorReport(poly, dual_poly, group, g_star, parts, a_space,
                         b_space, restricted, pc_holds, pc_witness, verdict,
                         tuple(mismatches))

@@ -205,11 +205,6 @@ class InvertiblePolynomial:
         return " + ".join(terms)
 
 
-def transpose(poly: InvertiblePolynomial) -> InvertiblePolynomial:
-    """Polynomial of the transposed exponent matrix (an involution)."""
-    return poly.transpose()
-
-
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+*^]))")
 
 

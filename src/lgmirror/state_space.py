@@ -22,10 +22,12 @@ Everything is immutable; sector construction is cached per (W, g).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .errors import (
     InternalError,
@@ -42,7 +44,6 @@ from .symmetry import (
     SymmetryGroup,
     exponential_grading,
     is_symmetry,
-    mod1,
 )
 
 A_SIDE = "A"
@@ -61,10 +62,6 @@ class Sector:
     degrees: tuple[int, ...]            # Fermat exponent d_C per fixed cycle
     cycle_weights: tuple[Fraction, ...]  # weight q_C of each cycle coordinate
     basis: tuple[tuple[int, ...], ...]   # exponent tuples, 0 ≤ b_C ≤ d_C − 2
-
-    @property
-    def dim(self) -> int:
-        return self.locus.dim
 
     @property
     def is_narrow(self) -> bool:
@@ -99,25 +96,38 @@ class SectorMap:
     """Pullback action of one γ: sector of g → sector of γ⁻¹gγ.
 
     ``cycle_images[c]`` is the target cycle position receiving source cycle
-    c's exponent; ``scalars[c]`` the phase with γ*(y_c) = e(scalar)·y'_image.
-    ``form_phase`` is what the full volume form picks up, reordering sign
+    c's exponent; γ*(y_c) = e(scalar_nums[c]/mod)·y'_image.  ``form_num``
+    over ``mod`` is the phase the full volume form picks up, reordering sign
     included.
     """
 
     source: Sector
     target: Sector
     cycle_images: tuple[int, ...]
-    scalars: tuple[Fraction, ...]
-    form_phase: Fraction
+    scalar_nums: tuple[int, ...]
+    form_num: int
+    mod: int
 
-    def apply(self, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]:
+    @property
+    def scalars(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.mod) for x in self.scalar_nums)
+
+    @property
+    def form_phase(self) -> Fraction:
+        return Fraction(self.form_num, self.mod)
+
+    def apply(self, exponents: tuple[int, ...], mod: int | None = None):
+        """(image exponents, t) for the coefficient e(t): t in [0, 1), or
+        the integer t·mod when a multiple ``mod`` of ``self.mod`` is given."""
         image = [0] * len(exponents)
-        phase = self.form_phase
+        num = self.form_num
         for c, b in enumerate(exponents):
             image[self.cycle_images[c]] = b
             if b:
-                phase += b * self.scalars[c]
-        return tuple(image), mod1(phase)
+                num += b * self.scalar_nums[c]
+        if mod is None:
+            return tuple(image), Fraction(num % self.mod, self.mod)
+        return tuple(image), num * (mod // self.mod) % mod
 
 
 def sector_map(gamma: MonomialSymmetry, sector: Sector) -> SectorMap:
@@ -127,29 +137,32 @@ def sector_map(gamma: MonomialSymmetry, sector: Sector) -> SectorMap:
     tgt = target.locus
     if src.dim != tgt.dim:
         raise InternalError("conjugation changed the fixed locus dimension")
+    # one modulus for γ's phases, both canonical vectors and the sign 1/2
+    mod = lcm(2, gamma.mod, src.mod, tgt.mod)
+    gnums = gamma.over(mod)[1]
     n = gamma.n
     inv_perm = [0] * n
     for i, p in enumerate(gamma.perm):
         inv_perm[p] = i
     where = {}  # variable index -> (source cycle position, canonical phase)
-    for cpos, (cycle, phases) in enumerate(zip(src.cycles, src.phase_vectors)):
-        for i, phase in zip(cycle, phases):
-            where[i] = (cpos, phase)
+    for cpos, (cycle, nums) in enumerate(zip(src.cycles, src.phase_nums)):
+        for i, x in zip(cycle, nums):
+            where[i] = (cpos, x * (mod // src.mod))
 
     cycle_images = [-1] * src.dim
-    scalars = [ZERO] * src.dim
-    for dpos, (dcycle, dphases) in enumerate(zip(tgt.cycles, tgt.phase_vectors)):
+    scalars = [0] * src.dim
+    for dpos, (dcycle, dnums) in enumerate(zip(tgt.cycles, tgt.phase_nums)):
         i_star = inv_perm[dcycle[0]]
         if i_star not in where:
             raise InternalError("pullback image is not a fixed coordinate")
         cpos, phase_star = where[i_star]
-        scalar = mod1(gamma.phases[i_star] - phase_star)
+        scalar = (gnums[i_star] - phase_star) % mod
         # γ·v'_D must be e(scalar) times the canonical source vector
-        for j, phase_j in zip(dcycle, dphases):
+        for j, x in zip(dcycle, dnums):
             i = inv_perm[j]
             if i not in where or where[i][0] != cpos:
                 raise InternalError("pullback image spreads over several cycles")
-            if mod1(gamma.phases[i] + phase_j) != mod1(scalar + where[i][1]):
+            if (gnums[i] + x * (mod // tgt.mod) - scalar - where[i][1]) % mod:
                 raise InternalError("pullback image is not a canonical vector multiple")
         cycle_images[cpos] = dpos
         scalars[cpos] = scalar
@@ -158,9 +171,9 @@ def sector_map(gamma: MonomialSymmetry, sector: Sector) -> SectorMap:
 
     inversions = sum(1 for a in range(src.dim) for b in range(a + 1, src.dim)
                      if cycle_images[a] > cycle_images[b])
-    form_phase = mod1(sum(scalars, ZERO) + HALF * (inversions % 2))
+    form_num = (sum(scalars) + mod // 2 * (inversions % 2)) % mod
     return SectorMap(sector, target, tuple(cycle_images), tuple(scalars),
-                     form_phase)
+                     form_num, mod)
 
 
 @dataclass(frozen=True)
@@ -212,10 +225,7 @@ class GradedSpace:
         self.poly = poly
         self.group = group
         self.basis = basis
-        dims: dict[Bidegree, int] = {}
-        for v in basis:
-            dims[v.bidegree] = dims.get(v.bidegree, 0) + 1
-        self.dims = dims
+        self.dims: dict[Bidegree, int] = dict(Counter(v.bidegree for v in basis))
         self.total_dim = len(basis)
 
     def census(self) -> dict:
@@ -262,14 +272,15 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     """
     elements = group.elements
     sectors = [build_sector(poly, g) for g in elements]
-    index = {g: i for i, g in enumerate(elements)}
     moves = []
     for gamma in group.generators:
         row = []
-        for i, g in enumerate(elements):
-            sm = sector_map(gamma, sectors[i])
-            row.append((index[sm.target.element], sm))
+        for sector in sectors:
+            sm = sector_map(gamma, sector)
+            row.append((group.index(sm.target.element), sm))
         moves.append(row)
+    # every map's modulus divides the group's, times 2 for the form sign
+    mod = lcm(2, group.modulus)
 
     bidegree_of = a_bidegree if side == A_SIDE else b_bidegree
     done: set[tuple[int, tuple[int, ...]]] = set()
@@ -279,7 +290,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             root = (i, start)
             if root in done:
                 continue
-            phases = {root: ZERO}
+            phases = {root: 0}
             stack = [root]
             consistent = True
             while stack:
@@ -287,9 +298,9 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                 base = phases[node]
                 for row in moves:
                     j, sm = row[node[0]]
-                    image, delta = sm.apply(node[1])
+                    image, delta = sm.apply(node[1], mod)
                     target = (j, image)
-                    total = mod1(base + delta)
+                    total = (base + delta) % mod
                     known = phases.get(target)
                     if known is None:
                         phases[target] = total
@@ -299,17 +310,17 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             done.update(phases)
             if not consistent:
                 continue
-            ordered = sorted(phases, key=lambda node: (elements[node[0]].key,
-                                                       node[1]))
+            # element indices follow the canonical element order
+            ordered = sorted(phases)
             lead_phase = phases[ordered[0]]
-            terms = tuple((mod1(phases[node] - lead_phase), node[1],
-                           elements[node[0]]) for node in ordered)
-            lead = terms[0]
-            bidegree = bidegree_of(poly, lead[2],
-                                   sectors[index[lead[2]]].degree(lead[1]))
-            vectors.append(GradedBasisVector(side, terms, bidegree))
-    vectors.sort(key=lambda v: (v.leading[2].key, v.leading[1]))
-    return tuple(vectors)
+            terms = tuple((Fraction((phases[node] - lead_phase) % mod, mod),
+                           node[1], elements[node[0]]) for node in ordered)
+            lead = ordered[0]
+            bidegree = bidegree_of(poly, elements[lead[0]],
+                                   sectors[lead[0]].degree(lead[1]))
+            vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
+    vectors.sort(key=lambda pair: pair[0])
+    return tuple(v for _, v in vectors)
 
 
 def a_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpace:
@@ -328,7 +339,7 @@ def b_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpa
     for g in group:
         if g.det_phase() != 0:
             raise NotAdmissibleBError(
-                f"{g.label()} has determinant e(2πi·{g.det_phase()}) ≠ 1")
+                f"{g.label()} has determinant e({g.det_phase()}) ≠ 1")
     return GradedSpace(B_SIDE, poly, group, invariant_basis(poly, group, B_SIDE))
 
 
@@ -372,29 +383,29 @@ def hodge_diamond(space: GradedSpace) -> HodgeDiamond:
 
 # --- rendering helpers -------------------------------------------------------
 
-def _coordinate_label(poly: InvertiblePolynomial, cycle, phases) -> str:
+def _coordinate_label(poly: InvertiblePolynomial, cycle, nums, mod) -> str:
     if len(cycle) == 1:
         return poly.var_names[cycle[0]]
     parts = []
-    for i, phase in sorted(zip(cycle, phases)):
+    for i, x in sorted(zip(cycle, nums)):
         name = poly.var_names[i]
-        if phase == 0:
+        if x == 0:
             parts.append(name)
-        elif phase == HALF:
+        elif 2 * x == mod:
             parts.append(f"-{name}")
         else:
-            parts.append(f"e({phase})*{name}")
+            parts.append(f"e({Fraction(x, mod)})*{name}")
     return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
 def monomial_label(sector: Sector, exponents: tuple[int, ...]) -> str:
     """Render Π y^{b_C} over the sector's cycle coordinates (form omitted)."""
     factors = []
-    for (cycle, phases, b) in zip(sector.locus.cycles, sector.locus.phase_vectors,
-                                  exponents):
+    locus = sector.locus
+    for (cycle, nums, b) in zip(locus.cycles, locus.phase_nums, exponents):
         if b == 0:
             continue
-        base = _coordinate_label(sector.poly, cycle, phases)
+        base = _coordinate_label(sector.poly, cycle, nums, locus.mod)
         factors.append(base if b == 1 else f"{base}^{b}")
     return "*".join(factors) if factors else "1"
 

@@ -1,19 +1,22 @@
 """Monomial symmetries of invertible polynomials, exactly.
 
 Every symmetry in scope is a monomial matrix: a diagonal matrix of roots of
-unity times a permutation matrix.  Phases are kept additively as rationals
-mod 1, so the element with phases a and permutation σ is the matrix with
-entry e^{2πi a_i} in row i, column σ(i).  The action convention, fixed once
-for the whole library, is
+unity times a permutation matrix.  Phases are kept additively mod 1 as
+integer numerators a_i over one reduced modulus N per element, so the
+element with phases a/N and permutation σ is the matrix with entry
+e(a_i/N) = exp(2πi·a_i/N) in row i, column σ(i).  ``Fraction`` appears only
+where phases are read in and where labels and ages are written out.  The
+action convention, fixed once for the whole library, is
 
-    (g·x)_i = e^{2πi a_i} · x_{σ(i)}
+    (g·x)_i = e(a_i/N) · x_{σ(i)}
 
 so that diagonal elements read off as plain phase vectors and composition
 ``g * h`` is the matrix product: (g*h)·x = g·(h·x), concretely
 perm i ↦ τ(σ(i)) and phase_i = a_i + b_{σ(i)} for g = (σ, a), h = (τ, b).
 
 Groups are finite, immutable after construction, and closed by breadth-first
-search with a safety cap.  Element order is canonical (lexicographic on
+search with a safety cap; inside a group, elements are integer forms over
+the lcm of their moduli.  Element order is canonical (lexicographic on
 permutation images, then phases), which makes every downstream output
 reproducible byte for byte.
 """
@@ -24,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -38,35 +42,52 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
-def mod1(x) -> Fraction:
-    """Reduce a rational into [0, 1)."""
-    return Fraction(x) % 1
+def _compose(a, b, mod: int):
+    """Product of integer forms (perm, numerators mod ``mod``)."""
+    pa, na = a
+    pb, nb = b
+    return (tuple(map(pb.__getitem__, pa)),
+            tuple([(x + nb[p]) % mod for x, p in zip(na, pa)]))
 
 
 class MonomialSymmetry:
     """Immutable diagonal·permutation symmetry of rank ``n``.
 
-    ``perm`` holds 0-based images (σ(i) = perm[i]); ``phases`` are rationals
-    in [0, 1).  Instances are hashable and totally ordered by
-    (perm, phases), the canonical element order used everywhere.
+    ``perm`` holds 0-based images (σ(i) = perm[i]); phase i is
+    ``nums[i] / mod``, 0 ≤ nums[i] < mod, with ``mod`` reduced so that equal
+    elements have equal fields.  Instances are hashable; ``key`` orders them
+    by (perm, phases), the canonical element order used everywhere.
     """
 
-    __slots__ = ("perm", "phases", "_hash")
+    __slots__ = ("perm", "nums", "mod", "_hash")
 
     def __init__(self, perm, phases):
+        phases = [Fraction(p) for p in phases]
         perm = tuple(perm)
-        phases = tuple(mod1(p) for p in phases)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"{perm} is not a permutation")
         if len(phases) != len(perm):
             raise DimensionMismatchError("one phase per coordinate required")
-        self.perm = perm
-        self.phases = phases
-        self._hash = hash((perm, phases))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        mod = lcm(*(p.denominator for p in phases))
+        nums = tuple(p.numerator * (mod // p.denominator) % mod for p in phases)
+        self.perm, self.nums, self.mod, self._hash = perm, nums, mod, None
+
+    @classmethod
+    def from_numerators(cls, perm: tuple[int, ...], nums, mod: int
+                        ) -> "MonomialSymmetry":
+        """Phases nums[i]/mod, 0 ≤ nums[i] < mod; ``perm`` is trusted."""
+        common = gcd(mod, *nums)
+        if common > 1:
+            mod //= common
+            nums = [x // common for x in nums]
+        self = object.__new__(cls)
+        self.perm, self.nums, self.mod, self._hash = perm, tuple(nums), mod, None
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "MonomialSymmetry":
-        return cls(range(n), (ZERO,) * n)
+        return cls.from_numerators(tuple(range(n)), (0,) * n, 1)
 
     @classmethod
     def diagonal(cls, phases) -> "MonomialSymmetry":
@@ -86,21 +107,36 @@ class MonomialSymmetry:
     def n(self) -> int:
         return len(self.perm)
 
+    @property
+    def phases(self) -> tuple[Fraction, ...]:
+        """The phases as rationals in [0, 1)."""
+        return tuple(Fraction(x, self.mod) for x in self.nums)
+
+    def over(self, mod: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integer form (perm, numerators over ``mod``, a multiple of self.mod)."""
+        if mod == self.mod:
+            return self.perm, self.nums
+        return self.perm, tuple([x * (mod // self.mod) for x in self.nums])
+
     def __mul__(self, other: "MonomialSymmetry") -> "MonomialSymmetry":
-        if self.n != other.n:
+        pa, pb, mod = self.perm, other.perm, self.mod
+        if len(pa) != len(pb):
             raise DimensionMismatchError("rank mismatch in composition")
-        perm = tuple(other.perm[p] for p in self.perm)
-        phases = tuple(self.phases[i] + other.phases[self.perm[i]]
-                       for i in range(self.n))
-        return MonomialSymmetry(perm, phases)
+        if mod == other.mod:
+            na, nb = self.nums, other.nums
+        else:
+            mod = lcm(mod, other.mod)
+            na, nb = self.over(mod)[1], other.over(mod)[1]
+        return MonomialSymmetry.from_numerators(
+            *_compose((pa, na), (pb, nb), mod), mod)
 
     def inverse(self) -> "MonomialSymmetry":
         inv = [0] * self.n
-        phases = [ZERO] * self.n
+        nums = [0] * self.n
         for i, p in enumerate(self.perm):
             inv[p] = i
-            phases[p] = -self.phases[i]
-        return MonomialSymmetry(inv, phases)
+            nums[p] = -self.nums[i] % self.mod
+        return MonomialSymmetry.from_numerators(tuple(inv), nums, self.mod)
 
     def __pow__(self, k: int) -> "MonomialSymmetry":
         if k < 0:
@@ -115,11 +151,12 @@ class MonomialSymmetry:
         return result
 
     def order(self) -> int:
-        k, g = 1, self
-        while not g.is_identity:
-            g = g * self
-            k += 1
-        return k
+        # g^L, L the lcm of the cycle lengths ℓ, is diagonal with phase
+        # (L/ℓ)·(phase sum of the cycle) along each cycle
+        cycles = self.cycles()
+        length = lcm(*(len(c) for c in cycles))
+        sums = [length // len(c) * sum(self.nums[i] for i in c) for c in cycles]
+        return length * (self.mod // gcd(self.mod, *sums))
 
     def conjugated_by(self, gamma: "MonomialSymmetry") -> "MonomialSymmetry":
         """γ⁻¹·g·γ."""
@@ -127,8 +164,7 @@ class MonomialSymmetry:
 
     @property
     def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and \
-            all(a == 0 for a in self.phases)
+        return self.mod == 1 and self.is_diagonal
 
     @property
     def is_diagonal(self) -> bool:
@@ -136,7 +172,7 @@ class MonomialSymmetry:
 
     @property
     def is_pure_permutation(self) -> bool:
-        return all(a == 0 for a in self.phases)
+        return self.mod == 1
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All permutation cycles, each starting at its least index."""
@@ -160,8 +196,9 @@ class MonomialSymmetry:
         return (self.n - len(self.cycles())) % 2
 
     def det_phase(self) -> Fraction:
-        """Phase t with det(g) = e^{2πi t}; zero exactly on SL elements."""
-        return mod1(sum(self.phases, ZERO) + HALF * self.perm_parity)
+        """Phase t with det(g) = e(t); zero exactly on SL elements."""
+        return Fraction(sum(self.nums) * 2 + self.mod * self.perm_parity,
+                        2 * self.mod) % 1
 
     def age(self) -> Fraction:
         """Sum of eigenvalue log-phases taken in [0, 1).
@@ -171,31 +208,29 @@ class MonomialSymmetry:
         """
         total = ZERO
         for cycle in self.cycles():
-            s = sum((self.phases[i] for i in cycle), ZERO)
-            ell = len(cycle)
-            total += sum(mod1(Fraction(s + k, 1) / ell) for k in range(ell))
+            s, unit = sum(self.nums[i] for i in cycle), len(cycle) * self.mod
+            total += Fraction(sum((s + k * self.mod) % unit
+                                  for k in range(len(cycle))), unit)
         return total
 
     def fixed_locus(self) -> "FixedLocus":
         cycles = []
         vectors = []
         for cycle in self.cycles():
-            if mod1(sum((self.phases[i] for i in cycle), ZERO)) != 0:
+            if sum(self.nums[i] for i in cycle) % self.mod:
                 continue
-            phase = ZERO
-            vec = [ZERO] * len(cycle)
-            for k, i in enumerate(cycle):
-                vec[k] = phase
-                phase = mod1(phase - self.phases[i])
+            vec = [0]
+            for i in cycle[:-1]:
+                vec.append((vec[-1] - self.nums[i]) % self.mod)
             cycles.append(cycle)
             vectors.append(tuple(vec))
-        return FixedLocus(self.n, tuple(cycles), tuple(vectors))
+        return FixedLocus(self.n, tuple(cycles), tuple(vectors), self.mod)
 
     def phase_matrix(self) -> list[list[Fraction | None]]:
         """Dense matrix form: entry (i, σ(i)) holds the phase, others None."""
         mat: list[list[Fraction | None]] = [[None] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            mat[i][self.perm[i]] = self.phases[i]
+        for i, phase in enumerate(self.phases):
+            mat[i][self.perm[i]] = phase
         return mat
 
     @property
@@ -203,17 +238,13 @@ class MonomialSymmetry:
         return (self.perm, self.phases)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialSymmetry) and \
-            self.perm == other.perm and self.phases == other.phases
+        return isinstance(other, MonomialSymmetry) and self.perm == other.perm \
+            and self.mod == other.mod and self.nums == other.nums
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.perm, self.nums, self.mod))
         return self._hash
-
-    def __lt__(self, other: "MonomialSymmetry") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "MonomialSymmetry") -> bool:
-        return self.key <= other.key
 
     def cycle_string(self) -> str:
         parts = ["(" + " ".join(str(i + 1) for i in c) + ")"
@@ -237,13 +268,15 @@ class MonomialSymmetry:
 class FixedLocus:
     """Fix(g): one canonical eigenvector per zero-phase cycle.
 
-    ``phase_vectors[k][j]`` is the phase of the canonical vector of cycle k
-    at its j-th index (the entry at the least index is 1, i.e. phase 0).
+    ``phase_nums[k][j]`` over ``mod`` is the phase of the canonical vector
+    of cycle k at its j-th index (the entry at the least index is 1, i.e.
+    phase 0).
     """
 
     n: int
     cycles: tuple[tuple[int, ...], ...]
-    phase_vectors: tuple[tuple[Fraction, ...], ...]
+    phase_nums: tuple[tuple[int, ...], ...]
+    mod: int
 
     @property
     def dim(self) -> int:
@@ -252,23 +285,25 @@ class FixedLocus:
     def canonical_vectors(self) -> tuple[tuple[Fraction | None, ...], ...]:
         """Full-length vectors; None marks a zero entry, else the phase."""
         out = []
-        for cycle, vec in zip(self.cycles, self.phase_vectors):
+        for cycle, vec in zip(self.cycles, self.phase_nums):
             full: list[Fraction | None] = [None] * self.n
-            for i, phase in zip(cycle, vec):
-                full[i] = phase
+            for i, x in zip(cycle, vec):
+                full[i] = Fraction(x, self.mod)
             out.append(tuple(full))
         return tuple(out)
 
 
-def _closure_set(generators, cap: int) -> set[MonomialSymmetry]:
-    n = generators[0].n
-    elems = {MonomialSymmetry.identity(n)}
-    frontier = list(elems)
+def _closure_set(generators, mod: int, cap: int) -> set:
+    """Integer forms over ``mod`` of the group the integer forms generate."""
+    n = len(generators[0][0])
+    identity = (tuple(range(n)), (0,) * n)
+    elems = {identity}
+    frontier = [identity]
     while frontier:
         fresh = []
         for a in frontier:
             for g in generators:
-                b = a * g
+                b = _compose(a, g, mod)
                 if b not in elems:
                     if len(elems) >= cap:
                         raise CapExceededError(
@@ -279,49 +314,55 @@ def _closure_set(generators, cap: int) -> set[MonomialSymmetry]:
     return elems
 
 
-def _reduce_generators(elements) -> list[MonomialSymmetry]:
-    """Greedy small generating set, scanning elements in canonical order."""
-    n = elements[0].n
-    gens: list[MonomialSymmetry] = []
-    have: set[MonomialSymmetry] = {MonomialSymmetry.identity(n)}
-    for g in elements:
-        if g not in have:
-            gens.append(g)
-            have = _closure_set(gens, cap=len(elements) + 1)
-            if len(have) == len(elements):
-                break
-    return gens
-
-
 class SymmetryGroup:
     """A finite group of monomial symmetries in canonical element order.
 
-    Immutable after construction; conjugacy classes and centralizers are
-    cached on first use.  Constructing from an element list assumes the list
-    is closed (all construction paths in this library guarantee it).
+    Immutable after construction; generators (unless given), conjugacy
+    classes and centralizers are found on first use.  Constructing from an
+    element list assumes the list is closed (all construction paths in this
+    library guarantee it).
     """
 
-    __slots__ = ("elements", "generators", "n", "_index", "_classes", "_cents")
+    __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
+                 "_classes", "_cents")
 
     def __init__(self, elements, generators=None):
-        elems = sorted(set(elements))
+        elems = set(elements)
         if not elems:
             raise ValueError("a group needs at least the identity")
-        n = elems[0].n
+        n = next(iter(elems)).n
         if any(g.n != n for g in elems):
             raise DimensionMismatchError("mixed ranks in one group")
-        if not MonomialSymmetry.identity(n) in elems:
-            raise ValueError("identity missing from element list")
-        self.elements = tuple(elems)
         self.n = n
-        if generators is None:
-            generators = _reduce_generators(self.elements)
-        else:
-            generators = [g for g in generators if not g.is_identity]
-        self.generators = tuple(dict.fromkeys(generators))
-        self._index: dict[MonomialSymmetry, int] | None = None
+        self.modulus = lcm(*{g.mod for g in elems})
+        # integer forms over one modulus sort in the canonical order
+        keyed = sorted((g.over(self.modulus), g) for g in elems)
+        self.elements = tuple(g for _, g in keyed)
+        if not self.elements[0].is_identity:
+            raise ValueError("identity missing from element list")
+        self._forms = tuple(form for form, _ in keyed)
+        if generators is not None:
+            generators = tuple(dict.fromkeys(
+                g for g in generators if not g.is_identity))
+        self._gens = generators
+        self._index: dict | None = None
         self._classes = None
         self._cents: dict[MonomialSymmetry, SymmetryGroup] = {}
+
+    @property
+    def generators(self) -> tuple[MonomialSymmetry, ...]:
+        """Given, or a greedy small set found scanning in canonical order."""
+        if self._gens is None:
+            gens, forms, have = [], [], {self._forms[0]}
+            for g, form in zip(self.elements, self._forms):
+                if form not in have:
+                    gens.append(g)
+                    forms.append(form)
+                    have = _closure_set(forms, self.modulus, self.order + 1)
+                    if len(have) == self.order:
+                        break
+            self._gens = tuple(gens)
+        return self._gens
 
     @property
     def order(self) -> int:
@@ -334,7 +375,8 @@ class SymmetryGroup:
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in self._element_index()
+        return self.modulus % g.mod == 0 and \
+            g.over(self.modulus) in self._form_index()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetryGroup) and self.elements == other.elements
@@ -342,20 +384,19 @@ class SymmetryGroup:
     def __repr__(self) -> str:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
 
-    def _element_index(self) -> dict[MonomialSymmetry, int]:
+    def _form_index(self) -> dict:
         if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.elements)}
+            self._index = {form: i for i, form in enumerate(self._forms)}
         return self._index
 
     def index(self, g: MonomialSymmetry) -> int:
-        try:
-            return self._element_index()[g]
-        except KeyError:
-            raise NotAMemberError(f"{g!r} is not in this group") from None
+        if g not in self:
+            raise NotAMemberError(f"{g!r} is not in this group")
+        return self._form_index()[g.over(self.modulus)]
 
     @property
     def identity(self) -> MonomialSymmetry:
-        return MonomialSymmetry.identity(self.n)
+        return self.elements[0]
 
     @property
     def is_abelian(self) -> bool:
@@ -369,32 +410,31 @@ class SymmetryGroup:
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         """Partition into conjugacy classes, each sorted, ordered by leader."""
         if self._classes is None:
-            gen_invs = [(g, g.inverse()) for g in self.generators]
-            assigned: set[MonomialSymmetry] = set()
+            mod, forms, index = self.modulus, self._forms, self._form_index()
+            gen_invs = [(g.over(mod), g.inverse().over(mod))
+                        for g in self.generators]
+            assigned: set[int] = set()
             classes = []
-            for g in self.elements:
-                if g in assigned:
+            for i in range(len(forms)):
+                if i in assigned:
                     continue
-                orbit = {g}
-                frontier = [g]
+                orbit = {i}
+                frontier = [i]
                 while frontier:
-                    x = frontier.pop()
+                    x = forms[frontier.pop()]
                     for gen, inv in gen_invs:
-                        y = inv * x * gen
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
+                        j = index[_compose(_compose(inv, x, mod), gen, mod)]
+                        if j not in orbit:
+                            orbit.add(j)
+                            frontier.append(j)
                 assigned |= orbit
-                classes.append(tuple(sorted(orbit)))
+                classes.append(tuple(self.elements[j] for j in sorted(orbit)))
             self._classes = tuple(classes)
         return self._classes
 
     def class_of(self, g: MonomialSymmetry) -> tuple[MonomialSymmetry, ...]:
         self.index(g)
-        for cls in self.conjugacy_classes():
-            if g in cls:
-                return cls
-        raise NotAMemberError(f"{g!r} is not in this group")
+        return next(cls for cls in self.conjugacy_classes() if g in cls)
 
     def centralizer(self, g: MonomialSymmetry) -> "SymmetryGroup":
         self.index(g)
@@ -409,28 +449,26 @@ class SymmetryGroup:
         Meant for small groups (permutation parts, diagonal groups of small
         determinant); cost grows with the subgroup lattice.
         """
-        elems = self.elements
-        index = self._element_index()
-        table = [[index[a * b] for b in elems] for a in elems]
-        id_idx = index[self.identity]
+        forms, mod = self._forms, self.modulus
+        index = self._form_index()
+        table = [[index[_compose(a, b, mod)] for b in forms] for a in forms]
         abelian = self.is_abelian
-        base = frozenset({id_idx})
+        base = frozenset({0})
         seen = {base}
         queue = [base]
         found = []
         while queue:
             sub = queue.pop()
-            found.append(sub)
-            for x in range(len(elems)):
+            found.append(sorted(sub))
+            for x in range(len(forms)):
                 if x in sub:
                     continue
                 ext = self._extend(sub, x, table, abelian)
                 if ext not in seen:
                     seen.add(ext)
                     queue.append(ext)
-        groups = [SymmetryGroup([elems[i] for i in sub]) for sub in found]
-        groups.sort(key=lambda h: (h.order, [g.key for g in h.elements]))
-        return tuple(groups)
+        found.sort(key=lambda sub: (len(sub), sub))  # indices follow the canonical order
+        return tuple(SymmetryGroup([self.elements[i] for i in sub]) for sub in found)
 
     @staticmethod
     def _extend(sub, x, table, abelian) -> frozenset:
@@ -457,8 +495,11 @@ def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")
-    elems = _closure_set(generators, cap)
-    return SymmetryGroup(sorted(elems), generators=generators)
+    mod = lcm(*(g.mod for g in generators))
+    forms = _closure_set([g.over(mod) for g in generators], mod, cap)
+    make = MonomialSymmetry.from_numerators
+    return SymmetryGroup([make(perm, nums, mod) for perm, nums in forms],
+                         generators=generators)
 
 
 def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
@@ -468,17 +509,17 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
         raise DimensionMismatchError(
             f"symmetry rank {g.n} does not match {poly.n_vars} variables")
     q = poly.weights
-    if any(q[i] != q[g.perm[i]] for i in range(g.n)):
+    if any(q[i] != q[p] for i, p in enumerate(g.perm) if i != p):
         return False
     rows = poly.monomial_index()
     for row in poly.exponents:
-        total = ZERO
+        total = 0
         image = [0] * g.n
         for j, e in enumerate(row):
             if e:
-                total += e * g.phases[j]
+                total += e * g.nums[j]
                 image[g.perm[j]] = e
-        if mod1(total) != 0 or tuple(image) not in rows:
+        if total % g.mod or tuple(image) not in rows:
             return False
     return True
 
@@ -491,12 +532,8 @@ def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
     """
     inv = linalg.inverse(poly.exponents)
     n = poly.n_vars
-    gens = [MonomialSymmetry.diagonal([inv[i][k] for i in range(n)])
-            for k in range(n)]
-    gens = [g for g in gens if not g.is_identity]
-    if not gens:
-        return SymmetryGroup([MonomialSymmetry.identity(n)])
-    return closure(gens)
+    return closure(MonomialSymmetry.diagonal([inv[i][k] for i in range(n)])
+                   for k in range(n))
 
 
 def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:

@@ -4,8 +4,9 @@ Nothing here shares code paths with the library computations it checks:
 composition is verified against dense phase-matrix multiplication, invariant
 dimensions against the rank of the group-averaging projector (dense modular
 Gaussian elimination for two primes p ≡ 1 mod m, plus the exact cyclotomic
-trace, which equals the rank of a projector), and diagonal groups against a
-brute-force filter of all candidate phase tuples.
+trace, which equals the rank of a projector), diagonal groups against a
+brute-force filter of all candidate phase tuples, and the integer phase
+kernel against the original ``Fraction`` arithmetic on (perm, phases) pairs.
 """
 
 from __future__ import annotations
@@ -62,6 +63,149 @@ def apply_to_vector(g: MonomialSymmetry, vec):
         v = vec[g.perm[i]]
         out.append(None if v is None else (g.phases[i] + v) % 1)
     return tuple(out)
+
+
+# --- slow Fraction kernel ---------------------------------------------------
+#
+# Elements are (perm, phases) pairs with phases rationals in [0, 1), composed
+# with the library's convention: perm i ↦ τ(σ(i)), phase_i = a_i + b_{σ(i)}.
+
+HALF = Fraction(1, 2)
+
+
+def frac_form(g: MonomialSymmetry):
+    return g.perm, g.phases
+
+
+def frac_compose(a, b):
+    (pa, xa), (pb, xb) = a, b
+    return (tuple(pb[p] for p in pa),
+            tuple((xa[i] + xb[pa[i]]) % 1 for i in range(len(pa))))
+
+
+def frac_inverse(a):
+    perm, phases = a
+    inv = [0] * len(perm)
+    out = [ZERO] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+        out[p] = -phases[i] % 1
+    return tuple(inv), tuple(out)
+
+
+def frac_is_identity(a) -> bool:
+    perm, phases = a
+    return all(p == i for i, p in enumerate(perm)) and all(x == 0 for x in phases)
+
+
+def frac_order(a) -> int:
+    k, g = 1, a
+    while not frac_is_identity(g):
+        g = frac_compose(g, a)
+        k += 1
+    return k
+
+
+def frac_cycles(perm):
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycle = [i]
+            seen[i] = True
+            j = perm[i]
+            while j != i:
+                cycle.append(j)
+                seen[j] = True
+                j = perm[j]
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+def frac_det_phase(a) -> Fraction:
+    perm, phases = a
+    parity = (len(perm) - len(frac_cycles(perm))) % 2
+    return (sum(phases, ZERO) + HALF * parity) % 1
+
+
+def frac_age(a) -> Fraction:
+    perm, phases = a
+    total = ZERO
+    for cycle in frac_cycles(perm):
+        s = sum((phases[i] for i in cycle), ZERO)
+        ell = len(cycle)
+        total += sum(((s + k) / ell) % 1 for k in range(ell))
+    return total
+
+
+def frac_fixed_locus(a):
+    """(cycles, canonical phase vectors) of the zero-phase cycles."""
+    perm, phases = a
+    cycles, vectors = [], []
+    for cycle in frac_cycles(perm):
+        if sum((phases[i] for i in cycle), ZERO) % 1 != 0:
+            continue
+        phase = ZERO
+        vec = []
+        for i in cycle:
+            vec.append(phase)
+            phase = (phase - phases[i]) % 1
+        cycles.append(cycle)
+        vectors.append(tuple(vec))
+    return tuple(cycles), tuple(vectors)
+
+
+def frac_closure(gens) -> set:
+    n = len(gens[0][0])
+    identity = (tuple(range(n)), (ZERO,) * n)
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                b = frac_compose(a, g)
+                if b not in elems:
+                    elems.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return elems
+
+
+def frac_greedy_generators(elements):
+    """Greedy generating set scanning (perm, phases) pairs in sorted order."""
+    elements = sorted(elements)
+    gens = []
+    have = {elements[0]}
+    for g in elements:
+        if g not in have:
+            gens.append(g)
+            have = frac_closure(gens)
+            if len(have) == len(elements):
+                break
+    return gens
+
+
+def frac_conjugacy_classes(elements, gens):
+    """Classes as sorted tuples of pairs, ordered by least member."""
+    gen_invs = [(g, frac_inverse(g)) for g in gens]
+    assigned = set()
+    classes = []
+    for g in sorted(elements):
+        if g in assigned:
+            continue
+        orbit = {g}
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            for gen, inv in gen_invs:
+                y = frac_compose(frac_compose(inv, x), gen)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        assigned |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
 
 
 # --- primes and roots of unity ----------------------------------------------

@@ -223,6 +223,33 @@ def test_cap_exceeded(capsys, quartic_file):
     assert "CapExceeded" in out
 
 
+@pytest.mark.parametrize("command", ["nonabelian-dual", "bstate", "mirror-check"])
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_cap_binds_the_dual_group(capsys, tmp_path, command, where):
+    # |G| = 12 fits under the cap, |G*| = 192 does not
+    path = tmp_path / "quartic.lg"
+    path.write_text(QUARTIC_SPEC + ("cap = 100\n" if where == "file" else ""))
+    flags = ["--cap", "100"] if where == "flag" else []
+    code, out = run(capsys, command, str(path), "--json", *flags)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CapExceeded"
+    code, out = run(capsys, command, str(path), "--cap", "192")
+    assert code == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_rejected(capsys, tmp_path, quartic_file, cap):
+    code, out = run(capsys, "group", quartic_file, "--cap", cap)
+    assert code == 1
+    assert out.startswith("error: ParseError: ") and "at least 1" in out
+    path = tmp_path / "capped.lg"
+    path.write_text(QUARTIC_SPEC + f"cap = {cap}\n")
+    code, out = run(capsys, "group", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ParseError", "message": f"line 4: cap must be at least 1, got {cap}"}
+
+
 def test_not_fermat_error(capsys, tmp_path):
     path = tmp_path / "chain.lg"
     path.write_text(CHAIN_SPEC)

@@ -5,10 +5,14 @@ that promise (and the quartic numbers) across refactors.  Regenerate only
 after verifying a deliberate output change:
 
     python3 -m lgmirror.cli astate tests/golden/quartic.lg > tests/golden/quartic_astate.txt
+
+The quintic outputs are compared, read only, against the benchmark's
+recorded files in ``bench/expected/``.
 """
 
-import io
 import contextlib
+import gzip
+import io
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from lgmirror import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).parent.parent / "bench"
 
 
 def capture(*argv) -> str:
@@ -36,3 +41,16 @@ def test_golden_output(name, argv):
     expected = (GOLDEN / name).read_text()
     command, *flags = argv
     assert capture(command, spec, *flags) == expected
+
+
+@pytest.mark.parametrize("model,command,name", [
+    ("good_quintic", "mirror-check", "good_quintic_mirror_check.json"),
+    ("bad_quintic", "mirror-check", "bad_quintic_mirror_check.json"),
+    ("bad_quintic", "bstate", "bad_quintic_bstate.json.gz"),
+])
+def test_quintic_output_matches_bench_expected(model, command, name):
+    spec = str(BENCH / "specs" / f"{model}.lg")
+    data = (BENCH / "expected" / name).read_bytes()
+    if name.endswith(".gz"):
+        data = gzip.decompress(data)
+    assert capture(command, spec, "--json").encode() == data

@@ -186,8 +186,10 @@ def test_a_state_space_requires_grading_element(quartic):
 
 def test_b_state_space_requires_determinant_one(quartic):
     group = lg.closure([diag("1/4", 0, 0, 0)])
-    with pytest.raises(NotAdmissibleBError):
+    with pytest.raises(NotAdmissibleBError) as info:
         lg.b_state_space(quartic, group)
+    # e(t) already means exp(2πi·t)
+    assert str(info.value) == "(1/4, 0, 0, 0) has determinant e(1/4) ≠ 1"
 
 
 def test_b_state_space_quartic(quartic, quartic_group):
