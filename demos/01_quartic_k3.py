@@ -80,4 +80,4 @@ for va, vb in report.restricted.a0_to_narrow:
     print(f"    <->  {lg.vector_label(vb, W)}")
 print()
 print("Hodge diamond (both sides):")
-print(lg.hodge_diamond(A).render())
+print(lg.HodgeDiamond(A).render())

@@ -18,6 +18,7 @@ from .errors import (
     InternalError,
     LGError,
     NotAMemberError,
+    NotASymmetryError,
     NotAdmissibleAError,
     NotAdmissibleBError,
     NotDiagonalError,
@@ -69,7 +70,6 @@ from .state_space import (
     b_bidegree,
     b_state_space,
     build_sector,
-    hodge_diamond,
     invariant_basis,
     monomial_label,
     sector_map,

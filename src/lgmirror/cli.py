@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import duality, mirror, polynomial, state_space, symmetry
-from .errors import LGError, ParseError
+from .errors import LGError, NotASymmetryError, ParseError
 
 COMMANDS = ("weights", "atoms", "dual-poly", "group", "dual-group",
             "nonabelian-dual", "pc-check", "astate", "bstate", "hodge",
@@ -41,7 +41,7 @@ class ProblemSpec:
         for text in self.generator_texts:
             g = symmetry.parse_generator(text, self.poly)
             if not symmetry.is_symmetry(g, self.poly):
-                raise ParseError(
+                raise NotASymmetryError(
                     f"generator {text!r} is not a symmetry of {self.poly}")
             gens.append(g)
         return gens
@@ -56,6 +56,7 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
     poly = None
     gens: list[str] = []
     file_cap = 10 ** 6
+    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -64,6 +65,9 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
             if "=" not in line:
                 raise ParseError(f"line {lineno}: expected 'name = value'")
             name, value = (part.strip() for part in line.split("=", 1))
+            if name in seen:
+                raise ParseError(f"line {lineno}: {name} already given on line {seen[name]}")
+            seen[name] = lineno
             if name == "W":
                 poly = polynomial.parse_polynomial(value)
             elif name == "G":
@@ -232,7 +236,7 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
     elif command == "hodge":
         group = spec.group()
         space = state_space.a_state_space(poly, group)
-        diamond = state_space.hodge_diamond(space)
+        diamond = state_space.HodgeDiamond(space)
         doc["space"] = {"total_dim": space.total_dim,
                         "dims": [{"bidegree": _bidegree(bd), "dim": d}
                                  for bd, d in space.sorted_dims()]}
@@ -273,7 +277,7 @@ def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
         for bd, da, db in report.mismatches:
             text.append(f"mismatch at ({bd[0]}, {bd[1]}): A {da} vs B {db}")
         if report.verdict is mirror.Verdict.BIGRADED_ISOMORPHIC:
-            diamond = state_space.hodge_diamond(report.a_space)
+            diamond = state_space.HodgeDiamond(report.a_space)
             text.append(diamond.render())
 
     else:

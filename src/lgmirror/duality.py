@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    NotASymmetryError,
     NotDiagonalError,
     NotHKProductError,
     NotPurePermutationsError,
@@ -49,7 +50,7 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     """
     for g in group:
         if not is_symmetry(g, poly):
-            raise ValueError(f"{g.label()} is not a symmetry of {poly}")
+            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     h_elems = [g for g in group if g.is_diagonal]
     k_elems = [g for g in group if g.is_pure_permutation]
     for g in k_elems:

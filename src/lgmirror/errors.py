@@ -53,6 +53,10 @@ class NotAMemberError(LGError):
     code = "NotAMember"
 
 
+class NotASymmetryError(LGError):
+    code = "NotASymmetry"
+
+
 class NotDiagonalError(LGError):
     code = "NotDiagonal"
 

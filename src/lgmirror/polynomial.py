@@ -18,8 +18,9 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -65,13 +66,15 @@ def compute_weights(exponents) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def classify_atoms(exponents) -> tuple[AtomicBlock, ...]:
+@lru_cache(maxsize=None)
+def classify_atoms(exponents: Matrix) -> tuple[AtomicBlock, ...]:
     """Partition the variables into Fermat / chain / loop atoms.
 
     Each monomial must be x_h^a (a ≥ 2) or x_h^a·x_t (a ≥ 2, t ≠ h), each
     variable must head exactly one monomial and trail at most one; the
     resulting head→tail graph must consist of simple paths and cycles.
-    Raises NotInvertibleError when no such decomposition exists.
+    Raises NotInvertibleError when no such decomposition exists.  Results
+    are cached per exponent matrix, given as a tuple of row tuples.
     """
     n = len(exponents)
     head_exp: dict[int, int] = {}
@@ -139,9 +142,9 @@ def classify_atoms(exponents) -> tuple[AtomicBlock, ...]:
 class InvertiblePolynomial:
     """A validated invertible polynomial with exact weights."""
 
-    exponents: Matrix
-    weights: tuple[Fraction, ...]
-    var_names: tuple[str, ...]
+    exponents: Matrix  # alone in the hash: the weights follow from it
+    weights: tuple[Fraction, ...] = field(hash=False)
+    var_names: tuple[str, ...] = field(hash=False)
 
     @classmethod
     def from_exponents(cls, rows, var_names=None) -> "InvertiblePolynomial":
@@ -174,11 +177,8 @@ class InvertiblePolynomial:
         """Per-variable exponent d_i for a pure Fermat polynomial."""
         if not self.is_fermat:
             raise NotFermatError(f"{self} is not of pure Fermat type")
-        exp = [0] * self.n_vars
-        for row in self.exponents:
-            j = next(i for i, e in enumerate(row) if e != 0)
-            exp[j] = row[j]
-        return tuple(exp)
+        # each column holds its variable's exponent and zeros
+        return tuple(max(col) for col in zip(*self.exponents))
 
     @property
     def has_boundary_weight(self) -> bool:
@@ -188,9 +188,6 @@ class InvertiblePolynomial:
     def transpose(self) -> "InvertiblePolynomial":
         rows = tuple(zip(*self.exponents))
         return InvertiblePolynomial.from_exponents(rows, self.var_names)
-
-    def monomial_index(self) -> dict[tuple[int, ...], int]:
-        return {row: i for i, row in enumerate(self.exponents)}
 
     def __str__(self) -> str:
         terms = []

@@ -12,6 +12,9 @@ additionally picks up the reordering sign (phase 1/2 per odd rearrangement).
 Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of generator moves has total phase 0.
+The search reads each move's target sector from the group's conjugation
+table (the index of γ⁻¹gγ for every generator γ and element g, computed
+once per group on integer forms), so every sector is built once.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
@@ -31,6 +34,7 @@ from math import lcm
 
 from .errors import (
     InternalError,
+    NotASymmetryError,
     NotAdmissibleAError,
     NotAdmissibleBError,
     NotFermatError,
@@ -78,7 +82,7 @@ def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
     """Sector of g for a pure Fermat polynomial."""
     d_all = poly.fermat_exponents()
     if not is_symmetry(g, poly):
-        raise ValueError(f"{g.label()} is not a symmetry of {poly}")
+        raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     locus = g.fixed_locus()
     degrees = []
     for cycle in locus.cycles:
@@ -130,9 +134,12 @@ class SectorMap:
         return tuple(image), num * (mod // self.mod) % mod
 
 
-def sector_map(gamma: MonomialSymmetry, sector: Sector) -> SectorMap:
-    """Express γ's pullback in canonical cycle coordinates."""
-    target = build_sector(sector.poly, sector.element.conjugated_by(gamma))
+def sector_map(gamma: MonomialSymmetry, sector: Sector,
+               target: Sector | None = None) -> SectorMap:
+    """Express γ's pullback in canonical cycle coordinates; ``target``, the
+    sector of γ⁻¹gγ, is built unless given."""
+    if target is None:
+        target = build_sector(sector.poly, sector.element.conjugated_by(gamma))
     src = sector.locus
     tgt = target.locus
     if src.dim != tgt.dim:
@@ -196,14 +203,10 @@ class GradedBasisVector:
         return tuple(g for _, _, g in self.terms)
 
 
-def jw_age(poly: InvertiblePolynomial) -> Fraction:
-    return sum(poly.weights, ZERO)
-
-
 def a_bidegree(poly: InvertiblePolynomial, g: MonomialSymmetry,
                degree: Fraction) -> Bidegree:
     """A-model bidegree of an element of degree ``degree`` in the g-sector."""
-    shift = g.age() - jw_age(poly)
+    shift = g.age() - sum(poly.weights, ZERO)  # age j_W = Σ q_i
     ng = g.fixed_locus().dim
     return (degree + shift, ng - degree + shift)
 
@@ -211,7 +214,7 @@ def a_bidegree(poly: InvertiblePolynomial, g: MonomialSymmetry,
 def b_bidegree(poly: InvertiblePolynomial, g: MonomialSymmetry,
                degree: Fraction) -> Bidegree:
     """B-model bidegree of an element of degree ``degree`` in the g-sector."""
-    jw = jw_age(poly)
+    jw = sum(poly.weights, ZERO)  # age j_W
     return (degree + g.age() - jw, degree + g.inverse().age() - jw)
 
 
@@ -272,17 +275,15 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     """
     elements = group.elements
     sectors = [build_sector(poly, g) for g in elements]
-    moves = []
-    for gamma in group.generators:
-        row = []
-        for sector in sectors:
-            sm = sector_map(gamma, sector)
-            row.append((group.index(sm.target.element), sm))
-        moves.append(row)
+    moves = [[(j, sector_map(gamma, sector, sectors[j]))
+              for sector, j in zip(sectors, row)]
+             for gamma, row in zip(group.generators, group.conjugation_table())]
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, group.modulus)
 
-    bidegree_of = a_bidegree if side == A_SIDE else b_bidegree
+    # per lead sector, bidegree (u + deg, v ± deg): − on the A side
+    bidegree_of, sign = (a_bidegree, -1) if side == A_SIDE else (b_bidegree, 1)
+    offsets: dict[int, Bidegree] = {}
     done: set[tuple[int, tuple[int, ...]]] = set()
     vectors = []
     for i, sector in enumerate(sectors):
@@ -316,8 +317,10 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             terms = tuple((Fraction((phases[node] - lead_phase) % mod, mod),
                            node[1], elements[node[0]]) for node in ordered)
             lead = ordered[0]
-            bidegree = bidegree_of(poly, elements[lead[0]],
-                                   sectors[lead[0]].degree(lead[1]))
+            if lead[0] not in offsets:
+                offsets[lead[0]] = bidegree_of(poly, elements[lead[0]], ZERO)
+            (u, v), degree = offsets[lead[0]], sectors[lead[0]].degree(lead[1])
+            bidegree = (u + degree, v + sign * degree)
             vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
     vectors.sort(key=lambda pair: pair[0])
     return tuple(v for _, v in vectors)
@@ -337,7 +340,7 @@ def b_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpa
     if not poly.is_fermat:
         raise NotFermatError(f"{poly} is not of pure Fermat type")
     for g in group:
-        if g.det_phase() != 0:
+        if g.det_num():
             raise NotAdmissibleBError(
                 f"{g.label()} has determinant e({g.det_phase()}) ≠ 1")
     return GradedSpace(B_SIDE, poly, group, invariant_basis(poly, group, B_SIDE))
@@ -375,10 +378,6 @@ class HodgeDiamond:
         rows = [" ".join(str(d) for d in row) for row in self.rows()]
         width = max((len(r) for r in rows), default=0)
         return "\n".join(r.center(width).rstrip() for r in rows)
-
-
-def hodge_diamond(space: GradedSpace) -> HodgeDiamond:
-    return HodgeDiamond(space)
 
 
 # --- rendering helpers -------------------------------------------------------

@@ -195,10 +195,13 @@ class MonomialSymmetry:
         """0 for even permutations, 1 for odd."""
         return (self.n - len(self.cycles())) % 2
 
+    def det_num(self) -> int:
+        """The numerator of ``det_phase`` over 2·mod."""
+        return (sum(self.nums) * 2 + self.mod * self.perm_parity) % (2 * self.mod)
+
     def det_phase(self) -> Fraction:
         """Phase t with det(g) = e(t); zero exactly on SL elements."""
-        return Fraction(sum(self.nums) * 2 + self.mod * self.perm_parity,
-                        2 * self.mod) % 1
+        return Fraction(self.det_num(), 2 * self.mod)
 
     def age(self) -> Fraction:
         """Sum of eigenvalue log-phases taken in [0, 1).
@@ -317,14 +320,14 @@ def _closure_set(generators, mod: int, cap: int) -> set:
 class SymmetryGroup:
     """A finite group of monomial symmetries in canonical element order.
 
-    Immutable after construction; generators (unless given), conjugacy
-    classes and centralizers are found on first use.  Constructing from an
-    element list assumes the list is closed (all construction paths in this
-    library guarantee it).
+    Immutable after construction; generators (unless given), the conjugation
+    table, conjugacy classes and centralizers are found on first use.
+    Constructing from an element list assumes the list is closed (all
+    construction paths in this library guarantee it).
     """
 
     __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
-                 "_classes", "_cents")
+                 "_conj", "_classes", "_cents")
 
     def __init__(self, elements, generators=None):
         elems = set(elements)
@@ -346,6 +349,7 @@ class SymmetryGroup:
                 g for g in generators if not g.is_identity))
         self._gens = generators
         self._index: dict | None = None
+        self._conj = None
         self._classes = None
         self._cents: dict[MonomialSymmetry, SymmetryGroup] = {}
 
@@ -407,28 +411,33 @@ class SymmetryGroup:
     def is_diagonal(self) -> bool:
         return all(g.is_diagonal for g in self.elements)
 
+    def conjugation_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row k, entry i: the index of γ⁻¹·g_i·γ for γ the k-th generator."""
+        if self._conj is None:
+            mod, index, rows = self.modulus, self._form_index(), []
+            for g in self.generators:
+                (pg, ng), (pi, ni) = g.over(mod), g.inverse().over(mod)
+                # _compose(_compose(γ⁻¹, x), γ) in one pass, with j = γ⁻¹(i)
+                rows.append(tuple(index[tuple([pg[px[j]] for j in pi]), tuple(
+                    [(a + nx[j] + ng[px[j]]) % mod for a, j in zip(ni, pi)])]
+                    for px, nx in self._forms))
+            self._conj = tuple(rows)
+        return self._conj
+
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
-        """Partition into conjugacy classes, each sorted, ordered by leader."""
+        """Orbits under the conjugation table, each sorted, ordered by leader."""
         if self._classes is None:
-            mod, forms, index = self.modulus, self._forms, self._form_index()
-            gen_invs = [(g.over(mod), g.inverse().over(mod))
-                        for g in self.generators]
+            table = self.conjugation_table()
             assigned: set[int] = set()
             classes = []
-            for i in range(len(forms)):
-                if i in assigned:
-                    continue
-                orbit = {i}
-                frontier = [i]
-                while frontier:
-                    x = forms[frontier.pop()]
-                    for gen, inv in gen_invs:
-                        j = index[_compose(_compose(inv, x, mod), gen, mod)]
-                        if j not in orbit:
-                            orbit.add(j)
-                            frontier.append(j)
-                assigned |= orbit
-                classes.append(tuple(self.elements[j] for j in sorted(orbit)))
+            for i in range(self.order):
+                if i not in assigned:
+                    orbit, fresh = {i}, {i}
+                    while fresh:
+                        fresh = {row[x] for row in table for x in fresh} - orbit
+                        orbit |= fresh
+                    assigned |= orbit
+                    classes.append(tuple(self.elements[j] for j in sorted(orbit)))
             self._classes = tuple(classes)
         return self._classes
 
@@ -511,7 +520,6 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
     q = poly.weights
     if any(q[i] != q[p] for i, p in enumerate(g.perm) if i != p):
         return False
-    rows = poly.monomial_index()
     for row in poly.exponents:
         total = 0
         image = [0] * g.n
@@ -519,7 +527,7 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
             if e:
                 total += e * g.nums[j]
                 image[g.perm[j]] = e
-        if total % g.mod or tuple(image) not in rows:
+        if total % g.mod or tuple(image) not in poly.exponents:
             return False
     return True
 
@@ -543,7 +551,7 @@ def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Elements of determinant one."""
-    return SymmetryGroup([g for g in group if g.det_phase() == 0])
+    return SymmetryGroup([g for g in group if not g.det_num()])
 
 
 # --- generator grammar -----------------------------------------------------

@@ -5,8 +5,10 @@ composition is verified against dense phase-matrix multiplication, invariant
 dimensions against the rank of the group-averaging projector (dense modular
 Gaussian elimination for two primes p ≡ 1 mod m, plus the exact cyclotomic
 trace, which equals the rank of a projector), diagonal groups against a
-brute-force filter of all candidate phase tuples, and the integer phase
-kernel against the original ``Fraction`` arithmetic on (perm, phases) pairs.
+brute-force filter of all candidate phase tuples, the integer phase
+kernel against the original ``Fraction`` arithmetic on (perm, phases) pairs,
+and the table-driven invariant search against the original search, which
+finds every move's target sector by conjugating the element itself.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from math import lcm, prod
 import numpy as np
 
 from lgmirror import (
+    GradedBasisVector,
     InvertiblePolynomial,
     MonomialSymmetry,
+    a_bidegree,
+    b_bidegree,
     build_sector,
     closure,
     sector_map,
@@ -206,6 +211,62 @@ def frac_conjugacy_classes(elements, gens):
         assigned |= orbit
         classes.append(tuple(sorted(orbit)))
     return classes
+
+
+# --- per-element invariant search ---------------------------------------------
+
+def search_invariant_basis(poly, group, side):
+    """Orbit-sum basis found as ``invariant_basis`` once did: each move's
+    target is γ⁻¹gγ built by ``sector_map`` and looked up with
+    ``group.index``, and each bidegree is computed from scratch."""
+    elements = group.elements
+    sectors = [build_sector(poly, g) for g in elements]
+    moves = []
+    for gamma in group.generators:
+        row = []
+        for sector in sectors:
+            sm = sector_map(gamma, sector)
+            row.append((group.index(sm.target.element), sm))
+        moves.append(row)
+    mod = lcm(2, group.modulus)
+    bidegree_of = a_bidegree if side == "A" else b_bidegree
+    done = set()
+    vectors = []
+    for i, sector in enumerate(sectors):
+        for start in sector.basis:
+            root = (i, start)
+            if root in done:
+                continue
+            phases = {root: 0}
+            stack = [root]
+            consistent = True
+            while stack:
+                node = stack.pop()
+                base = phases[node]
+                for row in moves:
+                    j, sm = row[node[0]]
+                    image, delta = sm.apply(node[1], mod)
+                    target = (j, image)
+                    total = (base + delta) % mod
+                    known = phases.get(target)
+                    if known is None:
+                        phases[target] = total
+                        stack.append(target)
+                    elif known != total:
+                        consistent = False
+            done.update(phases)
+            if not consistent:
+                continue
+            ordered = sorted(phases)
+            lead_phase = phases[ordered[0]]
+            terms = tuple((Fraction((phases[node] - lead_phase) % mod, mod),
+                           node[1], elements[node[0]]) for node in ordered)
+            lead = ordered[0]
+            bidegree = bidegree_of(poly, elements[lead[0]],
+                                   sectors[lead[0]].degree(lead[1]))
+            vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
+    vectors.sort(key=lambda pair: pair[0])
+    return tuple(v for _, v in vectors)
 
 
 # --- primes and roots of unity ----------------------------------------------

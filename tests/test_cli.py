@@ -280,6 +280,29 @@ def test_generator_must_be_a_symmetry(capsys, tmp_path):
     code, out = run(capsys, "group", str(path))
     assert code == 1
     assert "not a symmetry" in out
+    code, out = run(capsys, "group", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotASymmetry"
+
+
+@pytest.mark.parametrize("field, line", [
+    ("W", "W = x1^4 + x2^4 + x3^4 + x4^4"),
+    ("G", "G = j"),
+    ("cap", "cap = 50"),
+])
+def test_field_given_twice_is_rejected(capsys, tmp_path, field, line):
+    path = tmp_path / "twice.lg"
+    path.write_text(QUARTIC_SPEC + "cap = 100\n" + line + "\n")
+    first = {"W": 2, "G": 3, "cap": 4}[field]
+    code, out = run(capsys, "astate", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": f"line 5: {field} already given on line {first}"}
+    # main returns the error instead of raising it: no traceback
+    code, out = run(capsys, "astate", str(path))
+    assert code == 1
+    assert out == f"error: ParseError: line 5: {field} already given on line {first}\n"
 
 
 def test_missing_group_line(capsys, tmp_path):

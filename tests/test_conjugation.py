@@ -1,0 +1,71 @@
+"""The conjugation table and the table-driven invariant search.
+
+``invariant_basis`` reads every move's target sector from the group's
+conjugation table; ``oracles.search_invariant_basis`` finds it by
+conjugating each element with ``sector_map(γ, sector)``.  Both must give the
+same basis term for term: phases, exponents, elements, order and bidegrees.
+"""
+
+import random
+
+import pytest
+
+import lgmirror as lg
+from oracles import (
+    frac_conjugacy_classes,
+    frac_form,
+    random_mirror_instance,
+    search_invariant_basis,
+)
+
+NAMES = ["quartic G", "quartic G*", "good quintic G*", "bad quintic G*"]
+
+
+@pytest.fixture(scope="module")
+def cases(quartic, quartic_group, quintic, good_group, bad_group):
+    return {
+        "quartic G": (quartic, quartic_group, "A"),
+        "quartic G*": (quartic.transpose(),
+                       lg.nonabelian_dual(quartic_group, quartic), "B"),
+        "good quintic G*": (quintic.transpose(),
+                            lg.nonabelian_dual(good_group, quintic), "B"),
+        "bad quintic G*": (quintic.transpose(),
+                           lg.nonabelian_dual(bad_group, quintic), "B"),
+    }
+
+
+def assert_table_rows(group):
+    table = group.conjugation_table()
+    assert len(table) == len(group.generators)
+    for gamma, row in zip(group.generators, table):
+        assert [group.elements[j] for j in row] == \
+            [g.conjugated_by(gamma) for g in group.elements]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_invariant_basis_matches_per_element_search(cases, name):
+    poly, group, side = cases[name]
+    basis = lg.invariant_basis(poly, group, side)
+    assert basis == search_invariant_basis(poly, group, side)
+    assert len(basis) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_conjugation_table_and_classes(cases, name):
+    _, group, _ = cases[name]
+    assert_table_rows(group)
+    classes = [tuple(frac_form(g) for g in cls) for cls in group.conjugacy_classes()]
+    assert classes == frac_conjugacy_classes(
+        [frac_form(g) for g in group.elements],
+        [frac_form(g) for g in group.generators])
+
+
+def test_invariant_basis_matches_on_random_models():
+    rng = random.Random(3)
+    for _ in range(30):
+        poly, group = random_mirror_instance(rng)
+        star = lg.nonabelian_dual(group, poly)
+        for w, g, side in ((poly, group, "A"), (poly.transpose(), star, "B")):
+            assert_table_rows(g)
+            assert lg.invariant_basis(w, g, side) == \
+                search_invariant_basis(w, g, side)

@@ -4,6 +4,7 @@ import pytest
 
 import lgmirror as lg
 from lgmirror.errors import (
+    NotASymmetryError,
     NotDiagonalError,
     NotHKProductError,
     NotPurePermutationsError,
@@ -42,6 +43,12 @@ def test_decompose_trivial(quartic):
 def test_decompose_rejects_odd_permutation(quartic):
     group = lg.closure([perm([(0, 1)], 4)])
     with pytest.raises(OddPermutationError):
+        lg.decompose_hk(group, quartic)
+
+
+def test_decompose_rejects_non_symmetry(quartic):
+    group = lg.closure([diag("1/3", 0, 0, 0)])
+    with pytest.raises(NotASymmetryError, match="is not a symmetry of"):
         lg.decompose_hk(group, quartic)
 
 

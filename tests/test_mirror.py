@@ -123,9 +123,9 @@ def test_full_comparison_quartic(quartic_report):
     assert report.a_space.total_dim == report.b_space.total_dim == 24
     assert report.mismatches == ()
     assert report.dual_group.order == 192
-    diamond = lg.hodge_diamond(report.a_space)
+    diamond = lg.HodgeDiamond(report.a_space)
     assert diamond.rows() == [[1], [1, 20, 1], [1]]
-    assert lg.hodge_diamond(report.b_space).rows() == diamond.rows()
+    assert lg.HodgeDiamond(report.b_space).rows() == diamond.rows()
 
 
 def test_full_comparison_good_quintic(good_report):

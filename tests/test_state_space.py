@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 import lgmirror as lg
-from lgmirror.errors import NotAdmissibleAError, NotAdmissibleBError, NotFermatError
+from lgmirror.errors import (
+    NotAdmissibleAError,
+    NotAdmissibleBError,
+    NotASymmetryError,
+    NotFermatError,
+)
 from oracles import action_denominator, class_action, projector_rank, projector_trace
 
 
@@ -42,6 +47,11 @@ def test_sector_rejects_chain():
     chain = lg.parse_polynomial("x1^3*x2 + x2^2*x3 + x3^2")
     with pytest.raises(NotFermatError):
         lg.build_sector(chain, lg.MonomialSymmetry.identity(3))
+
+
+def test_sector_rejects_non_symmetry(quartic):
+    with pytest.raises(NotASymmetryError, match="is not a symmetry of"):
+        lg.build_sector(quartic, diag("1/3", 0, 0, 0))
 
 
 def test_sector_map_grading_on_three_cycle(quartic):
@@ -275,7 +285,7 @@ def test_narrow_classes_contribute_exactly_once(quartic, quartic_group):
 
 def test_hodge_diamond_quartic(quartic, quartic_group):
     space = lg.a_state_space(quartic, quartic_group)
-    diamond = lg.hodge_diamond(space)
+    diamond = lg.HodgeDiamond(space)
     assert diamond.integral
     assert diamond.rows() == [[1], [1, 20, 1], [1]]
     assert diamond.render().splitlines() == ["  1", "1 20 1", "  1"]
@@ -284,7 +294,7 @@ def test_hodge_diamond_quartic(quartic, quartic_group):
 def test_hodge_diamond_fractional_gradings(quartic):
     # the full diagonal group produces narrow sectors with fractional ages
     space = lg.a_state_space(quartic, lg.diagonal_group(quartic))
-    diamond = lg.hodge_diamond(space)
+    diamond = lg.HodgeDiamond(space)
     assert not diamond.integral
     with pytest.raises(ValueError):
         diamond.grid()
