@@ -15,9 +15,12 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     DuplicateVariableError,
+    ExponentOutOfRangeError,
     InternalError,
     LGError,
+    NotAGroupError,
     NotAMemberError,
+    NotAPermutationError,
     NotASymmetryError,
     NotAdmissibleAError,
     NotAdmissibleBError,

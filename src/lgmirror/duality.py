@@ -4,10 +4,14 @@ For diagonal H ≤ G_W^diag the dual is
 
     Hᵀ = {g ∈ G_{Wᵀ}^diag : g·A_W·hᵀ ∈ ℤ for all h ∈ H}
 
-(rows in additive form).  Bilinearity of the pairing means checking H's
-generators suffices.  For a group G = H·K with H diagonal and K the pure
-even permutations of G, the non-abelian dual is G* = Hᵀ·K, a subgroup of
-G_{Wᵀ}^max.
+(rows in additive form).  Each g ∈ G_{Wᵀ}^diag is A_W⁻ᵀ·m mod ℤⁿ for some
+m ∈ ℤⁿ, and g·A_W·hᵀ = m·h, so Hᵀ = A_W⁻ᵀ·L mod ℤⁿ for the lattice
+L = {m ∈ ℤⁿ : m·h ∈ ℤ for each generator h of H}, found by Euclid's algorithm
+on columns.  |Hᵀ| = |det A_W|/|H| is known before any element exists, and
+G_{Wᵀ}^diag is never listed.  For G = H·K with H diagonal and K the pure
+even permutations of G, the non-abelian dual is G* = Hᵀ·K ≤ G_{Wᵀ}^max.  K
+normalizes Hᵀ and meets it only in the identity, so G* is the product set
+Hᵀ·K, and the cap is checked on |Hᵀ|·|K| before either group is built.
 """
 
 from __future__ import annotations
@@ -15,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import linalg
 from .errors import (
+    CapExceededError,
+    InternalError,
     NotASymmetryError,
     NotDiagonalError,
     NotHKProductError,
@@ -26,8 +33,7 @@ from .polynomial import InvertiblePolynomial
 from .symmetry import (
     MonomialSymmetry,
     SymmetryGroup,
-    closure,
-    diagonal_group,
+    _closure_set,
     is_symmetry,
 )
 
@@ -48,7 +54,7 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     so G = H·K holds exactly
     when both factors of every element lie in G.
     """
-    for g in group:
+    for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     h_elems = [g for g in group if g.is_diagonal]
@@ -69,11 +75,11 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
 
 
 @lru_cache(maxsize=None)
-def _dual_candidates(poly: InvertiblePolynomial):
-    """Diagonal symmetries of Wᵀ with their numerators over one modulus."""
-    group = diagonal_group(poly.transpose())
-    m = group.modulus
-    return group.elements, tuple(g.over(m)[1] for g in group), m
+def _inverse_transpose(poly: InvertiblePolynomial):
+    """N = |det A_W| and the integer rows of N·A_W⁻ᵀ."""
+    det = abs(int(linalg.determinant(poly.exponents)))
+    inv = linalg.inverse(poly.exponents)
+    return det, tuple(tuple(int(x * det) for x in col) for col in zip(*inv))
 
 
 def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
@@ -84,30 +90,46 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
     """
     if not h.is_diagonal:
         raise NotDiagonalError("dual groups are defined for diagonal groups")
-    candidates, numerators, m = _dual_candidates(poly)
-    matrix = poly.exponents
+    det, rows = _inverse_transpose(poly)
     n = poly.n_vars
-    # g/m·A_W·(hh/mh)ᵀ ∈ ℤ  ⇔  g·(A_W·hhᵀ) ≡ 0 mod m·mh
-    checks = [([sum(matrix[i][j] * hh.nums[j] for j in range(n)) for i in range(n)],
-               m * hh.mod) for hh in h.generators]
-    members = [g for g, gnum in zip(candidates, numerators)
-               if all(sum(a * b for a, b in zip(gnum, wnum)) % modulus == 0
-                      for wnum, modulus in checks)]
-    return SymmetryGroup(members)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for gen in h.generators:
+        # keep the m with m·nums ≡ 0 mod gen.mod: unimodular Euclid steps between
+        # each vector and a pivot that starts at value gen.mod zero its value
+        pivot, pivot_value = (0,) * n, gen.mod
+        for i, m in enumerate(basis):
+            value = sum(a * b for a, b in zip(m, gen.nums)) % gen.mod
+            while value:
+                q = pivot_value // value
+                pivot, m = m, tuple(a - q * b for a, b in zip(pivot, m))
+                pivot_value, value = value, pivot_value - q * value
+            basis[i] = m
+    gens = [tuple(sum(a * b for a, b in zip(row, m)) % det for row in rows) for m in basis]
+    forms = _closure_set([(h.identity.perm, nums) for nums in gens], det, det)
+    return SymmetryGroup([MonomialSymmetry.from_numerators(perm, nums, det)
+                          for perm, nums in forms])
 
 
-def star_group(parts: HKDecomposition, h_dual: SymmetryGroup,
-               cap: int = 10 ** 6) -> SymmetryGroup:
-    """G* = Hᵀ·K from G's split and Hᵀ; errors past ``cap`` elements."""
-    gens = list(h_dual.generators) + list(parts.k.generators)
-    return closure(gens or [parts.group.identity], cap)
+def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
+               cap: int = 10 ** 6) -> tuple[SymmetryGroup, SymmetryGroup]:
+    """Hᵀ and G* = Hᵀ·K from G's split; errors before building either when
+    |G*| = |det A_W|/|H|·|K| exceeds ``cap``."""
+    if _inverse_transpose(poly)[0] // parts.h.order * parts.k.order > cap:
+        raise CapExceededError(f"group exceeds cap of {cap} elements")
+    h_dual = dual_group(parts.h, poly)
+    if any(g.conjugated_by(k) not in h_dual
+           for k in parts.k.generators for g in h_dual.generators):
+        raise InternalError("K does not normalize Hᵀ")
+    # h·k = (σ_k, a_h) for diagonal h = (id, a_h) and k = (σ_k, 0)
+    elements = [MonomialSymmetry.from_numerators(k.perm, g.nums, g.mod)
+                for g in h_dual for k in parts.k]
+    return h_dual, SymmetryGroup(elements, h_dual.generators + parts.k.generators)
 
 
 def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,
                     cap: int = 10 ** 6) -> SymmetryGroup:
     """G* = Hᵀ·K for G = H·K; a subgroup of the dual polynomial's symmetries."""
-    parts = decompose_hk(group, poly)
-    return star_group(parts, dual_group(parts.h, poly), cap)
+    return star_group(decompose_hk(group, poly), poly, cap)[1]
 
 
 def parity_condition(k: SymmetryGroup, n: int

@@ -19,6 +19,10 @@ class WeightOutOfRangeError(LGError):
     code = "WeightOutOfRange"
 
 
+class ExponentOutOfRangeError(LGError):
+    code = "ExponentOutOfRange"
+
+
 class NotInvertibleError(LGError):
     code = "NotInvertible"
 
@@ -51,6 +55,14 @@ class CapExceededError(LGError):
 
 class NotAMemberError(LGError):
     code = "NotAMember"
+
+
+class NotAPermutationError(LGError):
+    code = "NotAPermutation"
+
+
+class NotAGroupError(LGError):
+    code = "NotAGroup"
 
 
 class NotASymmetryError(LGError):

@@ -21,8 +21,9 @@ import enum
 from dataclasses import dataclass
 from math import lcm
 
-from .duality import HKDecomposition, decompose_hk, dual_group, parity_condition, star_group
-from .errors import NotDiagonalError, NotDiagonalSectorError, TheoremViolationError
+from .duality import HKDecomposition, decompose_hk, parity_condition, star_group
+from .errors import (DimensionMismatchError, ExponentOutOfRangeError, NotDiagonalError,
+                     NotDiagonalSectorError, TheoremViolationError)
 from .polynomial import InvertiblePolynomial
 from .state_space import (
     Bidegree,
@@ -64,12 +65,13 @@ def unprojected_mirror(poly: InvertiblePolynomial,
     fixed = [i for i in range(n) if g.nums[i] == 0]
     moving = [i for i in range(n) if g.nums[i] != 0]
     if len(exponents) != len(fixed):
-        raise ValueError("one exponent per fixed coordinate required")
+        raise DimensionMismatchError("one exponent per fixed coordinate required")
     mod = lcm(*d)
     nums = [0] * n
     for b, i in zip(exponents, fixed):
         if not 0 <= b <= d[i] - 2:
-            raise ValueError(f"exponent {b} outside the Milnor range of x{i + 1}")
+            raise ExponentOutOfRangeError(
+                f"exponent {b} outside the Milnor range of x{i + 1}")
         nums[i] = (b + 1) * (mod // d[i])
     image = []
     for j in moving:
@@ -124,8 +126,7 @@ def _corner_pairs(poly, a_space, b_space, h, h_dual):
 
 def _build_both_sides(poly, group, cap=10 ** 6):
     parts = decompose_hk(group, poly)
-    h_dual = dual_group(parts.h, poly)
-    g_star = star_group(parts, h_dual, cap)
+    h_dual, g_star = star_group(parts, poly, cap)
     dual_poly = poly.transpose()
     a_space = a_state_space(poly, group)
     b_space = b_state_space(dual_poly, g_star)

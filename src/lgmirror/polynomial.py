@@ -143,7 +143,7 @@ class InvertiblePolynomial:
     """A validated invertible polynomial with exact weights."""
 
     exponents: Matrix  # alone in the hash: the weights follow from it
-    weights: tuple[Fraction, ...] = field(hash=False)
+    weights: tuple[Fraction, ...] = field(hash=False, compare=False)
     var_names: tuple[str, ...] = field(hash=False)
 
     @classmethod

@@ -33,7 +33,9 @@ from . import linalg
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
+    NotAGroupError,
     NotAMemberError,
+    NotAPermutationError,
     ParseError,
 )
 from .polynomial import InvertiblePolynomial
@@ -65,7 +67,7 @@ class MonomialSymmetry:
         phases = [Fraction(p) for p in phases]
         perm = tuple(perm)
         if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"{perm} is not a permutation")
+            raise NotAPermutationError(f"{perm} is not a permutation")
         if len(phases) != len(perm):
             raise DimensionMismatchError("one phase per coordinate required")
         # the lcm of reduced denominators leaves the numerators coprime to it
@@ -332,7 +334,7 @@ class SymmetryGroup:
     def __init__(self, elements, generators=None):
         elems = set(elements)
         if not elems:
-            raise ValueError("a group needs at least the identity")
+            raise NotAGroupError("a group needs at least the identity")
         n = next(iter(elems)).n
         if any(g.n != n for g in elems):
             raise DimensionMismatchError("mixed ranks in one group")
@@ -342,7 +344,7 @@ class SymmetryGroup:
         keyed = sorted((g.over(self.modulus), g) for g in elems)
         self.elements = tuple(g for _, g in keyed)
         if not self.elements[0].is_identity:
-            raise ValueError("identity missing from element list")
+            raise NotAGroupError("identity missing from element list")
         self._forms = tuple(form for form, _ in keyed)
         if generators is not None:
             generators = tuple(dict.fromkeys(
@@ -500,7 +502,7 @@ def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
     """Breadth-first closure of the generators; errors past ``cap`` elements."""
     generators = list(generators)
     if not generators:
-        raise ValueError("need at least one generator")
+        raise NotAGroupError("need at least one generator")
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")

@@ -5,10 +5,12 @@ composition is verified against dense phase-matrix multiplication, invariant
 dimensions against the rank of the group-averaging projector (dense modular
 Gaussian elimination for two primes p ≡ 1 mod m, plus the exact cyclotomic
 trace, which equals the rank of a projector), diagonal groups against a
-brute-force filter of all candidate phase tuples, the integer phase
-kernel against the original ``Fraction`` arithmetic on (perm, phases) pairs,
-and the table-driven invariant search against the original search, which
-finds every move's target sector by conjugating the element itself.
+brute-force filter of all candidate phase tuples, dual groups against the
+diagonal group of Wᵀ so found, filtered by the pairing with every element of
+H, the integer phase kernel against the original ``Fraction`` arithmetic on
+(perm, phases) pairs, and the table-driven invariant search against the
+original search, which finds every move's target sector by conjugating the
+element itself.
 """
 
 from __future__ import annotations
@@ -465,6 +467,19 @@ def brute_force_diagonal(poly: InvertiblePolynomial) -> set[tuple[Fraction, ...]
 
     rec(0, [])
     return found
+
+
+def scan_dual_group(h, poly: InvertiblePolynomial,
+                    candidates: set[tuple[Fraction, ...]]) -> set[tuple[Fraction, ...]]:
+    """Hᵀ as phase tuples: the diagonal symmetries of Wᵀ, ``candidates``
+    from ``brute_force_diagonal(poly.transpose())``, whose pairing
+    g·A_W·hᵀ with every element h of H is an integer."""
+    n = poly.n_vars
+    paired = [[sum((poly.exponents[i][j] * x for j, x in enumerate(g.phases)), ZERO)
+               for i in range(n)] for g in h]
+    return {g for g in candidates
+            if all(sum((a * b for a, b in zip(g, w)), ZERO).denominator == 1
+                   for w in paired)}
 
 
 def subgroup_count_elementary(p: int, n: int) -> int:

@@ -237,6 +237,15 @@ def test_cap_binds_the_dual_group(capsys, tmp_path, command, where):
     assert code == 0
 
 
+def test_cap_fails_fast_on_a_large_dual(capsys, tmp_path):
+    # |G| = 6 but |G*| = 6^7/6 = 46,656: refused from the order alone
+    path = tmp_path / "sextic.lg"
+    path.write_text("W = " + " + ".join(f"x{i}^6" for i in range(1, 8)) + "\nG = j\n")
+    code, out = run(capsys, "nonabelian-dual", str(path), "--cap", "100")
+    assert code == 1
+    assert out == "error: CapExceeded: group exceeds cap of 100 elements\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_cap_below_one_is_rejected(capsys, tmp_path, quartic_file, cap):
     code, out = run(capsys, "group", quartic_file, "--cap", cap)

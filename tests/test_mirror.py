@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 import lgmirror as lg
-from lgmirror.errors import NotDiagonalError, NotDiagonalSectorError
+from lgmirror.errors import (
+    DimensionMismatchError,
+    ExponentOutOfRangeError,
+    NotDiagonalError,
+    NotDiagonalSectorError,
+)
 from oracles import fermat, random_mirror_instance
 
 
@@ -81,6 +86,18 @@ def test_unprojected_mirror_degree_age_identity():
 def test_unprojected_mirror_rejects_nondiagonal(quartic):
     with pytest.raises(NotDiagonalSectorError):
         lg.unprojected_mirror(quartic, (0, 0), perm([(0, 1, 2)], 4))
+
+
+def test_unprojected_mirror_needs_one_exponent_per_fixed_coordinate(quartic):
+    identity = lg.MonomialSymmetry.identity(4)
+    with pytest.raises(DimensionMismatchError):
+        lg.unprojected_mirror(quartic, (0, 0), identity)
+
+
+def test_unprojected_mirror_rejects_exponents_outside_milnor_range(quartic):
+    identity = lg.MonomialSymmetry.identity(4)
+    with pytest.raises(ExponentOutOfRangeError, match="exponent 3 outside"):
+        lg.unprojected_mirror(quartic, (0, 3, 0, 0), identity)
 
 
 def test_restricted_mirror_quartic(quartic, quartic_group):

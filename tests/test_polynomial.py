@@ -88,6 +88,14 @@ def test_transpose_fermat_is_self():
     assert poly.transpose() == poly
 
 
+def test_equality_ignores_weights_but_not_names():
+    poly = lg.parse_polynomial(CHAIN)
+    same = lg.InvertiblePolynomial(poly.exponents, (F(0),) * 3, poly.var_names)
+    assert same == poly and hash(same) == hash(poly)
+    renamed = lg.InvertiblePolynomial.from_exponents(poly.exponents, ("y1", "y2", "y3"))
+    assert renamed != poly
+
+
 def test_transpose_chain():
     dual = lg.parse_polynomial(CHAIN).transpose()
     assert str(dual) == "x1^3 + x1*x2^2 + x2*x3^2"

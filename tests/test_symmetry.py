@@ -8,7 +8,9 @@ import lgmirror as lg
 from lgmirror.errors import (
     CapExceededError,
     DimensionMismatchError,
+    NotAGroupError,
     NotAMemberError,
+    NotAPermutationError,
     ParseError,
 )
 from oracles import (
@@ -136,6 +138,23 @@ def test_closure_cap():
     with pytest.raises(CapExceededError):
         lg.closure([diag("1/4", "1/4", "1/4", "1/4")], cap=3)
     assert lg.closure([diag("1/4", "1/4", "1/4", "1/4")], cap=4).order == 4
+
+
+def test_element_needs_a_permutation():
+    with pytest.raises(NotAPermutationError):
+        lg.MonomialSymmetry((0, 0, 2), (0, 0, 0))
+
+
+def test_group_needs_elements_and_identity():
+    with pytest.raises(NotAGroupError, match="at least the identity"):
+        lg.SymmetryGroup([])
+    with pytest.raises(NotAGroupError, match="identity missing"):
+        lg.SymmetryGroup([diag("1/2", "1/2")])
+
+
+def test_closure_needs_a_generator():
+    with pytest.raises(NotAGroupError):
+        lg.closure([])
 
 
 def test_sl_subgroup(quartic):
