@@ -88,5 +88,25 @@ from .mirror import (
     unprojected_mirror,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AtomicBlock", "CapExceededError", "DimensionMismatchError",
+    "DuplicateVariableError", "ExponentOutOfRangeError", "FixedLocus",
+    "GradedBasisVector", "GradedSpace", "HKDecomposition", "HodgeDiamond",
+    "InternalError", "InvertiblePolynomial", "LGError", "MirrorReport",
+    "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
+    "NotAPermutationError", "NotASymmetryError", "NotAdmissibleAError",
+    "NotAdmissibleBError", "NotDiagonalError", "NotDiagonalSectorError",
+    "NotFermatError", "NotHKProductError", "NotInvertibleError",
+    "NotPurePermutationsError", "NotSquareError", "OddPermutationError",
+    "ParseError", "RestrictedMirror", "Sector", "SectorMap",
+    "SingularMatrixError", "SymmetryGroup", "TheoremViolationError", "Verdict",
+    "WeightOutOfRangeError", "a_bidegree", "a_state_space", "b_bidegree",
+    "b_state_space", "build_sector", "classify_atoms", "closure",
+    "compute_weights", "decompose_hk", "diagonal_group", "dual_group",
+    "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
+    "monomial_label", "narrow_diagonal_set", "nonabelian_dual",
+    "parity_condition", "parse_generator", "parse_polynomial",
+    "restricted_mirror", "sector_map", "sl_subgroup", "unprojected_mirror",
+    "vector_label",
+]
 __version__ = "0.1.0"

@@ -12,9 +12,11 @@ additionally picks up the reordering sign (phase 1/2 per odd rearrangement).
 Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of generator moves has total phase 0.
-The search reads each move's target sector from the group's conjugation
-table (the index of γ⁻¹gγ for every generator γ and element g, computed
-once per group on integer forms), so every sector is built once.
+Since (⊕_g Q_{W_g}·ω_g)^G = ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)}, the search runs
+once per conjugacy class, in the sector of its least element r under
+generators of the centralizer C(r), and carries each invariant orbit to
+every conjugate t⁻¹rt by the pullback map of t alone.  Sectors are built
+only for representatives and for the conjugates an invariant reaches.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
@@ -64,17 +66,18 @@ class Sector:
     element: MonomialSymmetry
     locus: FixedLocus
     degrees: tuple[int, ...]            # Fermat exponent d_C per fixed cycle
-    cycle_weights: tuple[Fraction, ...]  # weight q_C of each cycle coordinate
-    basis: tuple[tuple[int, ...], ...]   # exponent tuples, 0 ≤ b_C ≤ d_C − 2
+    basis: tuple[tuple[int, ...], ...]  # exponent tuples, 0 ≤ b_C ≤ d_C − 2
 
     @property
     def is_narrow(self) -> bool:
         return self.locus.dim == 0
 
     def degree(self, exponents: tuple[int, ...]) -> Fraction:
-        """Weighted degree of Π y^{b_C} · ω (the form contributes)."""
-        return sum(((b + 1) * q for b, q in zip(exponents, self.cycle_weights)),
-                   ZERO)
+        """Weighted degree Σ (b_C + 1)·q_C of Π y^{b_C} · ω, with cycle
+        weight q_C = 1/d_C (the form contributes), over one denominator."""
+        denom = lcm(*self.degrees)
+        return Fraction(sum((b + 1) * (denom // d)
+                            for b, d in zip(exponents, self.degrees)), denom)
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +93,8 @@ def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
         # weight-respecting permutations only join variables of equal exponent
         assert all(d_all[i] == d for i in cycle)
         degrees.append(d)
-    weights = tuple(Fraction(1, d) for d in degrees)
     basis = tuple(product(*(range(d - 1) for d in degrees)))
-    return Sector(poly, g, locus, tuple(degrees), weights, basis)
+    return Sector(poly, g, locus, tuple(degrees), basis)
 
 
 @dataclass(frozen=True)
@@ -203,18 +205,16 @@ class GradedBasisVector:
         return tuple(g for _, _, g in self.terms)
 
 
-def a_bidegree(poly: InvertiblePolynomial, g: MonomialSymmetry,
-               degree: Fraction) -> Bidegree:
-    """A-model bidegree of an element of degree ``degree`` in the g-sector."""
-    shift = g.age() - sum(poly.weights, ZERO)  # age j_W = Σ q_i
-    ng = g.fixed_locus().dim
-    return (degree + shift, ng - degree + shift)
+def a_bidegree(sector: Sector, degree: Fraction) -> Bidegree:
+    """A-model bidegree of an element of degree ``degree`` in the sector."""
+    # age j_W = Σ q_i
+    shift = sector.element.age() - sum(sector.poly.weights, ZERO)
+    return (degree + shift, sector.locus.dim - degree + shift)
 
 
-def b_bidegree(poly: InvertiblePolynomial, g: MonomialSymmetry,
-               degree: Fraction) -> Bidegree:
-    """B-model bidegree of an element of degree ``degree`` in the g-sector."""
-    jw = sum(poly.weights, ZERO)  # age j_W
+def b_bidegree(sector: Sector, degree: Fraction) -> Bidegree:
+    """B-model bidegree of an element of degree ``degree`` in the sector."""
+    g, jw = sector.element, sum(sector.poly.weights, ZERO)  # age j_W
     return (degree + g.age() - jw, degree + g.inverse().age() - jw)
 
 
@@ -267,61 +267,71 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                     side: str) -> tuple[GradedBasisVector, ...]:
     """Orbit-sum basis of the G-invariants of ⊕_g Q_{W_g}·ω_g.
 
-    Breadth-first search over (sector, monomial) nodes under the pullback
-    maps of the group generators, accumulating coefficient phases.  An orbit
-    survives exactly when its phase assignment is consistent (every loop
-    closes with total phase 0); it then contributes the orbit sum normalized
-    so the least term carries phase 0.
+    The invariants are ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)} over class
+    representatives r, the least element of each class.  In the sector of r,
+    a depth-first search over monomial nodes under the pullback maps of
+    generators of C(r) accumulates coefficient phases; an orbit survives
+    exactly when its phase assignment is consistent (every loop closes with
+    total phase 0).  A surviving orbit is carried to the sector of each
+    conjugate x = t⁻¹·r·t by the one map of the transversal element t, and
+    contributes the orbit sum normalized so the least term carries phase 0.
+    That term lies in the sector of r, which has the least index in its class.
     """
     elements = group.elements
-    sectors = [build_sector(poly, g) for g in elements]
-    moves = [[(j, sector_map(gamma, sector, sectors[j]))
-              for sector, j in zip(sectors, row)]
-             for gamma, row in zip(group.generators, group.conjugation_table())]
+    make = MonomialSymmetry.from_numerators
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, group.modulus)
-
-    # per lead sector, bidegree (u + deg, v ± deg): − on the A side
+    # bidegree (u + deg, v ± deg) from the lead sector: − on the A side
     bidegree_of, sign = (a_bidegree, -1) if side == A_SIDE else (b_bidegree, 1)
-    offsets: dict[int, Bidegree] = {}
-    done: set[tuple[int, tuple[int, ...]]] = set()
     vectors = []
-    for i, sector in enumerate(sectors):
+    for members in group.class_transversals():
+        r = members[0][0]
+        sector = build_sector(poly, elements[r])
+        moves = [sector_map(gamma, sector, sector)
+                 for gamma in group.centralizer_generators(elements[r])]
+        carries = None  # built with the class's first invariant orbit
+        done: set[tuple[int, ...]] = set()
         for start in sector.basis:
-            root = (i, start)
-            if root in done:
+            if start in done:
                 continue
-            phases = {root: 0}
-            stack = [root]
+            phases = {start: 0}
+            stack = [start]
             consistent = True
             while stack:
                 node = stack.pop()
                 base = phases[node]
-                for row in moves:
-                    j, sm = row[node[0]]
-                    image, delta = sm.apply(node[1], mod)
-                    target = (j, image)
+                for sm in moves:
+                    image, delta = sm.apply(node, mod)
                     total = (base + delta) % mod
-                    known = phases.get(target)
+                    known = phases.get(image)
                     if known is None:
-                        phases[target] = total
-                        stack.append(target)
+                        phases[image] = total
+                        stack.append(image)
                     elif known != total:
                         consistent = False
             done.update(phases)
             if not consistent:
                 continue
+            if carries is None:
+                carries = [(x, sector_map(make(*t, group.modulus), sector,
+                                          build_sector(poly, elements[x])))
+                           for x, t in members[1:]]
+                offset = bidegree_of(sector, ZERO)
+            lead = min(phases)
+            lead_phase = phases[lead]
+            nodes = [((r, exps), phase - lead_phase)
+                     for exps, phase in phases.items()]
+            for x, sm in carries:
+                for exps, phase in phases.items():
+                    image, delta = sm.apply(exps, mod)
+                    nodes.append(((x, image), phase + delta - lead_phase))
             # element indices follow the canonical element order
-            ordered = sorted(phases)
-            lead_phase = phases[ordered[0]]
-            terms = tuple((Fraction((phases[node] - lead_phase) % mod, mod),
-                           node[1], elements[node[0]]) for node in ordered)
-            lead = ordered[0]
-            if lead[0] not in offsets:
-                offsets[lead[0]] = bidegree_of(poly, elements[lead[0]], ZERO)
-            (u, v), degree = offsets[lead[0]], sectors[lead[0]].degree(lead[1])
+            nodes.sort()
+            terms = tuple((Fraction(phase % mod, mod), exps, elements[i])
+                          for (i, exps), phase in nodes)
+            (u, v), degree = offset, sector.degree(lead)
             bidegree = (u + degree, v + sign * degree)
-            vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
+            vectors.append(((r, lead), GradedBasisVector(side, terms, bidegree)))
     vectors.sort(key=lambda pair: pair[0])
     return tuple(v for _, v in vectors)
 

@@ -33,6 +33,7 @@ from . import linalg
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
+    InternalError,
     NotAGroupError,
     NotAMemberError,
     NotAPermutationError,
@@ -209,14 +210,16 @@ class MonomialSymmetry:
         """Sum of eigenvalue log-phases taken in [0, 1).
 
         A cycle of length ℓ with total phase s contributes the ℓ phases
-        (s + k)/ℓ mod 1, k = 0..ℓ−1.
+        (s + k)/ℓ mod 1, k = 0..ℓ−1; all are summed over one denominator.
         """
-        total = ZERO
-        for cycle in self.cycles():
+        cycles = self.cycles()
+        denom = self.mod * lcm(*(len(c) for c in cycles))
+        total = 0
+        for cycle in cycles:
             s, unit = sum(self.nums[i] for i in cycle), len(cycle) * self.mod
-            total += Fraction(sum((s + k * self.mod) % unit
-                                  for k in range(len(cycle))), unit)
-        return total
+            total += denom // unit * sum((s + k * self.mod) % unit
+                                         for k in range(len(cycle)))
+        return Fraction(total, denom)
 
     def fixed_locus(self) -> "FixedLocus":
         cycles = []
@@ -319,17 +322,49 @@ def _closure_set(generators, mod: int, cap: int) -> set:
     return elems
 
 
+def _greedy_scan(forms, mod: int) -> list[int]:
+    """Indices of the greedy generators of the group whose integer forms,
+    identity first, are ``forms``: in order, each form not yet generated
+    joins, and the generated set grows by right cosets of the group it had."""
+    have, sub, picked, gens = {forms[0]}, [forms[0]], [], []
+    for i, form in enumerate(forms):
+        if form in have:
+            continue
+        picked.append(i)
+        gens.append(form)
+        grown, fresh = list(sub), [form]
+        while fresh:
+            rep = fresh.pop()
+            if rep not in have:
+                coset = [_compose(h, rep, mod) for h in sub]
+                have.update(coset)
+                grown.extend(coset)
+                fresh.extend(_compose(rep, g, mod) for g in gens)
+        sub = grown
+        if len(have) == len(forms):
+            break
+    return picked
+
+
 class SymmetryGroup:
     """A finite group of monomial symmetries in canonical element order.
 
     Immutable after construction; generators (unless given), the conjugation
-    table, conjugacy classes and centralizers are found on first use.
+    table and the conjugacy classes are found on first use.
     Constructing from an element list assumes the list is closed (all
     construction paths in this library guarantee it).
+
+    Centralizers come from the group's structure, not from a scan of its
+    elements.  The diagonal elements N are the kernel of g ↦ perm(g); the
+    first element of each permutation part τ in canonical order is its lift
+    (τ, a_τ).  For g = (σ, a), a diagonal c commutes with g iff c∘σ = c, and
+    (τ, a_τ + c) does iff τσ = στ and φ_σ(c) = c∘σ − c equals
+    (a∘τ − a) − (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ times one such
+    lift per τ whose target has a preimage under φ_σ.
     """
 
     __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
-                 "_conj", "_classes", "_cents")
+                 "_conj", "_walk", "_classes", "_lifts", "_fixed")
 
     def __init__(self, elements, generators=None):
         elems = set(elements)
@@ -352,22 +387,17 @@ class SymmetryGroup:
         self._gens = generators
         self._index: dict | None = None
         self._conj = None
+        self._walk = None
         self._classes = None
-        self._cents: dict[MonomialSymmetry, SymmetryGroup] = {}
+        self._lifts = None
+        self._fixed: dict[tuple[int, ...], tuple] = {}
 
     @property
     def generators(self) -> tuple[MonomialSymmetry, ...]:
         """Given, or a greedy small set found scanning in canonical order."""
         if self._gens is None:
-            gens, forms, have = [], [], {self._forms[0]}
-            for g, form in zip(self.elements, self._forms):
-                if form not in have:
-                    gens.append(g)
-                    forms.append(form)
-                    have = _closure_set(forms, self.modulus, self.order + 1)
-                    if len(have) == self.order:
-                        break
-            self._gens = tuple(gens)
+            self._gens = tuple(self.elements[i]
+                               for i in _greedy_scan(self._forms, self.modulus))
         return self._gens
 
     @property
@@ -426,33 +456,124 @@ class SymmetryGroup:
             self._conj = tuple(rows)
         return self._conj
 
+    def _class_walk(self):
+        """Each class walked breadth first in the conjugation table from its
+        least index, as (member, parent, row) triples with member =
+        γ⁻¹·parent·γ for γ the row's generator (parent −1 at the
+        representative); and the class number of every element index."""
+        if self._walk is None:
+            table = self.conjugation_table()
+            owner = [-1] * self.order
+            walks = []
+            for i in range(self.order):
+                if owner[i] < 0:
+                    owner[i] = len(walks)
+                    walk = [(i, -1, -1)]
+                    for x, _, _ in walk:  # grows while it is read
+                        for k, row in enumerate(table):
+                            y = row[x]
+                            if owner[y] < 0:
+                                owner[y] = owner[i]
+                                walk.append((y, x, k))
+                    walks.append(walk)
+            self._walk = (walks, owner)
+        return self._walk
+
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         """Orbits under the conjugation table, each sorted, ordered by leader."""
         if self._classes is None:
-            table = self.conjugation_table()
-            assigned: set[int] = set()
-            classes = []
-            for i in range(self.order):
-                if i not in assigned:
-                    orbit, fresh = {i}, {i}
-                    while fresh:
-                        fresh = {row[x] for row in table for x in fresh} - orbit
-                        orbit |= fresh
-                    assigned |= orbit
-                    classes.append(tuple(self.elements[j] for j in sorted(orbit)))
-            self._classes = tuple(classes)
+            self._classes = tuple(
+                tuple(self.elements[x] for x in sorted(x for x, _, _ in walk))
+                for walk in self._class_walk()[0])
         return self._classes
 
+    def class_transversals(self):
+        """Per class, (index, t) for each member x in walk order, the least
+        index r first: t is the integer form over ``modulus`` of an element
+        with t⁻¹·g_r·t = x, composed along the walk."""
+        mod = self.modulus
+        gens = [g.over(mod) for g in self.generators]
+        out = []
+        for walk in self._class_walk()[0]:
+            forms = {walk[0][0]: self._forms[0]}
+            for x, parent, k in walk[1:]:
+                forms[x] = _compose(forms[parent], gens[k], mod)
+            out.append(tuple(forms.items()))
+        return out
+
     def class_of(self, g: MonomialSymmetry) -> tuple[MonomialSymmetry, ...]:
-        self.index(g)
-        return next(cls for cls in self.conjugacy_classes() if g in cls)
+        return self.conjugacy_classes()[self._class_walk()[1][self.index(g)]]
+
+    def _fixed_diagonals(self, sigma):
+        """N^σ in canonical order, the indices of its greedy generators, and
+        one preimage c of each value of φ_σ(c) = c∘σ − c; cached per σ."""
+        if sigma not in self._fixed:
+            mod, ident = self.modulus, self._forms[0][0]
+            fixed, preimage = [], {}
+            for form in self._forms:
+                if form[0] != ident:  # diagonal elements sort first
+                    break
+                c = form[1]
+                value = tuple([(c[s] - x) % mod for s, x in zip(sigma, c)])
+                if not any(value):
+                    fixed.append(form)
+                preimage.setdefault(value, c)
+            self._fixed[sigma] = (fixed, _greedy_scan(fixed, mod), preimage)
+        return self._fixed[sigma]
+
+    def _centralizer_forms(self, i: int):
+        """None when g_i is central, else (generators, N^σ, lifts) of C(g_i)
+        as integer forms: N^σ's greedy generators, then each lift
+        (τ, a_τ + c) whose τ the lifts chosen before do not generate."""
+        walks, owner = self._class_walk()
+        size = len(walks[owner[i]])
+        if size == 1:
+            return None
+        if self._lifts is None:
+            lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for perm, nums in self._forms:
+                lifts.setdefault(perm, nums)
+            self._lifts = tuple(lifts.items())
+        mod = self.modulus
+        sigma, a = self._forms[i]
+        fixed, fixed_gens, preimage = self._fixed_diagonals(sigma)
+        lifts = []
+        for tau, b in self._lifts:
+            if any(tau[s] != sigma[t] for s, t in zip(sigma, tau)):
+                continue
+            c = preimage.get(tuple([(a[t] - x - b[s] + y) % mod for s, t, x, y
+                                    in zip(sigma, tau, a, b)]))
+            if c is not None:
+                lifts.append((tau, tuple([(x + y) % mod for x, y in zip(b, c)])))
+        if len(fixed) * len(lifts) * size != self.order:
+            raise InternalError("centralizer order times class size is not |G|")
+        # the lifts start with the identity and their permutations form a group
+        perms = [(tau, fixed[0][1]) for tau, _ in lifts]
+        gens = [fixed[k] for k in fixed_gens] + \
+            [lifts[k] for k in _greedy_scan(perms, 1)]
+        return gens, fixed, lifts
+
+    def centralizer_generators(self, g: MonomialSymmetry
+                               ) -> tuple[MonomialSymmetry, ...]:
+        """Generators of C_G(g): the group's own when g is central, else
+        N^σ's greedy generators and lifts, as in the class docstring."""
+        forms = self._centralizer_forms(self.index(g))
+        if forms is None:
+            return self.generators
+        make = MonomialSymmetry.from_numerators
+        return tuple(make(perm, nums, self.modulus) for perm, nums in forms[0])
 
     def centralizer(self, g: MonomialSymmetry) -> "SymmetryGroup":
-        self.index(g)
-        if g not in self._cents:
-            members = [x for x in self.elements if x * g == g * x]
-            self._cents[g] = SymmetryGroup(members)
-        return self._cents[g]
+        """C_G(g): the group itself when g is central, else the product set
+        of N^σ and the lifts."""
+        forms = self._centralizer_forms(self.index(g))
+        if forms is None:
+            return self
+        gens, fixed, lifts = forms
+        mod, make = self.modulus, MonomialSymmetry.from_numerators
+        return SymmetryGroup([make(*_compose(c, lift, mod), mod)
+                              for c in fixed for lift in lifts],
+                             [make(perm, nums, mod) for perm, nums in gens])
 
     def subgroups(self) -> tuple["SymmetryGroup", ...]:
         """Every subgroup, found by closing element extensions exhaustively.

@@ -8,9 +8,10 @@ trace, which equals the rank of a projector), diagonal groups against a
 brute-force filter of all candidate phase tuples, dual groups against the
 diagonal group of Wᵀ so found, filtered by the pairing with every element of
 H, the integer phase kernel against the original ``Fraction`` arithmetic on
-(perm, phases) pairs, and the table-driven invariant search against the
-original search, which finds every move's target sector by conjugating the
-element itself.
+(perm, phases) pairs, the class-representative invariant search against
+the original search over every element's sector, which finds every move's
+target sector by conjugating the element itself, and structural
+centralizers against a filter of every element of the group.
 """
 
 from __future__ import annotations
@@ -215,12 +216,18 @@ def frac_conjugacy_classes(elements, gens):
     return classes
 
 
+def brute_force_centralizer(group, g):
+    """C_G(g) as the elements x of G with x·g = g·x, in canonical order."""
+    return [x for x in group.elements if x * g == g * x]
+
+
 # --- per-element invariant search ---------------------------------------------
 
 def search_invariant_basis(poly, group, side):
-    """Orbit-sum basis found as ``invariant_basis`` once did: each move's
-    target is γ⁻¹gγ built by ``sector_map`` and looked up with
-    ``group.index``, and each bidegree is computed from scratch."""
+    """Orbit-sum basis found as ``invariant_basis`` once did: a search from
+    every element's sector under the group's generators, each move's target
+    γ⁻¹gγ built by ``sector_map`` and looked up with ``group.index``, and
+    each bidegree computed from scratch."""
     elements = group.elements
     sectors = [build_sector(poly, g) for g in elements]
     moves = []
@@ -264,7 +271,7 @@ def search_invariant_basis(poly, group, side):
             terms = tuple((Fraction((phases[node] - lead_phase) % mod, mod),
                            node[1], elements[node[0]]) for node in ordered)
             lead = ordered[0]
-            bidegree = bidegree_of(poly, elements[lead[0]],
+            bidegree = bidegree_of(sectors[lead[0]],
                                    sectors[lead[0]].degree(lead[1]))
             vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
     vectors.sort(key=lambda pair: pair[0])

@@ -246,9 +246,8 @@ def test_criterion_7b_bidegree_invariance():
                 for b in sector.basis:
                     image, _ = sm.apply(b)
                     for fn in (lg.a_bidegree, lg.b_bidegree):
-                        assert fn(poly, g, sector.degree(b)) == \
-                            fn(poly, sm.target.element,
-                               sm.target.degree(image))
+                        assert fn(sector, sector.degree(b)) == \
+                            fn(sm.target, sm.target.degree(image))
 
     _check("7b", "bidegrees are unchanged along every sector map", body)
 

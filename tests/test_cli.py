@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgmirror import cli
 
@@ -320,3 +324,81 @@ def test_missing_group_line(capsys, tmp_path):
     code, out = run(capsys, "astate", str(path))
     assert code == 1
     assert "ParseError" in out
+
+
+# --- fuzzed spec files -----------------------------------------------------
+
+_POLYNOMIALS = ["x1^3*x2 + x2^2*x3 + x3^2", "x1^2*x2 + x2^2*x3 + x3^2*x1",
+                "x1^6 + x2^3*x1"]
+
+
+def _junk(rng, alphabet: str) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(16)))
+
+
+def _polynomial(rng) -> tuple[str, list[int]]:
+    """Mostly a valid polynomial in two to four variables, else noise; with
+    the denominators its diagonal symmetries use per variable."""
+    if rng.random() < 0.7:
+        ds = [rng.randint(2, 6) for _ in range(rng.randint(2, 4))]
+        return " + ".join(f"x{i}^{d}" for i, d in enumerate(ds, 1)), ds
+    if rng.random() < 0.6:
+        poly = rng.choice(_POLYNOMIALS)
+        return poly, [rng.randint(1, 6)] * (poly.count("+") + 1)
+    if rng.random() < 0.5:
+        return _junk(rng, "x1234^*+ (y"), [3, 3, 3]
+    return " + ".join(f"x{rng.randint(1, 4)}^{rng.randint(0, 6)}" +
+                      rng.choice(["", f"*x{rng.randint(1, 4)}"])
+                      for _ in range(rng.randint(1, 4))), [2, 2]
+
+
+def _generator(rng, ds: list[int]) -> str:
+    """Mostly a well-formed generator, often a symmetry, else noise."""
+    if rng.random() < 0.05:
+        return _junk(rng, "j()diag12/,*")
+    n = len(ds)
+    width = n if rng.random() < 0.95 else n + rng.choice([-1, 1])
+    phases = ", ".join(f"{rng.randrange(d)}/{d}" if rng.random() < 0.97 else
+                       rng.choice(["-1/4", "1/0", "a", "", "1/7"])
+                       for d in (ds + ds)[:width])
+    top = n if rng.random() < 0.95 else n + 1
+    points = rng.sample(range(1, top + 1), rng.randint(1, top))
+    cut = rng.randint(1, len(points))
+    cycles = "".join("(" + " ".join(map(str, part)) + ")"
+                     for part in (points[:cut], points[cut:]) if part)
+    return rng.choice(["j", "j", f"diag({phases})", cycles,
+                       f"diag({phases})*{cycles}"])
+
+
+def _spec_text(rng) -> str:
+    """W, G and cap lines, mostly well formed, sometimes missing, repeated,
+    out of order or broken."""
+    poly, ds = _polynomial(rng)
+    gens = [_generator(rng, ds) for _ in range(rng.randint(1, 3))]
+    cap = rng.randint(1, 100) if rng.random() < 0.95 else rng.randint(-1, 0)
+    lines = [f"W = {poly}", "G = " + "; ".join(gens), f"cap = {cap}"]
+    lines = [line for line in lines if rng.random() < 0.95]
+    if rng.random() < 0.1:
+        lines.append(rng.choice(["# comment", "", "cap = many", "H = j", "W x1^2",
+                                 f"W = {poly}"]))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), command=st.sampled_from(cli.COMMANDS),
+       as_json=st.booleans(), cap=st.integers(1, 100))
+def test_fuzzed_spec_files_exit_cleanly(tmp_path_factory, seed, command,
+                                        as_json, cap):
+    text = _spec_text(random.Random(seed))
+    path = tmp_path_factory.mktemp("fuzz") / "spec.lg"
+    path.write_text(text)
+    # a small cap, from the file or the flag, keeps every example short
+    has_cap = "\ncap" in "\n" + text
+    argv = [command, str(path)] + ([] if has_cap else ["--cap", str(cap)]) + \
+        (["--json"] if as_json else [])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    assert code in (0, 1)
+    if as_json:
+        json.loads(out.getvalue())

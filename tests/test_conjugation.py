@@ -1,9 +1,11 @@
-"""The conjugation table and the table-driven invariant search.
+"""The conjugation table and the class-representative invariant search.
 
-``invariant_basis`` reads every move's target sector from the group's
-conjugation table; ``oracles.search_invariant_basis`` finds it by
-conjugating each element with ``sector_map(γ, sector)``.  Both must give the
-same basis term for term: phases, exponents, elements, order and bidegrees.
+``invariant_basis`` searches one sector per conjugacy class under the
+centralizer of its representative and carries each kept orbit to the
+conjugates; ``oracles.search_invariant_basis`` searches every element's
+sector under the group's generators, conjugating each element with
+``sector_map(γ, sector)``.  Both must give the same basis term for term:
+phases, exponents, elements, order and bidegrees.
 """
 
 import random
@@ -19,6 +21,10 @@ from oracles import (
 )
 
 NAMES = ["quartic G", "quartic G*", "good quintic G*", "bad quintic G*"]
+
+# quartic A-side groups with non-abelian or non-split H·K structure
+QUARTIC_GROUPS = ["j; diag(1/2,1/2,0,0)*(1 2)", "j; (1 2); (1 2 3 4)",
+                  "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"]
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +75,20 @@ def test_invariant_basis_matches_on_random_models():
             assert_table_rows(g)
             assert lg.invariant_basis(w, g, side) == \
                 search_invariant_basis(w, g, side)
+
+
+@pytest.mark.parametrize("text", QUARTIC_GROUPS)
+def test_invariant_basis_matches_on_quartic_groups(quartic, text):
+    group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+    basis = lg.invariant_basis(quartic, group, "A")
+    assert basis == search_invariant_basis(quartic, group, "A")
+    assert len(basis) > 0
+
+
+def test_bad_quintic_builds_fewer_sectors_than_elements(cases):
+    poly, group, side = cases["bad quintic G*"]
+    assert group.order == 2500
+    lg.build_sector.cache_clear()
+    basis = lg.invariant_basis(poly, group, side)
+    assert len(basis) == 88
+    assert lg.build_sector.cache_info().misses < 2500

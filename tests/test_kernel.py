@@ -98,3 +98,13 @@ def test_conjugacy_classes_match_oracle(groups):
     oracle = frac_conjugacy_classes([frac_form(g) for g in group.elements],
                                     [frac_form(g) for g in group.generators])
     assert classes == oracle
+
+
+@pytest.mark.parametrize("text", ["(1 2); (1 2 3 4)", "j; (1 2); (1 2 3 4)",
+                                  "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"])
+def test_greedy_generators_of_nonabelian_groups(quartic, text):
+    # the scan grows by right cosets of subgroups that need not be normal
+    group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+    fresh = lg.SymmetryGroup(group.elements)
+    pairs = [frac_form(g) for g in group.elements]
+    assert [frac_form(g) for g in fresh.generators] == frac_greedy_generators(pairs)

@@ -149,9 +149,10 @@ def test_bidegrees_quartic_table(quartic, quartic_group):
 
 def test_b_bidegree_examples(quartic):
     j = lg.exponential_grading(quartic)
-    assert lg.b_bidegree(quartic, j, F(0)) == (0, 2)
-    assert lg.b_bidegree(quartic, j ** 3, F(0)) == (2, 0)
-    assert lg.a_bidegree(quartic, lg.MonomialSymmetry.identity(4), F(2)) == (1, 1)
+    assert lg.b_bidegree(lg.build_sector(quartic, j), F(0)) == (0, 2)
+    assert lg.b_bidegree(lg.build_sector(quartic, j ** 3), F(0)) == (2, 0)
+    identity = lg.MonomialSymmetry.identity(4)
+    assert lg.a_bidegree(lg.build_sector(quartic, identity), F(2)) == (1, 1)
 
 
 def test_bidegree_preserved_by_sector_maps(quartic):
@@ -167,8 +168,8 @@ def test_bidegree_preserved_by_sector_maps(quartic):
         for b in sector.basis:
             image, _ = sm.apply(b)
             for fn in (lg.a_bidegree, lg.b_bidegree):
-                before = fn(quartic, g, sector.degree(b))
-                after = fn(quartic, sm.target.element, sm.target.degree(image))
+                before = fn(sector, sector.degree(b))
+                after = fn(sm.target, sm.target.degree(image))
                 assert before == after
 
 

@@ -15,6 +15,7 @@ from lgmirror.errors import (
 )
 from oracles import (
     apply_to_vector,
+    brute_force_centralizer,
     brute_force_diagonal,
     element_of_matrix,
     matrix_product,
@@ -184,6 +185,46 @@ def test_conjugacy_classes_and_centralizers_nonabelian(quartic):
     assert len(star.class_of(jperm)) == 16
     with pytest.raises(NotAMemberError):
         star.centralizer(diag("1/3", 0, 0, 0))
+
+
+# split and non-split, abelian and non-abelian groups on the quartic
+QUARTIC_GROUPS = ["j; (1 2 3)", "j; diag(1/2,1/2,0,0)*(1 2)",
+                  "j; (1 2); (1 2 3 4)",
+                  "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"]
+
+
+@pytest.mark.parametrize("text", QUARTIC_GROUPS)
+def test_centralizers_match_filter(quartic, text):
+    group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+    for g in group.elements:  # representatives and every other member
+        cent = group.centralizer(g)
+        assert list(cent.elements) == brute_force_centralizer(group, g)
+        assert lg.closure(cent.generators).elements == cent.elements
+        assert cent.generators == group.centralizer_generators(g)
+        assert len(group.class_of(g)) * cent.order == group.order
+
+
+def test_centralizers_of_quartic_dual_match_filter(quartic, quartic_group):
+    star = lg.nonabelian_dual(quartic_group, quartic)
+    for cls in star.conjugacy_classes():
+        for g in (cls[0], cls[-1]):
+            cent = star.centralizer(g)
+            assert list(cent.elements) == brute_force_centralizer(star, g)
+            assert lg.closure(cent.generators).elements == cent.elements
+
+
+def test_class_transversals_conjugate_the_representative(quartic):
+    text = "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"
+    group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+    members = group.class_transversals()
+    assert [tuple(group.elements[x] for x, _ in sorted(m)) for m in members] == \
+        list(group.conjugacy_classes())
+    for m in members:
+        rep = group.elements[m[0][0]]
+        assert m[0][0] == min(x for x, _ in m)
+        for x, (p, nums) in m:
+            t = lg.MonomialSymmetry.from_numerators(p, nums, group.modulus)
+            assert t in group and rep.conjugated_by(t) == group.elements[x]
 
 
 def test_age_values(quartic):
