@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateVariableError,
     ExponentOutOfRangeError,
+    InputFileError,
     InternalError,
     LGError,
     NotAGroupError,
@@ -92,8 +93,8 @@ __all__ = [
     "AtomicBlock", "CapExceededError", "DimensionMismatchError",
     "DuplicateVariableError", "ExponentOutOfRangeError", "FixedLocus",
     "GradedBasisVector", "GradedSpace", "HKDecomposition", "HodgeDiamond",
-    "InternalError", "InvertiblePolynomial", "LGError", "MirrorReport",
-    "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
+    "InputFileError", "InternalError", "InvertiblePolynomial", "LGError",
+    "MirrorReport", "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
     "NotAPermutationError", "NotASymmetryError", "NotAdmissibleAError",
     "NotAdmissibleBError", "NotDiagonalError", "NotDiagonalSectorError",
     "NotFermatError", "NotHKProductError", "NotInvertibleError",

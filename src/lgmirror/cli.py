@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import duality, mirror, polynomial, state_space, symmetry
-from .errors import LGError, NotASymmetryError, ParseError
+from .errors import InputFileError, LGError, NotASymmetryError, ParseError
 
 COMMANDS = ("weights", "atoms", "dual-poly", "group", "dual-group",
             "nonabelian-dual", "pc-check", "astate", "bstate", "hodge",
@@ -57,30 +57,34 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
     gens: list[str] = []
     file_cap = 10 ** 6
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"line {lineno}: expected 'name = value'")
-            name, value = (part.strip() for part in line.split("=", 1))
-            if name in seen:
-                raise ParseError(f"line {lineno}: {name} already given on line {seen[name]}")
-            seen[name] = lineno
-            if name == "W":
-                poly = polynomial.parse_polynomial(value)
-            elif name == "G":
-                gens = [chunk.strip() for chunk in value.split(";") if chunk.strip()]
-            elif name == "cap":
-                try:
-                    file_cap = int(value)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: cap must be an integer") from None
-                if file_cap < 1:
-                    raise ParseError(f"line {lineno}: cap must be at least 1, got {file_cap}")
-            else:
-                raise ParseError(f"line {lineno}: unknown field {name!r}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(str(exc)) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"line {lineno}: expected 'name = value'")
+        name, value = (part.strip() for part in line.split("=", 1))
+        if name in seen:
+            raise ParseError(f"line {lineno}: {name} already given on line {seen[name]}")
+        seen[name] = lineno
+        if name == "W":
+            poly = polynomial.parse_polynomial(value)
+        elif name == "G":
+            gens = [chunk.strip() for chunk in value.split(";") if chunk.strip()]
+        elif name == "cap":
+            try:
+                file_cap = int(value)
+            except ValueError:
+                raise ParseError(f"line {lineno}: cap must be an integer") from None
+            if file_cap < 1:
+                raise ParseError(f"line {lineno}: cap must be at least 1, got {file_cap}")
+        else:
+            raise ParseError(f"line {lineno}: unknown field {name!r}")
     if poly is None:
         raise ParseError("problem file defines no polynomial line 'W = …'")
     return ProblemSpec(poly, gens, cap if cap is not None else file_cap)
@@ -306,9 +310,6 @@ def main(argv=None) -> int:
             print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))
         else:
             print(f"error: {exc.code}: {exc}")
-        return 1
-    except OSError as exc:
-        print(f"error: IO: {exc}")
         return 1
     print(document)
     return 0

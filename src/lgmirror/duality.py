@@ -33,7 +33,7 @@ from .polynomial import InvertiblePolynomial
 from .symmetry import (
     MonomialSymmetry,
     SymmetryGroup,
-    _closure_set,
+    _generate,
     is_symmetry,
 )
 
@@ -76,10 +76,10 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
 
 @lru_cache(maxsize=None)
 def _inverse_transpose(poly: InvertiblePolynomial):
-    """N = |det A_W| and the integer rows of N·A_W⁻ᵀ."""
-    det = abs(int(linalg.determinant(poly.exponents)))
-    inv = linalg.inverse(poly.exponents)
-    return det, tuple(tuple(int(x * det) for x in col) for col in zip(*inv))
+    """N = |det A_W| and the integer rows of N·A_W⁻ᵀ = ±adj(A_W)ᵀ."""
+    det, adj = linalg.adjugate(poly.exponents)
+    sign = 1 if det > 0 else -1
+    return abs(det), tuple(tuple(sign * x for x in col) for col in zip(*adj))
 
 
 def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
@@ -105,7 +105,7 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
                 pivot_value, value = value, pivot_value - q * value
             basis[i] = m
     gens = [tuple(sum(a * b for a, b in zip(row, m)) % det for row in rows) for m in basis]
-    forms = _closure_set([(h.identity.perm, nums) for nums in gens], det, det)
+    forms = _generate([(h.identity.perm, nums) for nums in gens], det, det)[0]
     return SymmetryGroup([MonomialSymmetry.from_numerators(perm, nums, det)
                           for perm, nums in forms])
 

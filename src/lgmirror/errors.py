@@ -27,6 +27,12 @@ class NotInvertibleError(LGError):
     code = "NotInvertible"
 
 
+class InputFileError(LGError):
+    """A problem file that cannot be opened or is not UTF-8 text."""
+
+    code = "IO"
+
+
 class ParseError(LGError):
     code = "ParseError"
 

@@ -1,76 +1,44 @@
-"""Small dense exact linear algebra over the rationals.
+"""Exact integer elimination for exponent matrices.
 
-Just enough Gauss-Jordan elimination to solve the weight system A·q = 1 and
-to invert exponent matrices.  Everything works on Fractions; there is no
-tolerance anywhere.
+Everything the library needs from A_W⁻¹ (the weights, the generators of
+G^diag_W, the dual lattice map A_W⁻ᵀ) is read off det A_W and the integer
+adjugate adj A_W = det A_W · A_W⁻¹, found by one fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularMatrixError
 
 
-def solve(matrix: Sequence[Sequence[int | Fraction]],
-          rhs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Solve A·x = b exactly. Raises SingularMatrixError if A is singular."""
+def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) for a square integer matrix; SingularMatrixError when
+    A is singular or not square.
+
+    Row reduces [A | I] so that every entry stays a minor of it: a step
+    with pivot p after pivot p' sets x ← (p·x − a·b)/p', an exact division.
+    It ends at [d·I | d·(PA)⁻¹·P] with d = det(PA) = ±det A for the row
+    permutation P, and d·(PA)⁻¹·P = d·A⁻¹.
+    """
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if any(len(row) != n for row in matrix):
         raise SingularMatrixError("system is not square")
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
+    rows = [[int(v) for v in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    sign, prev = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def inverse(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix. Raises SingularMatrixError."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] +
-           [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def determinant(matrix: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant by fraction-based elimination."""
-    n = len(matrix)
-    work = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
         if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top = rows[col]
+        p = top[col]
+        for r in range(n):
+            if r != col:
+                a = rows[r][col]
+                rows[r] = [(p * x - a * b) // prev for x, b in zip(rows[r], top)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]

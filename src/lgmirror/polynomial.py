@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import linalg
 from .errors import (
@@ -58,7 +59,8 @@ def compute_weights(exponents) -> tuple[Fraction, ...]:
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NotSquareError("exponent matrix must be square")
-    weights = linalg.solve(exponents, [1] * n)
+    det, adj = linalg.adjugate(exponents)
+    weights = [Fraction(sum(row), det) for row in adj]
     for i, q in enumerate(weights):
         if not 0 < q <= Fraction(1, 2):
             raise WeightOutOfRangeError(
@@ -202,6 +204,8 @@ class InvertiblePolynomial:
         return " + ".join(terms)
 
 
+_NAMES_LISTED = 100  # missing variables named in a ParseError, at most
+
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+*^]))")
 
 
@@ -279,11 +283,15 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     if pos != len(tokens):
         raise ParseError("trailing input", tokens[pos][2])
 
-    n = 1 + max(i for term in terms for i in term)
-    missing = set(range(n)) - {i for term in terms for i in term}
-    if missing:
-        names = ", ".join(f"x{i + 1}" for i in sorted(missing))
-        raise ParseError(f"variables {names} never appear", 0)
+    used = sorted({i for term in terms for i in term})
+    n = used[-1] + 1
+    if len(used) < n:
+        # the gaps between used indices, without listing every index below n
+        gaps = (i for a, b in zip([-1] + used, used) for i in range(a + 1, b))
+        names = [f"x{i + 1}" for i in islice(gaps, _NAMES_LISTED)]
+        more = n - len(used) - len(names)
+        tail = f" and {more} more" if more else ""
+        raise ParseError(f"variables {', '.join(names)}{tail} never appear", 0)
     if len(terms) != n:
         raise NotSquareError(
             f"{len(terms)} monomials but {n} variables; invertible polynomials need equal counts")

@@ -114,25 +114,15 @@ class SectorMap:
     form_num: int
     mod: int
 
-    @property
-    def scalars(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.mod) for x in self.scalar_nums)
-
-    @property
-    def form_phase(self) -> Fraction:
-        return Fraction(self.form_num, self.mod)
-
-    def apply(self, exponents: tuple[int, ...], mod: int | None = None):
-        """(image exponents, t) for the coefficient e(t): t in [0, 1), or
-        the integer t·mod when a multiple ``mod`` of ``self.mod`` is given."""
+    def apply(self, exponents: tuple[int, ...], mod: int):
+        """(image exponents, t·mod) for the coefficient e(t), t in [0, 1),
+        over a multiple ``mod`` of ``self.mod``."""
         image = [0] * len(exponents)
         num = self.form_num
         for c, b in enumerate(exponents):
             image[self.cycle_images[c]] = b
             if b:
                 num += b * self.scalar_nums[c]
-        if mod is None:
-            return tuple(image), Fraction(num % self.mod, self.mod)
         return tuple(image), num * (mod // self.mod) % mod
 
 

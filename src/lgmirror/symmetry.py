@@ -14,11 +14,11 @@ so that diagonal elements read off as plain phase vectors and composition
 ``g * h`` is the matrix product: (g*h)·x = g·(h·x), concretely
 perm i ↦ τ(σ(i)) and phase_i = a_i + b_{σ(i)} for g = (σ, a), h = (τ, b).
 
-Groups are finite, immutable after construction, and closed by breadth-first
-search with a safety cap; inside a group, elements are integer forms over
-the lcm of their moduli.  Element order is canonical (lexicographic on
-permutation images, then phases), which makes every downstream output
-reproducible byte for byte.
+Groups are finite, immutable after construction, and generated one right
+coset at a time (Dimino's algorithm) with a safety cap; inside a group,
+elements are integer forms over the lcm of their moduli.  Element order is
+canonical (lexicographic on permutation images, then phases), which makes
+every downstream output reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -234,13 +234,6 @@ class MonomialSymmetry:
             vectors.append(tuple(vec))
         return FixedLocus(self.n, tuple(cycles), tuple(vectors), self.mod)
 
-    def phase_matrix(self) -> list[list[Fraction | None]]:
-        """Dense matrix form: entry (i, σ(i)) holds the phase, others None."""
-        mat: list[list[Fraction | None]] = [[None] * self.n for _ in range(self.n)]
-        for i, phase in enumerate(self.phases):
-            mat[i][self.perm[i]] = phase
-        return mat
-
     @property
     def key(self):
         return (self.perm, self.phases)
@@ -290,43 +283,16 @@ class FixedLocus:
     def dim(self) -> int:
         return len(self.cycles)
 
-    def canonical_vectors(self) -> tuple[tuple[Fraction | None, ...], ...]:
-        """Full-length vectors; None marks a zero entry, else the phase."""
-        out = []
-        for cycle, vec in zip(self.cycles, self.phase_nums):
-            full: list[Fraction | None] = [None] * self.n
-            for i, x in zip(cycle, vec):
-                full[i] = Fraction(x, self.mod)
-            out.append(tuple(full))
-        return tuple(out)
 
-
-def _closure_set(generators, mod: int, cap: int) -> set:
-    """Integer forms over ``mod`` of the group the integer forms generate."""
-    n = len(generators[0][0])
+def _generate(forms, mod: int, cap: int):
+    """The group the integer forms over ``mod`` generate, as a set of forms,
+    and the indices of the forms kept as generators: in order, each form not
+    yet generated joins, and the generated set grows by right cosets of the
+    group it had (Dimino).  Errors as soon as the group has over ``cap``
+    elements, before that coset is built."""
+    n = len(forms[0][0])
     identity = (tuple(range(n)), (0,) * n)
-    elems = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in generators:
-                b = _compose(a, g, mod)
-                if b not in elems:
-                    if len(elems) >= cap:
-                        raise CapExceededError(
-                            f"group exceeds cap of {cap} elements")
-                    elems.add(b)
-                    fresh.append(b)
-        frontier = fresh
-    return elems
-
-
-def _greedy_scan(forms, mod: int) -> list[int]:
-    """Indices of the greedy generators of the group whose integer forms,
-    identity first, are ``forms``: in order, each form not yet generated
-    joins, and the generated set grows by right cosets of the group it had."""
-    have, sub, picked, gens = {forms[0]}, [forms[0]], [], []
+    have, sub, picked, gens = {identity}, [identity], [], []
     for i, form in enumerate(forms):
         if form in have:
             continue
@@ -336,14 +302,14 @@ def _greedy_scan(forms, mod: int) -> list[int]:
         while fresh:
             rep = fresh.pop()
             if rep not in have:
+                if len(have) + len(sub) > cap:
+                    raise CapExceededError(f"group exceeds cap of {cap} elements")
                 coset = [_compose(h, rep, mod) for h in sub]
                 have.update(coset)
                 grown.extend(coset)
                 fresh.extend(_compose(rep, g, mod) for g in gens)
         sub = grown
-        if len(have) == len(forms):
-            break
-    return picked
+    return have, picked
 
 
 class SymmetryGroup:
@@ -396,8 +362,8 @@ class SymmetryGroup:
     def generators(self) -> tuple[MonomialSymmetry, ...]:
         """Given, or a greedy small set found scanning in canonical order."""
         if self._gens is None:
-            self._gens = tuple(self.elements[i]
-                               for i in _greedy_scan(self._forms, self.modulus))
+            picked = _generate(self._forms, self.modulus, self.order)[1]
+            self._gens = tuple(self.elements[i] for i in picked)
         return self._gens
 
     @property
@@ -518,7 +484,8 @@ class SymmetryGroup:
                 if not any(value):
                     fixed.append(form)
                 preimage.setdefault(value, c)
-            self._fixed[sigma] = (fixed, _greedy_scan(fixed, mod), preimage)
+            self._fixed[sigma] = (fixed, _generate(fixed, mod, len(fixed))[1],
+                                  preimage)
         return self._fixed[sigma]
 
     def _centralizer_forms(self, i: int):
@@ -550,7 +517,7 @@ class SymmetryGroup:
         # the lifts start with the identity and their permutations form a group
         perms = [(tau, fixed[0][1]) for tau, _ in lifts]
         gens = [fixed[k] for k in fixed_gens] + \
-            [lifts[k] for k in _greedy_scan(perms, 1)]
+            [lifts[k] for k in _generate(perms, 1, len(perms))[1]]
         return gens, fixed, lifts
 
     def centralizer_generators(self, g: MonomialSymmetry
@@ -620,7 +587,7 @@ class SymmetryGroup:
 
 
 def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
-    """Breadth-first closure of the generators; errors past ``cap`` elements."""
+    """The group the generators generate; errors past ``cap`` elements."""
     generators = list(generators)
     if not generators:
         raise NotAGroupError("need at least one generator")
@@ -628,7 +595,7 @@ def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
-    forms = _closure_set([g.over(mod) for g in generators], mod, cap)
+    forms = _generate([g.over(mod) for g in generators], mod, cap)[0]
     make = MonomialSymmetry.from_numerators
     return SymmetryGroup([make(perm, nums, mod) for perm, nums in forms],
                          generators=generators)
@@ -661,10 +628,9 @@ def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
 
     The group has order |det A_W| (checked in tests against brute force).
     """
-    inv = linalg.inverse(poly.exponents)
-    n = poly.n_vars
-    return closure(MonomialSymmetry.diagonal([inv[i][k] for i in range(n)])
-                   for k in range(n))
+    det, adj = linalg.adjugate(poly.exponents)
+    return closure(MonomialSymmetry.diagonal([Fraction(x, det) for x in col])
+                   for col in zip(*adj))
 
 
 def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:

@@ -4,14 +4,18 @@ Nothing here shares code paths with the library computations it checks:
 composition is verified against dense phase-matrix multiplication, invariant
 dimensions against the rank of the group-averaging projector (dense modular
 Gaussian elimination for two primes p ≡ 1 mod m, plus the exact cyclotomic
-trace, which equals the rank of a projector), diagonal groups against a
-brute-force filter of all candidate phase tuples, dual groups against the
-diagonal group of Wᵀ so found, filtered by the pairing with every element of
-H, the integer phase kernel against the original ``Fraction`` arithmetic on
-(perm, phases) pairs, the class-representative invariant search against
-the original search over every element's sector, which finds every move's
-target sector by conjugating the element itself, and structural
-centralizers against a filter of every element of the group.
+trace, which equals the rank of a projector), the integer adjugate against
+a ``Fraction`` Gauss-Jordan inverse and determinant, diagonal groups
+against a brute-force filter of all candidate phase tuples (bounded by that
+inverse), dual groups against the diagonal group of Wᵀ so found, filtered
+by the pairing with every element of H, the integer phase kernel and coset
+generation against the original ``Fraction`` arithmetic and breadth-first
+closure on (perm, phases) pairs, the class-representative invariant search
+against the original search over every element's sector, which finds every
+move's target sector by conjugating the element itself, and structural
+centralizers against a filter of every element of the group.  Rational
+views of the library's integer fields (phase matrices, canonical vectors,
+sector-map phases) are built here too.
 """
 
 from __future__ import annotations
@@ -32,9 +36,52 @@ from lgmirror import (
     closure,
     sector_map,
 )
-from lgmirror.linalg import inverse
 
 ZERO = Fraction(0)
+
+
+# --- Fraction elimination -----------------------------------------------------
+
+def matrix_inverse(matrix) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination over the rationals; None
+    when the matrix is singular."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] +
+           [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def determinant(matrix) -> Fraction:
+    """Exact determinant by elimination over the rationals."""
+    n = len(matrix)
+    work = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                f = work[r][col] * inv
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return det
 
 
 # --- dense monomial matrices -------------------------------------------------
@@ -51,6 +98,14 @@ def matrix_product(a, b):
             if hits:
                 out[i][k] = hits[0] % 1
     return out
+
+
+def phase_matrix(g: MonomialSymmetry):
+    """Dense matrix form: entry (i, σ(i)) holds the phase, others None."""
+    mat = [[None] * g.n for _ in range(g.n)]
+    for i, phase in enumerate(g.phases):
+        mat[i][g.perm[i]] = phase
+    return mat
 
 
 def element_of_matrix(mat) -> MonomialSymmetry:
@@ -71,6 +126,35 @@ def apply_to_vector(g: MonomialSymmetry, vec):
         v = vec[g.perm[i]]
         out.append(None if v is None else (g.phases[i] + v) % 1)
     return tuple(out)
+
+
+def canonical_vectors(locus):
+    """Full-length canonical vectors of a fixed locus; None marks a zero
+    entry, else the phase."""
+    out = []
+    for cycle, nums in zip(locus.cycles, locus.phase_nums):
+        full = [None] * locus.n
+        for i, x in zip(cycle, nums):
+            full[i] = Fraction(x, locus.mod)
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def sector_scalars(sm):
+    """The phases γ*(y_c) = e(t_c)·y'_image of a sector map, as rationals."""
+    return tuple(Fraction(x, sm.mod) for x in sm.scalar_nums)
+
+
+def form_phase(sm) -> Fraction:
+    """The phase the volume form picks up under a sector map."""
+    return Fraction(sm.form_num, sm.mod)
+
+
+def apply_phase(sm, exponents):
+    """(image exponents, t) for the coefficient e(t) of a sector map's
+    image, t a rational in [0, 1)."""
+    image, num = sm.apply(exponents, sm.mod)
+    return image, Fraction(num, sm.mod)
 
 
 # --- slow Fraction kernel ---------------------------------------------------
@@ -340,7 +424,7 @@ def class_action(poly, group, rep):
         images = []
         phases = []
         for g, b in nodes:
-            image, delta = maps[g].apply(b)
+            image, delta = apply_phase(maps[g], b)
             images.append(index[(maps[g].target.element, image)])
             phases.append(delta)
         tables.append((images, phases))
@@ -452,7 +536,7 @@ def brute_force_diagonal(poly: InvertiblePolynomial) -> set[tuple[Fraction, ...]
     (Cramer bound); membership itself is the defining integrality test
     A·a ∈ ℤᴺ.
     """
-    inv = inverse(poly.exponents)
+    inv = matrix_inverse(poly.exponents)
     n = poly.n_vars
     # phase k of any solution a = A⁻¹·m has denominator dividing the lcm of
     # the denominators in row k of A⁻¹

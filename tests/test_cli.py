@@ -318,6 +318,33 @@ def test_field_given_twice_is_rejected(capsys, tmp_path, field, line):
     assert out == f"error: ParseError: line 5: {field} already given on line {first}\n"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_spec_file_is_an_io_error(capsys, tmp_path, kind):
+    path = tmp_path / "spec.lg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"W = x1^4 + x2^4\n# \xff\n")
+    code, out = run(capsys, "group", str(path), "--json")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "IO" and error["message"]
+    code, out = run(capsys, "group", str(path))
+    assert code == 1
+    assert out == f"error: IO: {error['message']}\n"
+    if kind == "missing":
+        assert out.startswith("error: IO: [Errno 2] ")
+
+
+@pytest.mark.parametrize("index", [30_000_000, 10 ** 12])
+def test_huge_variable_index_is_a_parse_error(capsys, tmp_path, index):
+    path = tmp_path / "huge.lg"
+    path.write_text(f"W = x{index}\nG = j\n")
+    code, out = run(capsys, "weights", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 def test_missing_group_line(capsys, tmp_path):
     path = tmp_path / "nogroup.lg"
     path.write_text("W = x1^4 + x2^4 + x3^4 + x4^4\n")

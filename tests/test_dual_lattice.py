@@ -10,6 +10,7 @@ Hᵀ's and K's generators.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -105,8 +106,16 @@ def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
     def enumerate_group(*args, **kwargs):
         pytest.fail("a group was enumerated before the cap was checked")
 
+    # every group is generated by symmetry._generate; replace it under each
+    # name a library module binds it to, so no path can reach the original
+    generate = symmetry._generate
+    bound = [module for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "lgmirror"
+             and getattr(module, "_generate", None) is generate]
+    assert {symmetry, duality} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "_generate", enumerate_group)
     monkeypatch.setattr(duality, "dual_group", enumerate_group)
-    monkeypatch.setattr(symmetry, "_closure_set", enumerate_group)
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
         lg.nonabelian_dual(group, sextic, cap=100)
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):

@@ -3,6 +3,8 @@
 Elements are drawn with a fixed seed from the quartic G = ⟨j, (123)⟩, its
 dual G* (order 192) and the bad quintic's G* (order 2,500); every kernel
 operation must agree with the slow ``Fraction`` arithmetic in ``oracles``.
+Groups generated by right cosets must equal the oracle's breadth-first
+closure, and the cap must bind at exactly the group's order.
 """
 
 import random
@@ -11,7 +13,9 @@ from fractions import Fraction as F
 import pytest
 
 import lgmirror as lg
+from lgmirror.errors import CapExceededError
 from oracles import (
+    canonical_vectors,
     frac_age,
     frac_closure,
     frac_compose,
@@ -54,7 +58,7 @@ def test_kernel_matches_fraction_oracle(groups, name):
         assert a.det_phase() == frac_det_phase(fa)
         locus = a.fixed_locus()
         vectors = tuple(tuple(v[i] for i in c)
-                        for c, v in zip(locus.cycles, locus.canonical_vectors()))
+                        for c, v in zip(locus.cycles, canonical_vectors(locus)))
         assert (locus.cycles, vectors) == frac_fixed_locus(fa)
 
 
@@ -108,3 +112,41 @@ def test_greedy_generators_of_nonabelian_groups(quartic, text):
     fresh = lg.SymmetryGroup(group.elements)
     pairs = [frac_form(g) for g in group.elements]
     assert [frac_form(g) for g in fresh.generators] == frac_greedy_generators(pairs)
+
+
+def random_generators(rng, abelian):
+    """One to three random elements of rank 1–4 (2–4 unless ``abelian``)
+    with phase denominators 1–4: diagonal when ``abelian``, else with
+    random permutations."""
+    n = rng.randint(1 if abelian else 2, 4)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(n))
+        if not abelian:
+            rng.shuffle(images)
+        den = rng.randint(1, 4)
+        gens.append(lg.MonomialSymmetry(
+            images, [F(rng.randrange(den), den) for _ in range(n)]))
+    return gens
+
+
+@pytest.mark.parametrize("abelian", [True, False])
+def test_coset_generation_matches_breadth_first_oracle(abelian):
+    rng = random.Random(4101 + abelian)
+    nonabelian = 0
+    for _ in range(60):
+        gens = random_generators(rng, abelian)
+        try:  # keeps the oracle's closure small
+            lg.closure(gens, cap=400)
+        except CapExceededError:
+            continue
+        expected = frac_closure([frac_form(g) for g in gens])
+        group = lg.closure(gens, cap=len(expected))
+        assert {frac_form(g) for g in group} == expected
+        assert group.order == len(expected)
+        nonabelian += not group.is_abelian
+        if len(expected) > 1:
+            with pytest.raises(CapExceededError,
+                               match=f"exceeds cap of {len(expected) - 1} elements"):
+                lg.closure(gens, cap=len(expected) - 1)
+    assert nonabelian == 0 if abelian else nonabelian >= 20

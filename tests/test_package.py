@@ -8,8 +8,8 @@ PUBLIC = [
     "AtomicBlock", "CapExceededError", "DimensionMismatchError",
     "DuplicateVariableError", "ExponentOutOfRangeError", "FixedLocus",
     "GradedBasisVector", "GradedSpace", "HKDecomposition", "HodgeDiamond",
-    "InternalError", "InvertiblePolynomial", "LGError", "MirrorReport",
-    "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
+    "InputFileError", "InternalError", "InvertiblePolynomial", "LGError",
+    "MirrorReport", "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
     "NotAPermutationError", "NotASymmetryError", "NotAdmissibleAError",
     "NotAdmissibleBError", "NotDiagonalError", "NotDiagonalSectorError",
     "NotFermatError", "NotHKProductError", "NotInvertibleError",

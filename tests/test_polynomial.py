@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -113,8 +114,20 @@ def test_parse_whitespace_insensitive():
 
 
 def test_parse_missing_variable():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^variables x2 never appear \(at byte 0\)$"):
         lg.parse_polynomial("x1^2 + x3^2")
+    with pytest.raises(ParseError, match=r"^variables x1, x3, x4 never appear "):
+        lg.parse_polynomial("x2^2 + x5^2")
+
+
+@pytest.mark.parametrize("index", [30_000_000, 10 ** 12])
+def test_parse_huge_variable_index_fails_fast(index):
+    # the missing variables are the gaps between used indices; none of the
+    # indices below the largest is listed, and the message stays short
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"x100 and {index - 101} more never appear"):
+        lg.parse_polynomial(f"x{index}")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_duplicate_variable_in_monomial():

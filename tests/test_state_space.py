@@ -10,7 +10,15 @@ from lgmirror.errors import (
     NotASymmetryError,
     NotFermatError,
 )
-from oracles import action_denominator, class_action, projector_rank, projector_trace
+from oracles import (
+    action_denominator,
+    apply_phase,
+    class_action,
+    form_phase,
+    projector_rank,
+    projector_trace,
+    sector_scalars,
+)
 
 
 def diag(*phases):
@@ -60,16 +68,16 @@ def test_sector_map_grading_on_three_cycle(quartic):
     sector = lg.build_sector(quartic, perm([(0, 1, 2)], 4))
     sm = lg.sector_map(lg.exponential_grading(quartic), sector)
     assert sm.target.element == sector.element  # j_W is central
-    assert sm.scalars == (F(1, 4), F(1, 4))
-    assert sm.form_phase == F(1, 2)
-    image, phase = sm.apply((2, 0))
+    assert sector_scalars(sm) == (F(1, 4), F(1, 4))
+    assert form_phase(sm) == F(1, 2)
+    image, phase = apply_phase(sm, (2, 0))
     assert image == (2, 0) and phase == 0  # y1^2·ω is invariant under j_W
 
 
 def test_sector_map_cycle_on_own_sector(quartic):
     g = perm([(0, 1, 2)], 4)
     sm = lg.sector_map(g, lg.build_sector(quartic, g))
-    assert sm.scalars == (0, 0) and sm.form_phase == 0
+    assert sector_scalars(sm) == (0, 0) and form_phase(sm) == 0
     assert sm.cycle_images == (0, 1)
 
 
@@ -77,7 +85,7 @@ def test_sector_map_identity(quartic):
     sector = lg.build_sector(quartic, perm([(0, 1, 2)], 4))
     sm = lg.sector_map(lg.MonomialSymmetry.identity(4), sector)
     for b in sector.basis:
-        assert sm.apply(b) == (b, 0)
+        assert apply_phase(sm, b) == (b, 0)
 
 
 def test_sector_map_swap_picks_up_form_sign(quintic):
@@ -86,8 +94,8 @@ def test_sector_map_swap_picks_up_form_sign(quintic):
     g = perm([(0, 1), (2, 3)], 5)
     sm = lg.sector_map(perm([(0, 2), (1, 3)], 5), lg.build_sector(quintic, g))
     assert sm.cycle_images == (1, 0, 2)
-    assert sm.scalars == (0, 0, 0)
-    assert sm.form_phase == F(1, 2)
+    assert sector_scalars(sm) == (0, 0, 0)
+    assert form_phase(sm) == F(1, 2)
 
 
 def test_sector_maps_compose(quartic):
@@ -105,9 +113,9 @@ def test_sector_maps_compose(quartic):
         sm12 = lg.sector_map(g1 * g2, sector)
         assert sm2.target.element == sm12.target.element
         for b in sector.basis:
-            mid, p1 = sm1.apply(b)
-            end, p2 = sm2.apply(mid)
-            direct, p = sm12.apply(b)
+            mid, p1 = apply_phase(sm1, b)
+            end, p2 = apply_phase(sm2, mid)
+            direct, p = apply_phase(sm12, b)
             assert end == direct and (p1 + p2) % 1 == p
 
 
@@ -166,7 +174,7 @@ def test_bidegree_preserved_by_sector_maps(quartic):
         sector = lg.build_sector(quartic, g)
         sm = lg.sector_map(gamma, sector)
         for b in sector.basis:
-            image, _ = sm.apply(b)
+            image, _ = apply_phase(sm, b)
             for fn in (lg.a_bidegree, lg.b_bidegree):
                 before = fn(sector, sector.degree(b))
                 after = fn(sm.target, sm.target.degree(image))
