@@ -85,7 +85,6 @@ from .mirror import (
     Verdict,
     full_comparison,
     narrow_diagonal_set,
-    restricted_mirror,
     unprojected_mirror,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
     "monomial_label", "narrow_diagonal_set", "nonabelian_dual",
     "parity_condition", "parse_generator", "parse_polynomial",
-    "restricted_mirror", "sector_map", "sl_subgroup", "unprojected_mirror",
-    "vector_label",
+    "sector_map", "sl_subgroup", "unprojected_mirror", "vector_label",
 ]
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ Generators follow the generator grammar ('j', 'diag(1/2, 1/4, 1/4, 0)',
 '(1 2)(3 4)', or a 'diag(…)*(cycles)' product) and are combined by group
 closure.
 
-Rationals serialize as "p/q" strings; every list is emitted in canonical
-order, so identical input yields identical bytes.
+``COMMANDS`` maps each command to a function that returns its JSON fields
+and its text lines.  Rationals serialize as "p/q" strings; every list is
+emitted in canonical order, so identical input yields identical bytes.
 """
 
 from __future__ import annotations
@@ -19,22 +20,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from . import duality, mirror, polynomial, state_space, symmetry
 from .errors import InputFileError, LGError, NotASymmetryError, ParseError
 
-COMMANDS = ("weights", "atoms", "dual-poly", "group", "dual-group",
-            "nonabelian-dual", "pc-check", "astate", "bstate", "hodge",
-            "mirror-check")
 
-
+@dataclass(frozen=True)
 class ProblemSpec:
-    def __init__(self, poly, generator_texts, cap):
-        self.poly = poly
-        self.generator_texts = generator_texts
-        self.cap = cap
+    poly: polynomial.InvertiblePolynomial
+    generator_texts: list[str]
+    cap: int
 
-    def generators(self):
+    def group(self) -> symmetry.SymmetryGroup:
+        """The closure of the checked generators, bounded by ``cap``."""
         if not self.generator_texts:
             raise ParseError("problem file defines no group line 'G = …'")
         gens = []
@@ -44,10 +43,7 @@ class ProblemSpec:
                 raise NotASymmetryError(
                     f"generator {text!r} is not a symmetry of {self.poly}")
             gens.append(g)
-        return gens
-
-    def group(self) -> symmetry.SymmetryGroup:
-        return symmetry.closure(self.generators(), cap=self.cap)
+        return symmetry.closure(gens, cap=self.cap)
 
 
 def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
@@ -106,38 +102,37 @@ def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": classes}
 
 
+def _dims_json(space: state_space.GradedSpace) -> list[dict]:
+    return [{"bidegree": _bidegree(bd), "dim": d} for bd, d in space.sorted_dims()]
+
+
+def _pc_json(holds: bool, witness: symmetry.SymmetryGroup | None) -> dict:
+    return {"holds": holds,
+            "witness": None if witness is None else [_element_json(g) for g in witness]}
+
+
 def _space_json(space: state_space.GradedSpace) -> dict:
-    basis = []
-    for v in space.basis:
-        basis.append({
-            "bidegree": _bidegree(v.bidegree),
-            "label": state_space.vector_label(v, space.poly),
-            "terms": [{"phase": str(ph), "exponents": list(exps),
-                       "element": _element_json(g)}
-                      for ph, exps, g in v.terms],
-        })
-    return {
-        "total_dim": space.total_dim,
-        "dims": [{"bidegree": _bidegree(bd), "dim": d}
-                 for bd, d in space.sorted_dims()],
-        "basis": basis,
-        "census": space.census(),
-    }
+    basis = [{"bidegree": _bidegree(v.bidegree),
+              "label": state_space.vector_label(v, space.poly),
+              "terms": [{"phase": str(ph), "exponents": list(exps),
+                         "element": _element_json(g)} for ph, exps, g in v.terms]}
+             for v in space.basis]
+    return {"total_dim": space.total_dim, "dims": _dims_json(space),
+            "basis": basis, "census": space.census()}
 
 
-def _space_text(space: state_space.GradedSpace, out) -> None:
-    for v in space.basis:
-        out.append(f"({v.bidegree[0]}, {v.bidegree[1]})  "
-                   f"{state_space.vector_label(v, space.poly)}")
+def _space_text(space: state_space.GradedSpace) -> list[str]:
+    out = [f"({v.bidegree[0]}, {v.bidegree[1]})  {state_space.vector_label(v, space.poly)}"
+           for v in space.basis]
     out.append(f"total dimension: {space.total_dim}")
-    for bd, d in space.sorted_dims():
-        out.append(f"dim({bd[0]}, {bd[1]}) = {d}")
+    out.extend(f"dim({bd[0]}, {bd[1]}) = {d}" for bd, d in space.sorted_dims())
     census = space.census()
     twisted = sum(census["twisted_broad"].values())
     out.append(f"census: untwisted broad {census['untwisted_broad']}, "
                f"twisted broad {twisted}, "
                f"narrow diagonal {census['narrow_diagonal']}, "
                f"narrow nondiagonal {census['narrow_nondiagonal']}")
+    return out
 
 
 def _pairing_json(direction, pairs, a_space, b_space):
@@ -148,148 +143,138 @@ def _pairing_json(direction, pairs, a_space, b_space):
             for va, vb in pairs]
 
 
-# --- commands ----------------------------------------------------------------
+# --- commands: JSON fields after "command" and "polynomial", and text lines ---
 
-def _run_command(command: str, spec: ProblemSpec, as_json: bool) -> str:
+def _weights(spec: ProblemSpec):
     poly = spec.poly
-    doc: dict = {"command": command, "polynomial": str(poly)}
-    text: list[str] = []
+    weights = [str(q) for q in poly.weights]
+    text = [" ".join(weights)]
+    if poly.has_boundary_weight:
+        text.append("note: a weight equals 1/2 (boundary of the admissible range)")
+    return {"weights": weights, "boundary_weight": poly.has_boundary_weight}, text
 
-    if command == "weights":
-        doc["weights"] = [str(q) for q in poly.weights]
-        doc["boundary_weight"] = poly.has_boundary_weight
-        text.append(" ".join(str(q) for q in poly.weights))
-        if poly.has_boundary_weight:
-            text.append("note: a weight equals 1/2 (boundary of the admissible range)")
 
-    elif command == "atoms":
-        blocks = []
-        for block in poly.atoms():
-            names = [poly.var_names[i] for i in block.variables]
-            blocks.append({"kind": block.kind, "variables": names,
-                           "exponents": list(block.exponents)})
-            exps = ",".join(str(a) for a in block.exponents)
-            text.append(f"{block.kind}: {' -> '.join(names)} (a={exps})")
-        doc["atoms"] = blocks
+def _atoms(spec: ProblemSpec):
+    poly = spec.poly
+    blocks, text = [], []
+    for block in poly.atoms():
+        names = [poly.var_names[i] for i in block.variables]
+        blocks.append({"kind": block.kind, "variables": names,
+                       "exponents": list(block.exponents)})
+        exps = ",".join(str(a) for a in block.exponents)
+        text.append(f"{block.kind}: {' -> '.join(names)} (a={exps})")
+    return {"atoms": blocks}, text
 
-    elif command == "dual-poly":
-        dual = poly.transpose()
-        doc["dual"] = str(dual)
-        doc["dual_weights"] = [str(q) for q in dual.weights]
-        text.append(str(dual))
-        text.append("weights: " + " ".join(str(q) for q in dual.weights))
 
-    elif command == "group":
-        group = spec.group()
-        doc["group"] = _group_json(group)
-        text.append(f"order {group.order}")
-        for cls in group.conjugacy_classes():
-            text.append(f"class of {cls[0].label()}: size {len(cls)}")
+def _dual_poly(spec: ProblemSpec):
+    dual = spec.poly.transpose()
+    weights = [str(q) for q in dual.weights]
+    return ({"dual": str(dual), "dual_weights": weights},
+            [str(dual), "weights: " + " ".join(weights)])
 
-    elif command == "dual-group":
-        group = spec.group()
-        dual = duality.dual_group(group, poly)
-        doc["group"] = _group_json(group)
-        doc["dual_group"] = {"order": dual.order,
-                             "elements": [_element_json(g) for g in dual]}
-        text.append(f"order {dual.order}")
-        for g in dual:
-            text.append(g.label())
 
-    elif command == "nonabelian-dual":
-        group = spec.group()
-        star = duality.nonabelian_dual(group, poly, spec.cap)
-        doc["group"] = _group_json(group)
-        doc["nonabelian_dual"] = {
-            "order": star.order,
-            "generators": [_element_json(g) for g in star.generators],
-            "abelian": star.is_abelian,
-        }
-        text.append(f"order {star.order}")
-        text.append("abelian" if star.is_abelian else "non-abelian")
-        for g in star.generators:
-            text.append(f"generator {g.label()}")
+def _group(spec: ProblemSpec):
+    group = spec.group()
+    return ({"group": _group_json(group)},
+            [f"order {group.order}"] + [f"class of {cls[0].label()}: size {len(cls)}"
+                                        for cls in group.conjugacy_classes()])
 
-    elif command == "pc-check":
-        group = spec.group()
-        parts = duality.decompose_hk(group, poly)
-        holds, witness = duality.parity_condition(parts.k, poly.n_vars)
-        doc["group"] = _group_json(group)
-        doc["pc"] = {"holds": holds,
-                     "witness": None if witness is None else
-                     [_element_json(g) for g in witness]}
-        text.append("parity condition holds" if holds else
-                    "parity condition fails")
-        if witness is not None:
-            text.append("witness subgroup of order "
-                        f"{witness.order}: " +
-                        ", ".join(g.cycle_string() for g in witness))
 
-    elif command in ("astate", "bstate"):
-        group = spec.group()
-        if command == "astate":
-            space = state_space.a_state_space(poly, group)
-        else:
-            star = duality.nonabelian_dual(group, poly, spec.cap)
-            space = state_space.b_state_space(poly.transpose(), star)
-            doc["dual_polynomial"] = str(poly.transpose())
-            doc["group"] = _group_json(star)
-        doc["space"] = _space_json(space)
-        _space_text(space, text)
+def _dual_group(spec: ProblemSpec):
+    group = spec.group()
+    dual = duality.dual_group(group, spec.poly)
+    return ({"group": _group_json(group),
+             "dual_group": {"order": dual.order,
+                            "elements": [_element_json(g) for g in dual]}},
+            [f"order {dual.order}"] + [g.label() for g in dual])
 
-    elif command == "hodge":
-        group = spec.group()
-        space = state_space.a_state_space(poly, group)
-        diamond = state_space.HodgeDiamond(space)
-        doc["space"] = {"total_dim": space.total_dim,
-                        "dims": [{"bidegree": _bidegree(bd), "dim": d}
-                                 for bd, d in space.sorted_dims()]}
-        doc["hodge"] = {"integral": diamond.integral,
-                        "rows": diamond.rows() if diamond.integral else None}
-        text.append(diamond.render())
 
-    elif command == "mirror-check":
-        group = spec.group()
-        report = mirror.full_comparison(poly, group, spec.cap)
-        doc["mirror"] = {
+def _nonabelian_dual(spec: ProblemSpec):
+    group = spec.group()
+    star = duality.nonabelian_dual(group, spec.poly, spec.cap)
+    abelian = star.is_abelian
+    return ({"group": _group_json(group),
+             "nonabelian_dual": {
+                 "order": star.order,
+                 "generators": [_element_json(g) for g in star.generators],
+                 "abelian": abelian}},
+            [f"order {star.order}", "abelian" if abelian else "non-abelian"] +
+            [f"generator {g.label()}" for g in star.generators])
+
+
+def _pc_check(spec: ProblemSpec):
+    group = spec.group()
+    parts = duality.decompose_hk(group, spec.poly)
+    holds, witness = duality.parity_condition(parts.k, spec.poly.n_vars)
+    text = ["parity condition holds" if holds else "parity condition fails"]
+    if witness is not None:
+        text.append(f"witness subgroup of order {witness.order}: " +
+                    ", ".join(g.cycle_string() for g in witness))
+    return {"group": _group_json(group), "pc": _pc_json(holds, witness)}, text
+
+
+def _astate(spec: ProblemSpec):
+    space = state_space.a_state_space(spec.poly, spec.group())
+    return {"space": _space_json(space)}, _space_text(space)
+
+
+def _bstate(spec: ProblemSpec):
+    star = duality.nonabelian_dual(spec.group(), spec.poly, spec.cap)
+    dual = spec.poly.transpose()
+    space = state_space.b_state_space(dual, star)
+    return ({"dual_polynomial": str(dual), "group": _group_json(star),
+             "space": _space_json(space)}, _space_text(space))
+
+
+def _hodge(spec: ProblemSpec):
+    space = state_space.a_state_space(spec.poly, spec.group())
+    diamond = state_space.HodgeDiamond(space)
+    return ({"space": {"total_dim": space.total_dim, "dims": _dims_json(space)},
+             "hodge": {"integral": diamond.integral,
+                       "rows": diamond.rows() if diamond.integral else None}},
+            [diamond.render()])
+
+
+def _mirror_check(spec: ProblemSpec):
+    group = spec.group()
+    report = mirror.full_comparison(spec.poly, group, spec.cap)
+    a_space, b_space, restricted = report.a_space, report.b_space, report.restricted
+    fields = {
+        "mirror": {
             "verdict": report.verdict.value,
-            "pc": {"holds": report.pc_holds,
-                   "witness": None if report.pc_witness is None else
-                   [_element_json(g) for g in report.pc_witness]},
+            "pc": _pc_json(report.pc_holds, report.pc_witness),
             "pairings": _pairing_json(
-                "untwisted-to-narrow", report.restricted.a0_to_narrow,
-                report.a_space, report.b_space) + _pairing_json(
-                "narrow-to-untwisted", report.restricted.narrow_to_b0,
-                report.a_space, report.b_space),
-            "total_dim_a": report.a_space.total_dim,
-            "total_dim_b": report.b_space.total_dim,
-            "dims_a": [{"bidegree": _bidegree(bd), "dim": d}
-                       for bd, d in report.a_space.sorted_dims()],
-            "dims_b": [{"bidegree": _bidegree(bd), "dim": d}
-                       for bd, d in report.b_space.sorted_dims()],
+                "untwisted-to-narrow", restricted.a0_to_narrow, a_space, b_space) +
+            _pairing_json(
+                "narrow-to-untwisted", restricted.narrow_to_b0, a_space, b_space),
+            "total_dim_a": a_space.total_dim,
+            "total_dim_b": b_space.total_dim,
+            "dims_a": _dims_json(a_space),
+            "dims_b": _dims_json(b_space),
             "mismatches": [{"bidegree": _bidegree(bd), "a": da, "b": db}
                            for bd, da, db in report.mismatches],
-        }
-        doc["group"] = _group_json(group)
-        text.append(f"verdict: {report.verdict.value}")
-        text.append(f"A total {report.a_space.total_dim}, "
-                    f"B total {report.b_space.total_dim}")
-        text.append("parity condition: " + ("holds" if report.pc_holds else "fails"))
-        if report.pc_witness is not None:
-            text.append("witness: " +
-                        ", ".join(g.cycle_string() for g in report.pc_witness))
-        for bd, da, db in report.mismatches:
-            text.append(f"mismatch at ({bd[0]}, {bd[1]}): A {da} vs B {db}")
-        if report.verdict is mirror.Verdict.BIGRADED_ISOMORPHIC:
-            diamond = state_space.HodgeDiamond(report.a_space)
-            text.append(diamond.render())
+        },
+        "group": _group_json(group),
+    }
+    text = [f"verdict: {report.verdict.value}",
+            f"A total {a_space.total_dim}, B total {b_space.total_dim}",
+            "parity condition: " + ("holds" if report.pc_holds else "fails")]
+    if report.pc_witness is not None:
+        text.append("witness: " + ", ".join(g.cycle_string() for g in report.pc_witness))
+    text.extend(f"mismatch at ({bd[0]}, {bd[1]}): A {da} vs B {db}"
+                for bd, da, db in report.mismatches)
+    if report.verdict is mirror.Verdict.BIGRADED_ISOMORPHIC:
+        text.append(state_space.HodgeDiamond(a_space).render())
+    return fields, text
 
-    else:
-        raise ParseError(f"unknown command {command!r}")
 
-    if as_json:
-        return json.dumps(doc, indent=2)
-    return "\n".join(text)
+COMMANDS = {
+    "weights": _weights, "atoms": _atoms, "dual-poly": _dual_poly,
+    "group": _group, "dual-group": _dual_group,
+    "nonabelian-dual": _nonabelian_dual, "pc-check": _pc_check,
+    "astate": _astate, "bstate": _bstate, "hodge": _hodge,
+    "mirror-check": _mirror_check,
+}
 
 
 def main(argv=None) -> int:
@@ -304,14 +289,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = read_problem(args.specfile, cap=args.cap)
-        document = _run_command(args.command, spec, args.json)
+        fields, text = COMMANDS[args.command](spec)
     except LGError as exc:
         if args.json:
             print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))
         else:
             print(f"error: {exc.code}: {exc}")
         return 1
-    print(document)
+    if args.json:
+        print(json.dumps({"command": args.command, "polynomial": str(spec.poly),
+                          **fields}, indent=2))
+    else:
+        print("\n".join(text))
     return 0
 
 

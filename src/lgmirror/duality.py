@@ -50,9 +50,10 @@ class HKDecomposition:
 def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecomposition:
     """Split G into diagonal part H and pure even permutation part K.
 
-    Each g = (σ, a) factors as h·k only as h = (id, a), k = (σ, 0),
-    so G = H·K holds exactly
-    when both factors of every element lie in G.
+    Each g = (σ, a) factors as h·k only as h = (id, a), k = (σ, 0), and
+    h ∈ G exactly when k ∈ G.  H is normal and meets K in the identity, so
+    G = H·K holds exactly when |H|·|K| = |G|; otherwise the error names the
+    first element, in canonical order, whose permutation part is not in K.
     """
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
@@ -62,16 +63,12 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     for g in k_elems:
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
-    h = SymmetryGroup(h_elems)
-    k = SymmetryGroup(k_elems)
-    make = MonomialSymmetry.from_numerators
-    ident, zeros = group.identity.perm, (0,) * group.n
-    for g in group:
-        if make(ident, g.nums, g.mod) not in h or make(g.perm, zeros, 1) not in k:
-            raise NotHKProductError(
-                f"{g.label()} does not factor as diagonal · pure even permutation")
-    assert h.order * k.order >= group.order
-    return HKDecomposition(group, h, k)
+    if len(h_elems) * len(k_elems) != group.order:
+        perms = {k.perm for k in k_elems}
+        g = next(g for g in group if g.perm not in perms)
+        raise NotHKProductError(
+            f"{g.label()} does not factor as diagonal · pure even permutation")
+    return HKDecomposition(group, SymmetryGroup(h_elems), SymmetryGroup(k_elems))
 
 
 @lru_cache(maxsize=None)

@@ -124,26 +124,6 @@ def _corner_pairs(poly, a_space, b_space, h, h_dual):
                "narrow class sum", "untwisted vector"))
 
 
-def _build_both_sides(poly, group, cap=10 ** 6):
-    parts = decompose_hk(group, poly)
-    h_dual, g_star = star_group(parts, poly, cap)
-    dual_poly = poly.transpose()
-    a_space = a_state_space(poly, group)
-    b_space = b_state_space(dual_poly, g_star)
-    return parts, dual_poly, g_star, a_space, b_space, h_dual
-
-
-def restricted_mirror(poly: InvertiblePolynomial,
-                      group: SymmetryGroup) -> RestrictedMirror:
-    """Build both models and verify the two corner isomorphisms.
-
-    Raises TheoremViolationError if either fails to be a bidegree-preserving
-    bijection; that would signal a bug, not a property of the input.
-    """
-    parts, _, _, a_space, b_space, h_dual = _build_both_sides(poly, group)
-    return _corner_pairs(poly, a_space, b_space, parts.h, h_dual)
-
-
 @dataclass(frozen=True)
 class MirrorReport:
     """Full bigraded comparison of (W, G) against (Wᵀ, G*)."""
@@ -164,9 +144,14 @@ class MirrorReport:
 
 def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,
                     cap: int = 10 ** 6) -> MirrorReport:
-    """Both models and their comparison; G* errors past ``cap`` elements."""
-    parts, dual_poly, g_star, a_space, b_space, h_dual = \
-        _build_both_sides(poly, group, cap)
+    """Both models and their comparison; G* errors past ``cap`` elements.
+    TheoremViolationError if a corner isomorphism in ``restricted`` fails,
+    which signals a bug, not a property of the input."""
+    parts = decompose_hk(group, poly)
+    h_dual, g_star = star_group(parts, poly, cap)
+    dual_poly = poly.transpose()
+    a_space = a_state_space(poly, group)
+    b_space = b_state_space(dual_poly, g_star)
     restricted = _corner_pairs(poly, a_space, b_space, parts.h, h_dual)
     pc_holds, pc_witness = parity_condition(parts.k, poly.n_vars)
     if a_space.dims == b_space.dims:

@@ -209,6 +209,14 @@ _NAMES_LISTED = 100  # missing variables named in a ParseError, at most
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+*^]))")
 
 
+def parse_digits(digits: str, offset: int) -> int:
+    """int(digits); ParseError at ``offset`` past Python's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", offset) from None
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -257,14 +265,14 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
         term: dict[int, int] = {}
         while True:
             kind, value, offset = expect("var")
-            index = int(value[1:])
+            index = parse_digits(value[1:], offset)
             if index == 0:
                 raise ParseError("variable indices start at 1", offset)
             exponent = 1
             if pos < len(tokens) and tokens[pos][0] == "^":
                 pos += 1
                 kind, value, offset2 = expect("int")
-                exponent = int(value)
+                exponent = parse_digits(value, offset2)
                 if exponent == 0:
                     raise ParseError("exponents must be positive", offset2)
             if index - 1 in term:

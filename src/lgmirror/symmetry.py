@@ -39,7 +39,7 @@ from .errors import (
     NotAPermutationError,
     ParseError,
 )
-from .polynomial import InvertiblePolynomial
+from .polynomial import InvertiblePolynomial, parse_digits
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -543,47 +543,40 @@ class SymmetryGroup:
                              [make(perm, nums, mod) for perm, nums in gens])
 
     def subgroups(self) -> tuple["SymmetryGroup", ...]:
-        """Every subgroup, found by closing element extensions exhaustively.
+        """Every subgroup, ordered by order, then by element indices.
 
-        Meant for small groups (permutation parts, diagonal groups of small
-        determinant); cost grows with the subgroup lattice.
+        Starting from the trivial group, each subgroup S found is extended
+        once per right coset S·x outside it, since ⟨S, h·x⟩ = ⟨S, x⟩ for
+        h ∈ S.  ⟨S, x⟩ grows from S one right coset at a time on the
+        multiplication table (Dimino), along S's recorded generators plus
+        x.  Meant for small groups (permutation parts, diagonal groups of
+        small determinant); cost grows with the subgroup lattice.
         """
         forms, mod = self._forms, self.modulus
         index = self._form_index()
         table = [[index[_compose(a, b, mod)] for b in forms] for a in forms]
-        abelian = self.is_abelian
-        base = frozenset({0})
-        seen = {base}
-        queue = [base]
-        found = []
+        seen = {frozenset({0})}
+        queue = [(frozenset({0}), [])]  # (elements, generators) as indices
         while queue:
-            sub = queue.pop()
-            found.append(sorted(sub))
+            sub, gens = queue.pop()
+            tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
-                if x in sub:
+                if x in tried:
                     continue
-                ext = self._extend(sub, x, table, abelian)
+                tried.update(table[h][x] for h in sub)
+                have, fresh, ext_gens = set(sub), [x], gens + [x]
+                while fresh:
+                    rep = fresh.pop()
+                    if rep not in have:
+                        have.update([table[h][rep] for h in sub])
+                        fresh.extend(table[rep][g] for g in ext_gens)
+                ext = frozenset(have)
                 if ext not in seen:
                     seen.add(ext)
-                    queue.append(ext)
-        found.sort(key=lambda sub: (len(sub), sub))  # indices follow the canonical order
+                    queue.append((ext, ext_gens))
+        # element indices follow the canonical order
+        found = sorted((sorted(sub) for sub in seen), key=lambda sub: (len(sub), sub))
         return tuple(SymmetryGroup([self.elements[i] for i in sub]) for sub in found)
-
-    @staticmethod
-    def _extend(sub, x, table, abelian) -> frozenset:
-        if abelian:
-            cur = set(sub)
-            y = x
-            while y not in cur:
-                cur.update(table[s][y] for s in sub)
-                y = table[y][x]
-            return frozenset(cur)
-        cur = set(sub) | {x}
-        while True:
-            new = {table[a][b] for a in cur for b in cur} - cur
-            if not new:
-                return frozenset(cur)
-            cur |= new
 
 
 def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
@@ -659,7 +652,8 @@ def _parse_cycles(text: str, n: int) -> MonomialSymmetry:
     for m in _CYCLE_RE.finditer(text):
         if text[pos:m.start()].strip():
             raise ParseError(f"bad cycle syntax in {text!r}", pos)
-        indices = [int(t) for t in m.group(1).split()]
+        indices = [parse_digits(t.group(), m.start(1) + t.start())
+                   for t in re.finditer(r"\d+", m.group(1))]
         if len(set(indices)) != len(indices):
             raise ParseError(f"repeated index in cycle {m.group(0)}", m.start())
         if any(not 1 <= i <= n for i in indices):

@@ -264,6 +264,28 @@ def frac_closure(gens) -> set:
     return elems
 
 
+def two_generated_subgroups(elements):
+    """The subgroups ⟨a, b⟩ over all pairs of ``elements``, as sorted lists
+    of (perm, phases) forms ordered by size, then forms: every subgroup
+    when each is generated by two elements (so for S4 and A5)."""
+    forms = sorted(frac_form(g) for g in elements)  # the identity first
+    index = {form: i for i, form in enumerate(forms)}
+    table = [[index[frac_compose(a, b)] for b in forms] for a in forms]
+    subs = set()
+    for a in range(len(forms)):
+        for b in range(a, len(forms)):
+            sub, stack = {0}, [0]
+            while stack:
+                x = stack.pop()
+                for y in (table[x][a], table[x][b]):
+                    if y not in sub:
+                        sub.add(y)
+                        stack.append(y)
+            subs.add(frozenset(sub))
+    return sorted((sorted(forms[i] for i in sub) for sub in subs),
+                  key=lambda sub: (len(sub), sub))
+
+
 def frac_greedy_generators(elements):
     """Greedy generating set scanning (perm, phases) pairs in sorted order."""
     elements = sorted(elements)
@@ -303,6 +325,32 @@ def frac_conjugacy_classes(elements, gens):
 def brute_force_centralizer(group, g):
     """C_G(g) as the elements x of G with x·g = g·x, in canonical order."""
     return [x for x in group.elements if x * g == g * x]
+
+
+def factor_each_element(group, poly):
+    """H·K split element by element: (H, K) as element lists, or the
+    error of the first element, in canonical order, whose diagonal factor
+    (id, a) or pure-permutation factor (σ, 0) is missing from G."""
+    from lgmirror import (NotASymmetryError, NotHKProductError,
+                          OddPermutationError, SymmetryGroup, is_symmetry)
+
+    for g in group.generators:
+        if not is_symmetry(g, poly):
+            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
+    h_elems = [g for g in group if g.is_diagonal]
+    k_elems = [g for g in group if g.is_pure_permutation]
+    for g in k_elems:
+        if g.perm_parity != 0:
+            raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
+    h = SymmetryGroup(h_elems)
+    k = SymmetryGroup(k_elems)
+    make = MonomialSymmetry.from_numerators
+    ident, zeros = group.identity.perm, (0,) * group.n
+    for g in group:
+        if make(ident, g.nums, g.mod) not in h or make(g.perm, zeros, 1) not in k:
+            raise NotHKProductError(
+                f"{g.label()} does not factor as diagonal · pure even permutation")
+    return h_elems, k_elems
 
 
 # --- per-element invariant search ---------------------------------------------

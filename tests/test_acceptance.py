@@ -110,7 +110,7 @@ def test_criterion_3_duality_identities(quartic, quintic):
 def test_criterion_4_restricted_mirror(quartic, quartic_group,
                                        good_report, bad_report):
     def body():
-        pairs = lg.restricted_mirror(quartic, quartic_group)
+        pairs = lg.full_comparison(quartic, quartic_group).restricted
         assert len(pairs.a0_to_narrow) == 9
         ends = {}
         for va, vb in pairs.a0_to_narrow:
@@ -284,7 +284,7 @@ def test_criterion_7d_restricted_mirror_never_fails():
             assert group.order <= 500
             assert max(poly.fermat_exponents()) <= 5
             assert poly.n_vars <= 6
-            pairs = lg.restricted_mirror(poly, group)  # must not raise
+            pairs = lg.full_comparison(poly, group).restricted  # must not raise
             for va, vb in pairs.a0_to_narrow + pairs.narrow_to_b0:
                 assert va.bidegree == vb.bidegree
 

@@ -345,6 +345,25 @@ def test_huge_variable_index_is_a_parse_error(capsys, tmp_path, index):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec,offset", [
+    ("W = x{big}\nG = j\n", 0),
+    ("W = x1^{big}\nG = j\n", 3),
+    ("W = x1^4 + x2^4\nG = (1 {big})\n", 3),
+], ids=["variable", "exponent", "cycle"])
+def test_overlong_integer_is_a_parse_error(capsys, tmp_path, spec, offset, as_json):
+    # past Python's 4,300-digit limit on converting a string to an int
+    path = tmp_path / "long.lg"
+    path.write_text(spec.format(big="9" * 5000))
+    code, out = run(capsys, "group", str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    message = f"integer of 5000 digits is too long (at byte {offset})"
+    if as_json:
+        assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
+    else:
+        assert out == f"error: ParseError: {message}\n"
+
+
 def test_missing_group_line(capsys, tmp_path):
     path = tmp_path / "nogroup.lg"
     path.write_text("W = x1^4 + x2^4 + x3^4 + x4^4\n")
@@ -413,7 +432,7 @@ def _spec_text(rng) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), command=st.sampled_from(cli.COMMANDS),
+@given(seed=st.integers(0, 2 ** 32), command=st.sampled_from(list(cli.COMMANDS)),
        as_json=st.booleans(), cap=st.integers(1, 100))
 def test_fuzzed_spec_files_exit_cleanly(tmp_path_factory, seed, command,
                                         as_json, cap):

@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import lgmirror as lg
 from lgmirror.errors import (
+    LGError,
     NotASymmetryError,
     NotDiagonalError,
     NotHKProductError,
     NotPurePermutationsError,
     OddPermutationError,
 )
+from oracles import factor_each_element, random_mirror_instance
 
 
 def diag(*phases):
@@ -60,6 +63,37 @@ def test_decompose_rejects_unsplittable_group(quartic):
     assert group.order == 2
     with pytest.raises(NotHKProductError):
         lg.decompose_hk(group, quartic)
+
+
+def _split_outcome(split, group, poly):
+    """(H, K) as element lists, or the error's type and message."""
+    try:
+        h, k = split(group, poly)
+    except LGError as exc:
+        return type(exc), str(exc)
+    return list(h), list(k)
+
+
+def _by_orders(group, poly):
+    parts = lg.decompose_hk(group, poly)
+    return parts.h, parts.k
+
+
+@pytest.mark.parametrize("text", [
+    "diag(1/4,3/4,0,0)*(1 2)", "j; (1 2 3)", "j; diag(1/2,1/2,0,0)*(1 2)",
+    "j; (1 2); (1 2 3 4)", "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"])
+def test_split_by_orders_matches_element_factors_on_quartic(quartic, text):
+    group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+    assert _split_outcome(_by_orders, group, quartic) == \
+        _split_outcome(factor_each_element, group, quartic)
+
+
+def test_split_by_orders_matches_element_factors_on_random_groups():
+    rng = random.Random(7070)
+    for _ in range(30):
+        poly, group = random_mirror_instance(rng)
+        assert _split_outcome(_by_orders, group, poly) == \
+            _split_outcome(factor_each_element, group, poly)
 
 
 def test_dual_of_grading_group_is_sl(quartic, quintic):

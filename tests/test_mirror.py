@@ -101,7 +101,7 @@ def test_unprojected_mirror_rejects_exponents_outside_milnor_range(quartic):
 
 
 def test_restricted_mirror_quartic(quartic, quartic_group):
-    pairs = lg.restricted_mirror(quartic, quartic_group)
+    pairs = lg.full_comparison(quartic, quartic_group).restricted
     assert len(pairs.a0_to_narrow) == 9
     assert len(pairs.narrow_to_b0) == 3
     for va, vb in pairs.a0_to_narrow + pairs.narrow_to_b0:
@@ -112,7 +112,7 @@ def test_restricted_mirror_quartic_permutation_rows(quartic, quartic_group):
     # the six orbit sums pair with the narrow class sums whose phase
     # numerators exceed the monomial exponents by exactly one
     from oracles import QUARTIC_PAIRING_TABLE as table
-    pairs = lg.restricted_mirror(quartic, quartic_group)
+    pairs = lg.full_comparison(quartic, quartic_group).restricted
     seen = {}
     for va, vb in pairs.a0_to_narrow:
         key = frozenset(e for _, e, _ in va.terms)
@@ -124,7 +124,7 @@ def test_restricted_mirror_quartic_permutation_rows(quartic, quartic_group):
 
 
 def test_restricted_mirror_quartic_center_rows(quartic, quartic_group):
-    pairs = lg.restricted_mirror(quartic, quartic_group)
+    pairs = lg.full_comparison(quartic, quartic_group).restricted
     j = lg.exponential_grading(quartic)
     # ⌊1, j^i⌉ on the A side pairs with the monomial with all exponents i−1
     narrow_pairs = {va.leading[2]: vb.terms[0][1]
@@ -286,6 +286,6 @@ def test_restricted_mirror_randomized_never_fails():
     rng = random.Random(101)
     for _ in range(12):
         poly, group = random_mirror_instance(rng)
-        pairs = lg.restricted_mirror(poly, group)
+        pairs = lg.full_comparison(poly, group).restricted
         for va, vb in pairs.a0_to_narrow + pairs.narrow_to_b0:
             assert va.bidegree == vb.bidegree

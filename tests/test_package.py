@@ -22,8 +22,7 @@ PUBLIC = [
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
     "monomial_label", "narrow_diagonal_set", "nonabelian_dual",
     "parity_condition", "parse_generator", "parse_polynomial",
-    "restricted_mirror", "sector_map", "sl_subgroup", "unprojected_mirror",
-    "vector_label",
+    "sector_map", "sl_subgroup", "unprojected_mirror", "vector_label",
 ]
 
 

@@ -20,8 +20,10 @@ from oracles import (
     canonical_vectors,
     determinant,
     element_of_matrix,
+    frac_form,
     matrix_product,
     phase_matrix,
+    two_generated_subgroups,
 )
 
 
@@ -299,6 +301,19 @@ def test_subgroup_enumeration_small():
     s3 = lg.closure([perm([(0, 1)], 3), perm([(0, 1, 2)], 3)])
     assert s3.order == 6 and not s3.is_abelian
     assert len(s3.subgroups()) == 6
+
+
+@pytest.mark.parametrize("n,generators,count", [
+    (4, [[(0, 1)], [(0, 1, 2, 3)]], 30),  # S4
+    (5, [[(0, 1, 2)], [(0, 1, 2, 3, 4)]], 59),  # A5
+], ids=["S4", "A5"])
+def test_subgroups_match_two_generated_oracle(n, generators, count):
+    # every subgroup of S4 and of A5 is generated by two elements
+    group = lg.closure(perm(cycles, n) for cycles in generators)
+    subgroups = group.subgroups()
+    assert len(subgroups) == count
+    assert [[frac_form(g) for g in sub] for sub in subgroups] == \
+        two_generated_subgroups(group)
 
 
 def test_parse_generator(quartic):
