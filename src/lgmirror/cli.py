@@ -11,8 +11,10 @@ Generators follow the generator grammar ('j', 'diag(1/2, 1/4, 1/4, 0)',
 closure.
 
 ``COMMANDS`` maps each command to a function that returns its JSON fields
-and its text lines.  Rationals serialize as "p/q" strings; every list is
-emitted in canonical order, so identical input yields identical bytes.
+and its text lines; the costly ones, labels of every basis vector, are
+functions and generators that run only for the output mode asked for.
+Rationals serialize as "p/q" strings; every list is emitted in canonical
+order, so identical input yields identical bytes.
 """
 
 from __future__ import annotations
@@ -121,18 +123,18 @@ def _space_json(space: state_space.GradedSpace) -> dict:
             "basis": basis, "census": space.census()}
 
 
-def _space_text(space: state_space.GradedSpace) -> list[str]:
-    out = [f"({v.bidegree[0]}, {v.bidegree[1]})  {state_space.vector_label(v, space.poly)}"
-           for v in space.basis]
-    out.append(f"total dimension: {space.total_dim}")
-    out.extend(f"dim({bd[0]}, {bd[1]}) = {d}" for bd, d in space.sorted_dims())
+def _space_text(space: state_space.GradedSpace):
+    """The text lines, generated only when printed."""
+    for v in space.basis:
+        yield f"({v.bidegree[0]}, {v.bidegree[1]})  {state_space.vector_label(v, space.poly)}"
+    yield f"total dimension: {space.total_dim}"
+    yield from (f"dim({bd[0]}, {bd[1]}) = {d}" for bd, d in space.sorted_dims())
     census = space.census()
     twisted = sum(census["twisted_broad"].values())
-    out.append(f"census: untwisted broad {census['untwisted_broad']}, "
-               f"twisted broad {twisted}, "
-               f"narrow diagonal {census['narrow_diagonal']}, "
-               f"narrow nondiagonal {census['narrow_nondiagonal']}")
-    return out
+    yield (f"census: untwisted broad {census['untwisted_broad']}, "
+           f"twisted broad {twisted}, "
+           f"narrow diagonal {census['narrow_diagonal']}, "
+           f"narrow nondiagonal {census['narrow_nondiagonal']}")
 
 
 def _pairing_json(direction, pairs, a_space, b_space):
@@ -215,7 +217,7 @@ def _pc_check(spec: ProblemSpec):
 
 def _astate(spec: ProblemSpec):
     space = state_space.a_state_space(spec.poly, spec.group())
-    return {"space": _space_json(space)}, _space_text(space)
+    return {"space": lambda: _space_json(space)}, _space_text(space)
 
 
 def _bstate(spec: ProblemSpec):
@@ -223,7 +225,7 @@ def _bstate(spec: ProblemSpec):
     dual = spec.poly.transpose()
     space = state_space.b_state_space(dual, star)
     return ({"dual_polynomial": str(dual), "group": _group_json(star),
-             "space": _space_json(space)}, _space_text(space))
+             "space": lambda: _space_json(space)}, _space_text(space))
 
 
 def _hodge(spec: ProblemSpec):
@@ -243,7 +245,7 @@ def _mirror_check(spec: ProblemSpec):
         "mirror": {
             "verdict": report.verdict.value,
             "pc": _pc_json(report.pc_holds, report.pc_witness),
-            "pairings": _pairing_json(
+            "pairings": lambda: _pairing_json(
                 "untwisted-to-narrow", restricted.a0_to_narrow, a_space, b_space) +
             _pairing_json(
                 "narrow-to-untwisted", restricted.narrow_to_b0, a_space, b_space),
@@ -290,17 +292,17 @@ def main(argv=None) -> int:
     try:
         spec = read_problem(args.specfile, cap=args.cap)
         fields, text = COMMANDS[args.command](spec)
+        # a field given as a function is rendered here, in JSON mode only
+        out = json.dumps({"command": args.command, "polynomial": str(spec.poly),
+                          **fields}, indent=2, default=lambda field: field()) \
+            if args.json else "\n".join(text)
     except LGError as exc:
         if args.json:
             print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))
         else:
             print(f"error: {exc.code}: {exc}")
         return 1
-    if args.json:
-        print(json.dumps({"command": args.command, "polynomial": str(spec.poly),
-                          **fields}, indent=2))
-    else:
-        print("\n".join(text))
+    print(out)
     return 0
 
 

@@ -114,6 +114,8 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
     if _inverse_transpose(poly)[0] // parts.h.order * parts.k.order > cap:
         raise CapExceededError(f"group exceeds cap of {cap} elements")
     h_dual = dual_group(parts.h, poly)
+    if parts.k.order == 1:  # G* = Hᵀ
+        return h_dual, h_dual
     if any(g.conjugated_by(k) not in h_dual
            for k in parts.k.generators for g in h_dual.generators):
         raise InternalError("K does not normalize Hᵀ")

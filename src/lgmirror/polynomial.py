@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 from . import linalg
@@ -181,6 +181,11 @@ class InvertiblePolynomial:
             raise NotFermatError(f"{self} is not of pure Fermat type")
         # each column holds its variable's exponent and zeros
         return tuple(max(col) for col in zip(*self.exponents))
+
+    @cached_property
+    def weight_sum(self) -> Fraction:
+        """Σ q_i, the age of the grading element j_W."""
+        return sum(self.weights, Fraction(0))
 
     @property
     def has_boundary_weight(self) -> bool:

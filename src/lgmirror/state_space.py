@@ -13,14 +13,18 @@ Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of generator moves has total phase 0.
 Since (⊕_g Q_{W_g}·ω_g)^G = ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)}, the search runs
-once per conjugacy class, in the sector of its least element r under
-generators of the centralizer C(r), and carries each invariant orbit to
-every conjugate t⁻¹rt by the pullback map of t alone.  Sectors are built
-only for representatives and for the conjugates an invariant reaches.
+once per conjugacy class, in the sector of its least element r = (σ, a),
+and carries each invariant orbit to every conjugate t⁻¹rt by the pullback
+map of t alone.  C(r) is N^σ, the diagonal elements fixed by σ, times
+lifts; N^σ acts on each monomial by a character, so the monomials it keeps
+are found once per σ and fixed cycles, and only the lifts move monomials.
+Sectors are built once per fixed locus, and for the representatives and
+conjugates that lifts or transversal maps touch.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
-where deg P always includes the volume form: deg(Π y^{b_C}·ω) = Σ (b_C+1)·q_C.
+where deg P always includes the volume form: deg(Π y^{b_C}·ω) = Σ (b_C+1)·q_C,
+and age g⁻¹ = n − N_g − age g.
 
 Everything is immutable; sector construction is cached per (W, g).
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import lcm
 
@@ -44,7 +48,6 @@ from .errors import (
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
     HALF,
-    ZERO,
     FixedLocus,
     MonomialSymmetry,
     SymmetryGroup,
@@ -139,10 +142,7 @@ def sector_map(gamma: MonomialSymmetry, sector: Sector,
     # one modulus for γ's phases, both canonical vectors and the sign 1/2
     mod = lcm(2, gamma.mod, src.mod, tgt.mod)
     gnums = gamma.over(mod)[1]
-    n = gamma.n
-    inv_perm = [0] * n
-    for i, p in enumerate(gamma.perm):
-        inv_perm[p] = i
+    inv_perm = gamma.inverse().perm
     where = {}  # variable index -> (source cycle position, canonical phase)
     for cpos, (cycle, nums) in enumerate(zip(src.cycles, src.phase_nums)):
         for i, x in zip(cycle, nums):
@@ -195,17 +195,27 @@ class GradedBasisVector:
         return tuple(g for _, _, g in self.terms)
 
 
+def _offset(side: str, g: MonomialSymmetry, dim: int, jw: Fraction) -> Bidegree:
+    """Bidegree of degree 0 in the sector of g, for age j_W = ``jw`` and
+    dim Fix(g) = ``dim``, from integers over one denominator; on the B side
+    age g⁻¹ = n − dim Fix(g) − age g."""
+    den = 2 * g.mod * jw.denominator
+    age, shift = g.age_num() * jw.denominator, 2 * g.mod * jw.numerator
+    if side == A_SIDE:
+        return (Fraction(age - shift, den), Fraction(dim * den + age - shift, den))
+    return (Fraction(age - shift, den), Fraction((g.n - dim) * den - age - shift, den))
+
+
 def a_bidegree(sector: Sector, degree: Fraction) -> Bidegree:
     """A-model bidegree of an element of degree ``degree`` in the sector."""
-    # age j_W = Σ q_i
-    shift = sector.element.age() - sum(sector.poly.weights, ZERO)
-    return (degree + shift, sector.locus.dim - degree + shift)
+    u, v = _offset(A_SIDE, sector.element, sector.locus.dim, sector.poly.weight_sum)
+    return (u + degree, v - degree)
 
 
 def b_bidegree(sector: Sector, degree: Fraction) -> Bidegree:
     """B-model bidegree of an element of degree ``degree`` in the sector."""
-    g, jw = sector.element, sum(sector.poly.weights, ZERO)  # age j_W
-    return (degree + g.age() - jw, degree + g.inverse().age() - jw)
+    u, v = _offset(B_SIDE, sector.element, sector.locus.dim, sector.poly.weight_sum)
+    return (u + degree, v + degree)
 
 
 class GradedSpace:
@@ -253,39 +263,79 @@ class GradedSpace:
         return sorted(self.dims.items())
 
 
+def _kept(sector: Sector, gens, mod: int) -> list[tuple[int, ...]]:
+    """The basis exponents b, in order, on which each diagonal c in ``gens``
+    (integer forms over ``mod``, constant on every cycle C) has the trivial
+    character e(Σ_C (b_C + 1)·c[C₀]).  Each half of the cycles is summed
+    once, and the halves meet where their sums cancel."""
+    columns = [[c[cycle[0]] for _, c in gens] for cycle in sector.locus.cycles]
+
+    def sums(cols, degrees):
+        out = [((), (0,) * len(gens))]
+        for col, d in zip(cols, degrees):
+            out = [(b + (e,), tuple([(x + (e + 1) * w) % mod for x, w in zip(s, col)]))
+                   for b, s in out for e in range(d - 1)]
+        return out
+    half = len(columns) // 2
+    right: dict[tuple[int, ...], list] = {}
+    for b, s in sums(columns[half:], sector.degrees[half:]):
+        right.setdefault(s, []).append(b)
+    return [b + c for b, s in sums(columns[:half], sector.degrees[:half])
+            for c in right.get(tuple([-x % mod for x in s]), ())]
+
+
 def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                     side: str) -> tuple[GradedBasisVector, ...]:
     """Orbit-sum basis of the G-invariants of ⊕_g Q_{W_g}·ω_g.
 
     The invariants are ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)} over class
-    representatives r, the least element of each class.  In the sector of r,
-    a depth-first search over monomial nodes under the pullback maps of
-    generators of C(r) accumulates coefficient phases; an orbit survives
-    exactly when its phase assignment is consistent (every loop closes with
-    total phase 0).  A surviving orbit is carried to the sector of each
-    conjugate x = t⁻¹·r·t by the one map of the transversal element t, and
-    contributes the orbit sum normalized so the least term carries phase 0.
-    That term lies in the sector of r, which has the least index in its class.
+    representatives r = (σ, a), each the least element of its class, and
+    C(r) is N^σ times lifts.  N^σ only multiplies each monomial of r's
+    sector by a character and is normal in C(r), so an orbit of the lifts
+    is N^σ-invariant exactly when its least node is.  Those nodes depend
+    only on σ and r's fixed cycles and are found once per pair.  From each,
+    a depth-first search under the lifts' pullback maps accumulates
+    coefficient phases; the orbit survives when every loop closes with
+    total phase 0.  It is carried to each conjugate x = t⁻¹·r·t by the map
+    of the transversal element t, and its orbit sum is normalized so the
+    least term, in the sector of r, carries phase 0.
     """
-    elements = group.elements
+    elements, gmod = group.elements, group.modulus
+    for g in group.generators:  # the symmetries of W form a group
+        if not is_symmetry(g, poly):
+            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     make = MonomialSymmetry.from_numerators
     # every map's modulus divides the group's, times 2 for the form sign
-    mod = lcm(2, group.modulus)
-    # bidegree (u + deg, v ± deg) from the lead sector: − on the A side
-    bidegree_of, sign = (a_bidegree, -1) if side == A_SIDE else (b_bidegree, 1)
-    vectors = []
+    mod = lcm(2, gmod)
+    phase = lru_cache(maxsize=None)(partial(Fraction, denominator=mod))  # one per value
+    sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
+    sigma, vectors = None, []  # appended sorted: by representative, then lead
     for members in group.class_transversals():
         r = members[0][0]
-        sector = build_sector(poly, elements[r])
-        moves = [sector_map(gamma, sector, sector)
-                 for gamma in group.centralizer_generators(elements[r])]
+        g = elements[r]
+        if g.perm != sigma:  # elements, so representatives, sort by σ
+            sigma, cycles, gens = g.perm, g.cycles(), group._fixed_generators(g.perm)
+            kept_at: dict[tuple, tuple] = {}  # fixed cycles -> (sector, starts)
+        # the cycles of Fix(g), without building its canonical vectors
+        fixed = tuple([c for c in cycles if not sum(map(g.nums.__getitem__, c)) % g.mod])
+        if fixed not in kept_at:
+            shared = build_sector(poly, g)
+            kept_at[fixed] = (shared, _kept(shared, gens, gmod))
+        shared, kept = kept_at[fixed]
+        if not kept:
+            continue
+        # sectors and maps only where lifts move monomials or members share them
+        lift_gens = group._centralizer_forms(r)[2]
+        sector = build_sector(poly, g) if lift_gens or members[1:] else None
+        moves = [sector_map(make(*lift, gmod), sector, sector) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
+        u, v = _offset(side, g, len(fixed), poly.weight_sum)
         done: set[tuple[int, ...]] = set()
-        for start in sector.basis:
-            if start in done:
+        for lead in kept:  # an orbit's nodes are all kept: its least comes first
+            if lead in done:
                 continue
-            phases = {start: 0}
-            stack = [start]
+            phases = {lead: 0}
+            stack = [lead]
             consistent = True
             while stack:
                 node = stack.pop()
@@ -303,27 +353,20 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             if not consistent:
                 continue
             if carries is None:
-                carries = [(x, sector_map(make(*t, group.modulus), sector,
+                ident = elements[0].perm
+                carries = [(x, sector_map(make(*w, gmod) * make(ident, c, gmod), sector,
                                           build_sector(poly, elements[x])))
-                           for x, t in members[1:]]
-                offset = bidegree_of(sector, ZERO)
-            lead = min(phases)
-            lead_phase = phases[lead]
-            nodes = [((r, exps), phase - lead_phase)
-                     for exps, phase in phases.items()]
+                           for x, w, c in members[1:]]
+            nodes = [((r, exps), p) for exps, p in phases.items()]
             for x, sm in carries:
-                for exps, phase in phases.items():
+                for exps, p in phases.items():
                     image, delta = sm.apply(exps, mod)
-                    nodes.append(((x, image), phase + delta - lead_phase))
-            # element indices follow the canonical element order
-            nodes.sort()
-            terms = tuple((Fraction(phase % mod, mod), exps, elements[i])
-                          for (i, exps), phase in nodes)
-            (u, v), degree = offset, sector.degree(lead)
-            bidegree = (u + degree, v + sign * degree)
-            vectors.append(((r, lead), GradedBasisVector(side, terms, bidegree)))
-    vectors.sort(key=lambda pair: pair[0])
-    return tuple(v for _, v in vectors)
+                    nodes.append(((x, image), p + delta))
+            nodes.sort()  # element indices follow the canonical element order
+            terms = tuple((phase(p % mod), exps, elements[i]) for (i, exps), p in nodes)
+            degree = shared.degree(lead)
+            vectors.append(GradedBasisVector(side, terms, (u + degree, v + sign * degree)))
+    return tuple(vectors)
 
 
 def a_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpace:
@@ -339,10 +382,12 @@ def b_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpa
     """B-model state space; every group element must have determinant one."""
     if not poly.is_fermat:
         raise NotFermatError(f"{poly} is not of pure Fermat type")
-    for g in group:
-        if g.det_num():
-            raise NotAdmissibleBError(
-                f"{g.label()} has determinant e({g.det_phase()}) ≠ 1")
+    # det is a homomorphism, so the generators decide; the error names the
+    # first element in canonical order outside SL
+    if any(g.det_num() for g in group.generators):
+        g = next(g for g in group if g.det_num())
+        raise NotAdmissibleBError(
+            f"{g.label()} has determinant e({g.det_phase()}) ≠ 1")
     return GradedSpace(B_SIDE, poly, group, invariant_basis(poly, group, B_SIDE))
 
 

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 
 from . import linalg
@@ -206,20 +207,19 @@ class MonomialSymmetry:
         """Phase t with det(g) = e(t); zero exactly on SL elements."""
         return Fraction(self.det_num(), 2 * self.mod)
 
-    def age(self) -> Fraction:
-        """Sum of eigenvalue log-phases taken in [0, 1).
+    def age_num(self) -> int:
+        """The numerator of ``age`` over 2·mod.
 
-        A cycle of length ℓ with total phase s contributes the ℓ phases
-        (s + k)/ℓ mod 1, k = 0..ℓ−1; all are summed over one denominator.
+        A cycle of length ℓ with total phase t has the ℓ phases (t + k)/ℓ
+        mod 1, k = 0..ℓ−1, which sum to (t mod 1) + (ℓ − 1)/2.
         """
         cycles = self.cycles()
-        denom = self.mod * lcm(*(len(c) for c in cycles))
-        total = 0
-        for cycle in cycles:
-            s, unit = sum(self.nums[i] for i in cycle), len(cycle) * self.mod
-            total += denom // unit * sum((s + k * self.mod) % unit
-                                         for k in range(len(cycle)))
-        return Fraction(total, denom)
+        total = sum(sum(map(self.nums.__getitem__, c)) % self.mod for c in cycles)
+        return 2 * total + self.mod * (self.n - len(cycles))
+
+    def age(self) -> Fraction:
+        """Sum of eigenvalue log-phases taken in [0, 1)."""
+        return Fraction(self.age_num(), 2 * self.mod)
 
     def fixed_locus(self) -> "FixedLocus":
         cycles = []
@@ -312,25 +312,33 @@ def _generate(forms, mod: int, cap: int):
     return have, picked
 
 
+def _lift_generators(lifts):
+    """The lifts (τ, a) whose τ the lifts before them do not generate."""
+    perms = [(tau, (0,) * len(tau)) for tau, _ in lifts]
+    return [lifts[k] for k in _generate(perms, 1, len(perms))[1]]
+
+
 class SymmetryGroup:
     """A finite group of monomial symmetries in canonical element order.
 
-    Immutable after construction; generators (unless given), the conjugation
-    table and the conjugacy classes are found on first use.
-    Constructing from an element list assumes the list is closed (all
-    construction paths in this library guarantee it).
+    Immutable after construction; generators (unless given), the conjugacy
+    classes and centralizers are found on first use.  Constructing from an
+    element list assumes the list is closed (all construction paths in this
+    library guarantee it).
 
-    Centralizers come from the group's structure, not from a scan of its
-    elements.  The diagonal elements N are the kernel of g ↦ perm(g); the
-    first element of each permutation part τ in canonical order is its lift
-    (τ, a_τ).  For g = (σ, a), a diagonal c commutes with g iff c∘σ = c, and
-    (τ, a_τ + c) does iff τσ = στ and φ_σ(c) = c∘σ − c equals
+    Classes and centralizers come from the group's structure G = N⋊T, not
+    from a scan of its elements.  The diagonal elements N are the kernel of
+    g ↦ perm(g); the first element of each permutation part τ in canonical
+    order is its lift (τ, a_τ).  Conjugating g = (σ, a) by a diagonal c
+    gives (σ, a + φ_σ(c)) with φ_σ(c) = c∘σ − c, so the classes are the
+    orbits of the lifts on the cosets a + im φ_σ.  A diagonal c commutes
+    with g iff c∘σ = c, and (τ, a_τ + c) does iff τσ = στ and φ_σ(c) equals
     (a∘τ − a) − (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ times one such
     lift per τ whose target has a preimage under φ_σ.
     """
 
     __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
-                 "_conj", "_walk", "_classes", "_lifts", "_fixed")
+                 "_members", "_classes", "_lifts", "_fixed")
 
     def __init__(self, elements, generators=None):
         elems = set(elements)
@@ -352,8 +360,7 @@ class SymmetryGroup:
                 g for g in generators if not g.is_identity))
         self._gens = generators
         self._index: dict | None = None
-        self._conj = None
-        self._walk = None
+        self._members = None
         self._classes = None
         self._lifts = None
         self._fixed: dict[tuple[int, ...], tuple] = {}
@@ -407,72 +414,82 @@ class SymmetryGroup:
 
     @property
     def is_diagonal(self) -> bool:
-        return all(g.is_diagonal for g in self.elements)
+        # the identity permutation sorts first, so the last element decides
+        return self._forms[-1][0] == self._forms[0][0]
 
-    def conjugation_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row k, entry i: the index of γ⁻¹·g_i·γ for γ the k-th generator."""
-        if self._conj is None:
-            mod, index, rows = self.modulus, self._form_index(), []
-            for g in self.generators:
-                (pg, ng), (pi, ni) = g.over(mod), g.inverse().over(mod)
-                # _compose(_compose(γ⁻¹, x), γ) in one pass, with j = γ⁻¹(i)
-                rows.append(tuple(index[tuple([pg[px[j]] for j in pi]), tuple(
-                    [(a + nx[j] + ng[px[j]]) % mod for a, j in zip(ni, pi)])]
-                    for px, nx in self._forms))
-            self._conj = tuple(rows)
-        return self._conj
+    def _lift_forms(self):
+        """The lift (τ, a_τ) of each permutation part τ, in canonical order,
+        and the lifts whose τ generate the permutation parts."""
+        if self._lifts is None:
+            lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for perm, nums in self._forms:
+                lifts.setdefault(perm, nums)
+            lifts = tuple(lifts.items())
+            self._lifts = (lifts, _lift_generators(lifts))
+        return self._lifts
 
-    def _class_walk(self):
-        """Each class walked breadth first in the conjugation table from its
-        least index, as (member, parent, row) triples with member =
-        γ⁻¹·parent·γ for γ the row's generator (parent −1 at the
-        representative); and the class number of every element index."""
-        if self._walk is None:
-            table = self.conjugation_table()
+    def _class_members(self):
+        """Per class, (x, w, c) for each member x, the least index r first,
+        with t = w·c conjugating g_r to x: t⁻¹·g_r·t = x.  Also the class
+        number of every element index.
+
+        Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
+        (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
+        cosets.  A class is one orbit of cosets, walked from r's along the
+        lifts that generate the permutation parts; w is the word of lifts
+        that reaches a member's coset and c a preimage of its offset."""
+        if self._members is None:
+            mod, forms, index = self.modulus, self._forms, self._form_index()
+            gens = [(self.elements[index[g]].inverse().over(mod), g)
+                    for g in self._lift_forms()[1]]
             owner = [-1] * self.order
-            walks = []
+            classes = []
             for i in range(self.order):
-                if owner[i] < 0:
-                    owner[i] = len(walks)
-                    walk = [(i, -1, -1)]
-                    for x, _, _ in walk:  # grows while it is read
-                        for k, row in enumerate(table):
-                            y = row[x]
-                            if owner[y] < 0:
-                                owner[y] = owner[i]
-                                walk.append((y, x, k))
-                    walks.append(walk)
-            self._walk = (walks, owner)
-        return self._walk
+                if owner[i] >= 0:
+                    continue
+                members, cosets = [], [(i, forms[0])]
+                for y, word in cosets:  # grows while it is read
+                    if owner[y] >= 0:
+                        continue  # its coset was walked before
+                    px, nx = forms[y]
+                    owner[y] = len(classes)
+                    members.append((y, word, forms[0][1]))
+                    # offsets past the first, 0 from the identity
+                    for v, c in islice(self._fixed_diagonals(px)[1].items(), 1, None):
+                        x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])]
+                        owner[x] = len(classes)
+                        members.append((x, word, c))
+                    for (pi, ni), g in gens:
+                        pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
+                        z = index[tuple([pg[px[j]] for j in pi]), tuple(
+                            [(a + nx[j] + ng[px[j]]) % mod for a, j in zip(ni, pi)])]
+                        if owner[z] < 0:
+                            cosets.append((z, _compose(word, g, mod)))
+                classes.append(members)
+            self._members = (classes, owner)
+        return self._members
 
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
-        """Orbits under the conjugation table, each sorted, ordered by leader."""
+        """The classes, each sorted, ordered by leader."""
         if self._classes is None:
             self._classes = tuple(
-                tuple(self.elements[x] for x in sorted(x for x, _, _ in walk))
-                for walk in self._class_walk()[0])
+                tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
+                for members in self._class_members()[0])
         return self._classes
 
     def class_transversals(self):
-        """Per class, (index, t) for each member x in walk order, the least
-        index r first: t is the integer form over ``modulus`` of an element
-        with t⁻¹·g_r·t = x, composed along the walk."""
-        mod = self.modulus
-        gens = [g.over(mod) for g in self.generators]
-        out = []
-        for walk in self._class_walk()[0]:
-            forms = {walk[0][0]: self._forms[0]}
-            for x, parent, k in walk[1:]:
-                forms[x] = _compose(forms[parent], gens[k], mod)
-            out.append(tuple(forms.items()))
-        return out
+        """Per class, (index, w, c) for each member x, the least index r
+        first: w is the integer form over ``modulus`` of a lift word and c
+        the numerators of a diagonal element, with t = w·c and
+        t⁻¹·g_r·t = x."""
+        return self._class_members()[0]
 
     def class_of(self, g: MonomialSymmetry) -> tuple[MonomialSymmetry, ...]:
-        return self.conjugacy_classes()[self._class_walk()[1][self.index(g)]]
+        return self.conjugacy_classes()[self._class_members()[1][self.index(g)]]
 
     def _fixed_diagonals(self, sigma):
-        """N^σ in canonical order, the indices of its greedy generators, and
-        one preimage c of each value of φ_σ(c) = c∘σ − c; cached per σ."""
+        """N^σ in canonical order and one preimage c of each value of
+        φ_σ(c) = c∘σ − c, the value 0 first; cached per σ."""
         if sigma not in self._fixed:
             mod, ident = self.modulus, self._forms[0][0]
             fixed, preimage = [], {}
@@ -484,60 +501,44 @@ class SymmetryGroup:
                 if not any(value):
                     fixed.append(form)
                 preimage.setdefault(value, c)
-            self._fixed[sigma] = (fixed, _generate(fixed, mod, len(fixed))[1],
-                                  preimage)
+            self._fixed[sigma] = (fixed, preimage)
         return self._fixed[sigma]
 
+    def _fixed_generators(self, sigma):
+        """Generators of N^σ: the group's own when N^σ is the whole group,
+        else greedy ones."""
+        fixed, mod = self._fixed_diagonals(sigma)[0], self.modulus
+        if len(fixed) == self.order:
+            return [g.over(mod) for g in self.generators]
+        return [fixed[k] for k in _generate(fixed, mod, len(fixed))[1]]
+
     def _centralizer_forms(self, i: int):
-        """None when g_i is central, else (generators, N^σ, lifts) of C(g_i)
-        as integer forms: N^σ's greedy generators, then each lift
-        (τ, a_τ + c) whose τ the lifts chosen before do not generate."""
-        walks, owner = self._class_walk()
-        size = len(walks[owner[i]])
-        if size == 1:
-            return None
-        if self._lifts is None:
-            lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for perm, nums in self._forms:
-                lifts.setdefault(perm, nums)
-            self._lifts = tuple(lifts.items())
+        """C(g_i) = N^σ·L as integer forms: N^σ; L, each lift (τ, a_τ + c)
+        that commutes with g_i, in canonical order; and the lifts in L whose
+        τ the lifts before them do not generate."""
+        classes, owner = self._class_members()
         mod = self.modulus
         sigma, a = self._forms[i]
-        fixed, fixed_gens, preimage = self._fixed_diagonals(sigma)
+        fixed, preimage = self._fixed_diagonals(sigma)
         lifts = []
-        for tau, b in self._lifts:
+        for tau, b in self._lift_forms()[0]:
             if any(tau[s] != sigma[t] for s, t in zip(sigma, tau)):
                 continue
             c = preimage.get(tuple([(a[t] - x - b[s] + y) % mod for s, t, x, y
                                     in zip(sigma, tau, a, b)]))
             if c is not None:
                 lifts.append((tau, tuple([(x + y) % mod for x, y in zip(b, c)])))
-        if len(fixed) * len(lifts) * size != self.order:
+        if len(fixed) * len(lifts) * len(classes[owner[i]]) != self.order:
             raise InternalError("centralizer order times class size is not |G|")
-        # the lifts start with the identity and their permutations form a group
-        perms = [(tau, fixed[0][1]) for tau, _ in lifts]
-        gens = [fixed[k] for k in fixed_gens] + \
-            [lifts[k] for k in _generate(perms, 1, len(perms))[1]]
-        return gens, fixed, lifts
-
-    def centralizer_generators(self, g: MonomialSymmetry
-                               ) -> tuple[MonomialSymmetry, ...]:
-        """Generators of C_G(g): the group's own when g is central, else
-        N^σ's greedy generators and lifts, as in the class docstring."""
-        forms = self._centralizer_forms(self.index(g))
-        if forms is None:
-            return self.generators
-        make = MonomialSymmetry.from_numerators
-        return tuple(make(perm, nums, self.modulus) for perm, nums in forms[0])
+        return fixed, lifts, _lift_generators(lifts)
 
     def centralizer(self, g: MonomialSymmetry) -> "SymmetryGroup":
-        """C_G(g): the group itself when g is central, else the product set
-        of N^σ and the lifts."""
-        forms = self._centralizer_forms(self.index(g))
-        if forms is None:
-            return self
-        gens, fixed, lifts = forms
-        mod, make = self.modulus, MonomialSymmetry.from_numerators
+        """C_G(g) as the product set of N^σ and the lifts, generated by
+        N^σ's generators and the lifts whose τ the lifts before them do
+        not generate."""
+        i, mod, make = self.index(g), self.modulus, MonomialSymmetry.from_numerators
+        fixed, lifts, lift_gens = self._centralizer_forms(i)
+        gens = self._fixed_generators(self._forms[i][0]) + lift_gens
         return SymmetryGroup([make(*_compose(c, lift, mod), mod)
                               for c in fixed for lift in lifts],
                              [make(perm, nums, mod) for perm, nums in gens])

@@ -12,10 +12,11 @@ by the pairing with every element of H, the integer phase kernel and coset
 generation against the original ``Fraction`` arithmetic and breadth-first
 closure on (perm, phases) pairs, the class-representative invariant search
 against the original search over every element's sector, which finds every
-move's target sector by conjugating the element itself, and structural
-centralizers against a filter of every element of the group.  Rational
-views of the library's integer fields (phase matrices, canonical vectors,
-sector-map phases) are built here too.
+move's target sector by conjugating the element itself, classes from H⋊K
+against orbits under a conjugation table of every element by every
+generator, and structural centralizers against a filter of every element
+of the group.  Rational views of the library's integer fields (phase
+matrices, canonical vectors, sector-map phases) are built here too.
 """
 
 from __future__ import annotations
@@ -319,6 +320,39 @@ def frac_conjugacy_classes(elements, gens):
                     frontier.append(y)
         assigned |= orbit
         classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def conjugation_table(group):
+    """Row k, entry i: the index of γ⁻¹·g_i·γ for γ the k-th generator,
+    composed as (perm, phases) pairs and looked up by that pair."""
+    forms = [frac_form(g) for g in group.elements]
+    index = {form: i for i, form in enumerate(forms)}
+    rows = []
+    for gamma in group.generators:
+        gamma = frac_form(gamma)
+        inv = frac_inverse(gamma)
+        rows.append(tuple(index[frac_compose(frac_compose(inv, x), gamma)]
+                          for x in forms))
+    return tuple(rows)
+
+
+def table_classes(group):
+    """The classes as sorted element-index tuples, ordered by least index:
+    orbits of the indices under the conjugation table."""
+    table = conjugation_table(group)
+    owner = [-1] * group.order
+    classes = []
+    for i in range(group.order):
+        if owner[i] < 0:
+            owner[i] = len(classes)
+            orbit = [i]
+            for x in orbit:  # grows while it is read
+                for row in table:
+                    if owner[row[x]] < 0:
+                        owner[row[x]] = owner[i]
+                        orbit.append(row[x])
+            classes.append(tuple(sorted(orbit)))
     return classes
 
 

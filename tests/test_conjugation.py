@@ -1,11 +1,13 @@
-"""The conjugation table and the class-representative invariant search.
+"""Classes from H⋊K and the class-representative invariant search.
 
-``invariant_basis`` searches one sector per conjugacy class under the
-centralizer of its representative and carries each kept orbit to the
-conjugates; ``oracles.search_invariant_basis`` searches every element's
-sector under the group's generators, conjugating each element with
-``sector_map(γ, sector)``.  Both must give the same basis term for term:
-phases, exponents, elements, order and bidegrees.
+``invariant_basis`` filters the monomials of one sector per conjugacy class
+by the characters of N^σ, searches them under the centralizer's lifts and
+carries each kept orbit to the conjugates; ``oracles.search_invariant_basis``
+searches every element's sector under the group's generators, conjugating
+each element with ``sector_map(γ, sector)``.  Both must give the same basis
+term for term: phases, exponents, elements, order and bidegrees.  The
+classes and transversals found from cosets of N are checked against orbits
+under ``oracles.conjugation_table``.
 """
 
 import random
@@ -14,10 +16,13 @@ import pytest
 
 import lgmirror as lg
 from oracles import (
+    conjugation_table,
+    fermat,
     frac_conjugacy_classes,
     frac_form,
     random_mirror_instance,
     search_invariant_basis,
+    table_classes,
 )
 
 NAMES = ["quartic G", "quartic G*", "good quintic G*", "bad quintic G*"]
@@ -41,11 +46,21 @@ def cases(quartic, quartic_group, quintic, good_group, bad_group):
 
 
 def assert_table_rows(group):
-    table = group.conjugation_table()
+    """The classes are the orbits under the oracle's conjugation table, and
+    every transversal element conjugates the representative to its member."""
+    table = conjugation_table(group)
     assert len(table) == len(group.generators)
     for gamma, row in zip(group.generators, table):
         assert [group.elements[j] for j in row] == \
             [g.conjugated_by(gamma) for g in group.elements]
+    members = group.class_transversals()
+    assert [tuple(sorted(x for x, _, _ in m)) for m in members] == table_classes(group)
+    make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
+    for m in members:
+        rep = group.elements[m[0][0]]
+        for x, w, c in m:
+            t = make(*w, group.modulus) * make(ident, c, group.modulus)
+            assert t in group and rep.conjugated_by(t) == group.elements[x]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -92,3 +107,42 @@ def test_bad_quintic_builds_fewer_sectors_than_elements(cases):
     basis = lg.invariant_basis(poly, group, side)
     assert len(basis) == 88
     assert lg.build_sector.cache_info().misses < 2500
+
+
+# an abelian G* whose 729 elements share 121 fixed loci, and a non-abelian
+# one of order 2,187 whose K = ⟨(1 2 3), (4 5 6)⟩ moves the fixed cycles
+CUBICS = {"7 cubics, G = j": ([3] * 7, "j", 729),
+          "6 cubics, G = j; (1 2 3); (4 5 6)": ([3] * 6, "j; (1 2 3); (4 5 6)", 2187)}
+
+
+@pytest.fixture(scope="module", params=list(CUBICS))
+def cubic_sides(request):
+    degrees, text, star_order = CUBICS[request.param]
+    poly = fermat(degrees)
+    group = lg.closure(lg.parse_generator(t, poly) for t in text.split(";"))
+    star = lg.nonabelian_dual(group, poly)
+    assert star.order == star_order
+    return (poly, group, "A"), (poly.transpose(), star, "B")
+
+
+def test_invariant_basis_matches_on_cubics(cubic_sides):
+    for poly, group, side in cubic_sides:
+        basis = lg.invariant_basis(poly, group, side)
+        assert basis == search_invariant_basis(poly, group, side)
+        assert len(basis) > 0
+
+
+def test_cubic_classes_match_table(cubic_sides):
+    for _, group, _ in cubic_sides:
+        assert_table_rows(group)
+
+
+def test_abelian_b_side_builds_no_sector_map(monkeypatch):
+    poly = fermat([3] * 7)
+    star = lg.nonabelian_dual(lg.closure([lg.exponential_grading(poly)]), poly)
+    assert star.order == 729 and star.is_diagonal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal group needs no sector map")
+    monkeypatch.setattr(lg.state_space, "sector_map", refuse)
+    assert len(lg.invariant_basis(poly.transpose(), star, "B")) > 0

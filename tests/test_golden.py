@@ -8,7 +8,8 @@ verifying a deliberate output change:
     python3 -m lgmirror.cli astate tests/golden/quartic.lg > tests/golden/quartic_astate.txt
 
 The quintic outputs are compared, read only, against the benchmark's
-recorded files in ``bench/expected/``.
+recorded files in ``bench/expected/``.  The sextic's text ``mirror-check``
+(|G*| = 46,656) was recorded from the per-element invariant search.
 """
 
 import contextlib
@@ -59,3 +60,10 @@ def test_golden_output(name, command, flags):
 def test_quintic_output_matches_bench_expected(model, command, name):
     spec = str(BENCH / "specs" / f"{model}.lg")
     assert capture(command, spec, "--json").encode() == read_bytes(BENCH / "expected" / name)
+
+
+def test_sextic_mirror_check():
+    # x1^6 + … + x7^6 with G = j: every class of G* is a singleton
+    spec = str(GOLDEN / "sextic.lg")
+    assert capture("mirror-check", spec).encode() == \
+        (GOLDEN / "sextic_mirror_check.txt").read_bytes()

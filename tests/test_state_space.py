@@ -15,6 +15,8 @@ from oracles import (
     apply_phase,
     class_action,
     form_phase,
+    frac_age,
+    frac_form,
     projector_rank,
     projector_trace,
     sector_scalars,
@@ -209,6 +211,39 @@ def test_b_state_space_requires_determinant_one(quartic):
         lg.b_state_space(quartic, group)
     # e(t) already means exp(2πi·t)
     assert str(info.value) == "(1/4, 0, 0, 0) has determinant e(1/4) ≠ 1"
+
+
+def test_b_state_space_names_first_non_sl_element(quartic):
+    # the generator (3/4, 0, 0, 0) decides, but the error names the first
+    # element outside SL in canonical order, (1/4, 0, 0, 0)
+    group = lg.closure([diag("3/4", 0, 0, 0)])
+    assert group.generators == (diag("3/4", 0, 0, 0),)
+    with pytest.raises(NotAdmissibleBError) as info:
+        lg.b_state_space(quartic, group)
+    assert str(info.value) == "(1/4, 0, 0, 0) has determinant e(1/4) ≠ 1"
+
+
+def test_age_identity_and_bidegree_offsets(quartic, quartic_group, quintic,
+                                           good_group, bad_group):
+    # age g⁻¹ = n − dim Fix(g) − age g on every element of the paper's G and
+    # G*, ages taken by the Fraction oracle, and both bidegrees built on it
+    degree = F(2, 5)
+    for poly, group in ((quartic, quartic_group), (quintic, good_group),
+                        (quintic, bad_group)):
+        star = lg.nonabelian_dual(group, poly)
+        for w, g_side, side in ((poly, group, "A"), (poly.transpose(), star, "B")):
+            jw = sum(w.weights, F(0))
+            for g in g_side:
+                age, dim = frac_age(frac_form(g)), g.fixed_locus().dim
+                inverse_age = frac_age(frac_form(g.inverse()))
+                assert g.age() == age and inverse_age == g.n - dim - age
+                sector = lg.build_sector(w, g)
+                if side == "A":
+                    assert lg.a_bidegree(sector, degree) == \
+                        (degree + age - jw, dim - degree + age - jw)
+                else:
+                    assert lg.b_bidegree(sector, degree) == \
+                        (degree + age - jw, degree + inverse_age - jw)
 
 
 def test_b_state_space_quartic(quartic, quartic_group):

@@ -204,7 +204,6 @@ def test_centralizers_match_filter(quartic, text):
         cent = group.centralizer(g)
         assert list(cent.elements) == brute_force_centralizer(group, g)
         assert lg.closure(cent.generators).elements == cent.elements
-        assert cent.generators == group.centralizer_generators(g)
         assert len(group.class_of(g)) * cent.order == group.order
 
 
@@ -221,13 +220,14 @@ def test_class_transversals_conjugate_the_representative(quartic):
     text = "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"
     group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
     members = group.class_transversals()
-    assert [tuple(group.elements[x] for x, _ in sorted(m)) for m in members] == \
-        list(group.conjugacy_classes())
+    assert [tuple(group.elements[x] for x in sorted(x for x, _, _ in m))
+            for m in members] == list(group.conjugacy_classes())
+    make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
     for m in members:
         rep = group.elements[m[0][0]]
-        assert m[0][0] == min(x for x, _ in m)
-        for x, (p, nums) in m:
-            t = lg.MonomialSymmetry.from_numerators(p, nums, group.modulus)
+        assert m[0][0] == min(x for x, _, _ in m)
+        for x, w, c in m:
+            t = make(*w, group.modulus) * make(ident, c, group.modulus)
             assert t in group and rep.conjugated_by(t) == group.elements[x]
 
 
