@@ -50,7 +50,6 @@ from .symmetry import (
     MonomialSymmetry,
     SymmetryGroup,
     closure,
-    diagonal_group,
     exponential_grading,
     is_symmetry,
     parse_generator,
@@ -59,6 +58,7 @@ from .symmetry import (
 from .duality import (
     HKDecomposition,
     decompose_hk,
+    diagonal_group,
     dual_group,
     nonabelian_dual,
     parity_condition,
@@ -69,9 +69,7 @@ from .state_space import (
     HodgeDiamond,
     Sector,
     SectorMap,
-    a_bidegree,
     a_state_space,
-    b_bidegree,
     b_state_space,
     build_sector,
     invariant_basis,
@@ -100,8 +98,8 @@ __all__ = [
     "NotPurePermutationsError", "NotSquareError", "OddPermutationError",
     "ParseError", "RestrictedMirror", "Sector", "SectorMap",
     "SingularMatrixError", "SymmetryGroup", "TheoremViolationError", "Verdict",
-    "WeightOutOfRangeError", "a_bidegree", "a_state_space", "b_bidegree",
-    "b_state_space", "build_sector", "classify_atoms", "closure",
+    "WeightOutOfRangeError", "a_state_space", "b_state_space",
+    "build_sector", "classify_atoms", "closure",
     "compute_weights", "decompose_hk", "diagonal_group", "dual_group",
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
     "monomial_label", "narrow_diagonal_set", "nonabelian_dual",

@@ -8,8 +8,9 @@ For diagonal H ≤ G_W^diag the dual is
 m ∈ ℤⁿ, and g·A_W·hᵀ = m·h, so Hᵀ = A_W⁻ᵀ·L mod ℤⁿ for the lattice
 L = {m ∈ ℤⁿ : m·h ∈ ℤ for each generator h of H}, found by Euclid's algorithm
 on columns.  |Hᵀ| = |det A_W|/|H| is known before any element exists, and
-G_{Wᵀ}^diag is never listed.  For G = H·K with H diagonal and K the pure
-even permutations of G, the non-abelian dual is G* = Hᵀ·K ≤ G_{Wᵀ}^max.  K
+G_{Wᵀ}^diag is never listed.  The dual of the trivial group on Wᵀ (L = ℤⁿ)
+is G_W^diag itself.  For G = H·K with H diagonal and K the pure even
+permutations of G, the non-abelian dual is G* = Hᵀ·K ≤ G_{Wᵀ}^max.  K
 normalizes Hᵀ and meets it only in the identity, so G* is the product set
 Hᵀ·K, and the cap is checked on |Hᵀ|·|K| before either group is built.
 """
@@ -105,6 +106,15 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial) -> SymmetryGroup:
     forms = _generate([(h.identity.perm, nums) for nums in gens], det, det)[0]
     return SymmetryGroup([MonomialSymmetry.from_numerators(perm, nums, det)
                           for perm, nums in forms])
+
+
+@lru_cache(maxsize=None)
+def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
+    """All diagonal symmetries of W: the dual of the trivial group on Wᵀ,
+    of order |det A_W|."""
+    dual_poly = poly.transpose()
+    return dual_group(SymmetryGroup([MonomialSymmetry.identity(dual_poly.n_vars)]),
+                      dual_poly)
 
 
 def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,

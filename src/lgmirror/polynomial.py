@@ -104,38 +104,27 @@ def classify_atoms(exponents: Matrix) -> tuple[AtomicBlock, ...]:
         tail_of[h] = t
     if len(head_exp) != n:
         raise NotInvertibleError("some variable heads no monomial")
-    indeg = {j: 0 for j in range(n)}
+    trailed: set[int] = set()
     for t in tail_of.values():
         if t is not None:
-            indeg[t] += 1
-            if indeg[t] > 1:
+            if t in trailed:
                 raise NotInvertibleError(f"variable x{t + 1} trails two monomials")
+            trailed.add(t)
 
+    # paths start where nothing points; once they are walked, whatever is
+    # left lies on cycles, and a cycle is walked from its least index
     blocks = []
     seen: set[int] = set()
-    # paths: start anywhere nothing points to, follow tails to the end
-    for start in range(n):
-        if indeg[start] == 0 and start not in seen:
-            path = [start]
-            seen.add(start)
-            while tail_of[path[-1]] is not None:
-                path.append(tail_of[path[-1]])  # type: ignore[arg-type]
-                seen.add(path[-1])
-            kind = FERMAT if len(path) == 1 else CHAIN
-            blocks.append(AtomicBlock(kind, tuple(path),
-                                      tuple(head_exp[v] for v in path)))
-    # whatever is left lies on cycles
-    for start in range(n):
-        if start not in seen:
-            cycle = [start]
-            seen.add(start)
-            nxt = tail_of[start]
-            while nxt != start:
-                cycle.append(nxt)  # type: ignore[arg-type]
-                seen.add(nxt)  # type: ignore[arg-type]
-                nxt = tail_of[nxt]  # type: ignore[index]
-            blocks.append(AtomicBlock(LOOP, tuple(cycle),
-                                      tuple(head_exp[v] for v in cycle)))
+    for start in sorted(range(n), key=trailed.__contains__):
+        if start in seen:
+            continue
+        walk, nxt = [start], tail_of[start]
+        while nxt is not None and nxt != start:
+            walk.append(nxt)
+            nxt = tail_of[nxt]
+        seen.update(walk)
+        kind = LOOP if nxt == start else FERMAT if len(walk) == 1 else CHAIN
+        blocks.append(AtomicBlock(kind, tuple(walk), tuple(head_exp[v] for v in walk)))
     blocks.sort(key=lambda b: b.variables[0])
     return tuple(blocks)
 
@@ -152,8 +141,6 @@ class InvertiblePolynomial:
     def from_exponents(cls, rows, var_names=None) -> "InvertiblePolynomial":
         exponents = tuple(tuple(int(e) for e in row) for row in rows)
         n = len(exponents)
-        if any(len(row) != n for row in exponents):
-            raise NotSquareError("exponent matrix must be square")
         weights = compute_weights(exponents)
         classify_atoms(exponents)
         if var_names is None:
@@ -177,10 +164,14 @@ class InvertiblePolynomial:
 
     def fermat_exponents(self) -> tuple[int, ...]:
         """Per-variable exponent d_i for a pure Fermat polynomial."""
-        if not self.is_fermat:
+        if self._fermat_exponents is None:
             raise NotFermatError(f"{self} is not of pure Fermat type")
-        # each column holds its variable's exponent and zeros
-        return tuple(max(col) for col in zip(*self.exponents))
+        return self._fermat_exponents
+
+    @cached_property
+    def _fermat_exponents(self) -> tuple[int, ...] | None:
+        """Each column's one nonzero entry, or None unless pure Fermat."""
+        return tuple(map(max, zip(*self.exponents))) if self.is_fermat else None
 
     @cached_property
     def weight_sum(self) -> Fraction:

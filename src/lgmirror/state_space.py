@@ -206,18 +206,6 @@ def _offset(side: str, g: MonomialSymmetry, dim: int, jw: Fraction) -> Bidegree:
     return (Fraction(age - shift, den), Fraction((g.n - dim) * den - age - shift, den))
 
 
-def a_bidegree(sector: Sector, degree: Fraction) -> Bidegree:
-    """A-model bidegree of an element of degree ``degree`` in the sector."""
-    u, v = _offset(A_SIDE, sector.element, sector.locus.dim, sector.poly.weight_sum)
-    return (u + degree, v - degree)
-
-
-def b_bidegree(sector: Sector, degree: Fraction) -> Bidegree:
-    """B-model bidegree of an element of degree ``degree`` in the sector."""
-    u, v = _offset(B_SIDE, sector.element, sector.locus.dim, sector.poly.weight_sum)
-    return (u + degree, v + degree)
-
-
 class GradedSpace:
     """State space with canonical basis, bidegree histogram and census."""
 

@@ -15,10 +15,11 @@ so that diagonal elements read off as plain phase vectors and composition
 perm i ↦ τ(σ(i)) and phase_i = a_i + b_{σ(i)} for g = (σ, a), h = (τ, b).
 
 Groups are finite, immutable after construction, and generated one right
-coset at a time (Dimino's algorithm) with a safety cap; inside a group,
-elements are integer forms over the lcm of their moduli.  Element order is
-canonical (lexicographic on permutation images, then phases), which makes
-every downstream output reproducible byte for byte.
+coset at a time (Dimino's algorithm) with a safety cap; diagonal groups of
+polynomials are dual groups, built in ``duality``.  Inside a group, elements
+are integer forms over the lcm of their moduli.  Element order is canonical
+(lexicographic on permutation images, then phases), which makes every
+downstream output reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 
-from . import linalg
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -338,7 +337,7 @@ class SymmetryGroup:
     """
 
     __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
-                 "_members", "_classes", "_lifts", "_fixed")
+                 "_members", "_owner", "_classes", "_lifts", "_fixed")
 
     def __init__(self, elements, generators=None):
         elems = set(elements)
@@ -360,7 +359,7 @@ class SymmetryGroup:
                 g for g in generators if not g.is_identity))
         self._gens = generators
         self._index: dict | None = None
-        self._members = None
+        self._members = self._owner = None
         self._classes = None
         self._lifts = None
         self._fixed: dict[tuple[int, ...], tuple] = {}
@@ -428,10 +427,11 @@ class SymmetryGroup:
             self._lifts = (lifts, _lift_generators(lifts))
         return self._lifts
 
-    def _class_members(self):
-        """Per class, (x, w, c) for each member x, the least index r first,
-        with t = w·c conjugating g_r to x: t⁻¹·g_r·t = x.  Also the class
-        number of every element index.
+    def class_transversals(self):
+        """Per class, (index, w, c) for each member x, the least index r
+        first: w is the integer form over ``modulus`` of a lift word and c
+        the numerators of a diagonal element, with t = w·c and
+        t⁻¹·g_r·t = x.  The class number of each element index is kept.
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
@@ -466,7 +466,7 @@ class SymmetryGroup:
                         if owner[z] < 0:
                             cosets.append((z, _compose(word, g, mod)))
                 classes.append(members)
-            self._members = (classes, owner)
+            self._members, self._owner = classes, owner
         return self._members
 
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
@@ -474,18 +474,11 @@ class SymmetryGroup:
         if self._classes is None:
             self._classes = tuple(
                 tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
-                for members in self._class_members()[0])
+                for members in self.class_transversals())
         return self._classes
 
-    def class_transversals(self):
-        """Per class, (index, w, c) for each member x, the least index r
-        first: w is the integer form over ``modulus`` of a lift word and c
-        the numerators of a diagonal element, with t = w·c and
-        t⁻¹·g_r·t = x."""
-        return self._class_members()[0]
-
     def class_of(self, g: MonomialSymmetry) -> tuple[MonomialSymmetry, ...]:
-        return self.conjugacy_classes()[self._class_members()[1][self.index(g)]]
+        return self.conjugacy_classes()[self._owner[self.index(g)]]
 
     def _fixed_diagonals(self, sigma):
         """N^σ in canonical order and one preimage c of each value of
@@ -516,7 +509,7 @@ class SymmetryGroup:
         """C(g_i) = N^σ·L as integer forms: N^σ; L, each lift (τ, a_τ + c)
         that commutes with g_i, in canonical order; and the lifts in L whose
         τ the lifts before them do not generate."""
-        classes, owner = self._class_members()
+        size = len(self.class_transversals()[self._owner[i]])
         mod = self.modulus
         sigma, a = self._forms[i]
         fixed, preimage = self._fixed_diagonals(sigma)
@@ -528,7 +521,7 @@ class SymmetryGroup:
                                     in zip(sigma, tau, a, b)]))
             if c is not None:
                 lifts.append((tau, tuple([(x + y) % mod for x, y in zip(b, c)])))
-        if len(fixed) * len(lifts) * len(classes[owner[i]]) != self.order:
+        if len(fixed) * len(lifts) * size != self.order:
             raise InternalError("centralizer order times class size is not |G|")
         return fixed, lifts, _lift_generators(lifts)
 
@@ -614,17 +607,6 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
         if total % g.mod or tuple(image) not in poly.exponents:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
-    """All diagonal symmetries; generated by the columns of A_W⁻¹.
-
-    The group has order |det A_W| (checked in tests against brute force).
-    """
-    det, adj = linalg.adjugate(poly.exponents)
-    return closure(MonomialSymmetry.diagonal([Fraction(x, det) for x in col])
-                   for col in zip(*adj))
 
 
 def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:

@@ -12,10 +12,11 @@ by the pairing with every element of H, the integer phase kernel and coset
 generation against the original ``Fraction`` arithmetic and breadth-first
 closure on (perm, phases) pairs, the class-representative invariant search
 against the original search over every element's sector, which finds every
-move's target sector by conjugating the element itself, classes from H⋊K
-against orbits under a conjugation table of every element by every
-generator, and structural centralizers against a filter of every element
-of the group.  Rational views of the library's integer fields (phase
+move's target sector by conjugating the element itself and taking each
+bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
+classes from H⋊K against orbits under a conjugation table of every element
+by every generator, and structural centralizers against a filter of every
+element of the group.  Rational views of the library's integer fields (phase
 matrices, canonical vectors, sector-map phases) are built here too.
 """
 
@@ -31,8 +32,6 @@ from lgmirror import (
     GradedBasisVector,
     InvertiblePolynomial,
     MonomialSymmetry,
-    a_bidegree,
-    b_bidegree,
     build_sector,
     closure,
     sector_map,
@@ -231,6 +230,29 @@ def frac_age(a) -> Fraction:
     return total
 
 
+def a_bidegree(sector, degree: Fraction) -> tuple[Fraction, Fraction]:
+    """The textbook A-model bidegree of an element of weighted degree
+    ``degree`` in the sector of g: (deg + age g − age j_W,
+    N_g − deg + age g − age j_W), N_g = dim Fix(g), ages from the phases."""
+    g = frac_form(sector.element)
+    shift = frac_age(g) - sum(sector.poly.weights, ZERO)
+    return (degree + shift, len(frac_fixed_locus(g)[0]) - degree + shift)
+
+
+def b_bidegree(sector, degree: Fraction) -> tuple[Fraction, Fraction]:
+    """The textbook B-model bidegree (deg + age g − age j_W,
+    deg + age g⁻¹ − age j_W), both ages from the phases."""
+    g = frac_form(sector.element)
+    shift = sum(sector.poly.weights, ZERO)
+    return (degree + frac_age(g) - shift, degree + frac_age(frac_inverse(g)) - shift)
+
+
+def frac_degree(sector, exponents) -> Fraction:
+    """Σ (b_C + 1)·q_C of Π y^{b_C}·ω, q_C the weight of cycle C's variables."""
+    q, cycles = sector.poly.weights, frac_fixed_locus(frac_form(sector.element))[0]
+    return sum(((b + 1) * q[c[0]] for b, c in zip(exponents, cycles)), ZERO)
+
+
 def frac_fixed_locus(a):
     """(cycles, canonical phase vectors) of the zero-phase cycles."""
     perm, phases = a
@@ -393,7 +415,7 @@ def search_invariant_basis(poly, group, side):
     """Orbit-sum basis found as ``invariant_basis`` once did: a search from
     every element's sector under the group's generators, each move's target
     γ⁻¹gγ built by ``sector_map`` and looked up with ``group.index``, and
-    each bidegree computed from scratch."""
+    each bidegree taken from the textbook formula on ``Fraction`` ages."""
     elements = group.elements
     sectors = [build_sector(poly, g) for g in elements]
     moves = []
@@ -438,7 +460,7 @@ def search_invariant_basis(poly, group, side):
                            node[1], elements[node[0]]) for node in ordered)
             lead = ordered[0]
             bidegree = bidegree_of(sectors[lead[0]],
-                                   sectors[lead[0]].degree(lead[1]))
+                                   frac_degree(sectors[lead[0]], lead[1]))
             vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
     vectors.sort(key=lambda pair: pair[0])
     return tuple(v for _, v in vectors)

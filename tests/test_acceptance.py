@@ -11,8 +11,10 @@ from fractions import Fraction as F
 import lgmirror as lg
 from oracles import (
     QUARTIC_PAIRING_TABLE,
+    a_bidegree,
     action_denominator,
     apply_phase,
+    b_bidegree,
     class_action,
     determinant,
     element_of_matrix,
@@ -247,7 +249,7 @@ def test_criterion_7b_bidegree_invariance():
                 sm = lg.sector_map(gamma, sector)
                 for b in sector.basis:
                     image, _ = apply_phase(sm, b)
-                    for fn in (lg.a_bidegree, lg.b_bidegree):
+                    for fn in (a_bidegree, b_bidegree):
                         assert fn(sector, sector.degree(b)) == \
                             fn(sm.target, sm.target.degree(image))
 

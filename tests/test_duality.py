@@ -12,7 +12,7 @@ from lgmirror.errors import (
     NotPurePermutationsError,
     OddPermutationError,
 )
-from oracles import factor_each_element, random_mirror_instance
+from oracles import brute_force_diagonal, factor_each_element, random_mirror_instance
 
 
 def diag(*phases):
@@ -103,11 +103,17 @@ def test_dual_of_grading_group_is_sl(quartic, quintic):
         assert dual == lg.sl_subgroup(lg.diagonal_group(poly.transpose()))
 
 
-def test_dual_of_trivial_and_full(quartic):
-    trivial = lg.SymmetryGroup([lg.MonomialSymmetry.identity(4)])
-    assert lg.dual_group(trivial, quartic) == lg.diagonal_group(quartic)
-    full = lg.diagonal_group(quartic)
-    assert lg.dual_group(full, quartic).order == 1
+def test_dual_of_trivial_and_full():
+    # the dual of the trivial group is the whole diagonal group of Wᵀ, found
+    # by brute force; a chain and a loop are not their own transposes
+    for text in ("x1^3*x2 + x2^2*x3 + x3^2", "x1^2*x2 + x2^3*x3 + x3^4*x1"):
+        poly = lg.parse_polynomial(text)
+        assert poly.transpose().exponents != poly.exponents
+        trivial = lg.SymmetryGroup([lg.MonomialSymmetry.identity(3)])
+        assert {g.phases for g in lg.dual_group(trivial, poly)} == \
+            brute_force_diagonal(poly.transpose())
+        full = lg.diagonal_group(poly)
+        assert lg.dual_group(full, poly).order == 1
 
 
 def test_dual_is_inclusion_reversing(quartic):

@@ -9,12 +9,14 @@ verifying a deliberate output change:
 
 The quintic outputs are compared, read only, against the benchmark's
 recorded files in ``bench/expected/``.  The sextic's text ``mirror-check``
-(|G*| = 46,656) was recorded from the per-element invariant search.
+(|G*| = 46,656) was recorded from the per-element invariant search, and
+each script in ``demos/`` has its stdout pinned in ``demo_<name>.txt``.
 """
 
 import contextlib
 import gzip
 import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from lgmirror import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).parent.parent / "bench"
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 def capture(*argv, code=0) -> str:
@@ -67,3 +70,11 @@ def test_sextic_mirror_check():
     spec = str(GOLDEN / "sextic.lg")
     assert capture("mirror-check", spec).encode() == \
         (GOLDEN / "sextic_mirror_check.txt").read_bytes()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output(demo):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(demo), run_name="__main__")
+    assert buf.getvalue().encode() == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()

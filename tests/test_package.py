@@ -16,8 +16,8 @@ PUBLIC = [
     "NotPurePermutationsError", "NotSquareError", "OddPermutationError",
     "ParseError", "RestrictedMirror", "Sector", "SectorMap",
     "SingularMatrixError", "SymmetryGroup", "TheoremViolationError", "Verdict",
-    "WeightOutOfRangeError", "a_bidegree", "a_state_space", "b_bidegree",
-    "b_state_space", "build_sector", "classify_atoms", "closure",
+    "WeightOutOfRangeError", "a_state_space", "b_state_space",
+    "build_sector", "classify_atoms", "closure",
     "compute_weights", "decompose_hk", "diagonal_group", "dual_group",
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
     "monomial_label", "narrow_diagonal_set", "nonabelian_dual",

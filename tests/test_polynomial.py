@@ -84,6 +84,72 @@ def test_classify_rejects_quadratic_cross_term():
         lg.classify_atoms(((1, 1), (0, 2)))
 
 
+def random_atom_sum(rng):
+    """(rows, blocks): a sum of random Fermat, chain and loop atoms on
+    shuffled variables, its monomials shuffled, and the blocks it was built
+    from as ``classify_atoms`` orders them."""
+    kinds = [rng.choice(["fermat", "chain", "loop"]) for _ in range(rng.randint(1, 4))]
+    lengths = [1 if kind == "fermat" else rng.randint(2, 4) for kind in kinds]
+    labels = list(range(sum(lengths)))
+    rng.shuffle(labels)
+    rows, blocks = [], []
+    for kind, length in zip(kinds, lengths):
+        variables, labels = labels[:length], labels[length:]
+        exponents = [rng.randint(2, 6) for _ in variables]
+        for k, (v, a) in enumerate(zip(variables, exponents)):
+            row = [0] * sum(lengths)
+            rows.append(row)
+            row[v] = a
+            if kind == "chain" and k + 1 < length or kind == "loop":
+                row[variables[(k + 1) % length]] = 1
+        if kind == "loop":  # a loop is read from its least variable
+            k = variables.index(min(variables))
+            variables = variables[k:] + variables[:k]
+            exponents = exponents[k:] + exponents[:k]
+        blocks.append(lg.AtomicBlock(kind, tuple(variables), tuple(exponents)))
+    rng.shuffle(rows)
+    return tuple(map(tuple, rows)), tuple(sorted(blocks, key=lambda b: b.variables[0]))
+
+
+def test_classify_matches_random_atom_sums():
+    rng = random.Random(4242)
+    for _ in range(500):
+        rows, blocks = random_atom_sum(rng)
+        assert lg.classify_atoms(rows) == blocks
+
+
+def test_classify_rejects_malformed_rows():
+    # one or two monomials of a random atom sum of three or more variables
+    # are replaced; row i heads x_{h+1}, and t is some other variable
+    rng = random.Random(4343)
+    for case in range(200):
+        rows = []
+        while len(rows) < 3:
+            rows = [list(row) for row in random_atom_sum(rng)[0]]
+        n = len(rows)
+        i, j = rng.sample(range(n), 2)
+        h = rows[i].index(max(rows[i]))
+        t, u = rng.sample([v for v in range(n) if v != h], 2)
+        if case % 4 == 0:
+            rows[i] = [2 * (v == h) + (v in (t, u)) for v in range(n)]
+            match = "involves 3 variables"
+        elif case % 4 == 1:
+            a, b = rng.choice([(1, 1), (2, 2), (3, 2)])
+            rows[i] = [a * (v == h) + b * (v == t) for v in range(n)]
+            match = "is not of atomic shape"
+        elif case % 4 == 2:
+            rows[j] = list(rows[i])
+            match = f"variable x{h + 1} heads two monomials"
+        else:
+            g = rows[j].index(max(rows[j]))
+            t = rng.choice([v for v in range(n) if v not in (h, g)])
+            for k, head in ((i, h), (j, g)):
+                rows[k] = [rows[k][head] * (v == head) + (v == t) for v in range(n)]
+            match = f"variable x{t + 1} trails two monomials"
+        with pytest.raises(NotInvertibleError, match=match):
+            lg.classify_atoms(tuple(map(tuple, rows)))
+
+
 def test_transpose_fermat_is_self():
     poly = lg.parse_polynomial(QUARTIC)
     assert poly.transpose() == poly

@@ -11,11 +11,14 @@ from lgmirror.errors import (
     NotFermatError,
 )
 from oracles import (
+    a_bidegree,
     action_denominator,
     apply_phase,
+    b_bidegree,
     class_action,
     form_phase,
     frac_age,
+    frac_degree,
     frac_form,
     projector_rank,
     projector_trace,
@@ -159,10 +162,10 @@ def test_bidegrees_quartic_table(quartic, quartic_group):
 
 def test_b_bidegree_examples(quartic):
     j = lg.exponential_grading(quartic)
-    assert lg.b_bidegree(lg.build_sector(quartic, j), F(0)) == (0, 2)
-    assert lg.b_bidegree(lg.build_sector(quartic, j ** 3), F(0)) == (2, 0)
+    assert b_bidegree(lg.build_sector(quartic, j), F(0)) == (0, 2)
+    assert b_bidegree(lg.build_sector(quartic, j ** 3), F(0)) == (2, 0)
     identity = lg.MonomialSymmetry.identity(4)
-    assert lg.a_bidegree(lg.build_sector(quartic, identity), F(2)) == (1, 1)
+    assert a_bidegree(lg.build_sector(quartic, identity), F(2)) == (1, 1)
 
 
 def test_bidegree_preserved_by_sector_maps(quartic):
@@ -177,7 +180,7 @@ def test_bidegree_preserved_by_sector_maps(quartic):
         sm = lg.sector_map(gamma, sector)
         for b in sector.basis:
             image, _ = apply_phase(sm, b)
-            for fn in (lg.a_bidegree, lg.b_bidegree):
+            for fn in (a_bidegree, b_bidegree):
                 before = fn(sector, sector.degree(b))
                 after = fn(sm.target, sm.target.degree(image))
                 assert before == after
@@ -226,24 +229,21 @@ def test_b_state_space_names_first_non_sl_element(quartic):
 def test_age_identity_and_bidegree_offsets(quartic, quartic_group, quintic,
                                            good_group, bad_group):
     # age g⁻¹ = n − dim Fix(g) − age g on every element of the paper's G and
-    # G*, ages taken by the Fraction oracle, and both bidegrees built on it
-    degree = F(2, 5)
+    # G*, ages taken by the Fraction oracle; every basis vector's bidegree
+    # is the textbook formula at its leading term
     for poly, group in ((quartic, quartic_group), (quintic, good_group),
                         (quintic, bad_group)):
         star = lg.nonabelian_dual(group, poly)
-        for w, g_side, side in ((poly, group, "A"), (poly.transpose(), star, "B")):
-            jw = sum(w.weights, F(0))
-            for g in g_side:
-                age, dim = frac_age(frac_form(g)), g.fixed_locus().dim
-                inverse_age = frac_age(frac_form(g.inverse()))
-                assert g.age() == age and inverse_age == g.n - dim - age
-                sector = lg.build_sector(w, g)
-                if side == "A":
-                    assert lg.a_bidegree(sector, degree) == \
-                        (degree + age - jw, dim - degree + age - jw)
-                else:
-                    assert lg.b_bidegree(sector, degree) == \
-                        (degree + age - jw, degree + inverse_age - jw)
+        for g in list(group) + list(star):
+            age, dim = frac_age(frac_form(g)), g.fixed_locus().dim
+            assert g.age() == age
+            assert frac_age(frac_form(g.inverse())) == g.n - dim - age
+        for space, bidegree in ((lg.a_state_space(poly, group), a_bidegree),
+                                (lg.b_state_space(poly.transpose(), star), b_bidegree)):
+            for v in space.basis:
+                _, exps, g = v.leading
+                sector = lg.build_sector(space.poly, g)
+                assert v.bidegree == bidegree(sector, frac_degree(sector, exps))
 
 
 def test_b_state_space_quartic(quartic, quartic_group):
