@@ -95,7 +95,7 @@ def _bidegree(bd) -> list[str]:
 
 
 def _element_json(g: symmetry.MonomialSymmetry) -> dict:
-    return {"perm": g.cycle_string(), "phases": [str(p) for p in g.phases]}
+    return {"perm": g.cycle_string(), "phases": [symmetry.phase_text(x, g.mod) for x in g.nums]}
 
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:

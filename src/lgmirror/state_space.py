@@ -13,13 +13,12 @@ Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of generator moves has total phase 0.
 Since (⊕_g Q_{W_g}·ω_g)^G = ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)}, the search runs
-once per conjugacy class, in the sector of its least element r = (σ, a),
-and carries each invariant orbit to every conjugate t⁻¹rt by the pullback
-map of t alone.  C(r) is N^σ, the diagonal elements fixed by σ, times
-lifts; N^σ acts on each monomial by a character, so the monomials it keeps
-are found once per σ and fixed cycles, and only the lifts move monomials.
-Sectors are built once per fixed locus, and for the representatives and
-conjugates that lifts or transversal maps touch.
+once per conjugacy class, in the sector of its least element r, and only
+the lifts in C(r) move monomials: its diagonal part N^σ, like the diagonal
+part c of each transversal element t = w·c, acts by a character.  An
+invariant orbit reaches every conjugate t⁻¹rt by one map per coset of the
+diagonal subgroup, that of w, followed by c's character; sectors are built
+once per fixed locus and for the representatives and coset heads.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
@@ -37,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .errors import (
     InternalError,
@@ -53,6 +53,7 @@ from .symmetry import (
     SymmetryGroup,
     exponential_grading,
     is_symmetry,
+    phase_text,
 )
 
 A_SIDE = "A"
@@ -69,18 +70,15 @@ class Sector:
     element: MonomialSymmetry
     locus: FixedLocus
     degrees: tuple[int, ...]            # Fermat exponent d_C per fixed cycle
-    basis: tuple[tuple[int, ...], ...]  # exponent tuples, 0 ≤ b_C ≤ d_C − 2
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples, 0 ≤ b_C ≤ d_C − 2, in order."""
+        return tuple(product(*(range(d - 1) for d in self.degrees)))
 
     @property
     def is_narrow(self) -> bool:
         return self.locus.dim == 0
-
-    def degree(self, exponents: tuple[int, ...]) -> Fraction:
-        """Weighted degree Σ (b_C + 1)·q_C of Π y^{b_C} · ω, with cycle
-        weight q_C = 1/d_C (the form contributes), over one denominator."""
-        denom = lcm(*self.degrees)
-        return Fraction(sum((b + 1) * (denom // d)
-                            for b, d in zip(exponents, self.degrees)), denom)
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +94,7 @@ def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
         # weight-respecting permutations only join variables of equal exponent
         assert all(d_all[i] == d for i in cycle)
         degrees.append(d)
-    basis = tuple(product(*(range(d - 1) for d in degrees)))
-    return Sector(poly, g, locus, tuple(degrees), basis)
+    return Sector(poly, g, locus, tuple(degrees))
 
 
 @dataclass(frozen=True)
@@ -195,17 +192,6 @@ class GradedBasisVector:
         return tuple(g for _, _, g in self.terms)
 
 
-def _offset(side: str, g: MonomialSymmetry, dim: int, jw: Fraction) -> Bidegree:
-    """Bidegree of degree 0 in the sector of g, for age j_W = ``jw`` and
-    dim Fix(g) = ``dim``, from integers over one denominator; on the B side
-    age g⁻¹ = n − dim Fix(g) − age g."""
-    den = 2 * g.mod * jw.denominator
-    age, shift = g.age_num() * jw.denominator, 2 * g.mod * jw.numerator
-    if side == A_SIDE:
-        return (Fraction(age - shift, den), Fraction(dim * den + age - shift, den))
-    return (Fraction(age - shift, den), Fraction((g.n - dim) * den - age - shift, den))
-
-
 class GradedSpace:
     """State space with canonical basis, bidegree histogram and census."""
 
@@ -272,21 +258,41 @@ def _kept(sector: Sector, gens, mod: int) -> list[tuple[int, ...]]:
             for c in right.get(tuple([-x % mod for x in s]), ())]
 
 
+def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
+    """Per coset of N in the class ``members``: the map from r's sector to
+    its head y's (None for r's own), then each member x = c⁻¹·y·c with c's
+    numerators over ``mod`` at the first index C₀ of each fixed cycle C of
+    y (r's are ``fixed``) and their sum.  c* keeps every cycle, with scalar
+    c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
+    elements, gmod, out = group.elements, group.modulus, [(None, [])]
+    for x, w, c in members:
+        if not any(c) and x != members[0][0]:  # the head y = w⁻¹·r·w of a coset
+            sm = sector_map(MonomialSymmetry.from_numerators(*w, gmod),
+                            build_sector(poly, elements[members[0][0]]),
+                            build_sector(poly, elements[x]))
+            fixed = sm.target.locus.cycles
+            out.append((sm, []))
+        cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
+        out[-1][1].append((x, cols, sum(cols)))
+    return out
+
+
 def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                     side: str) -> tuple[GradedBasisVector, ...]:
     """Orbit-sum basis of the G-invariants of ⊕_g Q_{W_g}·ω_g.
 
     The invariants are ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)} over class
     representatives r = (σ, a), each the least element of its class, and
-    C(r) is N^σ times lifts.  N^σ only multiplies each monomial of r's
-    sector by a character and is normal in C(r), so an orbit of the lifts
-    is N^σ-invariant exactly when its least node is.  Those nodes depend
-    only on σ and r's fixed cycles and are found once per pair.  From each,
-    a depth-first search under the lifts' pullback maps accumulates
-    coefficient phases; the orbit survives when every loop closes with
-    total phase 0.  It is carried to each conjugate x = t⁻¹·r·t by the map
-    of the transversal element t, and its orbit sum is normalized so the
-    least term, in the sector of r, carries phase 0.
+    C(r) is N^σ times lifts (none in a diagonal group).  N^σ only
+    multiplies each monomial of r's sector by a character and is normal in
+    C(r), so an orbit of the lifts is N^σ-invariant exactly when its least
+    node is.  Those nodes depend only on σ and r's fixed cycles and are
+    found once per pair.  From each, a depth-first search under the lifts'
+    pullback maps accumulates coefficient phases; the orbit survives when
+    every loop closes with total phase 0.  As (w·c)* = c*∘w*, it reaches
+    each conjugate t⁻¹·r·t, t = w·c, by the map of the lift word w, one per
+    coset of N, then by the character of the diagonal c (``_carries``).
+    The least term of its orbit sum, in the sector of r, has phase 0.
     """
     elements, gmod = group.elements, group.modulus
     for g in group.generators:  # the symmetries of W form a group
@@ -296,6 +302,11 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, gmod)
     phase = lru_cache(maxsize=None)(partial(Fraction, denominator=mod))  # one per value
+    # bidegrees over one denominator, one shared Fraction pair per value
+    jw = poly.weight_sum
+    den = lcm(2 * gmod, jw.denominator, *poly.fermat_exponents())
+    shift = jw.numerator * (den // jw.denominator)
+    bidegree = lru_cache(maxsize=None)(lambda p, q: (Fraction(p, den), Fraction(q, den)))
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
     sigma, vectors = None, []  # appended sorted: by representative, then lead
     for members in group.class_transversals():
@@ -312,12 +323,13 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         shared, kept = kept_at[fixed]
         if not kept:
             continue
-        # sectors and maps only where lifts move monomials or members share them
-        lift_gens = group._centralizer_forms(r)[2]
-        sector = build_sector(poly, g) if lift_gens or members[1:] else None
+        # a sector and maps only where lifts move monomials
+        lift_gens = [] if group.is_diagonal else group._centralizer_forms(r)[2]
+        sector = build_sector(poly, g) if lift_gens else None
         moves = [sector_map(make(*lift, gmod), sector, sector) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
-        u, v = _offset(side, g, len(fixed), poly.weight_sum)
+        u = g.age_num() * (den // (2 * g.mod)) - shift
+        v = len(fixed) * den + u if side == A_SIDE else (g.n - len(fixed)) * den - u - 2 * shift
         done: set[tuple[int, ...]] = set()
         for lead in kept:  # an orbit's nodes are all kept: its least comes first
             if lead in done:
@@ -341,19 +353,17 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             if not consistent:
                 continue
             if carries is None:
-                ident = elements[0].perm
-                carries = [(x, sector_map(make(*w, gmod) * make(ident, c, gmod), sector,
-                                          build_sector(poly, elements[x])))
-                           for x, w, c in members[1:]]
-            nodes = [((r, exps), p) for exps, p in phases.items()]
-            for x, sm in carries:
+                carries = _carries(poly, group, members, fixed, mod)
+            nodes = []
+            for sm, coset in carries:
                 for exps, p in phases.items():
-                    image, delta = sm.apply(exps, mod)
-                    nodes.append(((x, image), p + delta))
+                    image, delta = (exps, 0) if sm is None else sm.apply(exps, mod)
+                    for x, c, form in coset:
+                        nodes.append(((x, image), p + delta + form + sum(map(mul, image, c))))
             nodes.sort()  # element indices follow the canonical element order
             terms = tuple((phase(p % mod), exps, elements[i]) for (i, exps), p in nodes)
-            degree = shared.degree(lead)
-            vectors.append(GradedBasisVector(side, terms, (u + degree, v + sign * degree)))
+            deg = sum((b + 1) * (den // d) for b, d in zip(lead, shared.degrees))
+            vectors.append(GradedBasisVector(side, terms, bidegree(u + deg, v + sign * deg)))
     return tuple(vectors)
 
 
@@ -426,7 +436,7 @@ def _coordinate_label(poly: InvertiblePolynomial, cycle, nums, mod) -> str:
         elif 2 * x == mod:
             parts.append(f"-{name}")
         else:
-            parts.append(f"e({Fraction(x, mod)})*{name}")
+            parts.append(f"e({phase_text(x, mod)})*{name}")
     return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 
@@ -43,6 +44,12 @@ from .polynomial import InvertiblePolynomial, parse_digits
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+@lru_cache(maxsize=None)
+def phase_text(num: int, mod: int) -> str:
+    """The phase num/mod as written out, made once per value."""
+    return str(Fraction(num, mod))
 
 
 def _compose(a, b, mod: int):
@@ -253,7 +260,7 @@ class MonomialSymmetry:
 
     def label(self) -> str:
         """Human-readable form matching the additive notation in use."""
-        diag = "(" + ", ".join(str(a) for a in self.phases) + ")"
+        diag = "(" + ", ".join([phase_text(x, self.mod) for x in self.nums]) + ")"
         if self.is_diagonal:
             return diag
         if self.is_pure_permutation:
@@ -438,6 +445,9 @@ class SymmetryGroup:
         cosets.  A class is one orbit of cosets, walked from r's along the
         lifts that generate the permutation parts; w is the word of lifts
         that reaches a member's coset and c a preimage of its offset."""
+        if self._members is None and self.is_diagonal:  # singleton classes
+            self._members = [[(i, self._forms[0], self._forms[0][1])] for i in range(self.order)]
+            self._owner = range(self.order)
         if self._members is None:
             mod, forms, index = self.modulus, self._forms, self._form_index()
             gens = [(self.elements[index[g]].inverse().over(mod), g)
