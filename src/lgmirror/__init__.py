@@ -82,8 +82,6 @@ from .mirror import (
     RestrictedMirror,
     Verdict,
     full_comparison,
-    narrow_diagonal_set,
-    unprojected_mirror,
 )
 
 __all__ = [
@@ -102,8 +100,8 @@ __all__ = [
     "build_sector", "classify_atoms", "closure",
     "compute_weights", "decompose_hk", "diagonal_group", "dual_group",
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
-    "monomial_label", "narrow_diagonal_set", "nonabelian_dual",
+    "monomial_label", "nonabelian_dual",
     "parity_condition", "parse_generator", "parse_polynomial",
-    "sector_map", "sl_subgroup", "unprojected_mirror", "vector_label",
+    "sector_map", "sl_subgroup", "vector_label",
 ]
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ Problem files are line oriented::
     W = x1^4 + x2^4 + x3^4 + x4^4
     G = j; (1 2 3)
 
-with optional ``cap = N`` (N ≥ 1, bounding G and G*) and ``#`` comments.
+with optional ``cap = N`` (N ≥ 1, bounding G, Hᵀ and G*) and ``#`` comments.
 Generators follow the generator grammar ('j', 'diag(1/2, 1/4, 1/4, 0)',
 '(1 2)(3 4)', or a 'diag(…)*(cycles)' product) and are combined by group
 closure.
@@ -184,7 +184,7 @@ def _group(spec: ProblemSpec):
 
 def _dual_group(spec: ProblemSpec):
     group = spec.group()
-    dual = duality.dual_group(group, spec.poly)
+    dual = duality.dual_group(group, spec.poly, spec.cap)
     return ({"group": _group_json(group),
              "dual_group": {"order": dual.order,
                             "elements": [_element_json(g) for g in dual]}},
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     parser.add_argument("specfile", help="problem file with W = … and G = … lines")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--cap", type=int, default=None,
-                        help="size cap of G and G*, at least 1 (default 10^6)")
+                        help="size cap of G, Hᵀ and G*, at least 1 (default 10^6)")
     args = parser.parse_args(argv)
     try:
         spec = read_problem(args.specfile, cap=args.cap)

@@ -1,14 +1,19 @@
 """The mirror map between A- and B-model state spaces.
 
-On the unprojected spaces the map exchanges monomial data and sector data:
+For Fermat W, where Wᵀ = W, the map on the unprojected spaces exchanges
+monomial data and sector data:
 
     ⌊ ∧_{i∉I_g} x_i^{b_i} dx_i , g ⌉  ↦  ⌊ ∧_{j∈I_g} y_j^{a_j−1} dx_j , g' ⌉
 
 for diagonal g with phases a_j/d_j, where I_g indexes the nonzero phases,
-g' has phases (b_i+1)/d_i on the g-fixed coordinates and 0 elsewhere.  It
-restricts to bigraded isomorphisms between the untwisted broad sector on
-one side and the narrow diagonal class sums on the other, and those two
-restrictions are verified here term by term.
+g' has phases (b_i+1)/d_i on the g-fixed coordinates and 0 elsewhere.  In
+integers it is one rule: the untwisted term y^b and the narrow diagonal
+element with phases (b_i+1)/d_i both read as the vector b + 1.  So each
+untwisted vector and each narrow diagonal class sum is keyed by the set of
+its terms' vectors, and the map restricts to bigraded isomorphisms between
+the untwisted broad sector on one side and the narrow diagonal class sums
+on the other exactly when equal keys pair the two corners one to one, in
+both directions, with equal bidegrees.  No group element is built.
 
 The full bigraded comparison never forces a bijection outside those corners
 (none is canonical there); it compares dimension histograms and attaches the
@@ -19,11 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import lcm
 
 from .duality import HKDecomposition, decompose_hk, parity_condition, star_group
-from .errors import (DimensionMismatchError, ExponentOutOfRangeError, NotDiagonalError,
-                     NotDiagonalSectorError, TheoremViolationError)
+from .errors import TheoremViolationError
 from .polynomial import InvertiblePolynomial
 from .state_space import (
     Bidegree,
@@ -32,53 +35,13 @@ from .state_space import (
     a_state_space,
     b_state_space,
 )
-from .symmetry import MonomialSymmetry, SymmetryGroup
+from .symmetry import SymmetryGroup
 
 
 class Verdict(enum.Enum):
     BIGRADED_ISOMORPHIC = "BigradedIsomorphic"
     DIMENSIONS_MATCH_BIGRADING_FAILS = "DimensionsMatchBigradingFails"
     DIMENSION_MISMATCH = "DimensionMismatch"
-
-
-def narrow_diagonal_set(h: SymmetryGroup) -> tuple[MonomialSymmetry, ...]:
-    """Diagonal elements with every phase nonzero (trivial fixed locus)."""
-    if not h.is_diagonal:
-        raise NotDiagonalError("narrow diagonal set needs a diagonal group")
-    return tuple(g for g in h if all(g.nums))
-
-
-def unprojected_mirror(poly: InvertiblePolynomial,
-                       exponents: tuple[int, ...],
-                       g: MonomialSymmetry
-                       ) -> tuple[tuple[int, ...], MonomialSymmetry]:
-    """Image of one diagonal-sector term (monomial exponents, new sector).
-
-    ``exponents`` lists the Milnor exponents over g's fixed coordinates in
-    ascending coordinate order; the image exponents run over the moving
-    coordinates the same way.  Applying the map twice returns the input.
-    """
-    if not g.is_diagonal:
-        raise NotDiagonalSectorError("the unprojected map needs a diagonal sector")
-    d = poly.fermat_exponents()
-    n = poly.n_vars
-    fixed = [i for i in range(n) if g.nums[i] == 0]
-    moving = [i for i in range(n) if g.nums[i] != 0]
-    if len(exponents) != len(fixed):
-        raise DimensionMismatchError("one exponent per fixed coordinate required")
-    mod = lcm(*d)
-    nums = [0] * n
-    for b, i in zip(exponents, fixed):
-        if not 0 <= b <= d[i] - 2:
-            raise ExponentOutOfRangeError(
-                f"exponent {b} outside the Milnor range of x{i + 1}")
-        nums[i] = (b + 1) * (mod // d[i])
-    image = []
-    for j in moving:
-        numerator, rest = divmod(g.nums[j] * d[j], g.mod)
-        assert rest == 0
-        image.append(numerator - 1)
-    return tuple(image), MonomialSymmetry.from_numerators(g.perm, nums, mod)
 
 
 @dataclass(frozen=True)
@@ -89,14 +52,35 @@ class RestrictedMirror:
     narrow_to_b0: tuple[tuple[GradedBasisVector, GradedBasisVector], ...]
 
 
-def _match(poly, sources, targets, target_key, part, source_name, target_name):
-    """Pair each source vector with the target vector its image hits."""
-    by_key = {target_key(w): w for w in targets}
+def _corners(space: GradedSpace):
+    """The untwisted and the narrow diagonal vectors of ``space``, in basis
+    order, each with its corner key: the set of its terms' integer vectors,
+    b + 1 for y^b in the untwisted sector and the phases scaled by d for a
+    narrow diagonal element.  The diagonal elements of G = H·K are H, so the
+    lead decides the corner."""
+    d = space.poly.fermat_exponents()
+    diagonal = tuple(range(len(d)))
+    untwisted, narrow = [], []
+    for v in space.basis:
+        g = v.leading[2]
+        if g.perm != diagonal:
+            continue
+        if not any(g.nums):
+            untwisted.append((frozenset(tuple([b + 1 for b in exps])
+                                        for _, exps, _ in v.terms), v))
+        elif all(g.nums):
+            # exact: a diagonal symmetry of Fermat W has phases k/d_i
+            narrow.append((frozenset(tuple([x * e // h.mod for x, e in zip(h.nums, d)])
+                                     for _, _, h in v.terms), v))
+    return untwisted, narrow
+
+
+def _match(sources, targets, source_name, target_name):
+    """Pair each keyed source vector with the target vector of equal key."""
+    by_key = dict(targets)
     pairs = []
-    for v in sources:
-        image = frozenset(unprojected_mirror(poly, exps, g)[part]
-                          for _, exps, g in v.terms)
-        w = by_key.pop(image, None)
+    for key, v in sources:
+        w = by_key.pop(key, None)
         if w is None:
             raise TheoremViolationError(
                 f"{source_name} maps to no {target_name}: {v.terms}")
@@ -110,18 +94,13 @@ def _match(poly, sources, targets, target_key, part, source_name, target_name):
     return tuple(pairs)
 
 
-def _corner_pairs(poly, a_space, b_space, h, h_dual):
-    a_narrow = frozenset(narrow_diagonal_set(h))
-    b_narrow = frozenset(narrow_diagonal_set(h_dual))
-    a0 = [v for v in a_space.basis if v.leading[2].is_identity]
-    anar = [v for v in a_space.basis if v.leading[2] in a_narrow]
-    b0 = [v for v in b_space.basis if v.leading[2].is_identity]
-    bnar = [v for v in b_space.basis if v.leading[2] in b_narrow]
+def _corner_pairs(a_space: GradedSpace, b_space: GradedSpace) -> RestrictedMirror:
+    """Both restricted isomorphisms, each corner paired by equal keys."""
+    a0, a_narrow = _corners(a_space)
+    b0, b_narrow = _corners(b_space)
     return RestrictedMirror(
-        _match(poly, a0, bnar, lambda w: frozenset(w.sector_elements), 1,
-               "untwisted vector", "narrow class sum"),
-        _match(poly, anar, b0, lambda w: frozenset(e for _, e, _ in w.terms), 0,
-               "narrow class sum", "untwisted vector"))
+        _match(a0, b_narrow, "untwisted vector", "narrow class sum"),
+        _match(a_narrow, b0, "narrow class sum", "untwisted vector"))
 
 
 @dataclass(frozen=True)
@@ -148,11 +127,11 @@ def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,
     TheoremViolationError if a corner isomorphism in ``restricted`` fails,
     which signals a bug, not a property of the input."""
     parts = decompose_hk(group, poly)
-    h_dual, g_star = star_group(parts, poly, cap)
+    g_star = star_group(parts, poly, cap)
     dual_poly = poly.transpose()
     a_space = a_state_space(poly, group)
     b_space = b_state_space(dual_poly, g_star)
-    restricted = _corner_pairs(poly, a_space, b_space, parts.h, h_dual)
+    restricted = _corner_pairs(a_space, b_space)
     pc_holds, pc_witness = parity_condition(parts.k, poly.n_vars)
     if a_space.dims == b_space.dims:
         verdict = Verdict.BIGRADED_ISOMORPHIC

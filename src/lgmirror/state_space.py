@@ -440,14 +440,15 @@ def _coordinate_label(poly: InvertiblePolynomial, cycle, nums, mod) -> str:
     return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
-def monomial_label(sector: Sector, exponents: tuple[int, ...]) -> str:
-    """Render Π y^{b_C} over the sector's cycle coordinates (form omitted)."""
+def monomial_label(poly: InvertiblePolynomial, g: MonomialSymmetry,
+                   exponents: tuple[int, ...]) -> str:
+    """Render Π y^{b_C} over the cycle coordinates of Fix(g) (form omitted)."""
     factors = []
-    locus = sector.locus
+    locus = g.fixed_locus()
     for (cycle, nums, b) in zip(locus.cycles, locus.phase_nums, exponents):
         if b == 0:
             continue
-        base = _coordinate_label(sector.poly, cycle, nums, locus.mod)
+        base = _coordinate_label(poly, cycle, nums, locus.mod)
         factors.append(base if b == 1 else f"{base}^{b}")
     return "*".join(factors) if factors else "1"
 
@@ -456,7 +457,7 @@ def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial) -> str:
     """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``."""
     chunks = []
     for k, (phase, exps, g) in enumerate(vector.terms):
-        body = f"[{monomial_label(build_sector(poly, g), exps)}, {g.label()}]"
+        body = f"[{monomial_label(poly, g, exps)}, {g.label()}]"
         if k == 0:
             chunks.append(body)
         elif phase == HALF:

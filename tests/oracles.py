@@ -16,7 +16,10 @@ move's target sector by conjugating the element itself and taking each
 bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
 classes from H⋊K against orbits under a conjugation table of every element
 by every generator, and structural centralizers against a filter of every
-element of the group.  Rational views of the library's integer fields (phase
+element of the group.  The restricted mirror check, which pairs corners
+by integer keys, is checked against the map applied term by term, each
+image built as an element or a monomial, with the narrow corners found by
+scanning H and Hᵀ.  Rational views of the library's integer fields (phase
 matrices, canonical vectors, sector-map phases) are built here too.
 """
 
@@ -32,9 +35,17 @@ from lgmirror import (
     GradedBasisVector,
     InvertiblePolynomial,
     MonomialSymmetry,
+    RestrictedMirror,
     build_sector,
     closure,
     sector_map,
+)
+from lgmirror.errors import (
+    DimensionMismatchError,
+    ExponentOutOfRangeError,
+    NotDiagonalError,
+    NotDiagonalSectorError,
+    TheoremViolationError,
 )
 
 ZERO = Fraction(0)
@@ -464,6 +475,87 @@ def search_invariant_basis(poly, group, side):
             vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
     vectors.sort(key=lambda pair: pair[0])
     return tuple(v for _, v in vectors)
+
+
+# --- the mirror map per element -----------------------------------------------
+
+def narrow_diagonal_set(h) -> tuple[MonomialSymmetry, ...]:
+    """Diagonal elements with every phase nonzero (trivial fixed locus)."""
+    if not h.is_diagonal:
+        raise NotDiagonalError("narrow diagonal set needs a diagonal group")
+    return tuple(g for g in h if all(g.nums))
+
+
+def unprojected_mirror(poly: InvertiblePolynomial,
+                       exponents: tuple[int, ...],
+                       g: MonomialSymmetry
+                       ) -> tuple[tuple[int, ...], MonomialSymmetry]:
+    """Image of one diagonal-sector term (monomial exponents, new sector).
+
+    ``exponents`` lists the Milnor exponents over g's fixed coordinates in
+    ascending coordinate order; the image exponents run over the moving
+    coordinates the same way.  Applying the map twice returns the input.
+    """
+    if not g.is_diagonal:
+        raise NotDiagonalSectorError("the unprojected map needs a diagonal sector")
+    d = poly.fermat_exponents()
+    n = poly.n_vars
+    fixed = [i for i in range(n) if g.nums[i] == 0]
+    moving = [i for i in range(n) if g.nums[i] != 0]
+    if len(exponents) != len(fixed):
+        raise DimensionMismatchError("one exponent per fixed coordinate required")
+    mod = lcm(*d)
+    nums = [0] * n
+    for b, i in zip(exponents, fixed):
+        if not 0 <= b <= d[i] - 2:
+            raise ExponentOutOfRangeError(
+                f"exponent {b} outside the Milnor range of x{i + 1}")
+        nums[i] = (b + 1) * (mod // d[i])
+    image = []
+    for j in moving:
+        numerator, rest = divmod(g.nums[j] * d[j], g.mod)
+        assert rest == 0
+        image.append(numerator - 1)
+    return tuple(image), MonomialSymmetry.from_numerators(g.perm, nums, mod)
+
+
+def _match_images(poly, sources, targets, target_key, part, source_name,
+                  target_name):
+    """Pair each source vector with the target vector its image hits."""
+    by_key = {target_key(w): w for w in targets}
+    pairs = []
+    for v in sources:
+        image = frozenset(unprojected_mirror(poly, exps, g)[part]
+                          for _, exps, g in v.terms)
+        w = by_key.pop(image, None)
+        if w is None:
+            raise TheoremViolationError(
+                f"{source_name} maps to no {target_name}: {v.terms}")
+        if w.bidegree != v.bidegree:
+            raise TheoremViolationError(
+                f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
+        pairs.append((v, w))
+    if by_key:
+        raise TheoremViolationError(
+            f"{len(by_key)} {target_name}s are not hit by the {source_name}s")
+    return tuple(pairs)
+
+
+def corner_pairs(poly, a_space, b_space, h, h_dual) -> RestrictedMirror:
+    """The restricted mirror check term by term: each term's image is built
+    as an element or a monomial by ``unprojected_mirror``, and the narrow
+    corners are the leads found by scanning all of H and Hᵀ."""
+    a_narrow = frozenset(narrow_diagonal_set(h))
+    b_narrow = frozenset(narrow_diagonal_set(h_dual))
+    a0 = [v for v in a_space.basis if v.leading[2].is_identity]
+    anar = [v for v in a_space.basis if v.leading[2] in a_narrow]
+    b0 = [v for v in b_space.basis if v.leading[2].is_identity]
+    bnar = [v for v in b_space.basis if v.leading[2] in b_narrow]
+    return RestrictedMirror(
+        _match_images(poly, a0, bnar, lambda w: frozenset(w.sector_elements), 1,
+                      "untwisted vector", "narrow class sum"),
+        _match_images(poly, anar, b0, lambda w: frozenset(e for _, e, _ in w.terms),
+                      0, "narrow class sum", "untwisted vector"))
 
 
 # --- primes and roots of unity ----------------------------------------------

@@ -250,6 +250,24 @@ def test_cap_fails_fast_on_a_large_dual(capsys, tmp_path):
     assert out == "error: CapExceeded: group exceeds cap of 100 elements\n"
 
 
+@pytest.mark.parametrize("command", ["dual-group", "nonabelian-dual", "mirror-check"])
+def test_cap_binds_the_diagonal_dual_group(capsys, tmp_path, command):
+    # |G| = 30 fits under the cap, |Hᵀ| = |G*| = 30^3/30 = 900 does not
+    path = tmp_path / "fermat30.lg"
+    path.write_text("W = x1^30 + x2^30 + x3^30\nG = j\ncap = 100\n")
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert out == "error: CapExceeded: group exceeds cap of 100 elements\n"
+    code, out = run(capsys, command, str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "CapExceeded", "message": "group exceeds cap of 100 elements"}
+    if command == "dual-group":
+        code, out = run(capsys, command, str(path), "--cap", "900")
+        assert code == 0
+        assert out.splitlines()[0] == "order 900" and len(out.splitlines()) == 901
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_cap_below_one_is_rejected(capsys, tmp_path, quartic_file, cap):
     code, out = run(capsys, "group", quartic_file, "--cap", cap)

@@ -81,7 +81,8 @@ def test_dual_matches_scan_on_chains_and_loops():
 
 def assert_star_is_closure(poly, group):
     parts = lg.decompose_hk(group, poly)
-    h_dual, star = duality.star_group(parts, poly)
+    star = duality.star_group(parts, poly)
+    h_dual = lg.dual_group(parts.h, poly)
     gens = list(h_dual.generators) + list(parts.k.generators)
     closed = lg.closure(gens or [group.identity])
     assert star.elements == closed.elements
@@ -115,6 +116,8 @@ def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
     assert {symmetry, duality} <= set(bound)
     for module in bound:
         monkeypatch.setattr(module, "_generate", enumerate_group)
+    with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
+        lg.dual_group(group, sextic, cap=100)
     monkeypatch.setattr(duality, "dual_group", enumerate_group)
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
         lg.nonabelian_dual(group, sextic, cap=100)

@@ -1,16 +1,20 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import lgmirror as lg
+from lgmirror import mirror
 from lgmirror.errors import (
     DimensionMismatchError,
     ExponentOutOfRangeError,
     NotDiagonalError,
     NotDiagonalSectorError,
+    TheoremViolationError,
 )
-from oracles import fermat, random_mirror_instance
+from oracles import (corner_pairs, fermat, narrow_diagonal_set, random_mirror_instance,
+                     unprojected_mirror)
 
 
 def diag(*phases):
@@ -23,31 +27,31 @@ def perm(cycles, n):
 
 def test_narrow_diagonal_set(quartic):
     jw = lg.closure([lg.exponential_grading(quartic)])
-    assert len(lg.narrow_diagonal_set(jw)) == 3
+    assert len(narrow_diagonal_set(jw)) == 3
     sl = lg.sl_subgroup(lg.diagonal_group(quartic))
-    narrow = lg.narrow_diagonal_set(sl)
+    narrow = narrow_diagonal_set(sl)
     assert len(narrow) == 21
     numerators = {tuple(sorted(int(p * 4) for p in g.phases)) for g in narrow}
     assert numerators == {(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3),
                           (1, 1, 3, 3), (1, 2, 2, 3)}
     trivial = lg.SymmetryGroup([lg.MonomialSymmetry.identity(4)])
-    assert lg.narrow_diagonal_set(trivial) == ()
+    assert narrow_diagonal_set(trivial) == ()
     with pytest.raises(NotDiagonalError):
-        lg.narrow_diagonal_set(lg.closure([perm([(0, 1, 2)], 4)]))
+        narrow_diagonal_set(lg.closure([perm([(0, 1, 2)], 4)]))
 
 
 def test_unprojected_mirror_untwisted_terms(quartic):
     identity = lg.MonomialSymmetry.identity(4)
-    exps, g = lg.unprojected_mirror(quartic, (1, 1, 1, 1), identity)
+    exps, g = unprojected_mirror(quartic, (1, 1, 1, 1), identity)
     assert exps == () and g == diag("1/2", "1/2", "1/2", "1/2")
-    exps, g = lg.unprojected_mirror(quartic, (0, 0, 0, 0), identity)
+    exps, g = unprojected_mirror(quartic, (0, 0, 0, 0), identity)
     assert exps == () and g == lg.exponential_grading(quartic)
 
 
 def test_unprojected_mirror_narrow_to_untwisted(quartic):
     j = lg.exponential_grading(quartic)
     for i in (1, 2, 3):
-        exps, g = lg.unprojected_mirror(quartic, (), j ** i)
+        exps, g = unprojected_mirror(quartic, (), j ** i)
         assert g.is_identity
         assert exps == (i - 1,) * 4
 
@@ -62,8 +66,8 @@ def test_unprojected_mirror_is_involutive():
             [F(rng.randrange(d), d) for d in ds])
         fixed = [i for i in range(n) if g.phases[i] == 0]
         exps = tuple(rng.randrange(ds[i] - 1) for i in fixed)
-        image_exps, image_g = lg.unprojected_mirror(poly, exps, g)
-        back_exps, back_g = lg.unprojected_mirror(poly, image_exps, image_g)
+        image_exps, image_g = unprojected_mirror(poly, exps, g)
+        back_exps, back_g = unprojected_mirror(poly, image_exps, image_g)
         assert back_exps == exps and back_g == g
 
 
@@ -78,26 +82,26 @@ def test_unprojected_mirror_degree_age_identity():
         identity = lg.MonomialSymmetry.identity(n)
         exps = tuple(rng.randrange(d - 1) for d in ds)
         degree = sum(F(b + 1, d) for b, d in zip(exps, ds))
-        _, image = lg.unprojected_mirror(poly, exps, identity)
+        _, image = unprojected_mirror(poly, exps, identity)
         assert image.age() == degree
         assert image.inverse().age() == n - degree
 
 
 def test_unprojected_mirror_rejects_nondiagonal(quartic):
     with pytest.raises(NotDiagonalSectorError):
-        lg.unprojected_mirror(quartic, (0, 0), perm([(0, 1, 2)], 4))
+        unprojected_mirror(quartic, (0, 0), perm([(0, 1, 2)], 4))
 
 
 def test_unprojected_mirror_needs_one_exponent_per_fixed_coordinate(quartic):
     identity = lg.MonomialSymmetry.identity(4)
     with pytest.raises(DimensionMismatchError):
-        lg.unprojected_mirror(quartic, (0, 0), identity)
+        unprojected_mirror(quartic, (0, 0), identity)
 
 
 def test_unprojected_mirror_rejects_exponents_outside_milnor_range(quartic):
     identity = lg.MonomialSymmetry.identity(4)
     with pytest.raises(ExponentOutOfRangeError, match="exponent 3 outside"):
-        lg.unprojected_mirror(quartic, (0, 3, 0, 0), identity)
+        unprojected_mirror(quartic, (0, 3, 0, 0), identity)
 
 
 def test_restricted_mirror_quartic(quartic, quartic_group):
@@ -289,3 +293,98 @@ def test_restricted_mirror_randomized_never_fails():
         pairs = lg.full_comparison(poly, group).restricted
         for va, vb in pairs.a0_to_narrow + pairs.narrow_to_b0:
             assert va.bidegree == vb.bidegree
+
+
+# --- the corner check's negative path ----------------------------------------
+# Each test corrupts one corner of the quartic's spaces and expects the check
+# to raise with its message.
+
+def is_corner(vector, kind):
+    g = vector.leading[2]
+    return g.is_identity if kind == "untwisted" else g.is_diagonal and all(g.nums)
+
+
+def corrupted(space, kind, change):
+    """``space`` with ``change`` applied to its first ``kind`` corner vector:
+    the list of vectors it is replaced by."""
+    basis = list(space.basis)
+    k = next(k for k, v in enumerate(basis) if is_corner(v, kind))
+    basis[k:k + 1] = change(basis[k])
+    return lg.GradedSpace(space.side, space.poly, space.group, tuple(basis))
+
+
+MAPS_TO_NO = {"untwisted": "untwisted vector maps to no narrow class sum",
+              "narrow": "narrow class sum maps to no untwisted vector"}
+NOT_HIT = {"untwisted": "1 narrow class sums are not hit by the untwisted vectors",
+           "narrow": "1 untwisted vectors are not hit by the narrow class sums"}
+OTHER = {"untwisted": "narrow", "narrow": "untwisted"}
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "narrow"])
+def test_corner_check_rejects_a_changed_b_bidegree(quartic_report, kind):
+    r = quartic_report
+
+    def shift(v):
+        p, q = v.bidegree
+        return [dataclasses.replace(v, bidegree=(p + 1, q))]
+    b_space = corrupted(r.b_space, OTHER[kind], shift)
+    with pytest.raises(TheoremViolationError, match="bidegree not preserved"):
+        mirror._corner_pairs(r.a_space, b_space)
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "narrow"])
+def test_corner_check_rejects_a_dropped_b_vector(quartic_report, kind):
+    r = quartic_report
+    b_space = corrupted(r.b_space, OTHER[kind], lambda v: [])
+    with pytest.raises(TheoremViolationError, match=MAPS_TO_NO[kind]):
+        mirror._corner_pairs(r.a_space, b_space)
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "narrow"])
+def test_corner_check_rejects_a_dropped_a_vector(quartic_report, kind):
+    r = quartic_report
+    a_space = corrupted(r.a_space, kind, lambda v: [])
+    with pytest.raises(TheoremViolationError, match=NOT_HIT[kind]):
+        mirror._corner_pairs(a_space, r.b_space)
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "narrow"])
+def test_corner_check_rejects_a_repeated_a_vector(quartic_report, kind):
+    r = quartic_report
+    a_space = corrupted(r.a_space, kind, lambda v: [v, v])
+    with pytest.raises(TheoremViolationError, match=MAPS_TO_NO[kind]):
+        mirror._corner_pairs(a_space, r.b_space)
+
+
+# --- the corner check against the element-wise oracle -------------------------
+
+def assert_corners_match_oracle(report):
+    h = report.hk.h
+    expected = corner_pairs(report.poly, report.a_space, report.b_space, h,
+                            lg.dual_group(h, report.poly))
+    assert mirror._corner_pairs(report.a_space, report.b_space) == expected
+    assert report.restricted == expected
+
+
+def test_corner_check_matches_oracle(quartic_report, good_report, bad_report):
+    for report in (quartic_report, good_report, bad_report):
+        assert_corners_match_oracle(report)
+    rng = random.Random(1103)
+    for _ in range(30):
+        assert_corners_match_oracle(lg.full_comparison(*random_mirror_instance(rng)))
+
+
+def test_corners_and_labels_build_no_element_or_sector(bad_report, monkeypatch):
+    report = bad_report
+
+    def build(*args, **kwargs):
+        pytest.fail("a group element was built")
+    lg.build_sector.cache_clear()
+    monkeypatch.setattr(lg.MonomialSymmetry, "__init__", build)
+    monkeypatch.setattr(lg.MonomialSymmetry, "from_numerators", classmethod(build))
+    pairs = mirror._corner_pairs(report.a_space, report.b_space)
+    for space in (report.a_space, report.b_space):
+        labels = [lg.vector_label(v, space.poly) for v in space.basis]
+        assert len(labels) == 88
+    assert len(pairs.a0_to_narrow) == 60 and len(pairs.narrow_to_b0) == 4
+    assert lg.build_sector.cache_info().misses == 0

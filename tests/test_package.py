@@ -20,9 +20,9 @@ PUBLIC = [
     "build_sector", "classify_atoms", "closure",
     "compute_weights", "decompose_hk", "diagonal_group", "dual_group",
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
-    "monomial_label", "narrow_diagonal_set", "nonabelian_dual",
+    "monomial_label", "nonabelian_dual",
     "parity_condition", "parse_generator", "parse_polynomial",
-    "sector_map", "sl_subgroup", "unprojected_mirror", "vector_label",
+    "sector_map", "sl_subgroup", "vector_label",
 ]
 
 
