@@ -54,7 +54,7 @@ sl = lg.sl_subgroup(full)
 print(f"|G_diag| = {full.order}, |<j>| = {jw.order}, |SL part| = {sl.order}")
 print(f"dual of <j> equals the SL part: {lg.dual_group(jw, W) == sl}")
 print(f"dual of the trivial group is everything: "
-      f"{lg.dual_group(lg.SymmetryGroup([lg.MonomialSymmetry.identity(4)]), W) == full}")
+      f"{lg.dual_group(lg.closure([lg.MonomialSymmetry.identity(4)]), W) == full}")
 print(f"dual of everything is trivial: {lg.dual_group(full, W).order == 1}")
 
 print("double duals over a few subgroups:")

@@ -15,7 +15,6 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     DuplicateVariableError,
-    ExponentOutOfRangeError,
     InputFileError,
     InternalError,
     LGError,
@@ -26,7 +25,6 @@ from .errors import (
     NotAdmissibleAError,
     NotAdmissibleBError,
     NotDiagonalError,
-    NotDiagonalSectorError,
     NotFermatError,
     NotHKProductError,
     NotInvertibleError,
@@ -86,12 +84,12 @@ from .mirror import (
 
 __all__ = [
     "AtomicBlock", "CapExceededError", "DimensionMismatchError",
-    "DuplicateVariableError", "ExponentOutOfRangeError", "FixedLocus",
+    "DuplicateVariableError", "FixedLocus",
     "GradedBasisVector", "GradedSpace", "HKDecomposition", "HodgeDiamond",
     "InputFileError", "InternalError", "InvertiblePolynomial", "LGError",
     "MirrorReport", "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
     "NotAPermutationError", "NotASymmetryError", "NotAdmissibleAError",
-    "NotAdmissibleBError", "NotDiagonalError", "NotDiagonalSectorError",
+    "NotAdmissibleBError", "NotDiagonalError",
     "NotFermatError", "NotHKProductError", "NotInvertibleError",
     "NotPurePermutationsError", "NotSquareError", "OddPermutationError",
     "ParseError", "RestrictedMirror", "Sector", "SectorMap",

@@ -53,7 +53,7 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
         raise ParseError(f"cap must be at least 1, got {cap}")
     poly = None
     gens: list[str] = []
-    file_cap = 10 ** 6
+    file_cap = symmetry.DEFAULT_CAP
     seen: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as handle:

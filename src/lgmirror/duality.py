@@ -33,7 +33,7 @@ from .errors import (
 )
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
-    MonomialSymmetry,
+    DEFAULT_CAP,
     SymmetryGroup,
     _generate,
     is_symmetry,
@@ -60,17 +60,18 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
-    h_elems = [g for g in group if g.is_diagonal]
-    k_elems = [g for g in group if g.is_pure_permutation]
-    for g in k_elems:
+    pairs = list(zip(group, group._forms))
+    h = SymmetryGroup([form for g, form in pairs if g.is_diagonal], group.modulus)
+    k = SymmetryGroup([form for g, form in pairs if g.is_pure_permutation], group.modulus)
+    for g in k:
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
-    if len(h_elems) * len(k_elems) != group.order:
-        perms = {k.perm for k in k_elems}
+    if h.order * k.order != group.order:
+        perms = {g.perm for g in k}
         g = next(g for g in group if g.perm not in perms)
         raise NotHKProductError(
             f"{g.label()} does not factor as diagonal · pure even permutation")
-    return HKDecomposition(group, SymmetryGroup(h_elems), SymmetryGroup(k_elems))
+    return HKDecomposition(group, h, k)
 
 
 @lru_cache(maxsize=None)
@@ -115,22 +116,20 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
                 pivot_value, value = value, pivot_value - q * value
             basis[i] = m
     gens = [tuple(sum(a * b for a, b in zip(row, m)) % det for row in rows) for m in basis]
-    forms = _generate([(h.identity.perm, nums) for nums in gens], det, det)[0]
-    return SymmetryGroup([MonomialSymmetry.from_numerators(perm, nums, det)
-                          for perm, nums in forms])
+    return SymmetryGroup(_generate([(h.identity.perm, nums) for nums in gens],
+                                   det, det)[0], det)
 
 
 @lru_cache(maxsize=None)
 def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
     """All diagonal symmetries of W: the dual of the trivial group on Wᵀ,
     of order |det A_W|."""
-    dual_poly = poly.transpose()
-    return dual_group(SymmetryGroup([MonomialSymmetry.identity(dual_poly.n_vars)]),
-                      dual_poly)
+    n = poly.n_vars  # Wᵀ has W's variables
+    return dual_group(SymmetryGroup([(tuple(range(n)), (0,) * n)], 1), poly.transpose())
 
 
 def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
-               cap: int = 10 ** 6) -> SymmetryGroup:
+               cap: int = DEFAULT_CAP) -> SymmetryGroup:
     """G* = Hᵀ·K from G's split; errors before building Hᵀ when |G*| =
     |Hᵀ|·|K| exceeds ``cap``."""
     _check_cap(parts.h, poly, parts.k.order, cap)
@@ -141,13 +140,12 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
            for k in parts.k.generators for g in h_dual.generators):
         raise InternalError("K does not normalize Hᵀ")
     # h·k = (σ_k, a_h) for diagonal h = (id, a_h) and k = (σ_k, 0)
-    elements = [MonomialSymmetry.from_numerators(k.perm, g.nums, g.mod)
-                for g in h_dual for k in parts.k]
-    return SymmetryGroup(elements, h_dual.generators + parts.k.generators)
+    forms = [(perm, nums) for _, nums in h_dual._forms for perm, _ in parts.k._forms]
+    return SymmetryGroup(forms, h_dual.modulus, h_dual.generators + parts.k.generators)
 
 
 def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,
-                    cap: int = 10 ** 6) -> SymmetryGroup:
+                    cap: int = DEFAULT_CAP) -> SymmetryGroup:
     """G* = Hᵀ·K for G = H·K; a subgroup of the dual polynomial's symmetries."""
     return star_group(decompose_hk(group, poly), poly, cap)
 
@@ -156,13 +154,13 @@ def parity_condition(k: SymmetryGroup, n: int
                      ) -> tuple[bool, SymmetryGroup | None]:
     """Check dim (ℂⁿ)ᵀ ≡ n (mod 2) for every subgroup T ≤ K.
 
-    Returns (True, None) or (False, first failing subgroup) in the
-    deterministic subgroup order (by order, then elements).  The fixed-space
+    Returns (True, None) or (False, first failing subgroup) in subgroup
+    order (by order, then elements), building none past it.  The fixed-space
     dimension of a permutation group is its number of orbits on coordinates.
     """
     if any(not g.is_pure_permutation for g in k):
         raise NotPurePermutationsError("parity condition needs pure permutations")
-    for sub in k.subgroups():
+    for sub in k._subgroup_walk():
         # in a group, the orbit of i is {g(i) : g ∈ T}
         orbits = {frozenset(g.perm[i] for g in sub) for i in range(n)}
         if (len(orbits) - n) % 2 != 0:

@@ -19,10 +19,6 @@ class WeightOutOfRangeError(LGError):
     code = "WeightOutOfRange"
 
 
-class ExponentOutOfRangeError(LGError):
-    code = "ExponentOutOfRange"
-
-
 class NotInvertibleError(LGError):
     code = "NotInvertible"
 
@@ -101,10 +97,6 @@ class NotAdmissibleAError(LGError):
 
 class NotAdmissibleBError(LGError):
     code = "NotAdmissibleB"
-
-
-class NotDiagonalSectorError(LGError):
-    code = "NotDiagonalSector"
 
 
 class TheoremViolationError(LGError):

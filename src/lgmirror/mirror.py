@@ -35,7 +35,7 @@ from .state_space import (
     a_state_space,
     b_state_space,
 )
-from .symmetry import SymmetryGroup
+from .symmetry import DEFAULT_CAP, SymmetryGroup
 
 
 class Verdict(enum.Enum):
@@ -122,7 +122,7 @@ class MirrorReport:
 
 
 def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,
-                    cap: int = 10 ** 6) -> MirrorReport:
+                    cap: int = DEFAULT_CAP) -> MirrorReport:
     """Both models and their comparison; G* errors past ``cap`` elements.
     TheoremViolationError if a corner isomorphism in ``restricted`` fails,
     which signals a bug, not a property of the input."""

@@ -16,10 +16,10 @@ perm i ↦ τ(σ(i)) and phase_i = a_i + b_{σ(i)} for g = (σ, a), h = (τ, b).
 
 Groups are finite, immutable after construction, and generated one right
 coset at a time (Dimino's algorithm) with a safety cap; diagonal groups of
-polynomials are dual groups, built in ``duality``.  Inside a group, elements
-are integer forms over the lcm of their moduli.  Element order is canonical
-(lexicographic on permutation images, then phases), which makes every
-downstream output reproducible byte for byte.
+polynomials are dual groups, built in ``duality``.  Every group is built
+from integer forms over the lcm of its elements' moduli, sorted once: element
+order is canonical (lexicographic on permutation images, then phases), which
+makes every downstream output reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import islice
 from math import gcd, lcm
 
@@ -44,6 +45,7 @@ from .polynomial import InvertiblePolynomial, parse_digits
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+DEFAULT_CAP = 10 ** 6  # group size cap when the caller sets none
 
 
 @lru_cache(maxsize=None)
@@ -327,10 +329,10 @@ def _lift_generators(lifts):
 class SymmetryGroup:
     """A finite group of monomial symmetries in canonical element order.
 
-    Immutable after construction; generators (unless given), the conjugacy
-    classes and centralizers are found on first use.  Constructing from an
-    element list assumes the list is closed (all construction paths in this
-    library guarantee it).
+    Built once from the distinct integer forms (perm, numerators over
+    ``mod``) of a closed set, with ``mod`` reduced to the lcm of the
+    elements' moduli.  Generators (unless given), the conjugacy classes and
+    centralizers are found on first use.
 
     Classes and centralizers come from the group's structure G = N⋊T, not
     from a scan of its elements.  The diagonal elements N are the kernel of
@@ -346,21 +348,22 @@ class SymmetryGroup:
     __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
                  "_members", "_owner", "_classes", "_lifts", "_fixed")
 
-    def __init__(self, elements, generators=None):
-        elems = set(elements)
-        if not elems:
+    def __init__(self, forms, mod: int, generators=None):
+        forms = sorted(forms)  # integer forms sort in the canonical order
+        if not forms:
             raise NotAGroupError("a group needs at least the identity")
-        n = next(iter(elems)).n
-        if any(g.n != n for g in elems):
+        n = self.n = len(forms[0][0])
+        if any(len(perm) != n for perm, _ in forms):
             raise DimensionMismatchError("mixed ranks in one group")
-        self.n = n
-        self.modulus = lcm(*{g.mod for g in elems})
-        # integer forms over one modulus sort in the canonical order
-        keyed = sorted((g.over(self.modulus), g) for g in elems)
-        self.elements = tuple(g for _, g in keyed)
-        if not self.elements[0].is_identity:
+        if forms[0] != (tuple(range(n)), (0,) * n):
             raise NotAGroupError("identity missing from element list")
-        self._forms = tuple(form for form, _ in keyed)
+        make = MonomialSymmetry.from_numerators
+        self.elements = tuple([make(perm, nums, mod) for perm, nums in forms])
+        self.modulus = lcm(*{g.mod for g in self.elements})
+        if self.modulus != mod:
+            scale = mod // self.modulus
+            forms = [(perm, tuple([x // scale for x in nums])) for perm, nums in forms]
+        self._forms = tuple(forms)
         if generators is not None:
             generators = tuple(dict.fromkeys(
                 g for g in generators if not g.is_identity))
@@ -539,30 +542,28 @@ class SymmetryGroup:
         """C_G(g) as the product set of N^σ and the lifts, generated by
         N^σ's generators and the lifts whose τ the lifts before them do
         not generate."""
-        i, mod, make = self.index(g), self.modulus, MonomialSymmetry.from_numerators
+        i, mod, index = self.index(g), self.modulus, self._form_index()
         fixed, lifts, lift_gens = self._centralizer_forms(i)
         gens = self._fixed_generators(self._forms[i][0]) + lift_gens
-        return SymmetryGroup([make(*_compose(c, lift, mod), mod)
-                              for c in fixed for lift in lifts],
-                             [make(perm, nums, mod) for perm, nums in gens])
+        return SymmetryGroup([_compose(c, lift, mod) for c in fixed for lift in lifts],
+                             mod, [self.elements[index[form]] for form in gens])
 
-    def subgroups(self) -> tuple["SymmetryGroup", ...]:
-        """Every subgroup, ordered by order, then by element indices.
-
-        Starting from the trivial group, each subgroup S found is extended
-        once per right coset S·x outside it, since ⟨S, h·x⟩ = ⟨S, x⟩ for
-        h ∈ S.  ⟨S, x⟩ grows from S one right coset at a time on the
-        multiplication table (Dimino), along S's recorded generators plus
-        x.  Meant for small groups (permutation parts, diagonal groups of
-        small determinant); cost grows with the subgroup lattice.
-        """
+    def _subgroup_walk(self):
+        """Each subgroup, built when reached, ordered by order, then by
+        element indices: popped from a heap keyed so.  Each popped S is
+        extended once per right coset S·x outside it (⟨S, h·x⟩ = ⟨S, x⟩ for
+        h ∈ S), growing ⟨S, x⟩ from S by right cosets on the multiplication
+        table (Dimino).  Extensions are larger than S, and T = ⟨S, x⟩ for a
+        maximal S < T, so T is pushed before its key is reached.  Meant for
+        small groups (permutation parts, small diagonal groups)."""
         forms, mod = self._forms, self.modulus
         index = self._form_index()
         table = [[index[_compose(a, b, mod)] for b in forms] for a in forms]
-        seen = {frozenset({0})}
-        queue = [(frozenset({0}), [])]  # (elements, generators) as indices
-        while queue:
-            sub, gens = queue.pop()
+        heap = [(1, (0,), [])]  # (order, elements, generators) as indices
+        seen = {(0,)}
+        while heap:
+            _, sub, gens = heappop(heap)
+            yield SymmetryGroup([forms[i] for i in sub], mod)
             tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
                 if x in tried:
@@ -574,16 +575,17 @@ class SymmetryGroup:
                     if rep not in have:
                         have.update([table[h][rep] for h in sub])
                         fresh.extend(table[rep][g] for g in ext_gens)
-                ext = frozenset(have)
+                ext = tuple(sorted(have))  # element indices follow the canonical order
                 if ext not in seen:
                     seen.add(ext)
-                    queue.append((ext, ext_gens))
-        # element indices follow the canonical order
-        found = sorted((sorted(sub) for sub in seen), key=lambda sub: (len(sub), sub))
-        return tuple(SymmetryGroup([self.elements[i] for i in sub]) for sub in found)
+                    heappush(heap, (len(ext), ext, ext_gens))
+
+    def subgroups(self) -> tuple["SymmetryGroup", ...]:
+        """Every subgroup, ordered by order, then by element indices."""
+        return tuple(self._subgroup_walk())
 
 
-def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
+def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
     """The group the generators generate; errors past ``cap`` elements."""
     generators = list(generators)
     if not generators:
@@ -593,9 +595,7 @@ def closure(generators, cap: int = 10 ** 6) -> SymmetryGroup:
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
     forms = _generate([g.over(mod) for g in generators], mod, cap)[0]
-    make = MonomialSymmetry.from_numerators
-    return SymmetryGroup([make(perm, nums, mod) for perm, nums in forms],
-                         generators=generators)
+    return SymmetryGroup(forms, mod, generators)
 
 
 def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
@@ -626,7 +626,8 @@ def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Elements of determinant one."""
-    return SymmetryGroup([g for g in group if not g.det_num()])
+    return SymmetryGroup([form for g, form in zip(group, group._forms)
+                          if not g.det_num()], group.modulus)
 
 
 # --- generator grammar -----------------------------------------------------

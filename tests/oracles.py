@@ -15,12 +15,14 @@ against the original search over every element's sector, which finds every
 move's target sector by conjugating the element itself and taking each
 bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
 classes from H⋊K against orbits under a conjugation table of every element
-by every generator, and structural centralizers against a filter of every
-element of the group.  The restricted mirror check, which pairs corners
-by integer keys, is checked against the map applied term by term, each
-image built as an element or a monomial, with the narrow corners found by
-scanning H and Hᵀ.  Rational views of the library's integer fields (phase
-matrices, canonical vectors, sector-map phases) are built here too.
+by every generator, structural centralizers against a filter of every
+element of the group, and the ordered subgroup walk against the original
+enumeration, which collects every subgroup before sorting them.  The
+restricted mirror check, which pairs corners by integer keys, is checked
+against the map applied term by term, each image built as an element or a
+monomial, with the narrow corners found by scanning H and Hᵀ.  Rational
+views of the library's integer fields (phase matrices, canonical vectors,
+sector-map phases) are built here too.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from lgmirror import (
 )
 from lgmirror.errors import (
     DimensionMismatchError,
-    ExponentOutOfRangeError,
+    LGError,
     NotDiagonalError,
-    NotDiagonalSectorError,
     TheoremViolationError,
 )
 
@@ -320,6 +321,36 @@ def two_generated_subgroups(elements):
                   key=lambda sub: (len(sub), sub))
 
 
+def sorted_subgroups(group):
+    """Every subgroup as its sorted list of element indices, ordered by
+    size, then indices: all are collected first, then sorted once.  Each
+    subgroup S found is extended once per right coset S·x outside it, and
+    ⟨S, x⟩ grows from S by right cosets on the multiplication table."""
+    elements = group.elements
+    index = {g: i for i, g in enumerate(elements)}
+    table = [[index[a * b] for b in elements] for a in elements]
+    seen = {frozenset({0})}
+    queue = [(frozenset({0}), [])]  # (elements, generators) as indices
+    while queue:
+        sub, gens = queue.pop()
+        tried = set(sub)
+        for x in range(len(elements)):
+            if x in tried:
+                continue
+            tried.update(table[h][x] for h in sub)
+            have, fresh, ext_gens = set(sub), [x], gens + [x]
+            while fresh:
+                rep = fresh.pop()
+                if rep not in have:
+                    have.update([table[h][rep] for h in sub])
+                    fresh.extend(table[rep][g] for g in ext_gens)
+            ext = frozenset(have)
+            if ext not in seen:
+                seen.add(ext)
+                queue.append((ext, ext_gens))
+    return sorted((sorted(sub) for sub in seen), key=lambda sub: (len(sub), sub))
+
+
 def frac_greedy_generators(elements):
     """Greedy generating set scanning (perm, phases) pairs in sorted order."""
     elements = sorted(elements)
@@ -399,7 +430,7 @@ def factor_each_element(group, poly):
     error of the first element, in canonical order, whose diagonal factor
     (id, a) or pure-permutation factor (σ, 0) is missing from G."""
     from lgmirror import (NotASymmetryError, NotHKProductError,
-                          OddPermutationError, SymmetryGroup, is_symmetry)
+                          OddPermutationError, is_symmetry)
 
     for g in group.generators:
         if not is_symmetry(g, poly):
@@ -409,8 +440,8 @@ def factor_each_element(group, poly):
     for g in k_elems:
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
-    h = SymmetryGroup(h_elems)
-    k = SymmetryGroup(k_elems)
+    h = closure(h_elems)
+    k = closure(k_elems)
     make = MonomialSymmetry.from_numerators
     ident, zeros = group.identity.perm, (0,) * group.n
     for g in group:
@@ -478,6 +509,14 @@ def search_invariant_basis(poly, group, side):
 
 
 # --- the mirror map per element -----------------------------------------------
+
+class NotDiagonalSectorError(LGError):
+    code = "NotDiagonalSector"
+
+
+class ExponentOutOfRangeError(LGError):
+    code = "ExponentOutOfRange"
+
 
 def narrow_diagonal_set(h) -> tuple[MonomialSymmetry, ...]:
     """Diagonal elements with every phase nonzero (trivial fixed locus)."""

@@ -38,7 +38,7 @@ def test_decompose_bad_quintic(quintic, bad_group):
 
 
 def test_decompose_trivial(quartic):
-    trivial = lg.SymmetryGroup([lg.MonomialSymmetry.identity(4)])
+    trivial = lg.closure([lg.MonomialSymmetry.identity(4)])
     parts = lg.decompose_hk(trivial, quartic)
     assert parts.h.order == 1 and parts.k.order == 1
 
@@ -109,7 +109,7 @@ def test_dual_of_trivial_and_full():
     for text in ("x1^3*x2 + x2^2*x3 + x3^2", "x1^2*x2 + x2^3*x3 + x3^4*x1"):
         poly = lg.parse_polynomial(text)
         assert poly.transpose().exponents != poly.exponents
-        trivial = lg.SymmetryGroup([lg.MonomialSymmetry.identity(3)])
+        trivial = lg.closure([lg.MonomialSymmetry.identity(3)])
         assert {g.phases for g in lg.dual_group(trivial, poly)} == \
             brute_force_diagonal(poly.transpose())
         full = lg.diagonal_group(poly)
@@ -189,6 +189,25 @@ def test_parity_condition_klein_fails():
     assert witness == k  # the full Klein group is the first failing subgroup
 
 
+def test_parity_condition_stops_at_its_witness(monkeypatch):
+    # A6 has 501 subgroups; the first failing one, in subgroup order, is
+    # the 87th, of order 4
+    k = lg.closure([perm([(0, 1, 2)], 6), perm([(1, 2, 3, 4, 5)], 6)])
+    assert k.order == 360
+    built = []
+    init = lg.SymmetryGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lg.SymmetryGroup, "__init__", counting_init)
+    holds, witness = lg.parity_condition(k, 6)
+    assert not holds and len(built) < 501
+    assert [g.cycle_string() for g in witness] == \
+        ["()", "(3 4)(5 6)", "(3 5)(4 6)", "(3 6)(4 5)"]
+
+
 def test_parity_condition_quartic_cycle():
     k = lg.closure([perm([(0, 1, 2)], 4)])
     holds, witness = lg.parity_condition(k, 4)
@@ -196,7 +215,7 @@ def test_parity_condition_quartic_cycle():
 
 
 def test_parity_condition_trivial():
-    k = lg.SymmetryGroup([lg.MonomialSymmetry.identity(6)])
+    k = lg.closure([lg.MonomialSymmetry.identity(6)])
     holds, witness = lg.parity_condition(k, 6)
     assert holds and witness is None
 

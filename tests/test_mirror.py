@@ -8,12 +8,11 @@ import lgmirror as lg
 from lgmirror import mirror
 from lgmirror.errors import (
     DimensionMismatchError,
-    ExponentOutOfRangeError,
     NotDiagonalError,
-    NotDiagonalSectorError,
     TheoremViolationError,
 )
-from oracles import (corner_pairs, fermat, narrow_diagonal_set, random_mirror_instance,
+from oracles import (ExponentOutOfRangeError, NotDiagonalSectorError, corner_pairs,
+                     fermat, narrow_diagonal_set, random_mirror_instance,
                      unprojected_mirror)
 
 
@@ -34,7 +33,7 @@ def test_narrow_diagonal_set(quartic):
     numerators = {tuple(sorted(int(p * 4) for p in g.phases)) for g in narrow}
     assert numerators == {(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3),
                           (1, 1, 3, 3), (1, 2, 2, 3)}
-    trivial = lg.SymmetryGroup([lg.MonomialSymmetry.identity(4)])
+    trivial = lg.closure([lg.MonomialSymmetry.identity(4)])
     assert narrow_diagonal_set(trivial) == ()
     with pytest.raises(NotDiagonalError):
         narrow_diagonal_set(lg.closure([perm([(0, 1, 2)], 4)]))

@@ -6,12 +6,12 @@ import lgmirror as lg
 
 PUBLIC = [
     "AtomicBlock", "CapExceededError", "DimensionMismatchError",
-    "DuplicateVariableError", "ExponentOutOfRangeError", "FixedLocus",
+    "DuplicateVariableError", "FixedLocus",
     "GradedBasisVector", "GradedSpace", "HKDecomposition", "HodgeDiamond",
     "InputFileError", "InternalError", "InvertiblePolynomial", "LGError",
     "MirrorReport", "MonomialSymmetry", "NotAGroupError", "NotAMemberError",
     "NotAPermutationError", "NotASymmetryError", "NotAdmissibleAError",
-    "NotAdmissibleBError", "NotDiagonalError", "NotDiagonalSectorError",
+    "NotAdmissibleBError", "NotDiagonalError",
     "NotFermatError", "NotHKProductError", "NotInvertibleError",
     "NotPurePermutationsError", "NotSquareError", "OddPermutationError",
     "ParseError", "RestrictedMirror", "Sector", "SectorMap",

@@ -23,6 +23,7 @@ from oracles import (
     frac_form,
     matrix_product,
     phase_matrix,
+    sorted_subgroups,
     two_generated_subgroups,
 )
 
@@ -152,9 +153,9 @@ def test_element_needs_a_permutation():
 
 def test_group_needs_elements_and_identity():
     with pytest.raises(NotAGroupError, match="at least the identity"):
-        lg.SymmetryGroup([])
+        lg.SymmetryGroup([], 1)
     with pytest.raises(NotAGroupError, match="identity missing"):
-        lg.SymmetryGroup([diag("1/2", "1/2")])
+        lg.SymmetryGroup([((0, 1), (1, 1))], 2)
 
 
 def test_closure_needs_a_generator():
@@ -314,6 +315,15 @@ def test_subgroups_match_two_generated_oracle(n, generators, count):
     assert len(subgroups) == count
     assert [[frac_form(g) for g in sub] for sub in subgroups] == \
         two_generated_subgroups(group)
+    assert [[group.index(g) for g in sub] for sub in subgroups] == sorted_subgroups(group)
+
+
+def test_subgroup_walk_matches_sorted_enumeration(quartic):
+    # the heap walk yields, in order, what collecting all 1,983 subgroups of
+    # the quartic's diagonal group and sorting them gives
+    group = lg.diagonal_group(quartic)
+    assert [[group.index(g) for g in sub] for sub in group.subgroups()] == \
+        sorted_subgroups(group)
 
 
 def test_parse_generator(quartic):
