@@ -14,7 +14,8 @@ closure.
 and its text lines; the costly ones, labels of every basis vector, are
 functions and generators that run only for the output mode asked for.
 Rationals serialize as "p/q" strings; every list is emitted in canonical
-order, so identical input yields identical bytes.
+order, so identical input yields identical bytes: ``--json`` writes in one
+pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import duality, mirror, polynomial, state_space, symmetry
 from .errors import InputFileError, LGError, NotASymmetryError, ParseError
@@ -279,7 +282,37 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _json_chunks(value, out: list[str], head: str = "", pad: str = "\n") -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2)`` writes it, one
+    chunk per scalar with ``head``, the separator, indentation and key before
+    it, fused in; ``pad`` indents the closing bracket of the container.  A
+    zero-argument callable is rendered as the value it returns."""
+    if isinstance(value, str):
+        out.append(head + encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append(head + ("null" if value is None else "true" if value else "false"))
+    elif isinstance(value, int):
+        out.append(head + int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():  # a key other than str raises TypeError
+            _json_chunks(item, out, f"{head}{sep}{inner}{encode_basestring_ascii(key)}: ", inner)
+            head, sep = "", ","
+        out.append(head + "{}" if sep == "{" else pad + "}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            _json_chunks(item, out, head + sep + inner, inner)
+            head, sep = "", ","
+        out.append(head + "[]" if sep == "[" else pad + "]")
+    elif callable(value):
+        _json_chunks(value(), out, head, pad)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgmirror",
         description="Exact Landau-Ginzburg state spaces and mirror maps")
@@ -288,14 +321,19 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--cap", type=int, default=None,
                         help="size cap of G, Hᵀ and G*, at least 1 (default 10^6)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec = read_problem(args.specfile, cap=args.cap)
         fields, text = COMMANDS[args.command](spec)
-        # a field given as a function is rendered here, in JSON mode only
-        out = json.dumps({"command": args.command, "polynomial": str(spec.poly),
-                          **fields}, indent=2, default=lambda field: field()) \
-            if args.json else "\n".join(text)
+        chunks: list[str] = []
+        if args.json:  # a field given as a function is rendered here only
+            _json_chunks({"command": args.command, "polynomial": str(spec.poly),
+                          **fields}, chunks)
+        out = "".join(chunks) if args.json else "\n".join(text)
     except LGError as exc:
         if args.json:
             print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))

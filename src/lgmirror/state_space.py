@@ -277,6 +277,13 @@ def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _bidegree(u: Fraction, v: Fraction) -> Bidegree:
+    """One pair per value in the process: equal bidegrees of two spaces are
+    one object, and compare by identity."""
+    return u, v
+
+
 def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                     side: str) -> tuple[GradedBasisVector, ...]:
     """Orbit-sum basis of the G-invariants of ⊕_g Q_{W_g}·ω_g.
@@ -306,7 +313,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     jw = poly.weight_sum
     den = lcm(2 * gmod, jw.denominator, *poly.fermat_exponents())
     shift = jw.numerator * (den // jw.denominator)
-    bidegree = lru_cache(maxsize=None)(lambda p, q: (Fraction(p, den), Fraction(q, den)))
+    bidegree = lru_cache(maxsize=None)(lambda p, q: _bidegree(Fraction(p, den), Fraction(q, den)))
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
     sigma, vectors = None, []  # appended sorted: by representative, then lead
     for members in group.class_transversals():

@@ -54,6 +54,27 @@ def phase_text(num: int, mod: int) -> str:
     return str(Fraction(num, mod))
 
 
+@lru_cache(maxsize=None)
+def _perm_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of ``perm`` from their least indices, once per permutation."""
+    seen, cycles = set(), []
+    for i in range(len(perm)):
+        if i not in seen:
+            cycle = [i]
+            while perm[cycle[-1]] != i:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+@lru_cache(maxsize=None)
+def _cycle_text(perm: tuple[int, ...]) -> str:
+    """Cycle notation of ``perm``, 1-based, fixed points omitted: '()' if none moves."""
+    return "".join(["(" + " ".join(str(i + 1) for i in c) + ")"
+                    for c in _perm_cycles(perm) if len(c) > 1]) or "()"
+
+
 def _compose(a, b, mod: int):
     """Product of integer forms (perm, numerators mod ``mod``)."""
     pa, na = a
@@ -188,19 +209,7 @@ class MonomialSymmetry:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All permutation cycles, each starting at its least index."""
-        seen = [False] * self.n
-        out = []
-        for i in range(self.n):
-            if not seen[i]:
-                cycle = [i]
-                seen[i] = True
-                j = self.perm[i]
-                while j != i:
-                    cycle.append(j)
-                    seen[j] = True
-                    j = self.perm[j]
-                out.append(tuple(cycle))
-        return tuple(out)
+        return _perm_cycles(self.perm)
 
     @property
     def perm_parity(self) -> int:
@@ -256,9 +265,7 @@ class MonomialSymmetry:
         return self._hash
 
     def cycle_string(self) -> str:
-        parts = ["(" + " ".join(str(i + 1) for i in c) + ")"
-                 for c in self.cycles() if len(c) > 1]
-        return "".join(parts) if parts else "()"
+        return _cycle_text(self.perm)
 
     def label(self) -> str:
         """Human-readable form matching the additive notation in use."""

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,3 +468,58 @@ def test_fuzzed_spec_files_exit_cleanly(tmp_path_factory, seed, command,
     assert code in (0, 1)
     if as_json:
         json.loads(out.getvalue())
+
+
+# --- the JSON writer and the argument parser ---------------------------------
+
+def _called(value):
+    """``value`` with every callable, at any depth, replaced by its result."""
+    if callable(value):
+        return _called(value())
+    if isinstance(value, dict):
+        return {key: _called(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_called(item) for item in value]
+    return value
+
+
+_awkward_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀'), max_size=8)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8) | _awkward_text |
+    st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 64]),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner) |
+                   st.dictionaries(st.text(max_size=4) | _awkward_text, inner, max_size=4) |
+                   inner.map(lambda value: lambda: value)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    chunks = []
+    cli._json_chunks(value, chunks)
+    assert "".join(chunks) == json.dumps(_called(value), indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1}, {1: 2}, [b"x"], lambda: object()])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_chunks(value, [])
+
+
+def test_one_argument_parser_per_process(capsys, quartic_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out = run(capsys, "group", quartic_file, "--cap", "5", "--json")
+    assert code == 1 and json.loads(out)["error"]["type"] == "CapExceeded"
+    # the default cap is back when the flag is left out
+    code, out = run(capsys, "group", quartic_file, "--json")
+    assert code == 0 and json.loads(out)["group"]["order"] == 12
+    code, out = run(capsys, "group", quartic_file, "--cap", "12")
+    assert code == 0 and out.startswith("order 12\n")
+    assert len(built) <= 1

@@ -65,6 +65,19 @@ def test_quintic_output_matches_bench_expected(model, command, name):
     assert capture(command, spec, "--json").encode() == read_bytes(BENCH / "expected" / name)
 
 
+# JSON shapes the quartic does not reach: a listed dual group on a chain and
+# on a loop, an abelian G*, and a parity witness
+@pytest.mark.parametrize("spec,command,name", [
+    (GOLDEN / "chain.lg", "dual-group", "chain_dual_group.json"),
+    (GOLDEN / "loop.lg", "dual-group", "loop_dual_group.json"),
+    (GOLDEN / "chain.lg", "nonabelian-dual", "chain_nonabelian_dual.json"),
+    (BENCH / "specs" / "bad_quintic.lg", "pc-check", "bad_quintic_pc_check.json"),
+], ids=["chain-dual-group", "loop-dual-group", "chain-nonabelian-dual",
+        "bad-quintic-pc-check"])
+def test_json_shapes_beyond_the_quartic(spec, command, name):
+    assert capture(command, str(spec), "--json").encode() == (GOLDEN / name).read_bytes()
+
+
 def test_sextic_mirror_check():
     # x1^6 + … + x7^6 with G = j: every class of G* is a singleton
     spec = str(GOLDEN / "sextic.lg")

@@ -387,3 +387,22 @@ def test_corners_and_labels_build_no_element_or_sector(bad_report, monkeypatch):
         assert len(labels) == 88
     assert len(pairs.a0_to_narrow) == 60 and len(pairs.narrow_to_b0) == 4
     assert lg.build_sector.cache_info().misses == 0
+
+
+def test_corners_and_dims_compare_bidegrees_by_identity(quartic_report, good_report,
+                                                        bad_report, monkeypatch):
+    # every space shares one Fraction pair per bidegree value, so neither the
+    # corner check nor the histogram comparison runs Fraction.__eq__
+    calls = []
+    eq = F.__eq__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return eq(a, b)
+    monkeypatch.setattr(F, "__eq__", counted)
+    equal = []
+    for report in (quartic_report, good_report, bad_report):
+        mirror._corner_pairs(report.a_space, report.b_space)
+        equal.append(report.a_space.dims == report.b_space.dims)
+    assert calls == []
+    assert equal == [True, True, False]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from oracles import (
     canonical_vectors,
     determinant,
     element_of_matrix,
+    frac_cycles,
     frac_form,
     matrix_product,
     phase_matrix,
@@ -336,6 +338,23 @@ def test_parse_generator(quartic):
     for bad in ("diag(1/2, 1/4)", "(1 2", "(1 5)", "(1 1 2)", "diag(1/2,0,0,0)(1 2)"):
         with pytest.raises(ParseError):
             lg.parse_generator(bad, quartic)
+
+
+def test_cycles_match_a_plain_walk():
+    # every permutation of S5, then seeded random ones up to rank 8
+    perms = list(itertools.permutations(range(5)))
+    rng = random.Random(4021)
+    for _ in range(300):
+        images = list(range(rng.randint(1, 8)))
+        rng.shuffle(images)
+        perms.append(tuple(images))
+    for images in perms:
+        g = lg.MonomialSymmetry(images, [0] * len(images))
+        cycles = frac_cycles(images)
+        assert g.cycles() == cycles
+        assert g.perm_parity == sum(len(c) - 1 for c in cycles) % 2
+        assert g.cycle_string() == "".join(
+            "(" + " ".join(str(i + 1) for i in c) + ")" for c in cycles if len(c) > 1) or "()"
 
 
 def test_element_labels():
