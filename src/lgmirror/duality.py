@@ -60,9 +60,9 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
-    pairs = list(zip(group, group._forms))
-    h = SymmetryGroup([form for g, form in pairs if g.is_diagonal], group.modulus)
-    k = SymmetryGroup([form for g, form in pairs if g.is_pure_permutation], group.modulus)
+    forms, ident = group._forms, group.identity.perm
+    h = SymmetryGroup([form for form in forms if form[0] == ident], group.modulus)
+    k = SymmetryGroup([form for form in forms if not any(form[1])], group.modulus)
     for g in k:
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
@@ -90,17 +90,17 @@ def _check_cap(h: SymmetryGroup, poly: InvertiblePolynomial, k_order: int,
 
 
 def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
-               cap: int | None = None) -> SymmetryGroup:
+               cap: int = DEFAULT_CAP) -> SymmetryGroup:
     """Dual of a diagonal group, inside the diagonal group of Wᵀ; errors
-    before building it when it has more than ``cap`` elements.
+    before building it when it has more than ``cap`` elements (by default
+    ``DEFAULT_CAP``, 10^6).
 
     Only generators of H are paired against: the pairing (g, h) ↦ g·A_W·hᵀ
     is bilinear, so integrality on generators gives integrality on all of H.
     """
     if not h.is_diagonal:
         raise NotDiagonalError("dual groups are defined for diagonal groups")
-    if cap is not None:
-        _check_cap(h, poly, 1, cap)
+    _check_cap(h, poly, 1, cap)
     det, rows = _inverse_transpose(poly)
     n = poly.n_vars
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -123,7 +123,7 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
 @lru_cache(maxsize=None)
 def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
     """All diagonal symmetries of W: the dual of the trivial group on Wᵀ,
-    of order |det A_W|."""
+    of order |det A_W|; errors before listing any past ``DEFAULT_CAP``."""
     n = poly.n_vars  # Wᵀ has W's variables
     return dual_group(SymmetryGroup([(tuple(range(n)), (0,) * n)], 1), poly.transpose())
 
@@ -133,7 +133,7 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
     """G* = Hᵀ·K from G's split; errors before building Hᵀ when |G*| =
     |Hᵀ|·|K| exceeds ``cap``."""
     _check_cap(parts.h, poly, parts.k.order, cap)
-    h_dual = dual_group(parts.h, poly)
+    h_dual = dual_group(parts.h, poly, cap)
     if parts.k.order == 1:  # G* = Hᵀ
         return h_dual
     if any(g.conjugated_by(k) not in h_dual

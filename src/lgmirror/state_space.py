@@ -43,7 +43,6 @@ from .errors import (
     NotASymmetryError,
     NotAdmissibleAError,
     NotAdmissibleBError,
-    NotFermatError,
 )
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
@@ -315,19 +314,17 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     shift = jw.numerator * (den // jw.denominator)
     bidegree = lru_cache(maxsize=None)(lambda p, q: _bidegree(Fraction(p, den), Fraction(q, den)))
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
-    sigma, vectors = None, []  # appended sorted: by representative, then lead
+    vectors = []  # appended sorted: by representative, then lead
+    kept_at: dict[tuple, tuple] = {}  # (σ, fixed cycles) -> (sector, starts)
     for members in group.class_transversals():
         r = members[0][0]
         g = elements[r]
-        if g.perm != sigma:  # elements, so representatives, sort by σ
-            sigma, cycles, gens = g.perm, g.cycles(), group._fixed_generators(g.perm)
-            kept_at: dict[tuple, tuple] = {}  # fixed cycles -> (sector, starts)
         # the cycles of Fix(g), without building its canonical vectors
-        fixed = tuple([c for c in cycles if not sum(map(g.nums.__getitem__, c)) % g.mod])
-        if fixed not in kept_at:
+        fixed = tuple([c for c in g.cycles() if not sum(map(g.nums.__getitem__, c)) % g.mod])
+        if (g.perm, fixed) not in kept_at:
             shared = build_sector(poly, g)
-            kept_at[fixed] = (shared, _kept(shared, gens, gmod))
-        shared, kept = kept_at[fixed]
+            kept_at[g.perm, fixed] = (shared, _kept(shared, group._fixed_generators(g.perm), gmod))
+        shared, kept = kept_at[g.perm, fixed]
         if not kept:
             continue
         # a sector and maps only where lifts move monomials
@@ -376,8 +373,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
 
 def a_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpace:
     """A-model state space; the group must contain j_W."""
-    if not poly.is_fermat:
-        raise NotFermatError(f"{poly} is not of pure Fermat type")
+    poly.fermat_exponents()
     if exponential_grading(poly) not in group:
         raise NotAdmissibleAError("group does not contain the grading element j_W")
     return GradedSpace(A_SIDE, poly, group, invariant_basis(poly, group, A_SIDE))
@@ -385,8 +381,7 @@ def a_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpa
 
 def b_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpace:
     """B-model state space; every group element must have determinant one."""
-    if not poly.is_fermat:
-        raise NotFermatError(f"{poly} is not of pure Fermat type")
+    poly.fermat_exponents()
     # det is a homomorphism, so the generators decide; the error names the
     # first element in canonical order outside SL
     if any(g.det_num() for g in group.generators):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import islice
 from math import gcd, lcm
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .polynomial import InvertiblePolynomial, parse_digits
 
-ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 DEFAULT_CAP = 10 ** 6  # group size cap when the caller sets none
 
@@ -134,7 +133,7 @@ class MonomialSymmetry:
         for cycle in cycles:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
-        return cls(images, (ZERO,) * n)
+        return cls(images, (0,) * n)
 
     @property
     def n(self) -> int:
@@ -338,8 +337,11 @@ class SymmetryGroup:
 
     Built once from the distinct integer forms (perm, numerators over
     ``mod``) of a closed set, with ``mod`` reduced to the lcm of the
-    elements' moduli.  Generators (unless given), the conjugacy classes and
-    centralizers are found on first use.
+    elements' moduli.  Nothing else is computed until first read, and then
+    kept: the generators (unless given), the index of each form, the lifts
+    and their generators, the class transversals with each element's class,
+    the classes, and per permutation part σ, N^σ with its φ_σ preimages and,
+    once asked for, its generators.
 
     Classes and centralizers come from the group's structure G = N⋊T, not
     from a scan of its elements.  The diagonal elements N are the kernel of
@@ -351,9 +353,6 @@ class SymmetryGroup:
     (a∘τ − a) − (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ times one such
     lift per τ whose target has a preimage under φ_σ.
     """
-
-    __slots__ = ("elements", "n", "modulus", "_forms", "_gens", "_index",
-                 "_members", "_owner", "_classes", "_lifts", "_fixed")
 
     def __init__(self, forms, mod: int, generators=None):
         forms = sorted(forms)  # integer forms sort in the canonical order
@@ -372,22 +371,15 @@ class SymmetryGroup:
             forms = [(perm, tuple([x // scale for x in nums])) for perm, nums in forms]
         self._forms = tuple(forms)
         if generators is not None:
-            generators = tuple(dict.fromkeys(
+            self.generators = tuple(dict.fromkeys(
                 g for g in generators if not g.is_identity))
-        self._gens = generators
-        self._index: dict | None = None
-        self._members = self._owner = None
-        self._classes = None
-        self._lifts = None
-        self._fixed: dict[tuple[int, ...], tuple] = {}
+        self._fixed: dict[tuple[int, ...], list] = {}
 
-    @property
+    @cached_property
     def generators(self) -> tuple[MonomialSymmetry, ...]:
         """Given, or a greedy small set found scanning in canonical order."""
-        if self._gens is None:
-            picked = _generate(self._forms, self.modulus, self.order)[1]
-            self._gens = tuple(self.elements[i] for i in picked)
-        return self._gens
+        picked = _generate(self._forms, self.modulus, self.order)[1]
+        return tuple(self.elements[i] for i in picked)
 
     @property
     def order(self) -> int:
@@ -400,8 +392,7 @@ class SymmetryGroup:
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        return self.modulus % g.mod == 0 and \
-            g.over(self.modulus) in self._form_index()
+        return self.modulus % g.mod == 0 and g.over(self.modulus) in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetryGroup) and self.elements == other.elements
@@ -409,15 +400,14 @@ class SymmetryGroup:
     def __repr__(self) -> str:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
 
-    def _form_index(self) -> dict:
-        if self._index is None:
-            self._index = {form: i for i, form in enumerate(self._forms)}
-        return self._index
+    @cached_property
+    def _index(self) -> dict:
+        return {form: i for i, form in enumerate(self._forms)}
 
     def index(self, g: MonomialSymmetry) -> int:
         if g not in self:
             raise NotAMemberError(f"{g!r} is not in this group")
-        return self._form_index()[g.over(self.modulus)]
+        return self._index[g.over(self.modulus)]
 
     @property
     def identity(self) -> MonomialSymmetry:
@@ -433,76 +423,79 @@ class SymmetryGroup:
         # the identity permutation sorts first, so the last element decides
         return self._forms[-1][0] == self._forms[0][0]
 
-    def _lift_forms(self):
+    @cached_property
+    def _lifts(self):
         """The lift (τ, a_τ) of each permutation part τ, in canonical order,
         and the lifts whose τ generate the permutation parts."""
-        if self._lifts is None:
-            lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for perm, nums in self._forms:
-                lifts.setdefault(perm, nums)
-            lifts = tuple(lifts.items())
-            self._lifts = (lifts, _lift_generators(lifts))
-        return self._lifts
+        lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for perm, nums in self._forms:
+            lifts.setdefault(perm, nums)
+        lifts = tuple(lifts.items())
+        return lifts, _lift_generators(lifts)
 
     def class_transversals(self):
         """Per class, (index, w, c) for each member x, the least index r
         first: w is the integer form over ``modulus`` of a lift word and c
         the numerators of a diagonal element, with t = w·c and
-        t⁻¹·g_r·t = x.  The class number of each element index is kept.
+        t⁻¹·g_r·t = x.
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
         cosets.  A class is one orbit of cosets, walked from r's along the
         lifts that generate the permutation parts; w is the word of lifts
         that reaches a member's coset and c a preimage of its offset."""
-        if self._members is None and self.is_diagonal:  # singleton classes
-            self._members = [[(i, self._forms[0], self._forms[0][1])] for i in range(self.order)]
-            self._owner = range(self.order)
-        if self._members is None:
-            mod, forms, index = self.modulus, self._forms, self._form_index()
-            gens = [(self.elements[index[g]].inverse().over(mod), g)
-                    for g in self._lift_forms()[1]]
-            owner = [-1] * self.order
-            classes = []
-            for i in range(self.order):
-                if owner[i] >= 0:
-                    continue
-                members, cosets = [], [(i, forms[0])]
-                for y, word in cosets:  # grows while it is read
-                    if owner[y] >= 0:
-                        continue  # its coset was walked before
-                    px, nx = forms[y]
-                    owner[y] = len(classes)
-                    members.append((y, word, forms[0][1]))
-                    # offsets past the first, 0 from the identity
-                    for v, c in islice(self._fixed_diagonals(px)[1].items(), 1, None):
-                        x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])]
-                        owner[x] = len(classes)
-                        members.append((x, word, c))
-                    for (pi, ni), g in gens:
-                        pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
-                        z = index[tuple([pg[px[j]] for j in pi]), tuple(
-                            [(a + nx[j] + ng[px[j]]) % mod for a, j in zip(ni, pi)])]
-                        if owner[z] < 0:
-                            cosets.append((z, _compose(word, g, mod)))
-                classes.append(members)
-            self._members, self._owner = classes, owner
-        return self._members
+        return self._transversals[0]
+
+    @cached_property
+    def _transversals(self):
+        """``class_transversals()`` and the class number of each element index."""
+        forms = self._forms
+        if self.is_diagonal:  # singleton classes
+            return [[(i, forms[0], forms[0][1])] for i in range(self.order)], range(self.order)
+        mod, index = self.modulus, self._index
+        gens = [(self.elements[index[g]].inverse().over(mod), g) for g in self._lifts[1]]
+        owner = [-1] * self.order
+        classes = []
+        for i in range(self.order):
+            if owner[i] >= 0:
+                continue
+            members, cosets = [], [(i, forms[0])]
+            for y, word in cosets:  # grows while it is read
+                if owner[y] >= 0:
+                    continue  # its coset was walked before
+                px, nx = forms[y]
+                owner[y] = len(classes)
+                members.append((y, word, forms[0][1]))
+                # offsets past the first, 0 from the identity
+                for v, c in islice(self._fixed_diagonals(px)[1].items(), 1, None):
+                    x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])]
+                    owner[x] = len(classes)
+                    members.append((x, word, c))
+                for (pi, ni), g in gens:
+                    pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
+                    z = index[tuple([pg[px[j]] for j in pi]), tuple(
+                        [(a + nx[j] + ng[px[j]]) % mod for a, j in zip(ni, pi)])]
+                    if owner[z] < 0:
+                        cosets.append((z, _compose(word, g, mod)))
+            classes.append(members)
+        return classes, owner
 
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         """The classes, each sorted, ordered by leader."""
-        if self._classes is None:
-            self._classes = tuple(
-                tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
-                for members in self.class_transversals())
         return self._classes
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
+        return tuple(tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
+                     for members in self.class_transversals())
+
     def class_of(self, g: MonomialSymmetry) -> tuple[MonomialSymmetry, ...]:
-        return self.conjugacy_classes()[self._owner[self.index(g)]]
+        return self.conjugacy_classes()[self._transversals[1][self.index(g)]]
 
     def _fixed_diagonals(self, sigma):
-        """N^σ in canonical order and one preimage c of each value of
-        φ_σ(c) = c∘σ − c, the value 0 first; cached per σ."""
+        """[N^σ in canonical order, one preimage c of each value of
+        φ_σ(c) = c∘σ − c, the value 0 first], cached per σ; N^σ's generators
+        join the entry when first asked for."""
         if sigma not in self._fixed:
             mod, ident = self.modulus, self._forms[0][0]
             fixed, preimage = [], {}
@@ -514,34 +507,36 @@ class SymmetryGroup:
                 if not any(value):
                     fixed.append(form)
                 preimage.setdefault(value, c)
-            self._fixed[sigma] = (fixed, preimage)
+            self._fixed[sigma] = [fixed, preimage]
         return self._fixed[sigma]
 
     def _fixed_generators(self, sigma):
-        """Generators of N^σ: the group's own when N^σ is the whole group,
-        else greedy ones."""
-        fixed, mod = self._fixed_diagonals(sigma)[0], self.modulus
-        if len(fixed) == self.order:
-            return [g.over(mod) for g in self.generators]
-        return [fixed[k] for k in _generate(fixed, mod, len(fixed))[1]]
+        """Generators of N^σ, found once per σ: the group's own when N^σ is
+        the whole group, else greedy ones."""
+        entry = self._fixed_diagonals(sigma)
+        if len(entry) == 2:  # not asked for before
+            fixed, mod = entry[0], self.modulus
+            entry.append([g.over(mod) for g in self.generators] if len(fixed) == self.order
+                         else [fixed[k] for k in _generate(fixed, mod, len(fixed))[1]])
+        return entry[2]
 
     def _centralizer_forms(self, i: int):
         """C(g_i) = N^σ·L as integer forms: N^σ; L, each lift (τ, a_τ + c)
         that commutes with g_i, in canonical order; and the lifts in L whose
         τ the lifts before them do not generate."""
-        size = len(self.class_transversals()[self._owner[i]])
+        members, owner = self._transversals
         mod = self.modulus
         sigma, a = self._forms[i]
-        fixed, preimage = self._fixed_diagonals(sigma)
+        fixed, preimage = self._fixed_diagonals(sigma)[:2]
         lifts = []
-        for tau, b in self._lift_forms()[0]:
+        for tau, b in self._lifts[0]:
             if any(tau[s] != sigma[t] for s, t in zip(sigma, tau)):
                 continue
             c = preimage.get(tuple([(a[t] - x - b[s] + y) % mod for s, t, x, y
                                     in zip(sigma, tau, a, b)]))
             if c is not None:
                 lifts.append((tau, tuple([(x + y) % mod for x, y in zip(b, c)])))
-        if len(fixed) * len(lifts) * size != self.order:
+        if len(fixed) * len(lifts) * len(members[owner[i]]) != self.order:
             raise InternalError("centralizer order times class size is not |G|")
         return fixed, lifts, _lift_generators(lifts)
 
@@ -549,7 +544,7 @@ class SymmetryGroup:
         """C_G(g) as the product set of N^σ and the lifts, generated by
         N^σ's generators and the lifts whose τ the lifts before them do
         not generate."""
-        i, mod, index = self.index(g), self.modulus, self._form_index()
+        i, mod, index = self.index(g), self.modulus, self._index
         fixed, lifts, lift_gens = self._centralizer_forms(i)
         gens = self._fixed_generators(self._forms[i][0]) + lift_gens
         return SymmetryGroup([_compose(c, lift, mod) for c in fixed for lift in lifts],
@@ -564,7 +559,7 @@ class SymmetryGroup:
         maximal S < T, so T is pushed before its key is reached.  Meant for
         small groups (permutation parts, small diagonal groups)."""
         forms, mod = self._forms, self.modulus
-        index = self._form_index()
+        index = self._index
         table = [[index[_compose(a, b, mod)] for b in forms] for a in forms]
         heap = [(1, (0,), [])]  # (order, elements, generators) as indices
         seen = {(0,)}
@@ -682,6 +677,9 @@ def parse_generator(text: str, poly: InvertiblePolynomial) -> MonomialSymmetry:
         if len(entries) != n:
             raise ParseError(
                 f"diag has {len(entries)} entries, polynomial has {n} variables", 0)
+        # Fraction would compute 10^k for an exponent k of any size
+        if any("e" in e or "E" in e for e in entries):
+            raise ParseError(f"bad rational in {text!r}: exponent notation", 0)
         try:
             phases = [Fraction(e) for e in entries]
         except (ValueError, ZeroDivisionError) as exc:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -382,6 +383,33 @@ def test_overlong_integer_is_a_parse_error(capsys, tmp_path, spec, offset, as_js
         assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
     else:
         assert out == f"error: ParseError: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("entry", ["1e-30000000", "1E5", "2.5e-1"])
+def test_exponent_notation_is_a_parse_error(capsys, tmp_path, entry, as_json):
+    # Fraction would compute 10^30000000 first, for about 40 s
+    path = tmp_path / "exponent.lg"
+    path.write_text(f"W = x1^4 + x2^4 + x3^4 + x4^4\nG = diag({entry}, 0, 0, 0)\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "group", str(path), *(["--json"] if as_json else []))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    message = (f"bad rational in 'diag({entry}, 0, 0, 0)': exponent notation"
+               " (at byte 0)")
+    if as_json:
+        assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
+    else:
+        assert out == f"error: ParseError: {message}\n"
+
+
+def test_integers_fractions_and_decimals_parse(capsys, tmp_path):
+    path = tmp_path / "rationals.lg"
+    path.write_text("W = x1^4 + x2^4 + x3^4 + x4^4\nG = diag(0.5, -1/4, 3, 0)\n")
+    code, out = run(capsys, "group", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "order 4"
+    assert "class of (1/2, 3/4, 0, 0): size 1" in out
 
 
 def test_missing_group_line(capsys, tmp_path):

@@ -93,6 +93,40 @@ def test_invariant_basis_matches_on_random_models():
                 search_invariant_basis(w, g, side)
 
 
+def assert_fixed_generators(group):
+    """For each σ of a class representative, N^σ's generators are found
+    once, kept with N^σ, and generate N^σ."""
+    make, mod = lg.MonomialSymmetry.from_numerators, group.modulus
+    for members in group.class_transversals():
+        sigma = group.elements[members[0][0]].perm
+        gens = group._fixed_generators(sigma)
+        assert group._fixed_generators(sigma) is gens
+        fixed = tuple(make(*form, mod) for form in group._fixed_diagonals(sigma)[0])
+        made = lg.closure(make(*form, mod) for form in gens).elements if gens \
+            else (group.identity,)
+        assert made == fixed
+
+
+def test_fixed_generators_are_kept_and_generate(cases, quintic, good_group, bad_group):
+    for group in [cases[name][1] for name in NAMES] + [good_group, bad_group]:
+        assert_fixed_generators(group)
+    rng = random.Random(11)
+    for _ in range(30):
+        poly, group = random_mirror_instance(rng)
+        assert_fixed_generators(group)
+        assert_fixed_generators(lg.nonabelian_dual(group, poly))
+
+
+def test_class_transversals_find_no_fixed_generators(cases, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("class transversals need no generators of N^σ")
+    monkeypatch.setattr(lg.SymmetryGroup, "_fixed_generators", refuse)
+    for name in NAMES:
+        group = cases[name][1]
+        fresh = lg.SymmetryGroup(group._forms, group.modulus)
+        assert fresh.class_transversals() == group.class_transversals()
+
+
 @pytest.mark.parametrize("text", QUARTIC_GROUPS)
 def test_invariant_basis_matches_on_quartic_groups(quartic, text):
     group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))

@@ -123,3 +123,18 @@ def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
         lg.nonabelian_dual(group, sextic, cap=100)
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
         lg.full_comparison(sextic, group, cap=100)
+
+
+def test_default_cap_binds_the_diagonal_group(monkeypatch):
+    # |det A_W| = 1,001,000: one past the default cap of 10^6
+    poly = lg.parse_polynomial("x1^1001 + x2^1000")
+
+    def enumerate_group(*args, **kwargs):
+        pytest.fail("a group was enumerated before the cap was checked")
+
+    monkeypatch.setattr(duality, "_generate", enumerate_group)
+    with pytest.raises(CapExceededError, match="exceeds cap of 1000000 elements"):
+        lg.diagonal_group(poly)
+    trivial = lg.SymmetryGroup([((0, 1), (0, 0))], 1)
+    with pytest.raises(CapExceededError, match="exceeds cap of 1000000 elements"):
+        lg.dual_group(trivial, poly.transpose())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lgmirror as lg
+from lgmirror import symmetry
 from lgmirror.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -217,6 +218,20 @@ def test_centralizers_of_quartic_dual_match_filter(quartic, quartic_group):
             cent = star.centralizer(g)
             assert list(cent.elements) == brute_force_centralizer(star, g)
             assert lg.closure(cent.generators).elements == cent.elements
+
+
+def test_derived_structure_is_computed_once(monkeypatch, quartic_group, bad_group, quintic):
+    calls = []
+    generate = symmetry._generate
+    monkeypatch.setattr(symmetry, "_generate", lambda *args: calls.append(1) or generate(*args))
+    for group in (quartic_group, bad_group, lg.nonabelian_dual(bad_group, quintic)):
+        fresh = lg.SymmetryGroup(group._forms, group.modulus)  # generators not given
+        first = fresh.generators, fresh.class_transversals(), fresh.conjugacy_classes()
+        made = len(calls)
+        assert made > 0
+        again = fresh.generators, fresh.class_transversals(), fresh.conjugacy_classes()
+        assert len(calls) == made
+        assert all(a is b for a, b in zip(first, again))
 
 
 def test_class_transversals_conjugate_the_representative(quartic):
