@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -34,21 +35,18 @@ from .errors import InputFileError, LGError, NotASymmetryError, ParseError
 @dataclass(frozen=True)
 class ProblemSpec:
     poly: polynomial.InvertiblePolynomial
-    generator_texts: list[str]
+    generators: list[tuple[str, symmetry.MonomialSymmetry]]  # (text, parsed)
     cap: int
 
     def group(self) -> symmetry.SymmetryGroup:
         """The closure of the checked generators, bounded by ``cap``."""
-        if not self.generator_texts:
+        if not self.generators:
             raise ParseError("problem file defines no group line 'G = …'")
-        gens = []
-        for text in self.generator_texts:
-            g = symmetry.parse_generator(text, self.poly)
+        for text, g in self.generators:
             if not symmetry.is_symmetry(g, self.poly):
                 raise NotASymmetryError(
                     f"generator {text!r} is not a symmetry of {self.poly}")
-            gens.append(g)
-        return symmetry.closure(gens, cap=self.cap)
+        return symmetry.closure([g for _, g in self.generators], cap=self.cap)
 
 
 def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
@@ -59,8 +57,8 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
     file_cap = symmetry.DEFAULT_CAP
     seen: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+        with open(path, encoding="utf-8") as handle:  # a leading BOM is dropped
+            lines = handle.read().removeprefix("\ufeff").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(str(exc)) from None
     for lineno, raw in enumerate(lines, 1):
@@ -77,18 +75,20 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
             poly = polynomial.parse_polynomial(value)
         elif name == "G":
             gens = [chunk.strip() for chunk in value.split(";") if chunk.strip()]
+            if not gens:
+                raise ParseError(f"line {lineno}: G lists no generators")
         elif name == "cap":
-            try:
-                file_cap = int(value)
-            except ValueError:
-                raise ParseError(f"line {lineno}: cap must be an integer") from None
+            if not re.fullmatch(r"[+-]?\d+", value, re.ASCII):
+                raise ParseError(f"line {lineno}: cap must be an integer")
+            file_cap = polynomial.parse_digits(value, 0)
             if file_cap < 1:
                 raise ParseError(f"line {lineno}: cap must be at least 1, got {file_cap}")
         else:
             raise ParseError(f"line {lineno}: unknown field {name!r}")
     if poly is None:
         raise ParseError("problem file defines no polynomial line 'W = …'")
-    return ProblemSpec(poly, gens, cap if cap is not None else file_cap)
+    generators = [(text, symmetry.parse_generator(text, poly)) for text in gens]
+    return ProblemSpec(poly, generators, cap if cap is not None else file_cap)
 
 
 # --- serialization helpers ---------------------------------------------------

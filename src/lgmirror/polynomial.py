@@ -202,7 +202,18 @@ class InvertiblePolynomial:
 
 _NAMES_LISTED = 100  # missing variables named in a ParseError, at most
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+*^]))")
+_TOKEN = re.compile(r"(?P<var>x\d+)|(?P<int>\d+)|(?P<op>[+*^])|(?P<bad>\S)", re.ASCII)
+
+# per state, the error for a token it has no move for, and its moves.  A
+# factor ends at any token after it but the '^' of its exponent, so a
+# repeated variable is reported before a grammar error.
+_VAR, _AFTER_VAR, _EXPONENT, _AFTER_EXPONENT = range(4)
+_MOVES = (
+    ("expected var", {"var": _AFTER_VAR}),
+    ("trailing input", {"^": _EXPONENT, "*": _VAR, "+": _VAR, "end": _VAR}),
+    ("expected int", {"int": _AFTER_EXPONENT}),
+    ("trailing input", {"*": _VAR, "+": _VAR, "end": _VAR}),
+)
 
 
 def parse_digits(digits: str, offset: int) -> int:
@@ -213,80 +224,46 @@ def parse_digits(digits: str, offset: int) -> int:
         raise ParseError(f"integer of {len(digits)} digits is too long", offset) from None
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.group(1):
-            tokens.append(("var", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("int", m.group(2), m.start(2)))
-        else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
-    return tokens
-
-
 def parse_polynomial(text: str) -> InvertiblePolynomial:
     """Parse ``x1^4 + x2^4`` style text into a validated polynomial.
 
     Grammar: poly := term ('+' term)*, term := factor ('*' factor)*,
-    factor := var ('^' posint)?, var := 'x' posint.  Monomial rows are
-    ordered by first occurrence; N is the largest variable index and every
-    index 1..N must appear.
+    factor := var ('^' posint)?, var := 'x' posint, posint := [0-9]+, with
+    ASCII whitespace between tokens; any other character is an error, found
+    before any error of the grammar.  Monomial rows are ordered by first
+    occurrence; N is the largest variable index and every index 1..N must
+    appear.
     """
-    tokens = _tokenize(text)
+    tokens = [(m["op"] or m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
     if not tokens:
         raise ParseError("empty polynomial", 0)
+    for kind, value, offset in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", offset)
     terms: list[dict[int, int]] = []
-    pos = 0
-
-    def expect(kind):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != kind:
-            at = tokens[pos][2] if pos < len(tokens) else len(text)
-            raise ParseError(f"expected {kind}", at)
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    while True:
-        term: dict[int, int] = {}
-        while True:
-            kind, value, offset = expect("var")
-            index = parse_digits(value[1:], offset)
-            if index == 0:
-                raise ParseError("variable indices start at 1", offset)
-            exponent = 1
-            if pos < len(tokens) and tokens[pos][0] == "^":
-                pos += 1
-                kind, value, offset2 = expect("int")
-                exponent = parse_digits(value, offset2)
-                if exponent == 0:
-                    raise ParseError("exponents must be positive", offset2)
-            if index - 1 in term:
+    term: dict[int, int] = {}
+    state = _VAR
+    for kind, value, offset in tokens + [("end", "", len(text))]:
+        error, moves = _MOVES[state]
+        if state in (_AFTER_VAR, _AFTER_EXPONENT) and moves.get(kind) != _EXPONENT:
+            if index in term:
                 raise DuplicateVariableError(
-                    f"variable x{index} repeated in one monomial", offset)
-            term[index - 1] = exponent
-            if pos < len(tokens) and tokens[pos][0] == "*":
-                pos += 1
-                continue
-            break
-        terms.append(term)
-        if pos < len(tokens) and tokens[pos][0] == "+":
-            pos += 1
-            continue
-        break
-    if pos != len(tokens):
-        raise ParseError("trailing input", tokens[pos][2])
-
+                    f"variable x{index + 1} repeated in one monomial", var_offset)
+            term[index] = exponent
+            if kind != "*":
+                terms.append(term)
+                term = {}
+        if kind not in moves:
+            raise ParseError(error, offset)
+        state = moves[kind]
+        if kind == "var":
+            index, var_offset, exponent = parse_digits(value[1:], offset) - 1, offset, 1
+            if index < 0:
+                raise ParseError("variable indices start at 1", offset)
+        elif kind == "int":
+            exponent = parse_digits(value, offset)
+            if exponent == 0:
+                raise ParseError("exponents must be positive", offset)
     used = sorted({i for term in terms for i in term})
     n = used[-1] + 1
     if len(used) < n:

@@ -634,30 +634,34 @@ def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
 
 # --- generator grammar -----------------------------------------------------
 #
-#   gen    := 'j' | diag | cycles | diag '*' cycles
-#   diag   := 'diag(' rational (',' rational)* ')'
-#   cycles := ('(' posint (' ' posint)* ')')+
+#   gen      := 'j' | diag | cycles | diag '*' cycles
+#   diag     := 'diag(' rational (',' rational)* ')'
+#   rational := [+-]? (digits '/' digits | digits | digits '.' digits? | '.' digits)
+#   cycles   := ('(' digits (' ' digits)* ')')+
+#
+# with digits := [0-9]+; ASCII whitespace may stand around a rational, a
+# cycle and a cycle index, and nowhere else inside them.
 
 _DIAG_RE = re.compile(r"diag\(([^)]*)\)")
-_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s+\d+)*)\s*\)")
+_RATIONAL = re.compile(r"\s*([+-]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?)\s*", re.ASCII)
+_CYCLE_RE = re.compile(r"(?P<cycle>\(\s*\d+(?:\s+\d+)*\s*\))|(?P<bad>\S)", re.ASCII)
+_DIGITS = re.compile(r"\d+", re.ASCII)
 
 
 def _parse_cycles(text: str, n: int) -> MonomialSymmetry:
-    pos = 0
     cycles = []
     for m in _CYCLE_RE.finditer(text):
-        if text[pos:m.start()].strip():
-            raise ParseError(f"bad cycle syntax in {text!r}", pos)
-        indices = [parse_digits(t.group(), m.start(1) + t.start())
-                   for t in re.finditer(r"\d+", m.group(1))]
+        if m["bad"]:  # reported where the last cycle ends
+            raise ParseError(f"bad cycle syntax in {text!r}", len(text[:m.start()].rstrip()))
+        at = m.start()
+        indices = [parse_digits(t[0], t.start()) for t in _DIGITS.finditer(text, at, m.end())]
         if len(set(indices)) != len(indices):
-            raise ParseError(f"repeated index in cycle {m.group(0)}", m.start())
+            raise ParseError(f"repeated index in cycle {m['cycle']}", at)
         if any(not 1 <= i <= n for i in indices):
-            raise ParseError(f"cycle index out of range 1..{n}", m.start())
+            raise ParseError(f"cycle index out of range 1..{n}", at)
         cycles.append(tuple(i - 1 for i in indices))
-        pos = m.end()
-    if text[pos:].strip() or not cycles:
-        raise ParseError(f"bad cycle syntax in {text!r}", pos)
+    if not cycles:
+        raise ParseError(f"bad cycle syntax in {text!r}", 0)
     flat = [i for c in cycles for i in c]
     if len(set(flat)) != len(flat):
         raise ParseError(f"cycles overlap in {text!r}", 0)
@@ -665,25 +669,32 @@ def _parse_cycles(text: str, n: int) -> MonomialSymmetry:
 
 
 def parse_generator(text: str, poly: InvertiblePolynomial) -> MonomialSymmetry:
-    """Parse one generator: 'j', 'diag(…)', cycles, or 'diag(…)*(cycles)'."""
+    """Parse one generator: 'j', 'diag(…)', cycles, or 'diag(…)*(cycles)'.
+
+    The grammar above is ASCII and the same on every supported Python."""
     text = text.strip()
     n = poly.n_vars
     if text == "j":
         return exponential_grading(poly)
-    diag = None
     m = _DIAG_RE.match(text)
     if m:
-        entries = [e.strip() for e in m.group(1).split(",")]
+        entries = m[1].split(",")
         if len(entries) != n:
             raise ParseError(
                 f"diag has {len(entries)} entries, polynomial has {n} variables", 0)
-        # Fraction would compute 10^k for an exponent k of any size
-        if any("e" in e or "E" in e for e in entries):
-            raise ParseError(f"bad rational in {text!r}: exponent notation", 0)
-        try:
-            phases = [Fraction(e) for e in entries]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational in {text!r}: {exc}", 0) from None
+        phases = []
+        for entry in entries:
+            r = _RATIONAL.fullmatch(entry)
+            if r is None:
+                why = ("exponent notation" if re.search(r"[\d.][eE]", entry, re.ASCII)
+                       else "not an integer, p/q or decimal")
+                raise ParseError(f"bad rational in {text!r}: {why}", 0)
+            sign, p, q, whole, point = r.groups(default="")
+            num = parse_digits(p or whole + point, 0)
+            den = parse_digits(q, 0) if p else 10 ** len(point)
+            if not den:
+                raise ParseError(f"bad rational in {text!r}: zero denominator", 0)
+            phases.append(Fraction(-num if sign == "-" else num, den))
         diag = MonomialSymmetry.diagonal(phases)
         rest = text[m.end():].strip()
         if not rest:

@@ -20,7 +20,9 @@ element of the group, and the ordered subgroup walk against the original
 enumeration, which collects every subgroup before sorting them.  The
 restricted mirror check, which pairs corners by integer keys, is checked
 against the map applied term by term, each image built as an element or a
-monomial, with the narrow corners found by scanning H and Hᵀ.  Rational
+monomial, with the narrow corners found by scanning H and Hᵀ.  The spec
+parsers' token scans and state table are checked against the tokenizer,
+recursive-descent loops and gap-checking cycle scan they replaced.  Rational
 views of the library's integer fields (phase matrices, canonical vectors,
 sector-map phases) are built here too.
 """
@@ -28,7 +30,9 @@ sector-map phases) are built here too.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 
 import numpy as np
@@ -44,10 +48,14 @@ from lgmirror import (
 )
 from lgmirror.errors import (
     DimensionMismatchError,
+    DuplicateVariableError,
     LGError,
     NotDiagonalError,
+    NotSquareError,
+    ParseError,
     TheoremViolationError,
 )
+from lgmirror.polynomial import parse_digits
 
 ZERO = Fraction(0)
 
@@ -859,6 +867,131 @@ QUARTIC_PAIRING_TABLE = {
         frozenset({("3/4", "1/4", "1/4", "3/4"), ("1/4", "3/4", "1/4", "3/4"),
                    ("1/4", "1/4", "3/4", "3/4")}),
 }
+
+
+# --- reference spec parsers ---------------------------------------------------
+#
+# The hand-threaded parsers the token scans replaced, kept as they were: a
+# tokenizer run to the end first, then nested loops with an ``expect``
+# cursor; and a cycle scan that checks the gap before each match.  Their
+# patterns read Unicode digits and whitespace, so they agree with the
+# library on ASCII input only.
+
+_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+*^]))")
+_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s+\d+)*)\s*\)")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        if m.group(1):
+            tokens.append(("var", m.group(1), m.start(1)))
+        elif m.group(2):
+            tokens.append(("int", m.group(2), m.start(2)))
+        else:
+            tokens.append((m.group(3), m.group(3), m.start(3)))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse_polynomial(text: str) -> InvertiblePolynomial:
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial", 0)
+    terms: list[dict[int, int]] = []
+    pos = 0
+
+    def expect(kind):
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos][0] != kind:
+            at = tokens[pos][2] if pos < len(tokens) else len(text)
+            raise ParseError(f"expected {kind}", at)
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    while True:
+        term: dict[int, int] = {}
+        while True:
+            kind, value, offset = expect("var")
+            index = parse_digits(value[1:], offset)
+            if index == 0:
+                raise ParseError("variable indices start at 1", offset)
+            exponent = 1
+            if pos < len(tokens) and tokens[pos][0] == "^":
+                pos += 1
+                kind, value, offset2 = expect("int")
+                exponent = parse_digits(value, offset2)
+                if exponent == 0:
+                    raise ParseError("exponents must be positive", offset2)
+            if index - 1 in term:
+                raise DuplicateVariableError(
+                    f"variable x{index} repeated in one monomial", offset)
+            term[index - 1] = exponent
+            if pos < len(tokens) and tokens[pos][0] == "*":
+                pos += 1
+                continue
+            break
+        terms.append(term)
+        if pos < len(tokens) and tokens[pos][0] == "+":
+            pos += 1
+            continue
+        break
+    if pos != len(tokens):
+        raise ParseError("trailing input", tokens[pos][2])
+
+    used = sorted({i for term in terms for i in term})
+    n = used[-1] + 1
+    if len(used) < n:
+        gaps = (i for a, b in zip([-1] + used, used) for i in range(a + 1, b))
+        names = [f"x{i + 1}" for i in islice(gaps, 100)]
+        more = n - len(used) - len(names)
+        tail = f" and {more} more" if more else ""
+        raise ParseError(f"variables {', '.join(names)}{tail} never appear", 0)
+    if len(terms) != n:
+        raise NotSquareError(
+            f"{len(terms)} monomials but {n} variables; invertible polynomials need equal counts")
+    rows = [tuple(term.get(j, 0) for j in range(n)) for term in terms]
+    return InvertiblePolynomial.from_exponents(rows)
+
+
+def outcome(parse, *args):
+    """What ``parse(*args)`` gives: its value, or its error's type, message
+    and offset."""
+    try:
+        return parse(*args)
+    except LGError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def reference_parse_cycles(text: str, n: int) -> MonomialSymmetry:
+    pos = 0
+    cycles = []
+    for m in _CYCLE_RE.finditer(text):
+        if text[pos:m.start()].strip():
+            raise ParseError(f"bad cycle syntax in {text!r}", pos)
+        indices = [parse_digits(t.group(), m.start(1) + t.start())
+                   for t in re.finditer(r"\d+", m.group(1))]
+        if len(set(indices)) != len(indices):
+            raise ParseError(f"repeated index in cycle {m.group(0)}", m.start())
+        if any(not 1 <= i <= n for i in indices):
+            raise ParseError(f"cycle index out of range 1..{n}", m.start())
+        cycles.append(tuple(i - 1 for i in indices))
+        pos = m.end()
+    if text[pos:].strip() or not cycles:
+        raise ParseError(f"bad cycle syntax in {text!r}", pos)
+    flat = [i for c in cycles for i in c]
+    if len(set(flat)) != len(flat):
+        raise ParseError(f"cycles overlap in {text!r}", 0)
+    return MonomialSymmetry.from_cycles(cycles, n)
 
 
 # --- random instances ---------------------------------------------------------

@@ -339,13 +339,14 @@ def test_field_given_twice_is_rejected(capsys, tmp_path, field, line):
     assert out == f"error: ParseError: line 5: {field} already given on line {first}\n"
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8", "bom, not utf-8"])
 def test_unreadable_spec_file_is_an_io_error(capsys, tmp_path, kind):
     path = tmp_path / "spec.lg"
     if kind == "directory":
         path.mkdir()
-    elif kind == "not utf-8":
-        path.write_bytes(b"W = x1^4 + x2^4\n# \xff\n")
+    elif kind.endswith("not utf-8"):
+        bom = b"\xef\xbb\xbf" if kind.startswith("bom") else b""
+        path.write_bytes(bom + b"W = x1^4 + x2^4\n# \xff\n")
     code, out = run(capsys, "group", str(path), "--json")
     assert code == 1
     error = json.loads(out)["error"]
@@ -410,6 +411,99 @@ def test_integers_fractions_and_decimals_parse(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[0] == "order 4"
     assert "class of (1/2, 3/4, 0, 0): size 1" in out
+
+
+# --- the spec grammar ------------------------------------------------------
+#
+# Lines outside the ASCII grammar, with the error each gives on every
+# supported Python.  Python's own number rules differ by version: Fraction
+# reads '1_0' from 3.11 on and '1 / 2' from 3.12 on, and int and Fraction
+# read Arabic-Indic digits everywhere.
+
+_W4 = "W = x1^4 + x2^4 + x3^4 + x4^4"
+_RATIONAL_TEXT = "not an integer, p/q or decimal (at byte 0)"
+GRAMMAR_REJECTED = [
+    pytest.param(f"{_W4}\nG = diag(1_0/40, 0, 0, 0)\n",
+                 f"bad rational in 'diag(1_0/40, 0, 0, 0)': {_RATIONAL_TEXT}",
+                 id="underscore"),
+    pytest.param(f"{_W4}\nG = diag(1 / 2, 1/2, 0, 0)\n",
+                 f"bad rational in 'diag(1 / 2, 1/2, 0, 0)': {_RATIONAL_TEXT}",
+                 id="spaced-slash"),
+    pytest.param(f"{_W4}\nG = diag(\u0661/\u0662, 1/2, 0, 0)\n",
+                 f"bad rational in 'diag(\u0661/\u0662, 1/2, 0, 0)': {_RATIONAL_TEXT}",
+                 id="arabic-indic-diag"),
+    pytest.param(f"{_W4}\nG = diag(one, 0, 0, 0)\n",
+                 f"bad rational in 'diag(one, 0, 0, 0)': {_RATIONAL_TEXT}", id="word"),
+    pytest.param(f"{_W4}\nG = diag(1/0, 0, 0, 0)\n",
+                 "bad rational in 'diag(1/0, 0, 0, 0)': zero denominator (at byte 0)",
+                 id="zero-denominator"),
+    pytest.param(f"{_W4}\nG = diag(.{'5' * 5000}, 0, 0, 0)\n",
+                 "integer of 5000 digits is too long (at byte 0)", id="long-decimal"),
+    pytest.param("W = x\u0661^4 + x2^4 + x3^4 + x4^4\nG = j\n",
+                 "unexpected character 'x' (at byte 0)", id="arabic-indic-variable"),
+    pytest.param(f"{_W4}\nG = (\u0661 2)\n",
+                 "bad cycle syntax in '(\u0661 2)' (at byte 0)", id="arabic-indic-cycle"),
+    pytest.param(f"{_W4}\nG = j\ncap = 1_000\n", "line 3: cap must be an integer",
+                 id="underscore-cap"),
+    pytest.param(f"{_W4}\nG = j\ncap = \u0661\u0660\n", "line 3: cap must be an integer",
+                 id="arabic-indic-cap"),
+]
+
+# entries in the grammar, beside the p/q each equals, and the order of
+# the group diag(entry, 0, 0, 0) generates on the quartic
+GRAMMAR_ACCEPTED = [("0.5", "1/2", 2), ("-1/4", "3/4", 4), ("+1/2", "1/2", 2),
+                    (".5", "1/2", 2), ("5.", "0", 1), ("3", "0", 1)]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec,message", GRAMMAR_REJECTED)
+def test_spec_outside_the_grammar_is_a_parse_error(capsys, tmp_path, spec, message,
+                                                   as_json):
+    path = tmp_path / "spec.lg"
+    path.write_text(spec, encoding="utf-8")
+    code, out = run(capsys, "group", str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
+    else:
+        assert out == f"error: ParseError: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("entry,value,order", GRAMMAR_ACCEPTED)
+def test_rationals_in_the_grammar_give_the_same_group(capsys, tmp_path, entry, value,
+                                                      order, as_json):
+    flags = ["--json"] if as_json else []
+    outputs = []
+    for text in (entry, value):
+        path = tmp_path / "spec.lg"
+        path.write_text(f"{_W4}\nG = diag({text}, 0, 0, 0)\n")
+        code, out = run(capsys, "group", str(path), *flags)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert (json.loads(outputs[0])["group"]["order"] if as_json else
+            outputs[0].splitlines()[0]) == (order if as_json else f"order {order}")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["weights", "atoms", "dual-poly"])
+@pytest.mark.parametrize("line,message", [
+    ("G = garbage(", "bad cycle syntax in 'garbage(' (at byte 0)"),
+    ("G = ", "line 1: G lists no generators"),
+    ("G = ;  ;", "line 1: G lists no generators"),
+], ids=["garbage", "empty", "only-separators"])
+def test_malformed_group_line_fails_every_command(capsys, tmp_path, command, line,
+                                                  message, as_json):
+    # commands that never build the group still read G, which may come before W
+    path = tmp_path / "spec.lg"
+    path.write_text(f"{line}\n{_W4}\n")
+    code, out = run(capsys, command, str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
+    else:
+        assert out == f"error: ParseError: {message}\n"
 
 
 def test_missing_group_line(capsys, tmp_path):

@@ -55,6 +55,16 @@ def test_golden_output(name, command, flags):
     assert capture(command, spec, *flags, code=code).encode() == read_bytes(path)
 
 
+@pytest.mark.parametrize("command,flags", [("group", ()), ("mirror-check", ("--json",))],
+                         ids=["group-text", "mirror-check-json"])
+def test_spec_file_with_a_byte_order_mark(tmp_path, command, flags):
+    # an editor may save UTF-8 with a BOM; the file reads as without one
+    path = tmp_path / "quartic.lg"
+    path.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "quartic.lg").read_bytes())
+    name = f"quartic_{command.replace('-', '_')}.{'json' if flags else 'txt'}"
+    assert capture(command, str(path), *flags).encode() == read_bytes(GOLDEN / name)
+
+
 @pytest.mark.parametrize("model,command,name", [
     ("good_quintic", "mirror-check", "good_quintic_mirror_check.json"),
     ("bad_quintic", "mirror-check", "bad_quintic_mirror_check.json"),

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lgmirror as lg
 from lgmirror.errors import (
@@ -14,6 +14,7 @@ from lgmirror.errors import (
     SingularMatrixError,
     WeightOutOfRangeError,
 )
+from oracles import outcome, reference_parse_polynomial
 
 
 QUARTIC = "x1^4 + x2^4 + x3^4 + x4^4"
@@ -215,6 +216,21 @@ def test_parse_error_carries_offset():
 def test_parse_rejects_zero_exponent():
     with pytest.raises(ParseError):
         lg.parse_polynomial("x1^0 + x2^2")
+
+
+# pieces of W text, valid and not, and whitespace; joined at random they make
+# every error of the grammar and, now and then, a polynomial
+_W_PIECES = ["x1", "x2", "x3", "x0", "x", "x12", "1", "2", "4", "0", "07",
+             "^", "*", "+", " ", "  ", "\t", "?", "y", "-", "(", "x1^2", "x2^3 + ",
+             "x1*x1", "x2^2*x2", "x1*x1^2", "^2"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_W_PIECES), max_size=12).map("".join))
+@example("x1*x1^2^2")  # the repeat is reported before the stray '^'
+def test_parse_matches_the_reference_parser(text):
+    # the same exponent matrix, or the same error type, message and offset
+    assert outcome(lg.parse_polynomial, text) == outcome(reference_parse_polynomial, text)
 
 
 # --- randomized Thom-Sebastiani sums ----------------------------------------

@@ -1,8 +1,11 @@
 """What deletions leave behind: an import nothing uses, or a private
-module-level name nothing refers to.  Read from the syntax trees of
-``src/lgmirror/*.py`` with the standard library's ``ast`` alone."""
+module-level name nothing refers to; and a regular expression whose
+``\\d``, ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters.
+Read from the syntax trees of ``src/lgmirror/*.py`` with the standard
+library's ``ast`` alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,27 @@ def test_every_private_module_name_is_referenced():
             orphans += [f"{name}:{d}" for d in defined
                         if d.startswith("_") and not d.startswith("__") and d not in loaded]
     assert not orphans, f"private names nothing refers to: {orphans}"
+
+
+_UNICODE_CLASS = re.compile(r"\\[dswDSW]")
+_RE_FUNCTIONS = {"compile", "search", "match", "fullmatch", "finditer", "findall",
+                 "split", "sub", "subn"}
+
+
+def test_every_pattern_with_a_class_escape_is_ascii():
+    # the spec grammar is ASCII on every Python: \d must not match '١'
+    unicode_patterns = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                    and node.func.attr in _RE_FUNCTIONS and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            flags = node.args[1:] + [k.value for k in node.keywords]
+            ascii_flag = any(isinstance(n, ast.Attribute) and n.attr in ("ASCII", "A")
+                             for flag in flags for n in ast.walk(flag))
+            if _UNICODE_CLASS.search(node.args[0].value) and not ascii_flag:
+                unicode_patterns.append(f"{path.name}:{node.lineno} {node.args[0].value!r}")
+    assert not unicode_patterns, f"patterns without re.ASCII: {unicode_patterns}"

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lgmirror as lg
 from lgmirror import symmetry
@@ -25,7 +25,9 @@ from oracles import (
     frac_cycles,
     frac_form,
     matrix_product,
+    outcome,
     phase_matrix,
+    reference_parse_cycles,
     sorted_subgroups,
     two_generated_subgroups,
 )
@@ -353,6 +355,22 @@ def test_parse_generator(quartic):
     for bad in ("diag(1/2, 1/4)", "(1 2", "(1 5)", "(1 1 2)", "diag(1/2,0,0,0)(1 2)"):
         with pytest.raises(ParseError):
             lg.parse_generator(bad, quartic)
+
+
+# pieces of cycle text; a blank before a bad cycle checks that its error
+# points at the cycle's '(' and not at the blank
+_CYCLE_PIECES = ["(", ")", " ", "  ", "\t", "1", "2", "3", "5", "0", "12", "x",
+                 "(1 2)", "(3 3)", "(2 5)", "(1 3 4)", "(0)"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_CYCLE_PIECES), max_size=8).map("".join),
+       st.integers(1, 4))
+@example("(1 2) (3 3)", 4)
+@example("(1 2)  x", 4)
+def test_cycles_parse_as_the_reference_scan(text, n):
+    assert outcome(symmetry._parse_cycles, text, n) == \
+        outcome(reference_parse_cycles, text, n)
 
 
 def test_cycles_match_a_plain_walk():
