@@ -20,11 +20,10 @@ pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -32,11 +31,8 @@ from . import duality, mirror, polynomial, state_space, symmetry
 from .errors import InputFileError, LGError, NotASymmetryError, ParseError
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    poly: polynomial.InvertiblePolynomial
-    generators: list[tuple[str, symmetry.MonomialSymmetry]]  # (text, parsed)
-    cap: int
+class ProblemSpec(namedtuple("ProblemSpec", "poly generators cap")):  # (text, parsed) generators
+    __slots__ = ()
 
     def group(self) -> symmetry.SymmetryGroup:
         """The closure of the checked generators, bounded by ``cap``."""
@@ -49,11 +45,21 @@ class ProblemSpec:
         return symmetry.closure([g for _, g in self.generators], cap=self.cap)
 
 
+def _on_line(lineno: int, start: int, parse, *args):
+    """parse(*args) on text at ``start`` in the value of line ``lineno``: a
+    ParseError names the line and its offset moves into the value."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        offset = None if exc.offset is None else start + exc.offset
+        raise type(exc)(f"line {lineno}: {exc.message}", offset) from None
+
+
 def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
     if cap is not None and cap < 1:
         raise ParseError(f"cap must be at least 1, got {cap}")
     poly = None
-    gens: list[str] = []
+    gens: list[tuple[int, str]] = []  # (offset in the G value, text)
     file_cap = symmetry.DEFAULT_CAP
     seen: dict[str, int] = {}
     try:
@@ -72,9 +78,10 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
             raise ParseError(f"line {lineno}: {name} already given on line {seen[name]}")
         seen[name] = lineno
         if name == "W":
-            poly = polynomial.parse_polynomial(value)
+            poly = _on_line(lineno, 0, polynomial.parse_polynomial, value)
         elif name == "G":
-            gens = [chunk.strip() for chunk in value.split(";") if chunk.strip()]
+            gens = [(m.end() - len(m[0].lstrip()), m[0].strip())
+                    for m in re.finditer(r"[^;]+", value) if m[0].strip()]
             if not gens:
                 raise ParseError(f"line {lineno}: G lists no generators")
         elif name == "cap":
@@ -87,7 +94,8 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
             raise ParseError(f"line {lineno}: unknown field {name!r}")
     if poly is None:
         raise ParseError("problem file defines no polynomial line 'W = …'")
-    generators = [(text, symmetry.parse_generator(text, poly)) for text in gens]
+    generators = [(text, _on_line(seen["G"], start, symmetry.parse_generator, text, poly))
+                  for start, text in gens]
     return ProblemSpec(poly, generators, cap if cap is not None else file_cap)
 
 
@@ -312,7 +320,8 @@ def _json_chunks(value, out: list[str], head: str = "", pad: str = "\n") -> None
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    import argparse  # for help and usage errors: a plain command never loads it
     parser = argparse.ArgumentParser(
         prog="lgmirror",
         description="Exact Landau-Ginzburg state spaces and mirror maps")
@@ -324,8 +333,37 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_Args = namedtuple("_Args", "command specfile json cap")  # argparse's names
+
+
+def _plain_args(argv):
+    """argv as argparse reads it when it holds two positionals, the first a
+    command, beside ``--json`` and ``--cap`` with ASCII digits; else None."""
+    positionals, as_json, cap = [], False, None
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+        elif token == "--cap":
+            digits = next(tokens, "")
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                cap = int(digits)
+            except ValueError:  # past the digit limit: argparse reports it
+                return None
+        elif token[:1] in ("", "-"):
+            return None
+        else:
+            positionals.append(token)
+    if len(positionals) == 2 and positionals[0] in COMMANDS:
+        return _Args(*positionals, as_json, cap)
+    return None
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv) or _parser().parse_args(argv)  # argparse: every other shape
     try:
         spec = read_problem(args.specfile, cap=args.cap)
         fields, text = COMMANDS[args.command](spec)

@@ -18,7 +18,7 @@ group is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import linalg
@@ -40,13 +40,10 @@ from .symmetry import (
 )
 
 
-@dataclass(frozen=True)
-class HKDecomposition:
+class HKDecomposition(namedtuple("HKDecomposition", "group h k")):
     """G = H·K with H the diagonal part and K the pure even permutations."""
 
-    group: SymmetryGroup
-    h: SymmetryGroup
-    k: SymmetryGroup
+    __slots__ = ()
 
 
 def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecomposition:

@@ -30,13 +30,13 @@ class InputFileError(LGError):
 
 
 class ParseError(LGError):
+    """``message``, and ``offset`` into the text read when there is one."""
+
     code = "ParseError"
 
     def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (at byte {offset})"
-        super().__init__(message)
-        self.offset = offset
+        super().__init__(message if offset is None else f"{message} (at byte {offset})")
+        self.message, self.offset = message, offset
 
 
 class DuplicateVariableError(ParseError):

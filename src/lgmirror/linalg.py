@@ -7,7 +7,7 @@ adjugate adj A_W = det A_W · A_W⁻¹, found by one fraction-free elimination.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import SingularMatrixError
 

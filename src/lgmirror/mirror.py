@@ -23,18 +23,12 @@ parity-condition diagnosis for the permutation part.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .duality import HKDecomposition, decompose_hk, parity_condition, star_group
+from .duality import decompose_hk, parity_condition, star_group
 from .errors import TheoremViolationError
 from .polynomial import InvertiblePolynomial
-from .state_space import (
-    Bidegree,
-    GradedBasisVector,
-    GradedSpace,
-    a_state_space,
-    b_state_space,
-)
+from .state_space import GradedSpace, a_state_space, b_state_space
 from .symmetry import DEFAULT_CAP, SymmetryGroup
 
 
@@ -44,12 +38,10 @@ class Verdict(enum.Enum):
     DIMENSION_MISMATCH = "DimensionMismatch"
 
 
-@dataclass(frozen=True)
-class RestrictedMirror:
+class RestrictedMirror(namedtuple("RestrictedMirror", "a0_to_narrow narrow_to_b0")):
     """The two verified corner isomorphisms, as explicit pairings."""
 
-    a0_to_narrow: tuple[tuple[GradedBasisVector, GradedBasisVector], ...]
-    narrow_to_b0: tuple[tuple[GradedBasisVector, GradedBasisVector], ...]
+    __slots__ = ()
 
 
 def _corners(space: GradedSpace):
@@ -103,22 +95,12 @@ def _corner_pairs(a_space: GradedSpace, b_space: GradedSpace) -> RestrictedMirro
         _match(a_narrow, b0, "narrow class sum", "untwisted vector"))
 
 
-@dataclass(frozen=True)
-class MirrorReport:
-    """Full bigraded comparison of (W, G) against (Wᵀ, G*)."""
+class MirrorReport(namedtuple("MirrorReport", "poly dual_poly group dual_group hk a_space "
+                              "b_space restricted pc_holds pc_witness verdict mismatches")):
+    """Full bigraded comparison of (W, G) against (Wᵀ, G*); ``mismatches``
+    lists (bidegree, A dimension, B dimension) where the two differ."""
 
-    poly: InvertiblePolynomial
-    dual_poly: InvertiblePolynomial
-    group: SymmetryGroup
-    dual_group: SymmetryGroup
-    hk: HKDecomposition
-    a_space: GradedSpace
-    b_space: GradedSpace
-    restricted: RestrictedMirror
-    pc_holds: bool
-    pc_witness: SymmetryGroup | None
-    verdict: Verdict
-    mismatches: tuple[tuple[Bidegree, int, int], ...]
+    __slots__ = ()
 
 
 def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,

@@ -18,7 +18,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -40,8 +40,7 @@ CHAIN = "chain"
 LOOP = "loop"
 
 
-@dataclass(frozen=True)
-class AtomicBlock:
+class AtomicBlock(namedtuple("AtomicBlock", "kind variables exponents")):
     """One atom of the Thom-Sebastiani decomposition.
 
     ``variables`` lists 0-based variable indices in block order (along the
@@ -49,9 +48,7 @@ class AtomicBlock:
     ``exponents[k]`` is the exponent of ``variables[k]`` in its own monomial.
     """
 
-    kind: str
-    variables: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
 
 def compute_weights(exponents) -> tuple[Fraction, ...]:
@@ -129,13 +126,28 @@ def classify_atoms(exponents: Matrix) -> tuple[AtomicBlock, ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
 class InvertiblePolynomial:
-    """A validated invertible polynomial with exact weights."""
+    """A validated, immutable invertible polynomial with exact weights: equal
+    when exponents and variable names are, hashed by the exponents alone."""
 
-    exponents: Matrix  # alone in the hash: the weights follow from it
-    weights: tuple[Fraction, ...] = field(hash=False, compare=False)
-    var_names: tuple[str, ...] = field(hash=False)
+    def __init__(self, exponents: Matrix, weights: tuple[Fraction, ...], var_names):
+        self.__dict__.update(exponents=exponents, weights=weights, var_names=var_names)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"InvertiblePolynomial is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents and self.var_names == other.var_names
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
+
+    def __repr__(self) -> str:
+        return f"InvertiblePolynomial({str(self)!r})"
 
     @classmethod
     def from_exponents(cls, rows, var_names=None) -> "InvertiblePolynomial":

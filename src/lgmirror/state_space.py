@@ -30,8 +30,7 @@ Everything is immutable; sector construction is cached per (W, g).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -39,6 +38,7 @@ from math import lcm
 from operator import mul
 
 from .errors import (
+    CapExceededError,
     InternalError,
     NotASymmetryError,
     NotAdmissibleAError,
@@ -46,8 +46,8 @@ from .errors import (
 )
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
+    DEFAULT_CAP,
     HALF,
-    FixedLocus,
     MonomialSymmetry,
     SymmetryGroup,
     exponential_grading,
@@ -60,15 +60,15 @@ B_SIDE = "B"
 
 Bidegree = tuple[Fraction, Fraction]
 
+# orbit-sum terms one state space may hold, counted before they are listed
+TERM_CAP = DEFAULT_CAP
 
-@dataclass(frozen=True)
-class Sector:
-    """Milnor ring basis of W|Fix(g) together with its volume form."""
 
-    poly: InvertiblePolynomial
-    element: MonomialSymmetry
-    locus: FixedLocus
-    degrees: tuple[int, ...]            # Fermat exponent d_C per fixed cycle
+class Sector(namedtuple("Sector", "poly element locus degrees")):
+    """Milnor ring basis of W|Fix(g) together with its volume form;
+    ``degrees`` holds the Fermat exponent d_C of each fixed cycle."""
+
+    __slots__ = ()
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
@@ -96,8 +96,7 @@ def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
     return Sector(poly, g, locus, tuple(degrees))
 
 
-@dataclass(frozen=True)
-class SectorMap:
+class SectorMap(namedtuple("SectorMap", "source target cycle_images scalar_nums form_num mod")):
     """Pullback action of one γ: sector of g → sector of γ⁻¹gγ.
 
     ``cycle_images[c]`` is the target cycle position receiving source cycle
@@ -106,12 +105,7 @@ class SectorMap:
     included.
     """
 
-    source: Sector
-    target: Sector
-    cycle_images: tuple[int, ...]
-    scalar_nums: tuple[int, ...]
-    form_num: int
-    mod: int
+    __slots__ = ()
 
     def apply(self, exponents: tuple[int, ...], mod: int):
         """(image exponents, t·mod) for the coefficient e(t), t in [0, 1),
@@ -171,16 +165,14 @@ def sector_map(gamma: MonomialSymmetry, sector: Sector,
                      form_num, mod)
 
 
-@dataclass(frozen=True)
-class GradedBasisVector:
+class GradedBasisVector(namedtuple("GradedBasisVector", "side terms bidegree")):
     """Orbit sum Σ e(phase)·⌊y^b·ω, g⌉ with one common bidegree.
 
-    Terms are sorted; the leading (first) term has coefficient phase 0.
+    ``terms`` holds (phase, exponents, element) triples, sorted; the
+    leading (first) term has coefficient phase 0.
     """
 
-    side: str
-    terms: tuple[tuple[Fraction, tuple[int, ...], MonomialSymmetry], ...]
-    bidegree: Bidegree
+    __slots__ = ()
 
     @property
     def leading(self) -> tuple[Fraction, tuple[int, ...], MonomialSymmetry]:
@@ -236,11 +228,12 @@ class GradedSpace:
         return sorted(self.dims.items())
 
 
-def _kept(sector: Sector, gens, mod: int) -> list[tuple[int, ...]]:
+def _kept(sector: Sector, gens, mod: int, limit: int) -> list[tuple[int, ...]]:
     """The basis exponents b, in order, on which each diagonal c in ``gens``
     (integer forms over ``mod``, constant on every cycle C) has the trivial
     character e(Σ_C (b_C + 1)·c[C₀]).  Each half of the cycles is summed
-    once, and the halves meet where their sums cancel."""
+    once, and the halves meet where their sums cancel: they are counted
+    first, and CapExceededError is raised before listing over ``limit``."""
     columns = [[c[cycle[0]] for _, c in gens] for cycle in sector.locus.cycles]
 
     def sums(cols, degrees):
@@ -253,8 +246,11 @@ def _kept(sector: Sector, gens, mod: int) -> list[tuple[int, ...]]:
     right: dict[tuple[int, ...], list] = {}
     for b, s in sums(columns[half:], sector.degrees[half:]):
         right.setdefault(s, []).append(b)
-    return [b + c for b, s in sums(columns[:half], sector.degrees[:half])
-            for c in right.get(tuple([-x % mod for x in s]), ())]
+    meets = [(b, right.get(tuple([-x % mod for x in s]), ()))
+             for b, s in sums(columns[:half], sector.degrees[:half])]
+    if sum([len(cs) for _, cs in meets]) > limit:
+        raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
+    return [b + c for b, cs in meets for c in cs]
 
 
 def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
@@ -316,15 +312,21 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
     vectors = []  # appended sorted: by representative, then lead
     kept_at: dict[tuple, tuple] = {}  # (σ, fixed cycles) -> (sector, starts)
+    counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
     for members in group.class_transversals():
         r = members[0][0]
         g = elements[r]
         # the cycles of Fix(g), without building its canonical vectors
         fixed = tuple([c for c in g.cycles() if not sum(map(g.nums.__getitem__, c)) % g.mod])
+        limit = (TERM_CAP - counted) // len(members)
         if (g.perm, fixed) not in kept_at:
             shared = build_sector(poly, g)
-            kept_at[g.perm, fixed] = (shared, _kept(shared, group._fixed_generators(g.perm), gmod))
+            kept_at[g.perm, fixed] = (shared, _kept(
+                shared, group._fixed_generators(g.perm), gmod, limit))
         shared, kept = kept_at[g.perm, fixed]
+        if len(kept) > limit:
+            raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
+        counted += len(kept) * len(members)
         if not kept:
             continue
         # a sector and maps only where lifts move monomials

@@ -25,7 +25,7 @@ makes every downstream output reproducible byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
@@ -279,8 +279,7 @@ class MonomialSymmetry:
         return f"MonomialSymmetry({self.label()})"
 
 
-@dataclass(frozen=True)
-class FixedLocus:
+class FixedLocus(namedtuple("FixedLocus", "n cycles phase_nums mod")):
     """Fix(g): one canonical eigenvector per zero-phase cycle.
 
     ``phase_nums[k][j]`` over ``mod`` is the phase of the canonical vector
@@ -288,10 +287,7 @@ class FixedLocus:
     phase 0).
     """
 
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
-    phase_nums: tuple[tuple[int, ...], ...]
-    mod: int
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -648,11 +644,13 @@ _CYCLE_RE = re.compile(r"(?P<cycle>\(\s*\d+(?:\s+\d+)*\s*\))|(?P<bad>\S)", re.AS
 _DIGITS = re.compile(r"\d+", re.ASCII)
 
 
-def _parse_cycles(text: str, n: int) -> MonomialSymmetry:
-    cycles = []
-    for m in _CYCLE_RE.finditer(text):
+def _parse_cycles(text: str, n: int, start: int = 0) -> MonomialSymmetry:
+    """The cycles that ``text`` holds from ``start`` on; offsets into ``text``."""
+    cycles, part = [], text[start:]
+    for m in _CYCLE_RE.finditer(text, start):
         if m["bad"]:  # reported where the last cycle ends
-            raise ParseError(f"bad cycle syntax in {text!r}", len(text[:m.start()].rstrip()))
+            raise ParseError(f"bad cycle syntax in {part!r}",
+                             start + len(text[start:m.start()].rstrip()))
         at = m.start()
         indices = [parse_digits(t[0], t.start()) for t in _DIGITS.finditer(text, at, m.end())]
         if len(set(indices)) != len(indices):
@@ -661,17 +659,19 @@ def _parse_cycles(text: str, n: int) -> MonomialSymmetry:
             raise ParseError(f"cycle index out of range 1..{n}", at)
         cycles.append(tuple(i - 1 for i in indices))
     if not cycles:
-        raise ParseError(f"bad cycle syntax in {text!r}", 0)
+        raise ParseError(f"bad cycle syntax in {part!r}", start)
     flat = [i for c in cycles for i in c]
     if len(set(flat)) != len(flat):
-        raise ParseError(f"cycles overlap in {text!r}", 0)
+        raise ParseError(f"cycles overlap in {part!r}", start)
     return MonomialSymmetry.from_cycles(cycles, n)
 
 
 def parse_generator(text: str, poly: InvertiblePolynomial) -> MonomialSymmetry:
     """Parse one generator: 'j', 'diag(…)', cycles, or 'diag(…)*(cycles)'.
 
-    The grammar above is ASCII and the same on every supported Python."""
+    The grammar above is ASCII and the same on every supported Python.
+    Offsets are into the stripped text; a bad diag entry is reported at its
+    start, just past the '(' or ',' before it."""
     text = text.strip()
     n = poly.n_vars
     if text == "j":
@@ -683,23 +683,25 @@ def parse_generator(text: str, poly: InvertiblePolynomial) -> MonomialSymmetry:
             raise ParseError(
                 f"diag has {len(entries)} entries, polynomial has {n} variables", 0)
         phases = []
+        at = m.start(1)
         for entry in entries:
             r = _RATIONAL.fullmatch(entry)
             if r is None:
                 why = ("exponent notation" if re.search(r"[\d.][eE]", entry, re.ASCII)
                        else "not an integer, p/q or decimal")
-                raise ParseError(f"bad rational in {text!r}: {why}", 0)
+                raise ParseError(f"bad rational in {text!r}: {why}", at)
             sign, p, q, whole, point = r.groups(default="")
-            num = parse_digits(p or whole + point, 0)
-            den = parse_digits(q, 0) if p else 10 ** len(point)
+            num = parse_digits(p or whole + point, at)
+            den = parse_digits(q, at) if p else 10 ** len(point)
             if not den:
-                raise ParseError(f"bad rational in {text!r}: zero denominator", 0)
+                raise ParseError(f"bad rational in {text!r}: zero denominator", at)
             phases.append(Fraction(-num if sign == "-" else num, den))
+            at += len(entry) + 1
         diag = MonomialSymmetry.diagonal(phases)
         rest = text[m.end():].strip()
         if not rest:
             return diag
         if not rest.startswith("*"):
             raise ParseError(f"expected '*' after diag in {text!r}", m.end())
-        return diag * _parse_cycles(rest[1:].strip(), n)
+        return diag * _parse_cycles(text, n, len(text) - len(rest[1:].lstrip()))
     return _parse_cycles(text, n)

@@ -2,14 +2,22 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 QUARTIC_SPEC = """\
 # K3 quartic with a three-cycle
@@ -244,6 +252,34 @@ def test_cap_binds_the_dual_group(capsys, tmp_path, command, where):
     assert code == 0
 
 
+FERMAT_30 = "W = " + " + ".join(f"x{i}^30" for i in range(1, 7)) + "\nG = j\n"
+
+
+def _address_space_limit():
+    # a run that lists the terms fails here instead of filling the memory
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_state_space_is_counted_before_it_is_listed(tmp_path, as_json):
+    # the untwisted sector of Fermat-30 holds about 2·10^7 invariant
+    # monomials; --cap bounds the groups, and the terms are counted first
+    path = tmp_path / "fermat30.lg"
+    path.write_text(FERMAT_30)
+    argv = [sys.executable, "-m", "lgmirror.cli", "astate", str(path), "--cap", "100"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(argv + (["--json"] if as_json else []), capture_output=True,
+                          text=True, env=env, timeout=20, preexec_fn=_address_space_limit)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stderr == ""
+    message = "state space exceeds 1000000 terms"
+    if as_json:
+        assert json.loads(proc.stdout) == {"error": {"type": "CapExceeded", "message": message}}
+    else:
+        assert proc.stdout == f"error: CapExceeded: {message}\n"
+
+
 def test_cap_fails_fast_on_a_large_dual(capsys, tmp_path):
     # |G| = 6 but |G*| = 6^7/6 = 46,656: refused from the order alone
     path = tmp_path / "sextic.lg"
@@ -368,18 +404,18 @@ def test_huge_variable_index_is_a_parse_error(capsys, tmp_path, index):
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("spec,offset", [
-    ("W = x{big}\nG = j\n", 0),
-    ("W = x1^{big}\nG = j\n", 3),
-    ("W = x1^4 + x2^4\nG = (1 {big})\n", 3),
+@pytest.mark.parametrize("spec,line,offset", [
+    ("W = x{big}\nG = j\n", 1, 0),
+    ("W = x1^{big}\nG = j\n", 1, 3),
+    ("W = x1^4 + x2^4\nG = (1 {big})\n", 2, 3),
 ], ids=["variable", "exponent", "cycle"])
-def test_overlong_integer_is_a_parse_error(capsys, tmp_path, spec, offset, as_json):
+def test_overlong_integer_is_a_parse_error(capsys, tmp_path, spec, line, offset, as_json):
     # past Python's 4,300-digit limit on converting a string to an int
     path = tmp_path / "long.lg"
     path.write_text(spec.format(big="9" * 5000))
     code, out = run(capsys, "group", str(path), *(["--json"] if as_json else []))
     assert code == 1
-    message = f"integer of 5000 digits is too long (at byte {offset})"
+    message = f"line {line}: integer of 5000 digits is too long (at byte {offset})"
     if as_json:
         assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
     else:
@@ -396,8 +432,8 @@ def test_exponent_notation_is_a_parse_error(capsys, tmp_path, entry, as_json):
     code, out = run(capsys, "group", str(path), *(["--json"] if as_json else []))
     assert time.perf_counter() - start < 1
     assert code == 1
-    message = (f"bad rational in 'diag({entry}, 0, 0, 0)': exponent notation"
-               " (at byte 0)")
+    message = (f"line 2: bad rational in 'diag({entry}, 0, 0, 0)': exponent notation"
+               " (at byte 5)")
     if as_json:
         assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
     else:
@@ -421,28 +457,28 @@ def test_integers_fractions_and_decimals_parse(capsys, tmp_path):
 # read Arabic-Indic digits everywhere.
 
 _W4 = "W = x1^4 + x2^4 + x3^4 + x4^4"
-_RATIONAL_TEXT = "not an integer, p/q or decimal (at byte 0)"
+_RATIONAL_TEXT = "not an integer, p/q or decimal (at byte 5)"
 GRAMMAR_REJECTED = [
     pytest.param(f"{_W4}\nG = diag(1_0/40, 0, 0, 0)\n",
-                 f"bad rational in 'diag(1_0/40, 0, 0, 0)': {_RATIONAL_TEXT}",
+                 f"line 2: bad rational in 'diag(1_0/40, 0, 0, 0)': {_RATIONAL_TEXT}",
                  id="underscore"),
     pytest.param(f"{_W4}\nG = diag(1 / 2, 1/2, 0, 0)\n",
-                 f"bad rational in 'diag(1 / 2, 1/2, 0, 0)': {_RATIONAL_TEXT}",
+                 f"line 2: bad rational in 'diag(1 / 2, 1/2, 0, 0)': {_RATIONAL_TEXT}",
                  id="spaced-slash"),
     pytest.param(f"{_W4}\nG = diag(\u0661/\u0662, 1/2, 0, 0)\n",
-                 f"bad rational in 'diag(\u0661/\u0662, 1/2, 0, 0)': {_RATIONAL_TEXT}",
+                 f"line 2: bad rational in 'diag(\u0661/\u0662, 1/2, 0, 0)': {_RATIONAL_TEXT}",
                  id="arabic-indic-diag"),
     pytest.param(f"{_W4}\nG = diag(one, 0, 0, 0)\n",
-                 f"bad rational in 'diag(one, 0, 0, 0)': {_RATIONAL_TEXT}", id="word"),
+                 f"line 2: bad rational in 'diag(one, 0, 0, 0)': {_RATIONAL_TEXT}", id="word"),
     pytest.param(f"{_W4}\nG = diag(1/0, 0, 0, 0)\n",
-                 "bad rational in 'diag(1/0, 0, 0, 0)': zero denominator (at byte 0)",
+                 "line 2: bad rational in 'diag(1/0, 0, 0, 0)': zero denominator (at byte 5)",
                  id="zero-denominator"),
     pytest.param(f"{_W4}\nG = diag(.{'5' * 5000}, 0, 0, 0)\n",
-                 "integer of 5000 digits is too long (at byte 0)", id="long-decimal"),
+                 "line 2: integer of 5000 digits is too long (at byte 5)", id="long-decimal"),
     pytest.param("W = x\u0661^4 + x2^4 + x3^4 + x4^4\nG = j\n",
-                 "unexpected character 'x' (at byte 0)", id="arabic-indic-variable"),
+                 "line 1: unexpected character 'x' (at byte 0)", id="arabic-indic-variable"),
     pytest.param(f"{_W4}\nG = (\u0661 2)\n",
-                 "bad cycle syntax in '(\u0661 2)' (at byte 0)", id="arabic-indic-cycle"),
+                 "line 2: bad cycle syntax in '(\u0661 2)' (at byte 0)", id="arabic-indic-cycle"),
     pytest.param(f"{_W4}\nG = j\ncap = 1_000\n", "line 3: cap must be an integer",
                  id="underscore-cap"),
     pytest.param(f"{_W4}\nG = j\ncap = \u0661\u0660\n", "line 3: cap must be an integer",
@@ -489,7 +525,7 @@ def test_rationals_in_the_grammar_give_the_same_group(capsys, tmp_path, entry, v
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("command", ["weights", "atoms", "dual-poly"])
 @pytest.mark.parametrize("line,message", [
-    ("G = garbage(", "bad cycle syntax in 'garbage(' (at byte 0)"),
+    ("G = garbage(", "line 1: bad cycle syntax in 'garbage(' (at byte 0)"),
     ("G = ", "line 1: G lists no generators"),
     ("G = ;  ;", "line 1: G lists no generators"),
 ], ids=["garbage", "empty", "only-separators"])
@@ -504,6 +540,31 @@ def test_malformed_group_line_fails_every_command(capsys, tmp_path, command, lin
         assert json.loads(out) == {"error": {"type": "ParseError", "message": message}}
     else:
         assert out == f"error: ParseError: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec,kind,message", [
+    (f"# the quartic\n\nW = x1^4 + x2^4 +* x3^4\nG = j\n", "ParseError",
+     "line 3: expected var (at byte 13)"),
+    ("W = x1^2*x1 + x2^2\nG = j\n", "DuplicateVariable",
+     "line 1: variable x1 repeated in one monomial (at byte 5)"),
+    (f"{_W4}\nG = diag(1/2, 0, 0, 0)*(1 2) (3 3)\n", "ParseError",
+     "line 2: repeated index in cycle (3 3) (at byte 25)"),
+    (f"{_W4}\nG = j;  diag(0, 1/0, 0, 0)\n", "ParseError",
+     "line 2: bad rational in 'diag(0, 1/0, 0, 0)': zero denominator (at byte 11)"),
+    (f"G = (1 2); diag(0, 0, 0, 0) * (1 2) x\n{_W4}\n", "ParseError",
+     "line 1: bad cycle syntax in '(1 2) x' (at byte 31)"),
+], ids=["w-grammar", "w-repeated-variable", "g-cycle", "g-diag-entry", "g-after-star"])
+def test_w_and_g_errors_name_their_line(capsys, tmp_path, spec, kind, message, as_json):
+    # offsets count from the start of the line's value, after 'W =' or 'G ='
+    path = tmp_path / "spec.lg"
+    path.write_text(spec)
+    code, out = run(capsys, "group", str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert json.loads(out) == {"error": {"type": kind, "message": message}}
+    else:
+        assert out == f"error: {kind}: {message}\n"
 
 
 def test_missing_group_line(capsys, tmp_path):
@@ -645,3 +706,95 @@ def test_one_argument_parser_per_process(capsys, quartic_file, monkeypatch):
     code, out = run(capsys, "group", quartic_file, "--cap", "12")
     assert code == 0 and out.startswith("order 12\n")
     assert len(built) <= 1
+
+
+# --- argv: argparse's surface, and the plain shape read without it -----------
+
+_CHOICES = ", ".join(repr(name) for name in cli.COMMANDS)
+USAGE_ERRORS = [
+    (["nonsense", "spec"], f"argument command: invalid choice: 'nonsense' (choose from {_CHOICES})"),
+    (["group"], "the following arguments are required: specfile"),
+    (["group", "spec", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+    (["group", "spec", "--cap", "9" * 5000], f"argument --cap: invalid int value: '{'9' * 5000}'"),
+]
+
+
+def _exit(argv):
+    """(exit code, stdout, stderr) of a ``main`` that exits."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_help_is_argparse_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit(["--help"])
+    assert code == 0 and err == "" and out.startswith("usage: lgmirror")
+    assert all(name in out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv,error", USAGE_ERRORS,
+                         ids=["bad-command", "no-specfile", "word-cap", "long-cap"])
+def test_usage_errors_are_argparse_errors(monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: lgmirror") and err.endswith(f"\nlgmirror: error: {error}\n")
+
+
+def test_argv_defaults_to_sys_argv(capsys, quartic_file, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["lgmirror", "group", quartic_file, "--cap", "12"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("order 12\n")
+
+
+_ARGV_TOKENS = [*cli.COMMANDS, "spec.lg", "--json", "--cap", "5", "007", "+5", "-3",
+                "٥", "9" * 5000, "--cap=5", "--js", "--", "-h", ""]
+
+
+def _outcome(argv, parse):
+    """('run', command, specfile, json, cap) as ``parse`` reads ``argv``, or
+    ('exit', code, stdout, stderr) when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            return ("run",) + parse(argv, out)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+def _argparse_reads(argv, out):
+    args = cli._parser().parse_args(argv)
+    return args.command, args.specfile, args.json, args.cap
+
+
+def _main_reads(argv, out):
+    """What ``main`` hands on: the specfile and cap to read_problem, the
+    command it runs and whether it writes JSON to ``out``."""
+    seen = []
+
+    def read(path, cap=None):
+        seen.append((path, cap))
+        return types.SimpleNamespace(poly="W")
+
+    def recorder(name):
+        def command(spec):
+            seen.append(name)
+            return {}, []
+        return command
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "read_problem", read)
+        for name in cli.COMMANDS:
+            mp.setitem(cli.COMMANDS, name, recorder(name))
+        assert cli.main(argv) == 0
+    (path, cap), name = seen
+    return name, path, out.getvalue().startswith("{"), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+def test_main_reads_argv_as_argparse_does(argv):
+    # raising anything but SystemExit fails the test
+    assert _outcome(argv, _main_reads) == _outcome(argv, _argparse_reads)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -325,7 +324,7 @@ def test_corner_check_rejects_a_changed_b_bidegree(quartic_report, kind):
 
     def shift(v):
         p, q = v.bidegree
-        return [dataclasses.replace(v, bidegree=(p + 1, q))]
+        return [v._replace(bidegree=(p + 1, q))]
     b_space = corrupted(r.b_space, OTHER[kind], shift)
     with pytest.raises(TheoremViolationError, match="bidegree not preserved"):
         mirror._corner_pairs(r.a_space, b_space)
@@ -406,3 +405,19 @@ def test_corners_and_dims_compare_bidegrees_by_identity(quartic_report, good_rep
         equal.append(report.a_space.dims == report.b_space.dims)
     assert calls == []
     assert equal == [True, True, False]
+
+
+def test_abelian_mirror_theorem_on_random_models():
+    # Krawitz (arXiv:0906.0796): with K trivial, G = H is diagonal and the
+    # A-model of (W, G) is bigraded isomorphic to the B-model of (Wᵀ, Gᵀ).
+    # With K non-trivial the parity condition is a hypothesis, not a
+    # verdict: where it fails a mismatch is allowed, so nothing is asserted
+    rng = random.Random(20261018)
+    abelian = 0
+    for _ in range(300):
+        poly, group = random_mirror_instance(rng)
+        if lg.decompose_hk(group, poly).k.order == 1:
+            abelian += 1
+            report = lg.full_comparison(poly, group)
+            assert report.verdict is lg.Verdict.BIGRADED_ISOMORPHIC, (poly, group)
+    assert abelian >= 150

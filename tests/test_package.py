@@ -1,6 +1,9 @@
-"""The package's public names are an explicit, pinned list."""
+"""The package's public names are an explicit, pinned list, and its
+records are immutable."""
 
 import types
+
+import pytest
 
 import lgmirror as lg
 
@@ -36,3 +39,16 @@ def test_star_import_gives_the_public_names_and_no_modules():
     names = sorted(name for name in namespace if name != "__builtins__")
     assert names == sorted(PUBLIC)
     assert not any(isinstance(namespace[name], types.ModuleType) for name in names)
+
+
+def test_records_are_immutable(quartic, quartic_report):
+    sector = lg.build_sector(quartic, lg.MonomialSymmetry.identity(4))
+    vector = quartic_report.a_space.basis[0]
+    for record, name, value in [(quartic, "var_names", ("y1",) * 4),
+                                (quartic, "weights", ()), (quartic, "anything", 0),
+                                (sector, "degrees", ()), (vector, "bidegree", (0, 0))]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert quartic.var_names == ("x1", "x2", "x3", "x4")

@@ -5,6 +5,7 @@ import pytest
 
 import lgmirror as lg
 from lgmirror.errors import (
+    CapExceededError,
     NotAdmissibleAError,
     NotAdmissibleBError,
     NotASymmetryError,
@@ -22,6 +23,7 @@ from oracles import (
     frac_form,
     projector_rank,
     projector_trace,
+    random_mirror_instance,
     sector_scalars,
 )
 
@@ -352,3 +354,31 @@ def test_vector_labels(quartic, quartic_group):
     assert "[x1*x2*x3*x4, (0, 0, 0, 0)]" in labels
     assert "[x4^2, (1 2 3)]" in labels
     assert any(lbl.startswith("[(x1 + x2 + x3)^2, (1 2 3)]") for lbl in labels)
+
+
+def _models(quartic, quartic_group, quintic, good_group, bad_group):
+    """(W, G) of the paper's models and of 30 random admissible ones."""
+    rng = random.Random(1618)
+    return ([(quartic, quartic_group), (quintic, good_group), (quintic, bad_group)] +
+            [random_mirror_instance(rng) for _ in range(30)])
+
+
+def test_term_count_bounds_the_terms(monkeypatch, quartic, quartic_group, quintic,
+                                     good_group, bad_group):
+    # Σ over classes of |kept(r)|·|class| is checked against TERM_CAP before
+    # any term is listed: with the cap one below the terms it must refuse.
+    # In a diagonal group every kept monomial is an orbit and the count is
+    # exact; lifts may drop orbits, even in an abelian group
+    spaces = []
+    for poly, group in _models(quartic, quartic_group, quintic, good_group, bad_group):
+        star = lg.duality.star_group(lg.decompose_hk(group, poly), poly)
+        spaces += [lg.a_state_space(poly, group), lg.b_state_space(poly.transpose(), star)]
+    for space in spaces:
+        terms = sum(len(v.terms) for v in space.basis)
+        monkeypatch.setattr(lg.state_space, "TERM_CAP", terms - 1)
+        with pytest.raises(CapExceededError, match=f"exceeds {terms - 1} terms"):
+            lg.invariant_basis(space.poly, space.group, space.side)
+        if space.group.is_diagonal:
+            monkeypatch.setattr(lg.state_space, "TERM_CAP", terms)
+            assert lg.invariant_basis(space.poly, space.group, space.side) == space.basis
+    assert sum(space.group.is_diagonal for space in spaces) >= 20
