@@ -31,7 +31,9 @@ from . import duality, mirror, polynomial, state_space, symmetry
 from .errors import InputFileError, LGError, NotASymmetryError, ParseError
 
 
-class ProblemSpec(namedtuple("ProblemSpec", "poly generators cap")):  # (text, parsed) generators
+class ProblemSpec(namedtuple("ProblemSpec", "poly generators cap g_line")):
+    """``generators`` holds (text, parsed) pairs from line ``g_line``."""
+
     __slots__ = ()
 
     def group(self) -> symmetry.SymmetryGroup:
@@ -41,18 +43,20 @@ class ProblemSpec(namedtuple("ProblemSpec", "poly generators cap")):  # (text, p
         for text, g in self.generators:
             if not symmetry.is_symmetry(g, self.poly):
                 raise NotASymmetryError(
-                    f"generator {text!r} is not a symmetry of {self.poly}")
+                    f"line {self.g_line}: generator {text!r} is not a symmetry of {self.poly}")
         return symmetry.closure([g for _, g in self.generators], cap=self.cap)
 
 
 def _on_line(lineno: int, start: int, parse, *args):
-    """parse(*args) on text at ``start`` in the value of line ``lineno``: a
-    ParseError names the line and its offset moves into the value."""
+    """parse(*args) on text at ``start`` in the value of line ``lineno``: an
+    error names the line, and a ParseError's offset moves into the value."""
     try:
         return parse(*args)
     except ParseError as exc:
         offset = None if exc.offset is None else start + exc.offset
         raise type(exc)(f"line {lineno}: {exc.message}", offset) from None
+    except LGError as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from None
 
 
 def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
@@ -96,7 +100,7 @@ def read_problem(path: str, cap: int | None = None) -> ProblemSpec:
         raise ParseError("problem file defines no polynomial line 'W = …'")
     generators = [(text, _on_line(seen["G"], start, symmetry.parse_generator, text, poly))
                   for start, text in gens]
-    return ProblemSpec(poly, generators, cap if cap is not None else file_cap)
+    return ProblemSpec(poly, generators, cap if cap is not None else file_cap, seen.get("G"))
 
 
 # --- serialization helpers ---------------------------------------------------

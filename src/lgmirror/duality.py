@@ -33,6 +33,7 @@ from .errors import (
 )
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
+    CACHE_SIZE,
     DEFAULT_CAP,
     SymmetryGroup,
     _generate,
@@ -71,7 +72,7 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     return HKDecomposition(group, h, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _inverse_transpose(poly: InvertiblePolynomial):
     """N = |det A_W| and the integer rows of N·A_W⁻ᵀ = ±adj(A_W)ᵀ."""
     det, adj = linalg.adjugate(poly.exponents)
@@ -117,7 +118,6 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
                                    det, det)[0], det)
 
 
-@lru_cache(maxsize=None)
 def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
     """All diagonal symmetries of W: the dual of the trivial group on Wᵀ,
     of order |det A_W|; errors before listing any past ``DEFAULT_CAP``."""
@@ -154,9 +154,13 @@ def parity_condition(k: SymmetryGroup, n: int
     Returns (True, None) or (False, first failing subgroup) in subgroup
     order (by order, then elements), building none past it.  The fixed-space
     dimension of a permutation group is its number of orbits on coordinates.
+    An odd K holds at once: the orbits of an odd T have odd sizes, so
+    n − #orbits = Σ(|O| − 1) is even.
     """
     if any(not g.is_pure_permutation for g in k):
         raise NotPurePermutationsError("parity condition needs pure permutations")
+    if k.order % 2:
+        return True, None
     for sub in k._subgroup_walk():
         # in a group, the orbit of i is {g(i) : g ∈ T}
         orbits = {frozenset(g.perm[i] for g in sub) for i in range(n)}

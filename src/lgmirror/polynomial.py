@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 
 from . import linalg
@@ -65,15 +65,13 @@ def compute_weights(exponents) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-@lru_cache(maxsize=None)
 def classify_atoms(exponents: Matrix) -> tuple[AtomicBlock, ...]:
     """Partition the variables into Fermat / chain / loop atoms.
 
     Each monomial must be x_h^a (a ≥ 2) or x_h^a·x_t (a ≥ 2, t ≠ h), each
     variable must head exactly one monomial and trail at most one; the
     resulting head→tail graph must consist of simple paths and cycles.
-    Raises NotInvertibleError when no such decomposition exists.  Results
-    are cached per exponent matrix, given as a tuple of row tuples.
+    Raises NotInvertibleError when no such decomposition exists.
     """
     n = len(exponents)
     head_exp: dict[int, int] = {}
@@ -131,7 +129,8 @@ class InvertiblePolynomial:
     when exponents and variable names are, hashed by the exponents alone."""
 
     def __init__(self, exponents: Matrix, weights: tuple[Fraction, ...], var_names):
-        self.__dict__.update(exponents=exponents, weights=weights, var_names=var_names)
+        self.__dict__.update(exponents=exponents, weights=weights, var_names=var_names,
+                             _atoms=classify_atoms(exponents))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"InvertiblePolynomial is immutable: {name!r} cannot change")
@@ -154,7 +153,6 @@ class InvertiblePolynomial:
         exponents = tuple(tuple(int(e) for e in row) for row in rows)
         n = len(exponents)
         weights = compute_weights(exponents)
-        classify_atoms(exponents)
         if var_names is None:
             var_names = tuple(f"x{i + 1}" for i in range(n))
         else:
@@ -168,7 +166,7 @@ class InvertiblePolynomial:
         return len(self.exponents)
 
     def atoms(self) -> tuple[AtomicBlock, ...]:
-        return classify_atoms(self.exponents)
+        return self._atoms
 
     @property
     def is_fermat(self) -> bool:

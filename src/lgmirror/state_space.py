@@ -25,7 +25,7 @@ Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age 
 where deg P always includes the volume form: deg(Π y^{b_C}·ω) = Σ (b_C+1)·q_C,
 and age g⁻¹ = n − N_g − age g.
 
-Everything is immutable; sector construction is cached per (W, g).
+Everything is immutable; sectors are cached per (W, g) in a bounded LRU.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import (
@@ -46,6 +46,7 @@ from .errors import (
 )
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
+    CACHE_SIZE,
     DEFAULT_CAP,
     HALF,
     MonomialSymmetry,
@@ -80,7 +81,7 @@ class Sector(namedtuple("Sector", "poly element locus degrees")):
         return self.locus.dim == 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
     """Sector of g for a pure Fermat polynomial."""
     d_all = poly.fermat_exponents()
@@ -231,26 +232,41 @@ class GradedSpace:
 def _kept(sector: Sector, gens, mod: int, limit: int) -> list[tuple[int, ...]]:
     """The basis exponents b, in order, on which each diagonal c in ``gens``
     (integer forms over ``mod``, constant on every cycle C) has the trivial
-    character e(Σ_C (b_C + 1)·c[C₀]).  Each half of the cycles is summed
-    once, and the halves meet where their sums cancel: they are counted
-    first, and CapExceededError is raised before listing over ``limit``."""
+    character e(Σ_C (b_C + 1)·c[C₀]).  The cycles split where the halves
+    hold about equally many exponent tuples; each half is summed once, and
+    the halves meet where their sums cancel.  A sector of over ``limit``
+    monomials is first counted from the number of tuples per sum of each
+    half, and CapExceededError is raised before any tuple is listed."""
     columns = [[c[cycle[0]] for _, c in gens] for cycle in sector.locus.cycles]
+    sizes = [d - 1 for d in sector.degrees]
+    half = min(range(len(sizes) + 1), key=lambda h: max(prod(sizes[:h]), prod(sizes[h:])))
+    halves = ((columns[:half], sizes[:half]), (columns[half:], sizes[half:]))
 
-    def sums(cols, degrees):
+    def sums(cols, ranges):
         out = [((), (0,) * len(gens))]
-        for col, d in zip(cols, degrees):
+        for col, r in zip(cols, ranges):
             out = [(b + (e,), tuple([(x + (e + 1) * w) % mod for x, w in zip(s, col)]))
-                   for b, s in out for e in range(d - 1)]
+                   for b, s in out for e in range(r)]
         return out
-    half = len(columns) // 2
-    right: dict[tuple[int, ...], list] = {}
-    for b, s in sums(columns[half:], sector.degrees[half:]):
-        right.setdefault(s, []).append(b)
-    meets = [(b, right.get(tuple([-x % mod for x in s]), ()))
-             for b, s in sums(columns[:half], sector.degrees[:half])]
-    if sum([len(cs) for _, cs in meets]) > limit:
-        raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
-    return [b + c for b, cs in meets for c in cs]
+
+    def tally(cols, ranges):  # the number of tuples per sum
+        out = Counter({(0,) * len(gens): 1})
+        for col, r in zip(cols, ranges):
+            grown = Counter()
+            for s, k in out.items():
+                for e in range(r):
+                    grown[tuple([(x + (e + 1) * w) % mod for x, w in zip(s, col)])] += k
+            out = grown
+        return out
+    if prod(sizes) > limit:
+        left, right = tally(*halves[0]), tally(*halves[1])
+        if sum([k * right[tuple([-x % mod for x in s])] for s, k in left.items()]) > limit:
+            raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
+    meet: dict[tuple[int, ...], list] = {}
+    for b, s in sums(*halves[1]):
+        meet.setdefault(s, []).append(b)
+    return [b + c for b, s in sums(*halves[0])
+            for c in meet.get(tuple([-x % mod for x in s]), ())]
 
 
 def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
@@ -270,13 +286,6 @@ def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
         cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
         out[-1][1].append((x, cols, sum(cols)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _bidegree(u: Fraction, v: Fraction) -> Bidegree:
-    """One pair per value in the process: equal bidegrees of two spaces are
-    one object, and compare by identity."""
-    return u, v
 
 
 def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
@@ -304,11 +313,11 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, gmod)
     phase = lru_cache(maxsize=None)(partial(Fraction, denominator=mod))  # one per value
-    # bidegrees over one denominator, one shared Fraction pair per value
+    # bidegrees over one denominator, one Fraction pair per value in this call
     jw = poly.weight_sum
     den = lcm(2 * gmod, jw.denominator, *poly.fermat_exponents())
     shift = jw.numerator * (den // jw.denominator)
-    bidegree = lru_cache(maxsize=None)(lambda p, q: _bidegree(Fraction(p, den), Fraction(q, den)))
+    bidegree = lru_cache(maxsize=None)(lambda p, q: (Fraction(p, den), Fraction(q, den)))
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
     vectors = []  # appended sorted: by representative, then lead
     kept_at: dict[tuple, tuple] = {}  # (σ, fixed cycles) -> (sector, starts)

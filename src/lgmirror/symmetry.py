@@ -45,15 +45,16 @@ from .polynomial import InvertiblePolynomial, parse_digits
 
 HALF = Fraction(1, 2)
 DEFAULT_CAP = 10 ** 6  # group size cap when the caller sets none
+CACHE_SIZE = 4096  # entries a process-wide cache keeps, least recently used out first
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def phase_text(num: int, mod: int) -> str:
     """The phase num/mod as written out, made once per value."""
     return str(Fraction(num, mod))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _perm_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The cycles of ``perm`` from their least indices, once per permutation."""
     seen, cycles = set(), []
@@ -67,7 +68,7 @@ def _perm_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cycle_text(perm: tuple[int, ...]) -> str:
     """Cycle notation of ``perm``, 1-based, fixed points omitted: '()' if none moves."""
     return "".join(["(" + " ".join(str(i + 1) for i in c) + ")"
@@ -553,7 +554,11 @@ class SymmetryGroup:
         h ∈ S), growing ⟨S, x⟩ from S by right cosets on the multiplication
         table (Dimino).  Extensions are larger than S, and T = ⟨S, x⟩ for a
         maximal S < T, so T is pushed before its key is reached.  Meant for
-        small groups (permutation parts, small diagonal groups)."""
+        small groups (permutation parts, small diagonal groups): errors
+        before the table when it would hold over ``DEFAULT_CAP`` entries."""
+        if self.order ** 2 > DEFAULT_CAP:
+            raise CapExceededError(
+                f"subgroup walk of order {self.order} exceeds {DEFAULT_CAP} table entries")
         forms, mod = self._forms, self.modulus
         index = self._index
         table = [[index[_compose(a, b, mod)] for b in forms] for a in forms]

@@ -280,6 +280,53 @@ def test_state_space_is_counted_before_it_is_listed(tmp_path, as_json):
         assert proc.stdout == f"error: CapExceeded: {message}\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_no_half_sector_is_listed_past_the_term_count(tmp_path, as_json):
+    # ten Fermat-30 variables: each half of the untwisted sector holds
+    # 29^5 ≈ 2·10^7 exponent tuples, and the count per sum comes first
+    path = tmp_path / "fermat30.lg"
+    path.write_text("W = " + " + ".join(f"x{i}^30" for i in range(1, 11)) + "\nG = j\n")
+    argv = [sys.executable, "-m", "lgmirror.cli", "astate", str(path), "--cap", "100"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(argv + (["--json"] if as_json else []), capture_output=True,
+                          text=True, env=env, timeout=20, preexec_fn=_address_space_limit)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stderr == ""
+    message = "state space exceeds 1000000 terms"
+    if as_json:
+        assert json.loads(proc.stdout) == {"error": {"type": "CapExceeded", "message": message}}
+    else:
+        assert proc.stdout == f"error: CapExceeded: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_pc_check_is_bounded(capsys, tmp_path, as_json):
+    # K = C3^6 (729 elements, odd) holds at once; K = A7 (2,520 elements)
+    # is refused before its 2,520 × 2,520 table is built
+    flags = ["--json"] if as_json else []
+    cubes = " + ".join(f"x{i}^3" for i in range(1, 19))
+    cycles = "; ".join(f"({i} {i + 1} {i + 2})" for i in range(1, 19, 3))
+    path = tmp_path / "c3.lg"
+    path.write_text(f"W = {cubes}\nG = {cycles}\n")
+    code, out = run(capsys, "pc-check", str(path), *flags)
+    assert code == 0
+    if as_json:
+        assert json.loads(out)["pc"] == {"holds": True, "witness": None}
+    else:
+        assert out == "parity condition holds\n"
+    path = tmp_path / "a7.lg"
+    path.write_text("W = " + " + ".join(f"x{i}^3" for i in range(1, 8)) +
+                    "\nG = (1 2 3); (3 4 5 6 7)\n")
+    code, out = run(capsys, "pc-check", str(path), *flags)
+    assert code == 1
+    message = "subgroup walk of order 2520 exceeds 1000000 table entries"
+    if as_json:
+        assert json.loads(out) == {"error": {"type": "CapExceeded", "message": message}}
+    else:
+        assert out == f"error: CapExceeded: {message}\n"
+
+
 def test_cap_fails_fast_on_a_large_dual(capsys, tmp_path):
     # |G| = 6 but |G*| = 6^7/6 = 46,656: refused from the order alone
     path = tmp_path / "sextic.lg"
@@ -565,6 +612,45 @@ def test_w_and_g_errors_name_their_line(capsys, tmp_path, spec, kind, message, a
         assert json.loads(out) == {"error": {"type": kind, "message": message}}
     else:
         assert out == f"error: {kind}: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec,kind,message", [
+    ("W = x1^4 + x2^4 + x3\nG = j\n", "WeightOutOfRange",
+     "line 1: weight q_3 = 1 outside (0, 1/2]; polynomial is degenerate"),
+    ("# a two-variable W\nW = x1^4 + x2^4 + x1*x2\n", "NotSquare",
+     "line 2: 3 monomials but 2 variables; invertible polynomials need equal counts"),
+    ("W = x1^2*x2^2 + x2^3\n", "NotInvertible",
+     "line 1: monomial (2, 2) is not of atomic shape"),
+    ("G = j\nW = x1^2*x2^4 + x1*x2^2\n", "SingularMatrix", "line 2: matrix is singular"),
+], ids=["weight", "not-square", "not-invertible", "singular"])
+def test_w_line_errors_name_their_line(capsys, tmp_path, spec, kind, message, as_json):
+    # a W that parses but is no invertible polynomial keeps its error code
+    path = tmp_path / "spec.lg"
+    path.write_text(spec)
+    code, out = run(capsys, "weights", str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert json.loads(out) == {"error": {"type": kind, "message": message}}
+    else:
+        assert out == f"error: {kind}: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_generator_that_is_no_symmetry_names_its_line(capsys, tmp_path, as_json):
+    path = tmp_path / "spec.lg"
+    path.write_text("W = x1^4 + x2^4 + x3^4\n\nG = j; (1 2 3); diag(1/3, 0, 0)\n")
+    flags = ["--json"] if as_json else []
+    message = "line 3: generator 'diag(1/3, 0, 0)' is not a symmetry of x1^4 + x2^4 + x3^4"
+    for command in ("group", "pc-check", "mirror-check"):
+        code, out = run(capsys, command, str(path), *flags)
+        assert code == 1
+        if as_json:
+            assert json.loads(out) == {"error": {"type": "NotASymmetry", "message": message}}
+        else:
+            assert out == f"error: NotASymmetry: {message}\n"
+    for command in ("weights", "atoms", "dual-poly"):  # they never build G
+        assert run(capsys, command, str(path), *flags)[0] == 0
 
 
 def test_missing_group_line(capsys, tmp_path):

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import lgmirror as lg
+from lgmirror import symmetry
 from lgmirror.errors import (
+    CapExceededError,
     LGError,
     NotASymmetryError,
     NotDiagonalError,
@@ -224,3 +226,83 @@ def test_parity_condition_rejects_phases():
     k = lg.closure([diag("1/2", "1/2")])
     with pytest.raises(NotPurePermutationsError):
         lg.parity_condition(k, 2)
+
+
+def _passes(sub, n):
+    """n − #orbits is even: the orbit test of the parity condition."""
+    orbits = {frozenset(g.perm[i] for g in sub) for i in range(n)}
+    return (n - len(orbits)) % 2 == 0
+
+
+def _random_even_group(rng):
+    """The closure of one or two random even permutations of 3–6 points, of
+    order at most 60 so that every subgroup is walked quickly."""
+    while True:
+        n = rng.randint(3, 6)
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            images = list(range(n))
+            rng.shuffle(images)
+            g = lg.MonomialSymmetry(images, (0,) * n)
+            if g.perm_parity:  # times a transposition, to make it even
+                g = g * perm([(0, 1)], n)
+            gens.append(g)
+        k = lg.closure(gens)
+        if k.order <= 60:
+            return k, n
+
+
+def test_odd_subgroups_pass_the_orbit_test():
+    # the lemma behind the odd-|K| shortcut: the orbits of an odd T have odd
+    # sizes, so n − #orbits = Σ(|O| − 1) is even.  Even subgroups do fail
+    rng = random.Random(20261019)
+    groups = [(lg.closure([perm([(0, 1, 2)], 4), perm([(0, 1), (2, 3)], 4)]), 4),
+              (lg.closure([perm([(0, 1, 2)], 5), perm([(0, 1, 2, 3, 4)], 5)]), 5)]
+    assert [k.order for k, _ in groups] == [12, 60]
+    groups += [_random_even_group(rng) for _ in range(60)]
+    odd = failing = 0
+    for k, n in groups:
+        for sub in k.subgroups():
+            if sub.order % 2:
+                odd += 1
+                assert _passes(sub, n), [g.cycle_string() for g in sub]
+            else:
+                failing += not _passes(sub, n)
+    assert odd > 150 and failing > 0
+
+
+def test_parity_witness_need_not_hold_a_failing_2_subgroup():
+    # S3 = <(1 2 3), (1 2)(4 5)> on five points has the orbits {1, 2, 3} and
+    # {4, 5}, so it fails, while each proper subgroup, its 2-subgroups
+    # included, passes: restricting the walk to 2-subgroups misses it
+    k = lg.closure([perm([(0, 1, 2)], 5), perm([(0, 1), (3, 4)], 5)])
+    holds, witness = lg.parity_condition(k, 5)
+    assert not holds and witness == k and witness.order == 6
+    proper = [sub for sub in k.subgroups() if sub != k]
+    assert len(proper) == 5 and all(_passes(sub, 5) for sub in proper)
+
+
+def test_parity_condition_holds_at_once_for_odd_k(monkeypatch):
+    # six disjoint 3-cycles on 18 points: |K| = 729 and no subgroup is walked
+    k = lg.closure([perm([(i, i + 1, i + 2)], 18) for i in range(0, 18, 3)])
+    assert k.order == 729
+
+    def walk(self):
+        pytest.fail("an odd K was walked")
+    monkeypatch.setattr(lg.SymmetryGroup, "_subgroup_walk", walk)
+    assert lg.parity_condition(k, 18) == (True, None)
+
+
+def test_subgroup_walk_refuses_a_table_past_the_cap(monkeypatch):
+    # K = A7 has 2,520 elements: its table would hold 6,350,400 entries
+    k = lg.closure([perm([(0, 1, 2)], 7), perm([(2, 3, 4, 5, 6)], 7)])
+    assert k.order == 2520
+
+    def compose(*args):
+        pytest.fail("the table was built")
+    monkeypatch.setattr(symmetry, "_compose", compose)
+    message = "subgroup walk of order 2520 exceeds 1000000 table entries"
+    with pytest.raises(CapExceededError, match=message):
+        lg.parity_condition(k, 7)
+    with pytest.raises(CapExceededError, match=message):
+        k.subgroups()

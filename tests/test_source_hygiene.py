@@ -1,8 +1,8 @@
 """What deletions leave behind: an import nothing uses, or a private
-module-level name nothing refers to; and a regular expression whose
-``\\d``, ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters.
-Read from the syntax trees of ``src/lgmirror/*.py`` with the standard
-library's ``ast`` alone."""
+module-level name nothing refers to; a regular expression whose ``\\d``,
+``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; and a
+module-level cache with no bound on its entries.  Read from the syntax
+trees of ``src/lgmirror/*.py`` with the standard library's ``ast`` alone."""
 
 import ast
 import re
@@ -91,3 +91,37 @@ def test_every_pattern_with_a_class_escape_is_ascii():
             if _UNICODE_CLASS.search(node.args[0].value) and not ascii_flag:
                 unicode_patterns.append(f"{path.name}:{node.lineno} {node.args[0].value!r}")
     assert not unicode_patterns, f"patterns without re.ASCII: {unicode_patterns}"
+
+
+def _called_name(node):
+    """The name a decorator refers to, bare or dotted, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded(decorator):
+    """True for ``cache`` and for ``lru_cache`` with maxsize None; a bare
+    ``lru_cache`` keeps 128 entries."""
+    name = _called_name(decorator)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+
+
+def test_every_module_level_cache_with_arguments_is_bounded():
+    # a cache that outlives a call keeps at most CACHE_SIZE entries, so a
+    # long sweep does not keep every polynomial, element and sector it saw;
+    # a function without arguments, like cli._parser, caches one value
+    unbounded = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            if (args.posonlyargs or args.args or args.kwonlyargs or args.vararg
+                    or args.kwarg) and any(map(_unbounded, node.decorator_list)):
+                unbounded.append(f"{path.name}:{node.name}")
+    assert not unbounded, f"module-level caches without a bound: {unbounded}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -382,3 +383,28 @@ def test_term_count_bounds_the_terms(monkeypatch, quartic, quartic_group, quinti
             monkeypatch.setattr(lg.state_space, "TERM_CAP", terms)
             assert lg.invariant_basis(space.poly, space.group, space.side) == space.basis
     assert sum(space.group.is_diagonal for space in spaces) >= 20
+
+
+def test_kept_monomials_match_a_filter_and_are_counted_first():
+    # the invariant monomials of each class representative's sector under
+    # N^σ: with the limit at their number the halves meet in order, one
+    # below it the count per sum of each half refuses before any listing
+    rng = random.Random(1729)
+    sectors = 0
+    for _ in range(20):
+        poly, group = random_mirror_instance(rng)
+        mod = group.modulus
+        for members in group.class_transversals():
+            g = group.elements[members[0][0]]
+            sector = lg.build_sector(poly, g)
+            gens = group._fixed_generators(g.perm)
+            firsts = [cycle[0] for cycle in sector.locus.cycles]
+            expected = [b for b in product(*(range(d - 1) for d in sector.degrees))
+                        if all(sum((e + 1) * c[i] for e, i in zip(b, firsts)) % mod == 0
+                               for _, c in gens)]
+            assert lg.state_space._kept(sector, gens, mod, len(expected)) == expected
+            if expected:
+                sectors += 1
+                with pytest.raises(CapExceededError):
+                    lg.state_space._kept(sector, gens, mod, len(expected) - 1)
+    assert sectors >= 100
