@@ -11,8 +11,9 @@ Generators follow the generator grammar ('j', 'diag(1/2, 1/4, 1/4, 0)',
 closure.
 
 ``COMMANDS`` maps each command to a function that returns its JSON fields
-and its text lines; the costly ones, labels of every basis vector, are
-functions and generators that run only for the output mode asked for.
+and its text lines; the costly ones, class lists and labels of every basis
+vector or element, are functions and generators that run only for the
+output mode asked for.
 Rationals serialize as "p/q" strings; every list is emitted in canonical
 order, so identical input yields identical bytes: ``--json`` writes in one
 pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
@@ -20,11 +21,11 @@ pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import namedtuple
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import duality, mirror, polynomial, state_space, symmetry
@@ -114,9 +115,9 @@ def _element_json(g: symmetry.MonomialSymmetry) -> dict:
 
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
-    classes = [{"size": len(cls), "representative": _element_json(cls[0])}
-               for cls in group.conjugacy_classes()]
-    return {"order": group.order, "classes": classes}
+    return {"order": group.order, "classes": lambda: [
+        {"size": len(cls), "representative": _element_json(cls[0])}
+        for cls in group.conjugacy_classes()]}
 
 
 def _dims_json(space: state_space.GradedSpace) -> list[dict]:
@@ -202,8 +203,8 @@ def _dual_group(spec: ProblemSpec):
     dual = duality.dual_group(group, spec.poly, spec.cap)
     return ({"group": _group_json(group),
              "dual_group": {"order": dual.order,
-                            "elements": [_element_json(g) for g in dual]}},
-            [f"order {dual.order}"] + [g.label() for g in dual])
+                            "elements": lambda: [_element_json(g) for g in dual]}},
+            chain([f"order {dual.order}"], (g.label() for g in dual)))
 
 
 def _nonabelian_dual(spec: ProblemSpec):
@@ -376,11 +377,10 @@ def main(argv=None) -> int:
             _json_chunks({"command": args.command, "polynomial": str(spec.poly),
                           **fields}, chunks)
         out = "".join(chunks) if args.json else "\n".join(text)
-    except LGError as exc:
-        if args.json:
-            print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))
-        else:
-            print(f"error: {exc.code}: {exc}")
+    except LGError as exc:  # in JSON one line, as json.dumps writes it
+        error = (exc.code, str(exc))
+        print('{"error": {"type": %s, "message": %s}}' % tuple(map(encode_basestring_ascii, error))
+              if args.json else "error: %s: %s" % error)
         return 1
     print(out)
     return 0

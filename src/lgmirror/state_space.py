@@ -17,8 +17,9 @@ once per conjugacy class, in the sector of its least element r, and only
 the lifts in C(r) move monomials: its diagonal part N^σ, like the diagonal
 part c of each transversal element t = w·c, acts by a character.  An
 invariant orbit reaches every conjugate t⁻¹rt by one map per coset of the
-diagonal subgroup, that of w, followed by c's character; sectors are built
-once per fixed locus and for the representatives and coset heads.
+diagonal subgroup, that of w, followed by c's character.  The search reads
+r's fixed cycles and their exponents; a sector is built only for a pullback
+map, the lifts' and the coset heads', so a diagonal group builds none.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
@@ -88,13 +89,8 @@ def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
     if not is_symmetry(g, poly):
         raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     locus = g.fixed_locus()
-    degrees = []
-    for cycle in locus.cycles:
-        d = d_all[cycle[0]]
-        # weight-respecting permutations only join variables of equal exponent
-        assert all(d_all[i] == d for i in cycle)
-        degrees.append(d)
-    return Sector(poly, g, locus, tuple(degrees))
+    # a symmetry only joins variables of equal weight, so of equal exponent
+    return Sector(poly, g, locus, tuple([d_all[c[0]] for c in locus.cycles]))
 
 
 class SectorMap(namedtuple("SectorMap", "source target cycle_images scalar_nums form_num mod")):
@@ -210,7 +206,7 @@ class GradedSpace:
             g = v.leading[2]
             if g.is_identity:
                 untwisted += 1
-            elif g.fixed_locus().dim == 0:
+            elif not g.fixed_cycles():
                 if g.is_diagonal:
                     narrow_diagonal += 1
                 else:
@@ -229,16 +225,16 @@ class GradedSpace:
         return sorted(self.dims.items())
 
 
-def _kept(sector: Sector, gens, mod: int, limit: int) -> list[tuple[int, ...]]:
-    """The basis exponents b, in order, on which each diagonal c in ``gens``
-    (integer forms over ``mod``, constant on every cycle C) has the trivial
-    character e(Σ_C (b_C + 1)·c[C₀]).  The cycles split where the halves
-    hold about equally many exponent tuples; each half is summed once, and
-    the halves meet where their sums cancel.  A sector of over ``limit``
-    monomials is first counted from the number of tuples per sum of each
-    half, and CapExceededError is raised before any tuple is listed."""
-    columns = [[c[cycle[0]] for _, c in gens] for cycle in sector.locus.cycles]
-    sizes = [d - 1 for d in sector.degrees]
+def _kept(cycles, degrees, gens, mod: int, limit: int) -> list[tuple[int, ...]]:
+    """The exponents b, 0 ≤ b_C ≤ d_C − 2 over the fixed ``cycles`` C, d_C
+    in ``degrees``, in order, on which each diagonal c in ``gens`` (integer
+    forms over ``mod``, constant on each C) has the trivial character
+    e(Σ_C (b_C + 1)·c[C₀]).  The cycles split where the halves hold about
+    equally many tuples; each half is summed once, and the halves meet where
+    their sums cancel.  A sector of over ``limit`` monomials is first counted
+    per sum of each half, and CapExceededError is raised before any listing."""
+    columns = [[c[cycle[0]] for _, c in gens] for cycle in cycles]
+    sizes = [d - 1 for d in degrees]
     half = min(range(len(sizes) + 1), key=lambda h: max(prod(sizes[:h]), prod(sizes[h:])))
     halves = ((columns[:half], sizes[:half]), (columns[half:], sizes[half:]))
 
@@ -314,25 +310,23 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     mod = lcm(2, gmod)
     phase = lru_cache(maxsize=None)(partial(Fraction, denominator=mod))  # one per value
     # bidegrees over one denominator, one Fraction pair per value in this call
-    jw = poly.weight_sum
-    den = lcm(2 * gmod, jw.denominator, *poly.fermat_exponents())
+    jw, d_all = poly.weight_sum, poly.fermat_exponents()
+    den = lcm(2 * gmod, jw.denominator, *d_all)
     shift = jw.numerator * (den // jw.denominator)
     bidegree = lru_cache(maxsize=None)(lambda p, q: (Fraction(p, den), Fraction(q, den)))
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
     vectors = []  # appended sorted: by representative, then lead
-    kept_at: dict[tuple, tuple] = {}  # (σ, fixed cycles) -> (sector, starts)
+    kept_at: dict[tuple, list] = {}  # (σ, fixed cycles) -> kept exponents
     counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
     for members in group.class_transversals():
         r = members[0][0]
         g = elements[r]
-        # the cycles of Fix(g), without building its canonical vectors
-        fixed = tuple([c for c in g.cycles() if not sum(map(g.nums.__getitem__, c)) % g.mod])
+        fixed = g.fixed_cycles()  # no canonical vectors: only maps need sectors
         limit = (TERM_CAP - counted) // len(members)
-        if (g.perm, fixed) not in kept_at:
-            shared = build_sector(poly, g)
-            kept_at[g.perm, fixed] = (shared, _kept(
-                shared, group._fixed_generators(g.perm), gmod, limit))
-        shared, kept = kept_at[g.perm, fixed]
+        kept = kept_at.get((g.perm, fixed))
+        if kept is None:
+            kept = kept_at[g.perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
+                                                  group._fixed_generators(g.perm), gmod, limit)
         if len(kept) > limit:
             raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
         counted += len(kept) * len(members)
@@ -343,6 +337,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         sector = build_sector(poly, g) if lift_gens else None
         moves = [sector_map(make(*lift, gmod), sector, sector) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
+        steps = [den // d_all[c[0]] for c in fixed]  # den·q_C per fixed cycle
         u = g.age_num() * (den // (2 * g.mod)) - shift
         v = len(fixed) * den + u if side == A_SIDE else (g.n - len(fixed)) * den - u - 2 * shift
         done: set[tuple[int, ...]] = set()
@@ -377,7 +372,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                         nodes.append(((x, image), p + delta + form + sum(map(mul, image, c))))
             nodes.sort()  # element indices follow the canonical element order
             terms = tuple((phase(p % mod), exps, elements[i]) for (i, exps), p in nodes)
-            deg = sum((b + 1) * (den // d) for b, d in zip(lead, shared.degrees))
+            deg = sum((b + 1) * q for b, q in zip(lead, steps))
             vectors.append(GradedBasisVector(side, terms, bidegree(u + deg, v + sign * deg)))
     return tuple(vectors)
 

@@ -238,18 +238,19 @@ class MonomialSymmetry:
         """Sum of eigenvalue log-phases taken in [0, 1)."""
         return Fraction(self.age_num(), 2 * self.mod)
 
+    def fixed_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of Fix(g): those whose phases sum to an integer."""
+        nums, mod = self.nums, self.mod
+        return tuple([c for c in self.cycles() if not sum(map(nums.__getitem__, c)) % mod])
+
     def fixed_locus(self) -> "FixedLocus":
-        cycles = []
-        vectors = []
-        for cycle in self.cycles():
-            if sum(self.nums[i] for i in cycle) % self.mod:
-                continue
+        cycles, vectors = self.fixed_cycles(), []
+        for cycle in cycles:
             vec = [0]
             for i in cycle[:-1]:
                 vec.append((vec[-1] - self.nums[i]) % self.mod)
-            cycles.append(cycle)
             vectors.append(tuple(vec))
-        return FixedLocus(self.n, tuple(cycles), tuple(vectors), self.mod)
+        return FixedLocus(self.n, cycles, tuple(vectors), self.mod)
 
     @property
     def key(self):
@@ -447,7 +448,7 @@ class SymmetryGroup:
     def _transversals(self):
         """``class_transversals()`` and the class number of each element index."""
         forms = self._forms
-        if self.is_diagonal:  # singleton classes
+        if self.is_diagonal:  # singleton classes; the walk below is 3x slower on them
             return [[(i, forms[0], forms[0][1])] for i in range(self.order)], range(self.order)
         mod, index = self.modulus, self._index
         gens = [(self.elements[index[g]].inverse().over(mod), g) for g in self._lifts[1]]

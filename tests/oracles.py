@@ -4,7 +4,9 @@ Nothing here shares code paths with the library computations it checks:
 composition is verified against dense phase-matrix multiplication, invariant
 dimensions against the rank of the group-averaging projector (dense modular
 Gaussian elimination for two primes p ≡ 1 mod m, plus the exact cyclotomic
-trace, which equals the rank of a projector), the integer adjugate against
+trace, which equals the rank of a projector), every bigraded dimension
+against graded characters averaged over each centralizer, summed in F_p
+with no basis at all, the integer adjugate against
 a ``Fraction`` Gauss-Jordan inverse and determinant, diagonal groups
 against a brute-force filter of all candidate phase tuples (bounded by that
 inverse), dual groups against the diagonal group of Wᵀ so found, filtered
@@ -768,6 +770,127 @@ def projector_trace(tables, m: int, group_order: int) -> int:
 
 def phase_denominator(group) -> int:
     return lcm(*(p.denominator for g in group for p in g.phases), 1)
+
+
+# --- graded-character oracle --------------------------------------------------
+
+def _graded_trace(orbits, unit: int, zpow, p: int) -> dict[int, int]:
+    """The graded trace over F_p of h* on a Fermat sector Q_{W_r}·ω_r, from
+    h's orbits on r's fixed cycles as (length k, exponent d, phase sum S·m),
+    degrees in units of 1/``unit``.  A basis monomial y^b·ω is fixed exactly
+    when b is constant on each orbit, and an orbit with exponent b
+    contributes the volume form's sign (−1)^(k−1), the phase e((b + 1)·S)
+    and the degree k·(b + 1)/d."""
+    m, trace = len(zpow), {0: 1}
+    for k, d, s in orbits:
+        sign = 1 if k % 2 else -1
+        grown: dict[int, int] = {}
+        for b in range(d - 1):
+            x, u = sign * zpow[(b + 1) * s % m], k * (b + 1) * (unit // d)
+            for t, y in trace.items():
+                grown[t + u] = (grown.get(t + u, 0) + x * y) % p
+        trace = grown
+    return trace
+
+
+def character_dims(poly: InvertiblePolynomial, group, side: str) -> dict:
+    """Bigraded dimensions of the state space from characters alone, with
+    no basis: for each class representative r, the average over h ∈ C(r)
+    of the graded trace of h* on Q_{W_r}·ω_r.
+
+    h = (τ, b) ∈ C(r) maps the canonical vector v_C of r's fixed cycle C to
+    μ_C·v_C', where C' holds τ⁻¹(C₀); h* sends y_C' to μ_C·y_C, so its trace
+    factors over the orbits C → C' with S_O = Σ μ_C (``_graded_trace``).
+    Classes and centralizers come from h⁻¹·r·h over every h at once, on
+    integer (perm, numerator) arrays; the roots of unity are summed in F_p,
+    p ≡ 1 (mod m), where the average is the dimension's residue.  Nothing
+    here reads the library's class walk, fixed cycles or invariant search."""
+    elements, n = group.elements, group.n
+    m = lcm(*(g.mod for g in elements))
+    p = prime_one_mod(m, 10 ** 6)
+    zpow = [pow(root_of_unity(m, p), k, p) for k in range(m)]
+    perms = np.array([g.perm for g in elements])
+    nums = np.array([[x * (m // g.mod) for x in g.nums] for g in elements])
+    # a row of n digits below n and n below m as one int64 key
+    assert (n * m) ** n < 2 ** 62
+    weights = np.array([n ** j for j in range(n)] + [n ** n * m ** j for j in range(n)])
+    keys = np.hstack([perms, nums]) @ weights
+    order = np.argsort(keys)
+    inverses = np.argsort(perms, axis=1)  # τ⁻¹ row by row
+    rows = np.arange(len(elements))[:, None]
+    d_of = [max(row) for row in poly.exponents]
+    unit = lcm(*d_of)  # degrees in units of 1/unit, bidegrees of 1/den
+    jw = sum(poly.weights, ZERO)
+    den = lcm(unit, jw.denominator, m * lcm(*range(1, n + 1)))
+    jw = jw.numerator * (den // jw.denominator)
+    owner = np.zeros(len(elements), dtype=bool)
+    traces, averages, dims = {}, {}, {}
+    for r, g in enumerate(elements):
+        if owner[r]:
+            continue
+        sigma, a = perms[r], nums[r]
+        # h⁻¹·r·h = (τ∘σ∘τ⁻¹, a∘τ⁻¹ + b∘σ∘τ⁻¹ − b∘τ⁻¹) for h = (τ, b)
+        at = sigma[inverses]
+        conj = np.hstack([np.take_along_axis(perms, at, axis=1),
+                          (a[inverses] + nums[rows, at] - nums[rows, inverses]) % m]) @ weights
+        owner[order[np.searchsorted(keys, conj, sorter=order)]] = True
+        central = np.flatnonzero(conj == keys[r])
+        # r's fixed cycles by least index, canonical vector phases, and
+        # the age: a cycle of length ℓ and phase sum s/m has the ℓ phases
+        # (s/m + k)/ℓ mod 1
+        fixed, cycle_of, vec, seen = [], np.full(n, -1), np.zeros(n, dtype=int), set()
+        age = 0
+        for i in range(n):
+            if i in seen:
+                continue
+            cycle = [i]
+            while sigma[cycle[-1]] != i:
+                cycle.append(int(sigma[cycle[-1]]))
+            seen.update(cycle)
+            ell, phase = len(cycle), int(sum(a[cycle]))
+            age += sum((phase + k * m) % (ell * m) for k in range(ell)) * (den // (ell * m))
+            if phase % m:
+                continue
+            for j, k in zip(cycle, cycle[1:]):
+                vec[k] = (vec[j] - a[j]) % m
+            cycle_of[cycle] = len(fixed)
+            fixed.append(i)
+        key = (cycle_of.tobytes(), vec.tobytes(), central.tobytes())
+        if key not in averages:
+            # per h and fixed cycle C: the index of C', and μ_C·m
+            back = inverses[np.ix_(central, fixed)]
+            images = cycle_of[back]
+            assert (images >= 0).all(), "C(r) does not keep Fix(r)"
+            mus = (nums[central[:, None], back] - vec[back]) % m
+            move = images @ weights[:len(fixed)] + mus @ weights[n:n + len(fixed)]
+            _, first, counts = np.unique(move, return_index=True, return_counts=True)
+            total: dict[int, int] = {}
+            for h, count in zip(first.tolist(), counts.tolist()):
+                image, mu, orbits, done = images[h].tolist(), mus[h].tolist(), [], set()
+                for start in range(len(fixed)):
+                    if start in done:
+                        continue
+                    orbit = [start]
+                    while image[orbit[-1]] != start:
+                        orbit.append(image[orbit[-1]])
+                    done.update(orbit)
+                    orbits.append((len(orbit), d_of[fixed[start]], sum(mu[c] for c in orbit) % m))
+                orbits = tuple(sorted(orbits))
+                if orbits not in traces:
+                    traces[orbits] = _graded_trace(orbits, unit, zpow, p)
+                for t, x in traces[orbits].items():
+                    total[t] = (total.get(t, 0) + count * x) % p
+            inverse = pow(len(central), -1, p)
+            averages[key] = {t: x * inverse % p for t, x in total.items()}
+        bound = prod(d_of[c] - 1 for c in fixed)
+        for t, dim in averages[key].items():
+            assert dim <= bound, "the average is not a dimension"
+            t *= den // unit
+            bd = ((t + age - jw, len(fixed) * den - t + age - jw) if side == "A" else
+                  (t + age - jw, t + (n - len(fixed)) * den - age - jw))
+            if dim:
+                dims[bd] = dims.get(bd, 0) + dim
+    return {(Fraction(u, den), Fraction(v, den)): dim for (u, v), dim in dims.items()}
 
 
 # --- brute force enumerations -------------------------------------------------

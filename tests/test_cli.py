@@ -367,6 +367,21 @@ def test_cap_below_one_is_rejected(capsys, tmp_path, quartic_file, cap):
         "type": "ParseError", "message": f"line 4: cap must be at least 1, got {cap}"}
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_error_bytes_escape_non_ascii(capsys, tmp_path, as_json):
+    # G* = ⟨diag(0, 0, 0, 1/4), …⟩ is not in SL; JSON writes the error on
+    # one line as json.dumps does, with ≠ escaped like every document
+    path = tmp_path / "det.lg"
+    path.write_text("W = x1^4 + x2^4 + x3^4 + x4^4\nG = diag(1/4, 3/4, 0, 0)\n")
+    code, out = run(capsys, "bstate", str(path), *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert out == ('{"error": {"type": "NotAdmissibleB", "message": '
+                       '"(0, 0, 0, 1/4) has determinant e(1/4) \\u2260 1"}}\n')
+    else:
+        assert out == "error: NotAdmissibleB: (0, 0, 0, 1/4) has determinant e(1/4) ≠ 1\n"
+
+
 def test_not_fermat_error(capsys, tmp_path):
     path = tmp_path / "chain.lg"
     path.write_text(CHAIN_SPEC)

@@ -16,12 +16,16 @@ each script in ``demos/`` has its stdout pinned in ``demo_<name>.txt``.
 import contextlib
 import gzip
 import io
+import os
+import re
 import runpy
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
-from lgmirror import cli
+from lgmirror import cli, symmetry
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).parent.parent / "bench"
@@ -65,6 +69,27 @@ def test_spec_file_with_a_byte_order_mark(tmp_path, command, flags):
     assert capture(command, str(path), *flags).encode() == read_bytes(GOLDEN / name)
 
 
+# text mode prints no class list, so it builds none; --json lists them
+NO_CLASSES = [(GOLDEN / "quartic.lg", command, f"quartic_{command.replace('-', '_')}")
+              for command in ("pc-check", "dual-group", "nonabelian-dual", "bstate",
+                              "mirror-check")] + [
+    (GOLDEN / "chain.lg", "dual-group", "chain_dual_group")]
+
+
+@pytest.mark.parametrize("spec,command,name", NO_CLASSES, ids=[c[2] for c in NO_CLASSES])
+def test_text_mode_builds_no_class_list(spec, command, name, monkeypatch):
+    code = 1 if name == "quartic_dual_group" else 0
+    with monkeypatch.context() as patch:
+        def refuse(self):
+            pytest.fail("a class list was built")
+        patch.setattr(symmetry.SymmetryGroup, "conjugacy_classes", refuse)
+        text = capture(command, str(spec), code=code)
+    if name.startswith("quartic"):
+        assert text.encode() == read_bytes(GOLDEN / f"{name}.txt")
+    json_golden = next(GOLDEN.glob(f"{name}.json*"))
+    assert capture(command, str(spec), "--json", code=code).encode() == read_bytes(json_golden)
+
+
 @pytest.mark.parametrize("model,command,name", [
     ("good_quintic", "mirror-check", "good_quintic_mirror_check.json"),
     ("bad_quintic", "mirror-check", "bad_quintic_mirror_check.json"),
@@ -101,3 +126,34 @@ def test_demo_output(demo):
     with contextlib.redirect_stdout(buf):
         runpy.run_path(str(demo), run_name="__main__")
     assert buf.getvalue().encode() == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()
+
+
+def installed_pythons():
+    """CPython 3.10–3.13 interpreters installed by pyenv, by version."""
+    root = os.environ.get("PYENV_ROOT")
+    if not root and shutil.which("pyenv"):
+        root = subprocess.run(["pyenv", "root"], capture_output=True, text=True).stdout.strip()
+    if not root:
+        return []
+    return sorted(path for path in Path(root).glob("versions/*/bin/python3")
+                  if re.fullmatch(r"3\.1[0-3]\.\d+", path.parent.parent.name))
+
+
+PYTHONS = installed_pythons()
+
+
+@pytest.mark.parametrize("python", PYTHONS, ids=[p.parent.parent.name for p in PYTHONS])
+@pytest.mark.parametrize("command,flags,name", [
+    ("mirror-check", ["--json"], "quartic_mirror_check.json"),
+    ("pc-check", [], "quartic_pc_check.txt"),
+], ids=["mirror-check-json", "pc-check-text"])
+def test_golden_bytes_on_every_installed_python(python, command, flags, name):
+    # the spec grammar and the writer are the same on every supported
+    # CPython; a fresh interpreter runs the CLI from this checkout's src
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([str(python), "-B", "-m", "lgmirror.cli", command,
+                           str(GOLDEN / "quartic.lg"), *flags],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == read_bytes(GOLDEN / name)

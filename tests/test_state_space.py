@@ -17,7 +17,9 @@ from oracles import (
     action_denominator,
     apply_phase,
     b_bidegree,
+    character_dims,
     class_action,
+    fermat,
     form_phase,
     frac_age,
     frac_degree,
@@ -402,9 +404,46 @@ def test_kept_monomials_match_a_filter_and_are_counted_first():
             expected = [b for b in product(*(range(d - 1) for d in sector.degrees))
                         if all(sum((e + 1) * c[i] for e, i in zip(b, firsts)) % mod == 0
                                for _, c in gens)]
-            assert lg.state_space._kept(sector, gens, mod, len(expected)) == expected
+            args = sector.locus.cycles, sector.degrees, gens, mod
+            assert lg.state_space._kept(*args, len(expected)) == expected
             if expected:
                 sectors += 1
                 with pytest.raises(CapExceededError):
-                    lg.state_space._kept(sector, gens, mod, len(expected) - 1)
+                    lg.state_space._kept(*args, len(expected) - 1)
     assert sectors >= 100
+
+
+def test_a_diagonal_group_builds_no_sector(quartic, monkeypatch):
+    # G = ⟨j, diag(1/2, 1/2, 0, 0)⟩ and G* are diagonal: no lift moves a
+    # monomial and every class is one element, so the search reads fixed
+    # cycles and exponents only and no pullback map needs a sector
+    group = lg.closure([lg.parse_generator(t, quartic) for t in ("j", "diag(1/2, 1/2, 0, 0)")])
+    expected = lg.full_comparison(quartic, group)
+    assert group.is_diagonal and expected.dual_group.is_diagonal
+
+    def build(*args):
+        pytest.fail("a sector was built")
+    monkeypatch.setattr(lg.state_space, "build_sector", build)
+    report = lg.full_comparison(quartic, group)
+    assert (report.a_space.basis, report.b_space.basis) == \
+        (expected.a_space.basis, expected.b_space.basis)
+    assert report.verdict is lg.Verdict.BIGRADED_ISOMORPHIC
+
+
+def test_character_dims_match_every_bigraded_dimension(quartic_report, good_report,
+                                                       bad_report):
+    # each dimension from graded characters averaged over centralizers, with
+    # no basis, on both sides of the paper models, 30 random models and two
+    # cubics: an abelian G* of order 729 and a non-abelian one of 2,187
+    reports = [quartic_report, good_report, bad_report]
+    rng = random.Random(2718)
+    reports += [lg.full_comparison(*random_mirror_instance(rng)) for _ in range(30)]
+    spaces = [space for report in reports for space in (report.a_space, report.b_space)]
+    for degrees, text in (([3] * 7, "j"), ([3] * 6, "j; (1 2 3); (4 5 6)")):
+        poly = fermat(degrees)
+        group = lg.closure(lg.parse_generator(t, poly) for t in text.split(";"))
+        spaces += [lg.a_state_space(poly, group),
+                   lg.b_state_space(poly.transpose(), lg.nonabelian_dual(group, poly))]
+    assert sum(not space.group.is_abelian for space in spaces) >= 10
+    for space in spaces:
+        assert character_dims(space.poly, space.group, space.side) == space.dims

@@ -23,10 +23,12 @@ from oracles import (
     determinant,
     element_of_matrix,
     frac_cycles,
+    frac_fixed_locus,
     frac_form,
     matrix_product,
     outcome,
     phase_matrix,
+    random_mirror_instance,
     reference_parse_cycles,
     sorted_subgroups,
     two_generated_subgroups,
@@ -289,6 +291,18 @@ def test_fixed_locus_examples(quartic):
                                         (None, None, None, F(0)))
     assert lg.exponential_grading(quartic).fixed_locus().dim == 0
     assert lg.MonomialSymmetry.identity(4).fixed_locus().dim == 4
+
+
+def test_fixed_cycles_are_the_fixed_locus_cycles(quartic, quintic, quartic_group,
+                                                 good_group, bad_group):
+    # one predicate: the cycles whose phases sum to an integer, as the
+    # Fraction oracle finds them, on every element of G and G*
+    models = [(quartic, quartic_group), (quintic, good_group), (quintic, bad_group)]
+    rng = random.Random(4217)
+    models += [random_mirror_instance(rng) for _ in range(30)]
+    for poly, group in models:
+        for g in list(group) + list(lg.nonabelian_dual(group, poly)):
+            assert g.fixed_cycles() == g.fixed_locus().cycles == frac_fixed_locus(frac_form(g))[0]
 
 
 def test_fixed_vectors_are_fixed_random():
