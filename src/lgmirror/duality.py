@@ -7,21 +7,20 @@ For diagonal H ≤ G_W^diag the dual is
 (rows in additive form).  Each g ∈ G_{Wᵀ}^diag is A_W⁻ᵀ·m mod ℤⁿ for some
 m ∈ ℤⁿ, and g·A_W·hᵀ = m·h, so Hᵀ = A_W⁻ᵀ·L mod ℤⁿ for the lattice
 L = {m ∈ ℤⁿ : m·h ∈ ℤ for each generator h of H}, found by Euclid's algorithm
-on columns.  |Hᵀ| = |det A_W|/|H| is known before any element exists, and
-G_{Wᵀ}^diag is never listed.  The dual of the trivial group on Wᵀ (L = ℤⁿ)
-is G_W^diag itself.  For G = H·K with H diagonal and K the pure even
-permutations of G, the non-abelian dual is G* = Hᵀ·K ≤ G_{Wᵀ}^max.  K
-normalizes Hᵀ and meets it only in the identity, so G* is the product set
-Hᵀ·K.  A cap is checked on |Hᵀ|, or on |Hᵀ|·|K| for G*, before either
-group is built.
+on columns.  |det A_W|·A_W⁻ᵀ = ±adj(A_W)ᵀ is read off the solve W keeps, and
+either sign gives Hᵀ, as L = −L.  |Hᵀ| = |det A_W|/|H| is known before any
+element exists, and G_{Wᵀ}^diag is never listed.  The dual of the trivial
+group on Wᵀ (L = ℤⁿ) is G_W^diag itself.  For G = H·K with H diagonal and K
+the pure even permutations of G, the non-abelian dual is G* = Hᵀ·K ≤
+G_{Wᵀ}^max.  K normalizes Hᵀ and meets it only in the identity, so G* is the
+product set Hᵀ·K.  A cap is checked on |Hᵀ|, or on |Hᵀ|·|K| for G*, before
+either group is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
-from . import linalg
 from .errors import (
     CapExceededError,
     InternalError,
@@ -32,13 +31,7 @@ from .errors import (
     OddPermutationError,
 )
 from .polynomial import InvertiblePolynomial
-from .symmetry import (
-    CACHE_SIZE,
-    DEFAULT_CAP,
-    SymmetryGroup,
-    _generate,
-    is_symmetry,
-)
+from .symmetry import DEFAULT_CAP, SymmetryGroup, _generate, is_symmetry
 
 
 class HKDecomposition(namedtuple("HKDecomposition", "group h k")):
@@ -72,18 +65,9 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     return HKDecomposition(group, h, k)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _inverse_transpose(poly: InvertiblePolynomial):
-    """N = |det A_W| and the integer rows of N·A_W⁻ᵀ = ±adj(A_W)ᵀ."""
-    det, adj = linalg.adjugate(poly.exponents)
-    sign = 1 if det > 0 else -1
-    return abs(det), tuple(tuple(sign * x for x in col) for col in zip(*adj))
-
-
-def _check_cap(h: SymmetryGroup, poly: InvertiblePolynomial, k_order: int,
-               cap: int) -> None:
+def _check_cap(h: SymmetryGroup, poly: InvertiblePolynomial, k_order: int, cap: int) -> None:
     """Errors when |Hᵀ|·k_order exceeds ``cap``; |Hᵀ| = |det A_W|/|H|."""
-    if _inverse_transpose(poly)[0] // h.order * k_order > cap:
+    if abs(poly.adjugate[0]) // h.order * k_order > cap:
         raise CapExceededError(f"group exceeds cap of {cap} elements")
 
 
@@ -99,8 +83,7 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
     if not h.is_diagonal:
         raise NotDiagonalError("dual groups are defined for diagonal groups")
     _check_cap(h, poly, 1, cap)
-    det, rows = _inverse_transpose(poly)
-    n = poly.n_vars
+    n, det, adj = poly.n_vars, abs(poly.adjugate[0]), poly.adjugate[1]
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for gen in h.generators:
         # keep the m with m·nums ≡ 0 mod gen.mod: unimodular Euclid steps between
@@ -113,7 +96,7 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
                 pivot, m = m, tuple(a - q * b for a, b in zip(pivot, m))
                 pivot_value, value = value, pivot_value - q * value
             basis[i] = m
-    gens = [tuple(sum(a * b for a, b in zip(row, m)) % det for row in rows) for m in basis]
+    gens = [tuple(sum(a * b for a, b in zip(c, m)) % det for c in zip(*adj)) for m in basis]
     return SymmetryGroup(_generate([(h.identity.perm, nums) for nums in gens],
                                    det, det)[0], det)
 
@@ -136,8 +119,8 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
     if any(g.conjugated_by(k) not in h_dual
            for k in parts.k.generators for g in h_dual.generators):
         raise InternalError("K does not normalize Hᵀ")
-    # h·k = (σ_k, a_h) for diagonal h = (id, a_h) and k = (σ_k, 0)
-    forms = [(perm, nums) for _, nums in h_dual._forms for perm, _ in parts.k._forms]
+    # h·k = (σ_k, a_h) for h = (id, a_h) and k = (σ_k, 0), made in canonical order
+    forms = [(perm, nums) for perm, _ in parts.k._forms for _, nums in h_dual._forms]
     return SymmetryGroup(forms, h_dual.modulus, h_dual.generators + parts.k.generators)
 
 

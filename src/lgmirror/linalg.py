@@ -1,8 +1,8 @@
 """Exact integer elimination for exponent matrices.
 
-Everything the library needs from A_W⁻¹ (the weights, the generators of
-G^diag_W, the dual lattice map A_W⁻ᵀ) is read off det A_W and the integer
-adjugate adj A_W = det A_W · A_W⁻¹, found by one fraction-free elimination.
+Everything the library needs from A_W⁻¹ (the weights of W and Wᵀ, the dual
+lattice map A_W⁻ᵀ and so G^diag_W) is read off det A_W and the integer
+adjugate adj A_W = det A_W · A_W⁻¹: one fraction-free elimination per W.
 """
 
 from __future__ import annotations

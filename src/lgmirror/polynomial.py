@@ -1,18 +1,17 @@
 """Invertible quasihomogeneous polynomials via their exponent matrices.
 
 A polynomial W = Σ_i Π_j x_j^{a_ij} with as many monomials as variables is
-stored as its square exponent matrix A_W = (a_ij) (row i = monomial i).
-Coefficients are always normalized to 1; they can be scaled away and play no
-role in anything computed here.
+stored as its square exponent matrix A_W = (a_ij) (row i = monomial i), every
+coefficient normalized to 1, as none plays a role in anything computed here.
 
-The weights q solve A_W·q = (1,…,1)ᵀ exactly.  Validity means: A_W is
-non-singular, every q_i lies in (0, 1/2], and the variables split into
-Fermat / chain / loop atoms (x^a, x₁^{a₁}x₂+…+x_N^{a_N},
-x₁^{a₁}x₂+…+x_N^{a_N}x₁ with all a_i ≥ 2).  Weight 1/2 sits on the boundary
-of the usual open range; it is accepted and flagged because chain tails
-genuinely produce it.
-
-All values are immutable after construction and safe to share.
+The weights q = adj A_W·1ᵀ/det A_W solve A_W·q = 1ᵀ exactly.  W keeps that one
+solve as ``adjugate``, and Wᵀ's weights and the dual lattice map A_W⁻ᵀ reuse
+it, as adj(A_Wᵀ) = adj(A_W)ᵀ.  Validity means: A_W is non-singular, every q_i
+lies in (0, 1/2], and the variables split into Fermat / chain / loop atoms
+(x^a, x₁^{a₁}x₂+…+x_N^{a_N}, x₁^{a₁}x₂+…+x_N^{a_N}x₁ with all a_i ≥ 2).
+Weight 1/2 sits on the boundary of the usual open range; it is accepted and
+flagged because chain tails genuinely produce it.  All values are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -53,16 +52,25 @@ class AtomicBlock(namedtuple("AtomicBlock", "kind variables exponents")):
 
 def compute_weights(exponents) -> tuple[Fraction, ...]:
     """Unique rational weights with A_W·q = 1ᵀ, each in (0, 1/2]."""
-    n = len(exponents)
-    if any(len(row) != n for row in exponents):
+    return _weights(*_solve(exponents))
+
+
+def _solve(exponents) -> tuple[int, Matrix]:
+    """(det A_W, adj A_W) from one elimination, once A_W is known square."""
+    if any(len(row) != len(exponents) for row in exponents):
         raise NotSquareError("exponent matrix must be square")
     det, adj = linalg.adjugate(exponents)
-    weights = [Fraction(sum(row), det) for row in adj]
+    return det, tuple(map(tuple, adj))
+
+
+def _weights(det: int, adj: Matrix) -> tuple[Fraction, ...]:
+    """q = adj A_W·1ᵀ / det A_W, each q_i checked to lie in (0, 1/2]."""
+    weights = tuple(Fraction(sum(row), det) for row in adj)
     for i, q in enumerate(weights):
         if not 0 < q <= Fraction(1, 2):
             raise WeightOutOfRangeError(
                 f"weight q_{i + 1} = {q} outside (0, 1/2]; polynomial is degenerate")
-    return tuple(weights)
+    return weights
 
 
 def classify_atoms(exponents: Matrix) -> tuple[AtomicBlock, ...]:
@@ -151,15 +159,23 @@ class InvertiblePolynomial:
     @classmethod
     def from_exponents(cls, rows, var_names=None) -> "InvertiblePolynomial":
         exponents = tuple(tuple(int(e) for e in row) for row in rows)
-        n = len(exponents)
-        weights = compute_weights(exponents)
-        if var_names is None:
-            var_names = tuple(f"x{i + 1}" for i in range(n))
-        else:
-            var_names = tuple(var_names)
-            if len(var_names) != n:
-                raise NotSquareError("need one name per variable")
-        return cls(exponents, weights, var_names)
+        return cls._solved(exponents, _solve(exponents), var_names)
+
+    @classmethod
+    def _solved(cls, exponents: Matrix, solve, var_names) -> "InvertiblePolynomial":
+        """W, its weights read off ``solve`` = (det A_W, adj A_W), which it keeps."""
+        weights, n = _weights(*solve), len(exponents)
+        var_names = tuple(f"x{i + 1}" for i in range(n)) if var_names is None else tuple(var_names)
+        if len(var_names) != n:
+            raise NotSquareError("need one name per variable")
+        poly = cls(exponents, weights, var_names)
+        poly.__dict__["adjugate"] = solve
+        return poly
+
+    @cached_property
+    def adjugate(self) -> tuple[int, Matrix]:
+        """(det A_W, adj A_W), kept from the weights' solve, or solved once if built directly."""
+        return _solve(self.exponents)
 
     @property
     def n_vars(self) -> int:
@@ -194,8 +210,9 @@ class InvertiblePolynomial:
         return any(q == Fraction(1, 2) for q in self.weights)
 
     def transpose(self) -> "InvertiblePolynomial":
-        rows = tuple(zip(*self.exponents))
-        return InvertiblePolynomial.from_exponents(rows, self.var_names)
+        """Wᵀ, solved as adj(A_Wᵀ) = adj(A_W)ᵀ with no second elimination."""
+        det, adj = self.adjugate
+        return self._solved(tuple(zip(*self.exponents)), (det, tuple(zip(*adj))), self.var_names)
 
     def __str__(self) -> str:
         terms = []

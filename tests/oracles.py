@@ -1125,6 +1125,21 @@ def fermat(ds) -> InvertiblePolynomial:
     return InvertiblePolynomial.from_exponents(rows)
 
 
+def random_chain_or_loop(rng: random.Random) -> InvertiblePolynomial:
+    """A chain or loop atom on 2–3 variables, plus at times a Fermat x^2."""
+    n = rng.randint(2, 3)
+    exps = [rng.randint(2, 3) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    loop = rng.random() < 0.5
+    for i, a in enumerate(exps):
+        rows[i][i] = a
+        if i + 1 < n or loop:
+            rows[i][(i + 1) % n] = 1
+    if rng.random() < 0.3:
+        rows = [row + [0] for row in rows] + [[0] * n + [2]]
+    return InvertiblePolynomial.from_exponents(rows)
+
+
 def random_diagonal(rng: random.Random, ds) -> MonomialSymmetry:
     return MonomialSymmetry.diagonal(
         [Fraction(rng.randrange(d), d) for d in ds])

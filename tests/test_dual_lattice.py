@@ -21,6 +21,7 @@ from oracles import (
     brute_force_diagonal,
     frac_form,
     frac_greedy_generators,
+    random_chain_or_loop,
     random_mirror_instance,
     scan_dual_group,
 )
@@ -50,21 +51,6 @@ def test_dual_matches_scan_on_paper_groups(quartic, quartic_group, quintic,
                         (quintic, bad_group)):
         h = lg.decompose_hk(group, poly).h
         assert_matches_scan(h, poly, brute_force_diagonal(poly.transpose()))
-
-
-def random_chain_or_loop(rng):
-    """A chain or loop atom on 2–3 variables, plus at times a Fermat x^2."""
-    n = rng.randint(2, 3)
-    exps = [rng.randint(2, 3) for _ in range(n)]
-    rows = [[0] * n for _ in range(n)]
-    loop = rng.random() < 0.5
-    for i, a in enumerate(exps):
-        rows[i][i] = a
-        if i + 1 < n or loop:
-            rows[i][(i + 1) % n] = 1
-    if rng.random() < 0.3:
-        rows = [row + [0] for row in rows] + [[0] * n + [2]]
-    return lg.InvertiblePolynomial.from_exponents(rows)
 
 
 def test_dual_matches_scan_on_chains_and_loops():

@@ -1,11 +1,13 @@
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lgmirror as lg
+from lgmirror import cli, polynomial
 from lgmirror.errors import (
     DuplicateVariableError,
     NotInvertibleError,
@@ -14,7 +16,13 @@ from lgmirror.errors import (
     SingularMatrixError,
     WeightOutOfRangeError,
 )
-from oracles import outcome, reference_parse_polynomial
+from oracles import (
+    determinant,
+    matrix_inverse,
+    outcome,
+    random_chain_or_loop,
+    reference_parse_polynomial,
+)
 
 
 QUARTIC = "x1^4 + x2^4 + x3^4 + x4^4"
@@ -300,3 +308,109 @@ def test_random_sum_classification_matches_parse(blocks, seed):
     # Fermat type is exactly the diagonal-matrix case
     diagonal = all(sum(1 for e in row if e) == 1 for row in poly.exponents)
     assert poly.is_fermat == diagonal
+
+
+# --- one elimination per polynomial ------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every matrix handed to ``linalg.adjugate`` through polynomial's binding."""
+    seen, adjugate = [], polynomial.linalg.adjugate
+
+    def counted(matrix):
+        seen.append(matrix)
+        return adjugate(matrix)
+
+    monkeypatch.setattr(polynomial.linalg, "adjugate", counted)
+    return seen
+
+
+SOLVE_CASES = [(spec, command) for spec in ("quartic", "chain", "loop")
+               for command in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("spec,command", SOLVE_CASES,
+                         ids=[f"{spec}-{command}" for spec, command in SOLVE_CASES])
+def test_every_command_solves_a_w_once(spec, command, solves, capsys):
+    # parsing W solves A_W; Wᵀ, |det A_W| and the dual map reuse that solve
+    for flags in ((), ("--json",)):
+        solves.clear()
+        cli.main([command, str(GOLDEN / f"{spec}.lg"), *flags])
+        assert len(solves) == 1, flags
+
+
+def test_a_built_polynomial_is_not_solved_again(solves):
+    quartic, chain, loop = map(lg.parse_polynomial, (QUARTIC, CHAIN, LOOP))
+    group = lg.closure([lg.exponential_grading(quartic),
+                        lg.MonomialSymmetry.from_cycles([(0, 1, 2)], 4)])
+    solves.clear()
+    for poly in (quartic, chain, loop):
+        assert poly.transpose().transpose() == poly
+        lg.diagonal_group(poly)
+    lg.full_comparison(quartic, group)
+    lg.nonabelian_dual(group, quartic)
+    assert solves == []
+
+
+def test_a_constructed_polynomial_solves_once_when_asked(solves):
+    parsed = lg.parse_polynomial(CHAIN)
+    built = lg.InvertiblePolynomial(parsed.exponents, parsed.weights, parsed.var_names)
+    solves.clear()
+    assert built.adjugate == parsed.adjugate
+    assert built.transpose().adjugate == parsed.transpose().adjugate
+    assert built.adjugate is built.adjugate and len(solves) == 1
+
+
+def test_from_exponents_errors_keep_their_order():
+    # each matrix comes with too few names, an error that only a sound matrix reaches
+    cases = [(((2, 0, 0), (0, 2)), NotSquareError, "exponent matrix must be square"),
+             (((2, 0), (2, 0)), SingularMatrixError, "singular"),
+             (((1, 0), (0, 2)), WeightOutOfRangeError,
+              r"^weight q_1 = 1 outside \(0, 1/2\]; polynomial is degenerate$"),
+             (((2, 1, 1), (0, 4, 0), (0, 0, 4)), NotSquareError, "one name per variable")]
+    for rows, error, match in cases:
+        with pytest.raises(error, match=match):
+            lg.InvertiblePolynomial.from_exponents(rows, ("y1",))
+    with pytest.raises(NotInvertibleError, match="involves 3 variables"):
+        lg.InvertiblePolynomial.from_exponents(((2, 1, 1), (0, 4, 0), (0, 0, 4)))
+
+
+def assert_transpose_matches_a_fresh_solve(poly):
+    dual = poly.transpose()
+    fresh = lg.InvertiblePolynomial.from_exponents(zip(*poly.exponents), poly.var_names)
+    assert (dual.exponents, dual.var_names, dual.weights, dual.atoms(), dual.adjugate) == \
+        (fresh.exponents, fresh.var_names, fresh.weights, fresh.atoms(), fresh.adjugate)
+    again = dual.transpose()
+    assert again == poly
+    assert (again.weights, again.atoms(), again.adjugate) == \
+        (poly.weights, poly.atoms(), poly.adjugate)
+    # the kept solve is det A_W and det A_W·A_W⁻¹ by Fraction elimination
+    det, adj = poly.adjugate
+    assert det == determinant(poly.exponents)
+    assert [list(row) for row in adj] == \
+        [[det * x for x in row] for row in matrix_inverse(poly.exponents)]
+
+
+def test_transpose_matches_a_fresh_solve():
+    # the chains and loops of test_dual_lattice.py: A_W is never symmetric
+    rng = random.Random(4242)
+    polys = [random_chain_or_loop(rng) for _ in range(8)]
+    assert all(poly.exponents != poly.transpose().exponents for poly in polys)
+    rng = random.Random(1906)
+    kinds = {"fermat": (1, 1), "chain": (2, 4), "loop": (2, 4)}
+    for _ in range(200):
+        blocks = []
+        for kind in rng.choices(list(kinds), k=rng.randint(1, 3)):
+            size = rng.randint(*kinds[kind])
+            blocks.append((kind, [rng.randint(2, 9) for _ in range(size)]))
+        while sum(len(exps) for _, exps in blocks) > 8:
+            blocks.pop()
+        rows, _ = _assemble(blocks, rng.randrange(2 ** 16))
+        names = None if rng.random() < 0.5 else [f"y{i}" for i in range(len(rows))]
+        polys.append(lg.InvertiblePolynomial.from_exponents(rows, names))
+    assert sum(poly.exponents != poly.transpose().exponents for poly in polys) > 150
+    for poly in polys:
+        assert_transpose_matches_a_fresh_solve(poly)

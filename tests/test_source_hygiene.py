@@ -1,8 +1,9 @@
 """What deletions leave behind: an import nothing uses, or a private
 module-level name nothing refers to; a regular expression whose ``\\d``,
 ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; and a
-module-level cache with no bound on its entries.  Read from the syntax
-trees of ``src/lgmirror/*.py`` with the standard library's ``ast`` alone."""
+module-level cache with no bound on its entries, or one keyed by a
+polynomial.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
+standard library's ``ast`` alone."""
 
 import ast
 import re
@@ -125,3 +126,26 @@ def test_every_module_level_cache_with_arguments_is_bounded():
                     or args.kwarg) and any(map(_unbounded, node.decorator_list)):
                 unbounded.append(f"{path.name}:{node.name}")
     assert not unbounded, f"module-level caches without a bound: {unbounded}"
+
+
+# the benchmark's tracer reads this cache's cache_info()
+POLYNOMIAL_CACHES_KEPT = {"state_space.build_sector"}
+
+
+def test_no_module_level_cache_is_keyed_by_a_polynomial():
+    # what is derived from W alone (its atoms, the solve of A_W) lives on W
+    # and goes with it; a module-level cache keyed by W keeps W and what was
+    # derived from it alive after every call that used them
+    keyed = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _called_name(d) in ("cache", "lru_cache") for d in node.decorator_list)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            if any(a.annotation is not None and re.search(
+                    r"\bInvertiblePolynomial\b", ast.unparse(a.annotation)) for a in params):
+                keyed.append(f"{path.stem}.{node.name}")
+    assert set(keyed) <= POLYNOMIAL_CACHES_KEPT, f"caches keyed by a polynomial: {keyed}"
