@@ -116,8 +116,8 @@ def _element_json(g: symmetry.MonomialSymmetry) -> dict:
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": lambda: [
-        {"size": len(cls), "representative": _element_json(cls[0])}
-        for cls in group.conjugacy_classes()]}
+        {"size": len(members), "representative": _element_json(group.elements[members[0][0]])}
+        for members in group.class_transversals()]}
 
 
 def _dims_json(space: state_space.GradedSpace) -> list[dict]:
@@ -194,8 +194,9 @@ def _dual_poly(spec: ProblemSpec):
 def _group(spec: ProblemSpec):
     group = spec.group()
     return ({"group": _group_json(group)},
-            [f"order {group.order}"] + [f"class of {cls[0].label()}: size {len(cls)}"
-                                        for cls in group.conjugacy_classes()])
+            [f"order {group.order}"] + [
+                f"class of {group.elements[members[0][0]].label()}: size {len(members)}"
+                for members in group.class_transversals()])
 
 
 def _dual_group(spec: ProblemSpec):

@@ -6,20 +6,24 @@ For diagonal H ≤ G_W^diag the dual is
 
 (rows in additive form).  Each g ∈ G_{Wᵀ}^diag is A_W⁻ᵀ·m mod ℤⁿ for some
 m ∈ ℤⁿ, and g·A_W·hᵀ = m·h, so Hᵀ = A_W⁻ᵀ·L mod ℤⁿ for the lattice
-L = {m ∈ ℤⁿ : m·h ∈ ℤ for each generator h of H}, found by Euclid's algorithm
-on columns.  |det A_W|·A_W⁻ᵀ = ±adj(A_W)ᵀ is read off the solve W keeps, and
-either sign gives Hᵀ, as L = −L.  |Hᵀ| = |det A_W|/|H| is known before any
-element exists, and G_{Wᵀ}^diag is never listed.  The dual of the trivial
+L = {m ∈ ℤⁿ : m·h ∈ ℤ for each h ∈ H}, spanned by the columns of M·B⁻¹ for
+the Hermite normal form B of H's numerators over its modulus M.
+|det A_W|·A_W⁻ᵀ = ±adj(A_W)ᵀ is read off the solve W keeps, and either sign
+gives Hᵀ, as L = −L.  |Hᵀ| = |det A_W|/|H| is known before any element
+exists, G_{Wᵀ}^diag is never listed, and Hᵀ is listed from the Hermite
+form of its n generators in canonical order.  The dual of the trivial
 group on Wᵀ (L = ℤⁿ) is G_W^diag itself.  For G = H·K with H diagonal and K
 the pure even permutations of G, the non-abelian dual is G* = Hᵀ·K ≤
 G_{Wᵀ}^max.  K normalizes Hᵀ and meets it only in the identity, so G* is the
-product set Hᵀ·K.  A cap is checked on |Hᵀ|, or on |Hᵀ|·|K| for G*, before
-either group is built.
+product set Hᵀ·K, listed in canonical order from K's forms and Hᵀ's.  A cap
+is checked on |Hᵀ|, or on |Hᵀ|·|K| for G*, before either group is listed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
+from math import gcd
 
 from .errors import (
     CapExceededError,
@@ -31,7 +35,8 @@ from .errors import (
     OddPermutationError,
 )
 from .polynomial import InvertiblePolynomial
-from .symmetry import DEFAULT_CAP, SymmetryGroup, _generate, is_symmetry
+from .linalg import adjugate, hermite
+from .symmetry import DEFAULT_CAP, SymmetryGroup, _lattice_forms, is_symmetry
 
 
 class HKDecomposition(namedtuple("HKDecomposition", "group h k")):
@@ -51,9 +56,9 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
-    forms, ident = group._forms, group.identity.perm
-    h = SymmetryGroup([form for form in forms if form[0] == ident], group.modulus)
-    k = SymmetryGroup([form for form in forms if not any(form[1])], group.modulus)
+    forms, mod = group._forms, group.modulus
+    h = SymmetryGroup(group._fixed_diagonals(forms[0][0])[0], mod)
+    k = SymmetryGroup([form for form in forms if not any(form[1])], mod)
     for g in k:
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
@@ -83,22 +88,14 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
     if not h.is_diagonal:
         raise NotDiagonalError("dual groups are defined for diagonal groups")
     _check_cap(h, poly, 1, cap)
-    n, det, adj = poly.n_vars, abs(poly.adjugate[0]), poly.adjugate[1]
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for gen in h.generators:
-        # keep the m with m·nums ≡ 0 mod gen.mod: unimodular Euclid steps between
-        # each vector and a pivot that starts at value gen.mod zero its value
-        pivot, pivot_value = (0,) * n, gen.mod
-        for i, m in enumerate(basis):
-            value = sum(a * b for a, b in zip(m, gen.nums)) % gen.mod
-            while value:
-                q = pivot_value // value
-                pivot, m = m, tuple(a - q * b for a, b in zip(pivot, m))
-                pivot_value, value = value, pivot_value - q * value
-            basis[i] = m
-    gens = [tuple(sum(a * b for a, b in zip(c, m)) % det for c in zip(*adj)) for m in basis]
-    return SymmetryGroup(_generate([(h.identity.perm, nums) for nums in gens],
-                                   det, det)[0], det)
+    det, adj, m_h = abs(poly.adjugate[0]), poly.adjugate[1], h.modulus
+    # B·m ≡ 0 mod M_H for H's Hermite form B over M_H (the zero row is for H = 1)
+    d, adj_b = adjugate(hermite([h._forms[0][1]] + [g.over(m_h)[1] for g in h.generators], m_h))
+    gens = [[sum(a * (m_h * b // d) for a, b in zip(c, m)) % det for c in zip(*adj)]
+            for m in zip(*adj_b)]
+    mod = det // gcd(det, *(x for row in gens for x in row))  # Hᵀ's modulus
+    basis = hermite([[x // (det // mod) for x in row] for row in gens], mod)
+    return SymmetryGroup(_lattice_forms(basis, mod), mod)
 
 
 def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
@@ -116,12 +113,13 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
     h_dual = dual_group(parts.h, poly, cap)
     if parts.k.order == 1:  # G* = Hᵀ
         return h_dual
-    if any(g.conjugated_by(k) not in h_dual
-           for k in parts.k.generators for g in h_dual.generators):
+    forms, mod = h_dual._forms, h_dual.modulus  # sorted, so a form is found by bisection
+    if any(forms[bisect_left(forms, f) % len(forms)] != f for f in (
+            g.conjugated_by(k).over(mod) for k in parts.k.generators for g in h_dual.generators)):
         raise InternalError("K does not normalize Hᵀ")
     # h·k = (σ_k, a_h) for h = (id, a_h) and k = (σ_k, 0), made in canonical order
-    forms = [(perm, nums) for perm, _ in parts.k._forms for _, nums in h_dual._forms]
-    return SymmetryGroup(forms, h_dual.modulus, h_dual.generators + parts.k.generators)
+    return SymmetryGroup([(perm, nums) for perm, _ in parts.k._forms for _, nums in forms],
+                         mod, h_dual.generators + parts.k.generators)
 
 
 def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,

@@ -3,6 +3,7 @@
 Everything the library needs from A_W⁻¹ (the weights of W and Wᵀ, the dual
 lattice map A_W⁻ᵀ and so G^diag_W) is read off det A_W and the integer
 adjugate adj A_W = det A_W · A_W⁻¹: one fraction-free elimination per W.
+A diagonal group is a lattice mod M, read off its Hermite normal form.
 """
 
 from __future__ import annotations
@@ -42,3 +43,21 @@ def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
                 rows[r] = [(p * x - a * b) // prev for x, b in zip(rows[r], top)]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in rows]
+
+
+def hermite(rows: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
+    """Upper-triangular Hermite normal form of the lattice the rows and
+    mod·ℤⁿ span (Cohen §2.4.2), reduced mod ``mod``: row i is zero left of
+    column i and its pivot divides ``mod``.  Unimodular Euclid steps against
+    a pivot that starts at mod·e_i zero column i in every other row."""
+    n = len(rows[0])
+    pool, basis = [[x % mod for x in row] for row in rows], []
+    for i in range(n):
+        pivot = [mod * (i == j) for j in range(n)]
+        for k, v in enumerate(pool):
+            while v[i]:
+                q = pivot[i] // v[i]
+                pivot, v = v, [a - q * b for a, b in zip(pivot, v)]
+            pool[k] = [x % mod for x in v]
+        basis.append(pivot[:i + 1] + [x % mod for x in pivot[i + 1:]])
+    return basis

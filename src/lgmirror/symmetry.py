@@ -14,23 +14,25 @@ so that diagonal elements read off as plain phase vectors and composition
 ``g * h`` is the matrix product: (g*h)·x = g·(h·x), concretely
 perm i ↦ τ(σ(i)) and phase_i = a_i + b_{σ(i)} for g = (σ, a), h = (τ, b).
 
-Groups are finite, immutable after construction, and generated one right
-coset at a time (Dimino's algorithm) with a safety cap; diagonal groups of
-polynomials are dual groups, built in ``duality``.  Every group is built
-from integer forms over the lcm of its elements' moduli, sorted once: element
-order is canonical (lexicographic on permutation images, then phases), which
-makes every downstream output reproducible byte for byte.
+Groups are finite, immutable, checked against a cap before they are listed
+and held as integer forms over the lcm of their elements' moduli, in the
+canonical order (lexicographic on permutation images, then phases) that
+makes every output reproducible byte for byte; elements are made when first
+read.  A diagonal group is a lattice, listed in that order from its Hermite
+normal form; only a group with permutations is generated one right coset at
+a time (Dimino's algorithm) and sorted.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import islice
-from math import gcd, lcm
+from itertools import islice, repeat
+from math import gcd, lcm, prod
 
 from .errors import (
     CapExceededError,
@@ -41,6 +43,7 @@ from .errors import (
     NotAPermutationError,
     ParseError,
 )
+from .linalg import hermite
 from .polynomial import InvertiblePolynomial, parse_digits
 
 HALF = Fraction(1, 2)
@@ -324,6 +327,53 @@ def _generate(forms, mod: int, cap: int):
     return have, picked
 
 
+def _lattice_forms(basis, mod: int):
+    """The diagonal forms of the lattice with Hermite form ``basis`` over
+    ``mod``, in canonical order without a sort.  Level i holds each choice
+    of the coordinates before i, then the sum of rows that fixes the rest:
+    coordinate i runs up through that sum's residue class mod h_ii, and the
+    later sums, like every coordinate past the last pivot below ``mod``,
+    run beside it as progressions."""
+    n = len(basis)
+    last = max((i for i, row in enumerate(basis) if row[i] < mod), default=0)
+    level = [(0,) * n]
+    for i, row in enumerate(basis[:last + 1]):
+        h, step, grown = row[i], row[i + 1:], []
+        for v in level:
+            start = v[i] % h
+            c = (start - v[i]) // h  # the multiple of the row that reaches start
+            sums = [[(a + k * b) % mod for k in range(c, c + mod // h)]
+                    for a, b in zip(v[i + 1:], step)]
+            grown.extend([v[:i] + t for t in zip(range(start, mod, h), *sums)])
+        level = grown
+    return list(zip(repeat(tuple(range(n))), level))
+
+
+def _lattice_generators(forms, mod: int) -> list[int]:
+    """The indices ``_generate(forms, mod, len(forms))[1]`` picks from the
+    diagonal forms of a group Λ in canonical order: each the first form
+    outside the span S of the picks before it.  Take the least t with S_t =
+    Λ_t, for the sublattices zero before coordinate t.  In Λ_{t-1}, which
+    comes first, membership in S depends on coordinate t-1 alone, and S's
+    pivot there is a proper multiple of Λ's, h; so the pick is the first
+    form with coordinate t-1 = h, right after the |Λ_t| forms of Λ_t.  Forms
+    that are not closed error as ``_generate`` does: S must grow and stay
+    within them."""
+    (ident, zero), n = forms[0], len(forms[0][0])
+    sizes = [len(forms)] + [bisect_left(forms, (ident, zero[:t] + (1,))) for t in range(n)]
+    span, picked, t, order = hermite([zero], mod), [], n, 1  # S = {0}
+    while True:
+        while t and sizes[t] * (mod // span[t - 1][t - 1]) == sizes[t - 1]:
+            t -= 1
+        if not t:
+            return picked
+        picked.append(sizes[t])
+        span = hermite(span + [forms[sizes[t]][1]], mod)
+        grown, order = order, prod(mod // row[i] for i, row in enumerate(span))
+        if not grown < order <= len(forms):
+            raise CapExceededError(f"group exceeds cap of {len(forms)} elements")
+
+
 def _lift_generators(lifts):
     """The lifts (τ, a) whose τ the lifts before them do not generate."""
     perms = [(tau, (0,) * len(tau)) for tau, _ in lifts]
@@ -336,10 +386,10 @@ class SymmetryGroup:
     Built once from the distinct integer forms (perm, numerators over
     ``mod``) of a closed set, with ``mod`` reduced to the lcm of the
     elements' moduli.  Nothing else is computed until first read, and then
-    kept: the generators (unless given), the index of each form, the lifts
-    and their generators, the class transversals with each element's class,
-    the classes, and per permutation part σ, N^σ with its φ_σ preimages and,
-    once asked for, its generators.
+    kept: the elements, the generators (unless given), the index of each
+    form, the lifts and their generators, the class transversals with each
+    element's class, the classes, and per permutation part σ, N^σ with its
+    φ_σ preimages and, once asked for, its generators.
 
     Classes and centralizers come from the group's structure G = N⋊T, not
     from a scan of its elements.  The diagonal elements N are the kernel of
@@ -361,30 +411,40 @@ class SymmetryGroup:
             raise DimensionMismatchError("mixed ranks in one group")
         if forms[0] != (tuple(range(n)), (0,) * n):
             raise NotAGroupError("identity missing from element list")
-        make = MonomialSymmetry.from_numerators
-        self.elements = tuple([make(perm, nums, mod) for perm, nums in forms])
-        self.modulus = lcm(*{g.mod for g in self.elements})
-        if self.modulus != mod:
-            scale = mod // self.modulus
-            forms = [(perm, tuple([x // scale for x in nums])) for perm, nums in forms]
-        self._forms = tuple(forms)
+        common = mod  # the modulus is mod // gcd(mod, every numerator)
+        for _, nums in forms:
+            if common == 1:
+                break
+            common = gcd(common, *nums)
+        if common > 1:
+            mod //= common
+            forms = [(perm, tuple([x // common for x in nums])) for perm, nums in forms]
+        self.modulus, self._forms = mod, tuple(forms)
         if generators is not None:
             self.generators = tuple(dict.fromkeys(
                 g for g in generators if not g.is_identity))
         self._fixed: dict[tuple[int, ...], list] = {}
 
     @cached_property
+    def elements(self) -> tuple[MonomialSymmetry, ...]:
+        """The elements in canonical order, made when first read."""
+        make, mod = MonomialSymmetry.from_numerators, self.modulus
+        return tuple([make(perm, nums, mod) for perm, nums in self._forms])
+
+    @cached_property
     def generators(self) -> tuple[MonomialSymmetry, ...]:
         """Given, or a greedy small set found scanning in canonical order."""
-        picked = _generate(self._forms, self.modulus, self.order)[1]
-        return tuple(self.elements[i] for i in picked)
+        forms, mod = self._forms, self.modulus
+        picked = (_lattice_generators(forms, mod) if self.is_diagonal
+                  else _generate(forms, mod, self.order)[1])
+        return tuple(MonomialSymmetry.from_numerators(*forms[i], mod) for i in picked)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._forms)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._forms)
 
     def __iter__(self):
         return iter(self.elements)
@@ -393,7 +453,8 @@ class SymmetryGroup:
         return self.modulus % g.mod == 0 and g.over(self.modulus) in self._index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetryGroup) and self.elements == other.elements
+        return isinstance(other, SymmetryGroup) and self.modulus == other.modulus \
+            and self._forms == other._forms
 
     def __repr__(self) -> str:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
@@ -409,7 +470,7 @@ class SymmetryGroup:
 
     @property
     def identity(self) -> MonomialSymmetry:
-        return self.elements[0]
+        return MonomialSymmetry.identity(self.n)
 
     @property
     def is_abelian(self) -> bool:
@@ -493,13 +554,16 @@ class SymmetryGroup:
     def _fixed_diagonals(self, sigma):
         """[N^σ in canonical order, one preimage c of each value of
         φ_σ(c) = c∘σ − c, the value 0 first], cached per σ; N^σ's generators
-        join the entry when first asked for."""
+        join the entry when first asked for.  N^id is N, with φ_id = 0."""
         if sigma not in self._fixed:
-            mod, ident = self.modulus, self._forms[0][0]
+            forms, mod = self._forms, self.modulus
+            ident, zero = forms[0]
+            block = forms[:bisect_left(forms, (ident, (mod,)))]  # N sorts first
+            if sigma == ident:
+                self._fixed[sigma] = [block, {zero: zero}]
+                return self._fixed[sigma]
             fixed, preimage = [], {}
-            for form in self._forms:
-                if form[0] != ident:  # diagonal elements sort first
-                    break
+            for form in block:
                 c = form[1]
                 value = tuple([(c[s] - x) % mod for s, x in zip(sigma, c)])
                 if not any(value):
@@ -515,7 +579,7 @@ class SymmetryGroup:
         if len(entry) == 2:  # not asked for before
             fixed, mod = entry[0], self.modulus
             entry.append([g.over(mod) for g in self.generators] if len(fixed) == self.order
-                         else [fixed[k] for k in _generate(fixed, mod, len(fixed))[1]])
+                         else [fixed[k] for k in _lattice_generators(fixed, mod)])
         return entry[2]
 
     def _centralizer_forms(self, i: int):
@@ -598,6 +662,11 @@ def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
+    if all(g.is_diagonal for g in generators):
+        basis = hermite([g.over(mod)[1] for g in generators], mod)
+        if prod(mod // row[i] for i, row in enumerate(basis)) > cap:
+            raise CapExceededError(f"group exceeds cap of {cap} elements")
+        return SymmetryGroup(_lattice_forms(basis, mod), mod, generators)
     forms = _generate([g.over(mod) for g in generators], mod, cap)[0]
     return SymmetryGroup(forms, mod, generators)
 

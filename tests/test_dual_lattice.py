@@ -11,6 +11,7 @@ Hᵀ's and K's generators.
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -86,22 +87,33 @@ def test_star_group_is_the_closure(quartic, quartic_group, quintic,
         assert_star_is_closure(*random_mirror_instance(rng))
 
 
-def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
-    sextic = lg.parse_polynomial(" + ".join(f"x{i}^6" for i in range(1, 8)))
-    group = lg.closure([lg.exponential_grading(sextic)])
-
+def block_enumeration(monkeypatch):
+    """Replace both group enumerators, Dimino's ``_generate`` and the lattice
+    listing ``_lattice_forms``, under every name a library module binds them
+    to, so no path can reach an original; each module that builds groups
+    must bind one of them."""
     def enumerate_group(*args, **kwargs):
         pytest.fail("a group was enumerated before the cap was checked")
 
-    # every group is generated by symmetry._generate; replace it under each
-    # name a library module binds it to, so no path can reach the original
-    generate = symmetry._generate
-    bound = [module for name, module in list(sys.modules.items())
-             if name.split(".")[0] == "lgmirror"
-             and getattr(module, "_generate", None) is generate]
-    assert {symmetry, duality} <= set(bound)
-    for module in bound:
-        monkeypatch.setattr(module, "_generate", enumerate_group)
+    builders = {}
+    for routine in ("_generate", "_lattice_forms"):
+        original = getattr(symmetry, routine)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lgmirror" and getattr(module, routine, None) is original:
+                builders.setdefault(module, []).append(routine)
+                monkeypatch.setattr(module, routine, enumerate_group)
+    assert builders == {symmetry: ["_generate", "_lattice_forms"], duality: ["_lattice_forms"]}
+    return enumerate_group
+
+
+def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
+    sextic = lg.parse_polynomial(" + ".join(f"x{i}^6" for i in range(1, 8)))
+    group = lg.closure([lg.exponential_grading(sextic)])
+    enumerate_group = block_enumeration(monkeypatch)
+    units = [lg.MonomialSymmetry.diagonal([Fraction(i == j, 6) for j in range(7)])
+             for i in range(7)]
+    with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
+        lg.closure(units, cap=100)  # a diagonal closure is listed only after the cap
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
         lg.dual_group(group, sextic, cap=100)
     monkeypatch.setattr(duality, "dual_group", enumerate_group)
@@ -114,11 +126,7 @@ def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
 def test_default_cap_binds_the_diagonal_group(monkeypatch):
     # |det A_W| = 1,001,000: one past the default cap of 10^6
     poly = lg.parse_polynomial("x1^1001 + x2^1000")
-
-    def enumerate_group(*args, **kwargs):
-        pytest.fail("a group was enumerated before the cap was checked")
-
-    monkeypatch.setattr(duality, "_generate", enumerate_group)
+    block_enumeration(monkeypatch)
     with pytest.raises(CapExceededError, match="exceeds cap of 1000000 elements"):
         lg.diagonal_group(poly)
     trivial = lg.SymmetryGroup([((0, 1), (0, 0))], 1)
