@@ -27,6 +27,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import lcm
 
 from . import duality, mirror, polynomial, state_space, symmetry
 from .errors import InputFileError, LGError, NotASymmetryError, ParseError
@@ -110,13 +111,15 @@ def _bidegree(bd) -> list[str]:
     return [str(bd[0]), str(bd[1])]
 
 
-def _element_json(g: symmetry.MonomialSymmetry) -> dict:
-    return {"perm": g.cycle_string(), "phases": [symmetry.phase_text(x, g.mod) for x in g.nums]}
+def _element_json(perm, nums, mod: int) -> dict:  # the integer form (perm, nums over mod)
+    return {"perm": symmetry._cycle_text(perm),
+            "phases": [symmetry.phase_text(x, mod) for x in nums]}
 
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
+    forms, mod = group._forms, group.modulus
     return {"order": group.order, "classes": lambda: [
-        {"size": len(members), "representative": _element_json(group.elements[members[0][0]])}
+        {"size": len(members), "representative": _element_json(*forms[members[0][0]], mod)}
         for members in group.class_transversals()]}
 
 
@@ -126,14 +129,17 @@ def _dims_json(space: state_space.GradedSpace) -> list[dict]:
 
 def _pc_json(holds: bool, witness: symmetry.SymmetryGroup | None) -> dict:
     return {"holds": holds,
-            "witness": None if witness is None else [_element_json(g) for g in witness]}
+            "witness": None if witness is None else [_element_json(*form, witness.modulus)
+                                                     for form in witness._forms]}
 
 
 def _space_json(space: state_space.GradedSpace) -> dict:
+    forms, gmod = space.group._forms, space.group.modulus
+    mod = lcm(2, gmod)
     basis = [{"bidegree": _bidegree(v.bidegree),
               "label": state_space.vector_label(v, space.poly),
-              "terms": [{"phase": str(ph), "exponents": list(exps),
-                         "element": _element_json(g)} for ph, exps, g in v.terms]}
+              "terms": [{"phase": symmetry.phase_text(p, mod), "exponents": list(exps),
+                         "element": _element_json(*forms[i], gmod)} for i, exps, p in v.nodes]}
              for v in space.basis]
     return {"total_dim": space.total_dim, "dims": _dims_json(space),
             "basis": basis, "census": space.census()}
@@ -193,10 +199,11 @@ def _dual_poly(spec: ProblemSpec):
 
 def _group(spec: ProblemSpec):
     group = spec.group()
+    forms, mod = group._forms, group.modulus
     return ({"group": _group_json(group)},
             [f"order {group.order}"] + [
-                f"class of {group.elements[members[0][0]].label()}: size {len(members)}"
-                for members in group.class_transversals()])
+                f"class of {symmetry.form_label(*forms[m[0][0]], mod)}: size {len(m)}"
+                for m in group.class_transversals()])
 
 
 def _dual_group(spec: ProblemSpec):
@@ -204,8 +211,10 @@ def _dual_group(spec: ProblemSpec):
     dual = duality.dual_group(group, spec.poly, spec.cap)
     return ({"group": _group_json(group),
              "dual_group": {"order": dual.order,
-                            "elements": lambda: [_element_json(g) for g in dual]}},
-            chain([f"order {dual.order}"], (g.label() for g in dual)))
+                            "elements": lambda: [_element_json(*f, dual.modulus)
+                                                 for f in dual._forms]}},
+            chain([f"order {dual.order}"], (symmetry.form_label(*f, dual.modulus)
+                                            for f in dual._forms)))
 
 
 def _nonabelian_dual(spec: ProblemSpec):
@@ -215,7 +224,7 @@ def _nonabelian_dual(spec: ProblemSpec):
     return ({"group": _group_json(group),
              "nonabelian_dual": {
                  "order": star.order,
-                 "generators": [_element_json(g) for g in star.generators],
+                 "generators": [_element_json(g.perm, g.nums, g.mod) for g in star.generators],
                  "abelian": abelian}},
             [f"order {star.order}", "abelian" if abelian else "non-abelian"] +
             [f"generator {g.label()}" for g in star.generators])

@@ -8,12 +8,12 @@ monomial data and sector data:
 for diagonal g with phases a_j/d_j, where I_g indexes the nonzero phases,
 g' has phases (b_i+1)/d_i on the g-fixed coordinates and 0 elsewhere.  In
 integers it is one rule: the untwisted term y^b and the narrow diagonal
-element with phases (b_i+1)/d_i both read as the vector b + 1.  So each
+element with phases (b_i+1)/d_i both read as the vector b.  So each
 untwisted vector and each narrow diagonal class sum is keyed by the set of
 its terms' vectors, and the map restricts to bigraded isomorphisms between
 the untwisted broad sector on one side and the narrow diagonal class sums
 on the other exactly when equal keys pair the two corners one to one, in
-both directions, with equal bidegrees.  No group element is built.
+both directions, with equal bidegrees.  No element or rational is made.
 
 The full bigraded comparison never forces a bijection outside those corners
 (none is canonical there); it compares dimension histograms and attaches the
@@ -46,29 +46,32 @@ class RestrictedMirror(namedtuple("RestrictedMirror", "a0_to_narrow narrow_to_b0
 
 def _corners(space: GradedSpace):
     """The untwisted and the narrow diagonal vectors of ``space``, in basis
-    order, each with its corner key: the set of its terms' integer vectors,
-    b + 1 for y^b in the untwisted sector and the phases scaled by d for a
-    narrow diagonal element.  The diagonal elements of G = H·K are H, so the
-    lead decides the corner."""
+    order, each with its corner key: the set of its nodes' integer vectors,
+    b for y^b in the untwisted sector and the phases scaled by d, less 1,
+    for a narrow diagonal element, read from the group's forms.  A set of
+    one is keyed by its one vector, which equals no set.  The diagonal
+    elements of G = H·K are H, so the lead decides the corner."""
     d = space.poly.fermat_exponents()
-    diagonal = tuple(range(len(d)))
+    forms, mod = space.group._forms, space.group.modulus
     untwisted, narrow = [], []
     for v in space.basis:
-        g = v.leading[2]
-        if g.perm != diagonal:
+        perm, nums = forms[v.nodes[0][0]]
+        if perm != forms[0][0]:
             continue
-        if not any(g.nums):
-            untwisted.append((frozenset(tuple([b + 1 for b in exps])
-                                        for _, exps, _ in v.terms), v))
-        elif all(g.nums):
-            # exact: a diagonal symmetry of Fermat W has phases k/d_i
-            narrow.append((frozenset(tuple([x * e // h.mod for x, e in zip(h.nums, d)])
-                                     for _, _, h in v.terms), v))
+        if not any(nums):
+            corner, keys = untwisted, [exps for _, exps, _ in v.nodes]
+        elif all(nums):  # exact: a diagonal symmetry of Fermat W has phases k/d_i
+            corner, keys = narrow, [tuple([x * e // mod - 1 for x, e in zip(forms[i][1], d)])
+                                    for i, _, _ in v.nodes]
+        else:
+            continue
+        corner.append((keys[0] if len(keys) == 1 else frozenset(keys), v))
     return untwisted, narrow
 
 
 def _match(sources, targets, source_name, target_name):
-    """Pair each keyed source vector with the target vector of equal key."""
+    """Pair each keyed source vector with the target vector of equal key;
+    both sides count bidegrees over the same 2·lcm(d), as Wᵀ = W."""
     by_key = dict(targets)
     pairs = []
     for key, v in sources:
@@ -76,7 +79,7 @@ def _match(sources, targets, source_name, target_name):
         if w is None:
             raise TheoremViolationError(
                 f"{source_name} maps to no {target_name}: {v.terms}")
-        if w.bidegree != v.bidegree:
+        if w.grade != v.grade:
             raise TheoremViolationError(
                 f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
         pairs.append((v, w))

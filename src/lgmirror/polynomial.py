@@ -199,11 +199,6 @@ class InvertiblePolynomial:
         """Each column's one nonzero entry, or None unless pure Fermat."""
         return tuple(map(max, zip(*self.exponents))) if self.is_fermat else None
 
-    @cached_property
-    def weight_sum(self) -> Fraction:
-        """Σ q_i, the age of the grading element j_W."""
-        return sum(self.weights, Fraction(0))
-
     @property
     def has_boundary_weight(self) -> bool:
         """True when some q_i = 1/2 (accepted, but on the range boundary)."""

@@ -11,20 +11,17 @@ permutation of coordinates with one scalar phase each; the volume form
 additionally picks up the reordering sign (phase 1/2 per odd rearrangement).
 Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
-vector exactly when every closed loop of generator moves has total phase 0.
-Since (⊕_g Q_{W_g}·ω_g)^G = ⊕_{[r]} (Q_{W_r}·ω_r)^{C(r)}, the search runs
-once per conjugacy class, in the sector of its least element r, and only
-the lifts in C(r) move monomials: its diagonal part N^σ, like the diagonal
-part c of each transversal element t = w·c, acts by a character.  An
-invariant orbit reaches every conjugate t⁻¹rt by one map per coset of the
-diagonal subgroup, that of w, followed by c's character.  The search reads
-r's fixed cycles and their exponents; a sector is built only for a pullback
-map, the lifts' and the coset heads', so a diagonal group builds none.
+vector exactly when every closed loop of moves has total phase 0.  They are
+found one conjugacy class at a time (``invariant_basis``), and a sector is
+built only for a pullback map, so a diagonal group builds none.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
 where deg P always includes the volume form: deg(Π y^{b_C}·ω) = Σ (b_C+1)·q_C,
 and age g⁻¹ = n − N_g − age g.
+
+Basis vectors hold integers (``GradedBasisVector``): the search makes only
+the elements that a class representative or a pullback map needs.
 
 Everything is immutable; sectors are cached per (W, g) in a bounded LRU.
 """
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 from operator import mul
@@ -49,10 +46,13 @@ from .polynomial import InvertiblePolynomial
 from .symmetry import (
     CACHE_SIZE,
     DEFAULT_CAP,
-    HALF,
+    FixedLocus,
     MonomialSymmetry,
     SymmetryGroup,
     exponential_grading,
+    form_cycles,
+    form_label,
+    form_locus,
     is_symmetry,
     phase_text,
 )
@@ -76,10 +76,6 @@ class Sector(namedtuple("Sector", "poly element locus degrees")):
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """The exponent tuples, 0 ≤ b_C ≤ d_C − 2, in order."""
         return tuple(product(*(range(d - 1) for d in self.degrees)))
-
-    @property
-    def is_narrow(self) -> bool:
-        return self.locus.dim == 0
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -162,64 +158,66 @@ def sector_map(gamma: MonomialSymmetry, sector: Sector,
                      form_num, mod)
 
 
-class GradedBasisVector(namedtuple("GradedBasisVector", "side terms bidegree")):
-    """Orbit sum Σ e(phase)·⌊y^b·ω, g⌉ with one common bidegree.
+class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade den")):
+    """Orbit sum Σ e(p/M)·⌊y^b·ω, g_i⌉ with one common bidegree, in integers.
 
-    ``terms`` holds (phase, exponents, element) triples, sorted; the
-    leading (first) term has coefficient phase 0.
+    ``nodes`` holds (i, b, p) triples, sorted: i indexes ``group``'s forms
+    and p counts over M = lcm(2, group.modulus); the leading (first) node
+    has p = 0.  The bidegree is ``grade`` over ``den`` = 2·lcm(d).  The
+    views below make rationals and elements only when read.
     """
 
     __slots__ = ()
 
     @property
-    def leading(self) -> tuple[Fraction, tuple[int, ...], MonomialSymmetry]:
-        return self.terms[0]
+    def terms(self) -> tuple:
+        """(phase, exponents, element) triples in node order."""
+        forms, gmod, make = self.group._forms, self.group.modulus, MonomialSymmetry.from_numerators
+        return tuple([(Fraction(p, lcm(2, gmod)), exps, make(*forms[i], gmod))
+                      for i, exps, p in self.nodes])
+
+    @property
+    def leading(self) -> tuple:
+        return self._replace(nodes=self.nodes[:1]).terms[0]
 
     @property
     def sector_elements(self) -> tuple[MonomialSymmetry, ...]:
         return tuple(g for _, _, g in self.terms)
 
+    @property
+    def bidegree(self) -> Bidegree:
+        return Fraction(self.grade[0], self.den), Fraction(self.grade[1], self.den)
+
 
 class GradedSpace:
-    """State space with canonical basis, bidegree histogram and census."""
+    """State space with canonical basis, bidegree histogram and census; the
+    histogram counts integer pairs and reads each distinct one as rationals."""
 
-    def __init__(self, side: str, poly: InvertiblePolynomial,
-                 group: SymmetryGroup,
+    def __init__(self, side: str, poly: InvertiblePolynomial, group: SymmetryGroup,
                  basis: tuple[GradedBasisVector, ...]):
-        self.side = side
-        self.poly = poly
-        self.group = group
-        self.basis = basis
-        self.dims: dict[Bidegree, int] = dict(Counter(v.bidegree for v in basis))
+        self.side, self.poly, self.group, self.basis = side, poly, group, basis
+        first = {v.grade: v for v in basis}
+        self.dims: dict[Bidegree, int] = {
+            first[grade].bidegree: k for grade, k in Counter([v.grade for v in basis]).items()}
         self.total_dim = len(basis)
 
     def census(self) -> dict:
-        """Counts by sector type of the leading term.
-
-        Twisted broad counts are keyed by the leading element's label.
-        """
-        untwisted = 0
-        narrow_diagonal = 0
-        narrow_nondiagonal = 0
-        twisted: dict[str, int] = {}
+        """Counts by sector type of the leading term, read from its form;
+        twisted broad counts are keyed by the leading element's label."""
+        forms, mod = self.group._forms, self.group.modulus
+        ident, twisted = forms[0][0], {}
+        counts = {"untwisted_broad": 0, "twisted_broad": twisted,
+                  "narrow_diagonal": 0, "narrow_nondiagonal": 0}
         for v in self.basis:
-            g = v.leading[2]
-            if g.is_identity:
-                untwisted += 1
-            elif not g.fixed_cycles():
-                if g.is_diagonal:
-                    narrow_diagonal += 1
-                else:
-                    narrow_nondiagonal += 1
+            perm, nums = forms[v.nodes[0][0]]
+            if perm == ident and not any(nums):
+                counts["untwisted_broad"] += 1
+            elif not form_cycles(perm, nums, mod):
+                counts["narrow_diagonal" if perm == ident else "narrow_nondiagonal"] += 1
             else:
-                label = g.label()
+                label = form_label(perm, nums, mod)
                 twisted[label] = twisted.get(label, 0) + 1
-        return {
-            "untwisted_broad": untwisted,
-            "twisted_broad": twisted,
-            "narrow_diagonal": narrow_diagonal,
-            "narrow_nondiagonal": narrow_nondiagonal,
-        }
+        return counts
 
     def sorted_dims(self) -> list[tuple[Bidegree, int]]:
         return sorted(self.dims.items())
@@ -271,12 +269,12 @@ def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
     numerators over ``mod`` at the first index C₀ of each fixed cycle C of
     y (r's are ``fixed``) and their sum.  c* keeps every cycle, with scalar
     c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
-    elements, gmod, out = group.elements, group.modulus, [(None, [])]
+    forms, gmod, out = group._forms, group.modulus, [(None, [])]
+    make = MonomialSymmetry.from_numerators
     for x, w, c in members:
         if not any(c) and x != members[0][0]:  # the head y = w⁻¹·r·w of a coset
-            sm = sector_map(MonomialSymmetry.from_numerators(*w, gmod),
-                            build_sector(poly, elements[members[0][0]]),
-                            build_sector(poly, elements[x]))
+            sm = sector_map(make(*w, gmod), build_sector(poly, make(*forms[members[0][0]], gmod)),
+                            build_sector(poly, make(*forms[x], gmod)))
             fixed = sm.target.locus.cycles
             out.append((sm, []))
         cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
@@ -301,26 +299,24 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     coset of N, then by the character of the diagonal c (``_carries``).
     The least term of its orbit sum, in the sector of r, has phase 0.
     """
-    elements, gmod = group.elements, group.modulus
+    forms, gmod = group._forms, group.modulus
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     make = MonomialSymmetry.from_numerators
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, gmod)
-    phase = lru_cache(maxsize=None)(partial(Fraction, denominator=mod))  # one per value
-    # bidegrees over one denominator, one Fraction pair per value in this call
-    jw, d_all = poly.weight_sum, poly.fermat_exponents()
-    den = lcm(2 * gmod, jw.denominator, *d_all)
-    shift = jw.numerator * (den // jw.denominator)
-    bidegree = lru_cache(maxsize=None)(lambda p, q: (Fraction(p, den), Fraction(q, den)))
+    # bidegrees over 2·lcm(d): phases of symmetries of Fermat W are k/d_i
+    d_all = poly.fermat_exponents()
+    den = 2 * lcm(*d_all)
+    shift = sum([den // d for d in d_all])  # den·age j_W
     sign = -1 if side == A_SIDE else 1  # bidegree (u + deg, v ± deg)
     vectors = []  # appended sorted: by representative, then lead
     kept_at: dict[tuple, list] = {}  # (σ, fixed cycles) -> kept exponents
     counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
     for members in group.class_transversals():
         r = members[0][0]
-        g = elements[r]
+        g = make(*forms[r], gmod)
         fixed = g.fixed_cycles()  # no canonical vectors: only maps need sectors
         limit = (TERM_CAP - counted) // len(members)
         kept = kept_at.get((g.perm, fixed))
@@ -368,12 +364,12 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             for sm, coset in carries:
                 for exps, p in phases.items():
                     image, delta = (exps, 0) if sm is None else sm.apply(exps, mod)
-                    for x, c, form in coset:
-                        nodes.append(((x, image), p + delta + form + sum(map(mul, image, c))))
+                    nodes += [(x, image, (p + delta + form + sum(map(mul, image, c))) % mod)
+                              for x, c, form in coset]
             nodes.sort()  # element indices follow the canonical element order
-            terms = tuple((phase(p % mod), exps, elements[i]) for (i, exps), p in nodes)
             deg = sum((b + 1) * q for b, q in zip(lead, steps))
-            vectors.append(GradedBasisVector(side, terms, bidegree(u + deg, v + sign * deg)))
+            grade = (u + deg, v + sign * deg)
+            vectors.append(GradedBasisVector(side, group, tuple(nodes), grade, den))
     return tuple(vectors)
 
 
@@ -402,8 +398,7 @@ class HodgeDiamond:
 
     def __init__(self, space: GradedSpace):
         self.dims = dict(space.dims)
-        self.integral = all(p.denominator == 1 and q.denominator == 1
-                            for p, q in self.dims)
+        self.integral = all(p.denominator == q.denominator == 1 for p, q in self.dims)
 
     def grid(self) -> dict[tuple[int, int], int]:
         if not self.integral:
@@ -412,20 +407,16 @@ class HodgeDiamond:
 
     def rows(self) -> list[list[int]]:
         """One list per occupied total degree p+q, cells ordered by p."""
-        grid = self.grid()
-        totals = sorted({p + q for p, q in grid})
-        out = []
-        for s in totals:
+        grid, out = self.grid(), []
+        for s in sorted({p + q for p, q in grid}):
             ps = [p for (p, q) in grid if p + q == s]
-            row = [grid.get((p, s - p), 0) for p in range(min(ps), max(ps) + 1)]
-            out.append(row)
+            out.append([grid.get((p, s - p), 0) for p in range(min(ps), max(ps) + 1)])
         return out
 
     def render(self) -> str:
         """Centered text diamond, or a sparse table for fractional gradings."""
         if not self.integral:
-            lines = [f"({p}, {q}): {d}" for (p, q), d in sorted(self.dims.items())]
-            return "\n".join(lines)
+            return "\n".join(f"({p}, {q}): {d}" for (p, q), d in sorted(self.dims.items()))
         rows = [" ".join(str(d) for d in row) for row in self.rows()]
         width = max((len(r) for r in rows), default=0)
         return "\n".join(r.center(width).rstrip() for r in rows)
@@ -433,26 +424,22 @@ class HodgeDiamond:
 
 # --- rendering helpers -------------------------------------------------------
 
+def _coefficient(num: int, mod: int) -> str:
+    """e(num/mod) as a prefix: none for 1, '-' for −1 (a sum reads '+ -' as '- ')."""
+    return "" if not num else "-" if 2 * num == mod else f"e({phase_text(num, mod)})*"
+
+
 def _coordinate_label(poly: InvertiblePolynomial, cycle, nums, mod) -> str:
     if len(cycle) == 1:
         return poly.var_names[cycle[0]]
-    parts = []
-    for i, x in sorted(zip(cycle, nums)):
-        name = poly.var_names[i]
-        if x == 0:
-            parts.append(name)
-        elif 2 * x == mod:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"e({phase_text(x, mod)})*{name}")
+    parts = [_coefficient(x, mod) + poly.var_names[i] for i, x in sorted(zip(cycle, nums))]
     return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
-def monomial_label(poly: InvertiblePolynomial, g: MonomialSymmetry,
+def monomial_label(poly: InvertiblePolynomial, locus: FixedLocus,
                    exponents: tuple[int, ...]) -> str:
     """Render Π y^{b_C} over the cycle coordinates of Fix(g) (form omitted)."""
     factors = []
-    locus = g.fixed_locus()
     for (cycle, nums, b) in zip(locus.cycles, locus.phase_nums, exponents):
         if b == 0:
             continue
@@ -463,15 +450,9 @@ def monomial_label(poly: InvertiblePolynomial, g: MonomialSymmetry,
 
 def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial) -> str:
     """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``."""
-    chunks = []
-    for k, (phase, exps, g) in enumerate(vector.terms):
-        body = f"[{monomial_label(poly, g, exps)}, {g.label()}]"
-        if k == 0:
-            chunks.append(body)
-        elif phase == HALF:
-            chunks.append(f"- {body}")
-        elif phase == 0:
-            chunks.append(f"+ {body}")
-        else:
-            chunks.append(f"+ e({phase})*{body}")
-    return " ".join(chunks)
+    forms, gmod = vector.group._forms, vector.group.modulus
+    mod, chunks = lcm(2, gmod), []
+    for i, exps, p in vector.nodes:  # the lead, first, has phase 0
+        locus, label = form_locus(*forms[i], gmod), form_label(*forms[i], gmod)
+        chunks.append(f"{_coefficient(p, mod)}[{monomial_label(poly, locus, exps)}, {label}]")
+    return " + ".join(chunks).replace("+ -", "- ")

@@ -5,7 +5,9 @@ unity times a permutation matrix.  Phases are kept additively mod 1 as
 integer numerators a_i over one reduced modulus N per element, so the
 element with phases a/N and permutation σ is the matrix with entry
 e(a_i/N) = exp(2πi·a_i/N) in row i, column σ(i).  ``Fraction`` appears only
-where phases are read in and where labels and ages are written out.  The
+where phases are read in and where labels and ages are written out.  An
+element's fixed cycles, fixed locus and label are read off any of its
+integer forms (``form_cycles``, ``form_locus``, ``form_label``).  The
 action convention, fixed once for the whole library, is
 
     (g·x)_i = e(a_i/N) · x_{σ(i)}
@@ -31,7 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -46,7 +48,6 @@ from .errors import (
 from .linalg import hermite
 from .polynomial import InvertiblePolynomial, parse_digits
 
-HALF = Fraction(1, 2)
 DEFAULT_CAP = 10 ** 6  # group size cap when the caller sets none
 CACHE_SIZE = 4096  # entries a process-wide cache keeps, least recently used out first
 
@@ -243,17 +244,10 @@ class MonomialSymmetry:
 
     def fixed_cycles(self) -> tuple[tuple[int, ...], ...]:
         """The cycles of Fix(g): those whose phases sum to an integer."""
-        nums, mod = self.nums, self.mod
-        return tuple([c for c in self.cycles() if not sum(map(nums.__getitem__, c)) % mod])
+        return form_cycles(self.perm, self.nums, self.mod)
 
     def fixed_locus(self) -> "FixedLocus":
-        cycles, vectors = self.fixed_cycles(), []
-        for cycle in cycles:
-            vec = [0]
-            for i in cycle[:-1]:
-                vec.append((vec[-1] - self.nums[i]) % self.mod)
-            vectors.append(tuple(vec))
-        return FixedLocus(self.n, cycles, tuple(vectors), self.mod)
+        return form_locus(self.perm, self.nums, self.mod)
 
     @property
     def key(self):
@@ -273,12 +267,7 @@ class MonomialSymmetry:
 
     def label(self) -> str:
         """Human-readable form matching the additive notation in use."""
-        diag = "(" + ", ".join([phase_text(x, self.mod) for x in self.nums]) + ")"
-        if self.is_diagonal:
-            return diag
-        if self.is_pure_permutation:
-            return self.cycle_string()
-        return diag + self.cycle_string()
+        return form_label(self.perm, self.nums, self.mod)
 
     def __repr__(self) -> str:
         return f"MonomialSymmetry({self.label()})"
@@ -297,6 +286,28 @@ class FixedLocus(namedtuple("FixedLocus", "n cycles phase_nums mod")):
     @property
     def dim(self) -> int:
         return len(self.cycles)
+
+
+def form_cycles(perm, nums, mod: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of Fix(g) for g = (perm, nums over mod), ``mod`` any
+    multiple of g's modulus: those whose phases sum to an integer."""
+    return tuple([c for c in _perm_cycles(perm) if not sum(map(nums.__getitem__, c)) % mod])
+
+
+def form_locus(perm, nums, mod: int) -> FixedLocus:
+    """Fix(g) for g = (perm, nums over mod)."""
+    cycles = form_cycles(perm, nums, mod)
+    # from a cycle's least index on, each phase is the one before less g's phase there
+    vectors = [tuple(accumulate([nums[i] for i in c[:-1]], lambda a, x: (a - x) % mod, initial=0))
+               for c in cycles]
+    return FixedLocus(len(perm), cycles, tuple(vectors), mod)
+
+
+def form_label(perm, nums, mod: int) -> str:
+    """The label of g = (perm, nums over mod): its phases, its cycles, or both."""
+    diag = "(" + ", ".join([phase_text(x, mod) for x in nums]) + ")"
+    cycles = _cycle_text(perm)  # '()' when no index moves
+    return diag if cycles == "()" else cycles if not any(nums) else diag + cycles
 
 
 def _generate(forms, mod: int, cap: int):
@@ -456,6 +467,9 @@ class SymmetryGroup:
         return isinstance(other, SymmetryGroup) and self.modulus == other.modulus \
             and self._forms == other._forms
 
+    def __hash__(self) -> int:  # equal groups have equal moduli, orders and last forms
+        return hash((self.modulus, self.order, self._forms[-1]))
+
     def __repr__(self) -> str:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
 
@@ -512,7 +526,8 @@ class SymmetryGroup:
         if self.is_diagonal:  # singleton classes; the walk below is 3x slower on them
             return [[(i, forms[0], forms[0][1])] for i in range(self.order)], range(self.order)
         mod, index = self.modulus, self._index
-        gens = [(self.elements[index[g]].inverse().over(mod), g) for g in self._lifts[1]]
+        gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
+                for g in self._lifts[1]]
         owner = [-1] * self.order
         classes = []
         for i in range(self.order):
@@ -547,9 +562,6 @@ class SymmetryGroup:
     def _classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         return tuple(tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
                      for members in self.class_transversals())
-
-    def class_of(self, g: MonomialSymmetry) -> tuple[MonomialSymmetry, ...]:
-        return self.conjugacy_classes()[self._transversals[1][self.index(g)]]
 
     def _fixed_diagonals(self, sigma):
         """[N^σ in canonical order, one preimage c of each value of
@@ -606,11 +618,11 @@ class SymmetryGroup:
         """C_G(g) as the product set of N^σ and the lifts, generated by
         N^σ's generators and the lifts whose τ the lifts before them do
         not generate."""
-        i, mod, index = self.index(g), self.modulus, self._index
+        i, mod = self.index(g), self.modulus
         fixed, lifts, lift_gens = self._centralizer_forms(i)
         gens = self._fixed_generators(self._forms[i][0]) + lift_gens
-        return SymmetryGroup([_compose(c, lift, mod) for c in fixed for lift in lifts],
-                             mod, [self.elements[index[form]] for form in gens])
+        return SymmetryGroup([_compose(c, lift, mod) for c in fixed for lift in lifts], mod,
+                             [MonomialSymmetry.from_numerators(*form, mod) for form in gens])
 
     def _subgroup_walk(self):
         """Each subgroup, built when reached, ordered by order, then by

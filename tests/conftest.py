@@ -36,6 +36,12 @@ def bad_group(quintic):
 
 
 @pytest.fixture(scope="session")
+def bad_star(quintic, bad_group):
+    """The bad quintic's G* = Hᵀ·K, of order 2,500, built once per session."""
+    return lg.nonabelian_dual(bad_group, quintic)
+
+
+@pytest.fixture(scope="session")
 def quartic_report(quartic, quartic_group):
     return lg.full_comparison(quartic, quartic_group)
 

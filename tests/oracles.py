@@ -26,13 +26,15 @@ monomial, with the narrow corners found by scanning H and Hᵀ.  The spec
 parsers' token scans and state table are checked against the tokenizer,
 recursive-descent loops and gap-checking cycle scan they replaced.  Rational
 views of the library's integer fields (phase matrices, canonical vectors,
-sector-map phases) are built here too.
+sector-map phases) are built here too, and so are the views only tests
+read: an element's conjugacy class and whether a sector is narrow.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
@@ -40,7 +42,6 @@ from math import lcm, prod
 import numpy as np
 
 from lgmirror import (
-    GradedBasisVector,
     InvertiblePolynomial,
     MonomialSymmetry,
     RestrictedMirror,
@@ -463,11 +464,17 @@ def factor_each_element(group, poly):
 
 # --- per-element invariant search ---------------------------------------------
 
+# an orbit sum as the library's vectors read: (phase, exponents, element)
+# terms and a pair of rationals
+SearchedVector = namedtuple("SearchedVector", "side terms bidegree")
+
+
 def search_invariant_basis(poly, group, side):
     """Orbit-sum basis found as ``invariant_basis`` once did: a search from
     every element's sector under the group's generators, each move's target
     γ⁻¹gγ built by ``sector_map`` and looked up with ``group.index``, and
-    each bidegree taken from the textbook formula on ``Fraction`` ages."""
+    each bidegree taken from the textbook formula on ``Fraction`` ages.
+    Each vector is a ``SearchedVector`` of ``Fraction``s and elements."""
     elements = group.elements
     sectors = [build_sector(poly, g) for g in elements]
     moves = []
@@ -513,7 +520,7 @@ def search_invariant_basis(poly, group, side):
             lead = ordered[0]
             bidegree = bidegree_of(sectors[lead[0]],
                                    frac_degree(sectors[lead[0]], lead[1]))
-            vectors.append((lead, GradedBasisVector(side, terms, bidegree)))
+            vectors.append((lead, SearchedVector(side, terms, bidegree)))
     vectors.sort(key=lambda pair: pair[0])
     return tuple(v for _, v in vectors)
 
@@ -655,11 +662,24 @@ def root_of_unity(m: int, p: int) -> int:
     raise AssertionError("no primitive root found")
 
 
+# --- views only the tests read -----------------------------------------------
+
+def class_of(group, g):
+    """The conjugacy class of g, sorted, as ``group.conjugacy_classes()``
+    lists it."""
+    return group.conjugacy_classes()[group._transversals[1][group.index(g)]]
+
+
+def is_narrow(sector) -> bool:
+    """True when the sector's fixed locus is the origin."""
+    return sector.locus.dim == 0
+
+
 # --- averaging projector oracle ---------------------------------------------
 
 def class_action(poly, group, rep):
     """Permutation-with-phase action of every γ ∈ G on one class's nodes."""
-    cls = group.class_of(rep)
+    cls = class_of(group, rep)
     sectors = {g: build_sector(poly, g) for g in cls}
     nodes = [(g, b) for g in cls for b in sectors[g].basis]
     index = {node: i for i, node in enumerate(nodes)}
@@ -1198,7 +1218,7 @@ def random_action_instance(rng: random.Random, max_order=200, max_nodes=100):
         except Exception:
             continue
         rep = rng.choice(group.elements)
-        cls = group.class_of(rep)
+        cls = class_of(group, rep)
         nodes = sum(prod(d - 1 for d in build_sector(poly, g).degrees)
                     for g in cls)
         if 0 < nodes <= max_nodes:

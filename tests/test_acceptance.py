@@ -16,6 +16,7 @@ from oracles import (
     apply_phase,
     b_bidegree,
     class_action,
+    class_of,
     determinant,
     element_of_matrix,
     frac_degree,
@@ -201,7 +202,7 @@ def test_criterion_7a_projector_oracle():
                 max_nodes=100 if big else 60)
             space = lg.GradedSpace("A", poly, group,
                                    lg.invariant_basis(poly, group, "A"))
-            cls = set(group.class_of(rep))
+            cls = set(class_of(group, rep))
             expected = sum(1 for v in space.basis if v.leading[2] in cls)
             nodes, tables = class_action(poly, group, rep)
             m = action_denominator(tables)

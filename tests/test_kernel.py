@@ -30,11 +30,11 @@ from oracles import (
 
 
 @pytest.fixture(scope="module")
-def groups(quartic, quartic_group, quintic, bad_group):
+def groups(quartic, quartic_group, bad_star):
     return {
         "quartic G": quartic_group,
         "quartic G*": lg.nonabelian_dual(quartic_group, quartic),
-        "bad quintic G*": lg.nonabelian_dual(bad_group, quintic),
+        "bad quintic G*": bad_star,
     }
 
 

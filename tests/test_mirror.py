@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -323,8 +325,8 @@ def test_corner_check_rejects_a_changed_b_bidegree(quartic_report, kind):
     r = quartic_report
 
     def shift(v):
-        p, q = v.bidegree
-        return [v._replace(bidegree=(p + 1, q))]
+        p, q = v.grade
+        return [v._replace(grade=(p + v.den, q))]
     b_space = corrupted(r.b_space, OTHER[kind], shift)
     with pytest.raises(TheoremViolationError, match="bidegree not preserved"):
         mirror._corner_pairs(r.a_space, b_space)
@@ -388,10 +390,35 @@ def test_corners_and_labels_build_no_element_or_sector(bad_report, monkeypatch):
     assert lg.build_sector.cache_info().misses == 0
 
 
+# the paper's three models, each with a group no other test has read
+PAPER_MODELS = [("x1^4 + x2^4 + x3^4 + x4^4", "j; (1 2 3)"),
+                ("x1^5 + x2^5 + x3^5 + x4^5 + x5^5", "j; (1 2)(3 4)"),
+                ("x1^5 + x2^5 + x3^5 + x4^5 + x5^5", "j; (1 2)(3 4); (1 3)(2 4)")]
+
+
+@pytest.mark.parametrize("model", PAPER_MODELS, ids=["quartic", "good quintic", "bad quintic"])
+def test_comparison_lists_no_element_and_counts_integers(model):
+    # the state spaces and the corner check read integer forms: neither G
+    # nor G* lists its elements, both sides count bidegrees over 2·lcm(d),
+    # the histogram equals the count of the vectors' rational bidegrees, and
+    # the vectors, which hold their group, are distinct when hashed
+    poly = lg.parse_polynomial(model[0])
+    report = lg.full_comparison(poly, lg.closure(
+        lg.parse_generator(t, poly) for t in model[1].split(";")))
+    for group in (report.group, report.dual_group):
+        assert "elements" not in group.__dict__
+    den = 2 * lcm(*poly.fermat_exponents())
+    for space in (report.a_space, report.b_space):
+        assert {v.den for v in space.basis} == {den}
+        assert space.dims == Counter(v.bidegree for v in space.basis)
+        assert len(set(space.basis)) == space.total_dim
+
+
 def test_corners_and_dims_compare_bidegrees_by_value(quartic_report, good_report,
                                                      bad_report):
-    # each space makes its own Fraction pairs: the corner check and the
-    # histogram comparison match equal bidegrees of two spaces by value
+    # each space makes its own numerator pairs and histogram keys: the
+    # corner check and the histogram comparison match equal bidegrees of
+    # two spaces by value
     equal = []
     for report in (quartic_report, good_report, bad_report):
         mirror._corner_pairs(report.a_space, report.b_space)

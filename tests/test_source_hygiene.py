@@ -1,9 +1,10 @@
 """What deletions leave behind: an import nothing uses, or a private
 module-level name nothing refers to; a regular expression whose ``\\d``,
-``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; and a
+``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; a
 module-level cache with no bound on its entries, or one keyed by a
-polynomial.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
-standard library's ``ast`` alone."""
+polynomial; and a rational or a listing of group elements on the path that
+builds and compares state spaces.  Read from the syntax trees of
+``src/lgmirror/*.py`` with the standard library's ``ast`` alone."""
 
 import ast
 import re
@@ -149,3 +150,34 @@ def test_no_module_level_cache_is_keyed_by_a_polynomial():
                     r"\bInvertiblePolynomial\b", ast.unparse(a.annotation)) for a in params):
                 keyed.append(f"{path.stem}.{node.name}")
     assert set(keyed) <= POLYNOMIAL_CACHES_KEPT, f"caches keyed by a polynomial: {keyed}"
+
+
+# the state spaces are built, counted and compared on integers: a rational
+# or an element is made only by a vector's views and the renderers
+INTEGER_PATH = {"mirror.py": None,
+                "state_space.py": {"invariant_basis", "_carries", "_kept", "GradedSpace.__init__"}}
+
+
+def _scopes(tree, names):
+    """(name, node) for the module-level functions and the methods, as
+    ``Class.method``, named in ``names``; the whole module if None."""
+    if names is None:
+        return [("", tree)]
+    scopes = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    scopes += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)]
+    return [(name, node) for name, node in scopes if name in names]
+
+
+def test_the_comparison_path_makes_no_rational_and_lists_no_element():
+    found, seen = [], set()
+    for module, names in INTEGER_PATH.items():
+        for name, scope in _scopes(_tree(SRC / module), names):
+            seen.add(name)
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Name) and node.id == "Fraction" or
+                        isinstance(node, ast.alias) and node.name == "Fraction" or
+                        isinstance(node, ast.Attribute) and node.attr == "elements"):
+                    found.append(f"{module}:{name or '<module>'}:{node.lineno}")
+    assert seen == {""} | INTEGER_PATH["state_space.py"], seen
+    assert not found, f"rationals or element lists on the comparison path: {found}"
