@@ -26,7 +26,7 @@ print(f"G = <j, (1 2 3)> has order {G.order} and is "
       f"{'abelian' if G.is_abelian else 'non-abelian'}")
 print(f"the diagonal symmetries form a group of order "
       f"{lg.diagonal_group(W).order}, with determinant-one part of order "
-      f"{lg.sl_subgroup(lg.diagonal_group(W)).order}")
+      f"{sum(g.det_phase() == 0 for g in lg.diagonal_group(W))}")
 print()
 
 # --- the dual group ----------------------------------------------------------

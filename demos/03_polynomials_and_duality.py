@@ -50,7 +50,7 @@ print("=== dual groups on the Fermat quartic ===")
 W = lg.parse_polynomial("x1^4 + x2^4 + x3^4 + x4^4")
 full = lg.diagonal_group(W)
 jw = lg.closure([lg.exponential_grading(W)])
-sl = lg.sl_subgroup(full)
+sl = lg.closure([g for g in full if g.det_phase() == 0])  # the SL part
 print(f"|G_diag| = {full.order}, |<j>| = {jw.order}, |SL part| = {sl.order}")
 print(f"dual of <j> equals the SL part: {lg.dual_group(jw, W) == sl}")
 print(f"dual of the trivial group is everything: "

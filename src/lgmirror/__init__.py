@@ -51,7 +51,6 @@ from .symmetry import (
     exponential_grading,
     is_symmetry,
     parse_generator,
-    sl_subgroup,
 )
 from .duality import (
     HKDecomposition,
@@ -100,6 +99,6 @@ __all__ = [
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
     "monomial_label", "nonabelian_dual",
     "parity_condition", "parse_generator", "parse_polynomial",
-    "sector_map", "sl_subgroup", "vector_label",
+    "sector_map", "vector_label",
 ]
 __version__ = "0.1.0"

@@ -117,9 +117,9 @@ def _element_json(perm, nums, mod: int) -> dict:  # the integer form (perm, nums
 
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
-    forms, mod = group._forms, group.modulus
     return {"order": group.order, "classes": lambda: [
-        {"size": len(members), "representative": _element_json(*forms[members[0][0]], mod)}
+        {"size": len(members),
+         "representative": _element_json(*group._forms[members[0][0]], group.modulus)}
         for members in group.class_transversals()]}
 
 

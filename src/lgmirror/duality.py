@@ -7,21 +7,20 @@ For diagonal H ≤ G_W^diag the dual is
 (rows in additive form).  Each g ∈ G_{Wᵀ}^diag is A_W⁻ᵀ·m mod ℤⁿ for some
 m ∈ ℤⁿ, and g·A_W·hᵀ = m·h, so Hᵀ = A_W⁻ᵀ·L mod ℤⁿ for the lattice
 L = {m ∈ ℤⁿ : m·h ∈ ℤ for each h ∈ H}, spanned by the columns of M·B⁻¹ for
-the Hermite normal form B of H's numerators over its modulus M.
-|det A_W|·A_W⁻ᵀ = ±adj(A_W)ᵀ is read off the solve W keeps, and either sign
-gives Hᵀ, as L = −L.  |Hᵀ| = |det A_W|/|H| is known before any element
-exists, G_{Wᵀ}^diag is never listed, and Hᵀ is listed from the Hermite
-form of its n generators in canonical order.  The dual of the trivial
-group on Wᵀ (L = ℤⁿ) is G_W^diag itself.  For G = H·K with H diagonal and K
-the pure even permutations of G, the non-abelian dual is G* = Hᵀ·K ≤
-G_{Wᵀ}^max.  K normalizes Hᵀ and meets it only in the identity, so G* is the
-product set Hᵀ·K, listed in canonical order from K's forms and Hᵀ's.  A cap
-is checked on |Hᵀ|, or on |Hᵀ|·|K| for G*, before either group is listed.
+H's Hermite basis B over its modulus M.  |det A_W|·A_W⁻ᵀ = ±adj(A_W)ᵀ is
+read off the solve W keeps, and either sign gives Hᵀ, as L = −L.  |Hᵀ| =
+|det A_W|/|H| is known before any element exists, and Hᵀ is built from the
+Hermite form of its n generators; G_{Wᵀ}^diag and Hᵀ are never listed.  The
+dual of the trivial group on Wᵀ (L = ℤⁿ) is G_W^diag itself.  For G = H·K
+with H diagonal and K the pure even permutations of G, the non-abelian dual
+is G* = Hᵀ·K ≤ G_{Wᵀ}^max.  K normalizes Hᵀ and meets it only in the
+identity, so G* has Hᵀ's basis and one lift (k, 0) per k ∈ K.  H, K, Hᵀ and
+G* are all built from structure, with no form listed; a cap is checked on
+|Hᵀ|, or on |Hᵀ|·|K| for G*, before either group is built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from math import gcd
 
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .polynomial import InvertiblePolynomial
 from .linalg import adjugate, hermite
-from .symmetry import DEFAULT_CAP, SymmetryGroup, _lattice_forms, is_symmetry
+from .symmetry import DEFAULT_CAP, MonomialSymmetry, SymmetryGroup, closure, is_symmetry
 
 
 class HKDecomposition(namedtuple("HKDecomposition", "group h k")):
@@ -49,22 +48,24 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     """Split G into diagonal part H and pure even permutation part K.
 
     Each g = (σ, a) factors as h·k only as h = (id, a), k = (σ, 0), and
-    h ∈ G exactly when k ∈ G.  H is normal and meets K in the identity, so
-    G = H·K holds exactly when |H|·|K| = |G|; otherwise the error names the
-    first element, in canonical order, whose permutation part is not in K.
+    h ∈ G exactly when k ∈ G.  So H is G's diagonal part N, and K holds the
+    permutation parts whose coset of N contains 0, i.e. whose lift is 0.
+    G = H·K holds exactly when every lift is 0; otherwise the error names
+    the first element, in canonical order, whose permutation part is not
+    in K: the first nonzero lift.
     """
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
-    forms, mod = group._forms, group.modulus
-    h = SymmetryGroup(group._fixed_diagonals(forms[0][0])[0], mod)
-    k = SymmetryGroup([form for form in forms if not any(form[1])], mod)
-    for g in k:
+    mod, (ident, zero) = group.modulus, group.lifts[0]
+    h = SymmetryGroup(mod, group.basis, [(ident, zero)])
+    k = SymmetryGroup(1, hermite([zero], 1), [lift for lift in group.lifts if lift[1] == zero])
+    for perm, nums in k.lifts:
+        g = MonomialSymmetry.from_numerators(perm, nums, 1)
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
-    if h.order * k.order != group.order:
-        perms = {g.perm for g in k}
-        g = next(g for g in group if g.perm not in perms)
+    if len(k.lifts) != len(group.lifts):  # the least element of each coset is its lift
+        g = MonomialSymmetry.from_numerators(*next(x for x in group.lifts if any(x[1])), mod)
         raise NotHKProductError(
             f"{g.label()} does not factor as diagonal · pure even permutation")
     return HKDecomposition(group, h, k)
@@ -89,20 +90,20 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
         raise NotDiagonalError("dual groups are defined for diagonal groups")
     _check_cap(h, poly, 1, cap)
     det, adj, m_h = abs(poly.adjugate[0]), poly.adjugate[1], h.modulus
-    # B·m ≡ 0 mod M_H for H's Hermite form B over M_H (the zero row is for H = 1)
-    d, adj_b = adjugate(hermite([h._forms[0][1]] + [g.over(m_h)[1] for g in h.generators], m_h))
+    # B·m ≡ 0 mod M_H for H's Hermite form B over M_H
+    d, adj_b = adjugate(h.basis)
     gens = [[sum(a * (m_h * b // d) for a, b in zip(c, m)) % det for c in zip(*adj)]
             for m in zip(*adj_b)]
     mod = det // gcd(det, *(x for row in gens for x in row))  # Hᵀ's modulus
     basis = hermite([[x // (det // mod) for x in row] for row in gens], mod)
-    return SymmetryGroup(_lattice_forms(basis, mod), mod)
+    return SymmetryGroup(mod, basis, h.lifts)  # H's one lift, the identity
 
 
 def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
     """All diagonal symmetries of W: the dual of the trivial group on Wᵀ,
     of order |det A_W|; errors before listing any past ``DEFAULT_CAP``."""
-    n = poly.n_vars  # Wᵀ has W's variables
-    return dual_group(SymmetryGroup([(tuple(range(n)), (0,) * n)], 1), poly.transpose())
+    trivial = closure([MonomialSymmetry.identity(poly.n_vars)])  # Wᵀ has W's variables
+    return dual_group(trivial, poly.transpose())
 
 
 def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
@@ -111,15 +112,12 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
     |Hᵀ|·|K| exceeds ``cap``."""
     _check_cap(parts.h, poly, parts.k.order, cap)
     h_dual = dual_group(parts.h, poly, cap)
-    if parts.k.order == 1:  # G* = Hᵀ
-        return h_dual
-    forms, mod = h_dual._forms, h_dual.modulus  # sorted, so a form is found by bisection
-    if any(forms[bisect_left(forms, f) % len(forms)] != f for f in (
-            g.conjugated_by(k).over(mod) for k in parts.k.generators for g in h_dual.generators)):
+    if any(g.conjugated_by(k) not in h_dual for k in parts.k.generators
+           for g in h_dual.generators):
         raise InternalError("K does not normalize Hᵀ")
-    # h·k = (σ_k, a_h) for h = (id, a_h) and k = (σ_k, 0), made in canonical order
-    return SymmetryGroup([(perm, nums) for perm, _ in parts.k._forms for _, nums in forms],
-                         mod, h_dual.generators + parts.k.generators)
+    # G* = ⋃_k k·Hᵀ: Hᵀ's basis, and each permutation of K with lift 0
+    return SymmetryGroup(h_dual.modulus, h_dual.basis, parts.k.lifts,
+                         h_dual.generators + parts.k.generators)
 
 
 def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,
@@ -138,7 +136,7 @@ def parity_condition(k: SymmetryGroup, n: int
     An odd K holds at once: the orbits of an odd T have odd sizes, so
     n − #orbits = Σ(|O| − 1) is even.
     """
-    if any(not g.is_pure_permutation for g in k):
+    if k.modulus != 1:  # some element has a nonzero phase
         raise NotPurePermutationsError("parity condition needs pure permutations")
     if k.order % 2:
         return True, None

@@ -45,11 +45,13 @@ def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * x for x in row[n:]] for row in rows]
 
 
-def hermite(rows: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
+def hermite(rows: Sequence[Sequence[int]], mod: int) -> list[tuple[int, ...]]:
     """Upper-triangular Hermite normal form of the lattice the rows and
-    mod·ℤⁿ span (Cohen §2.4.2), reduced mod ``mod``: row i is zero left of
-    column i and its pivot divides ``mod``.  Unimodular Euclid steps against
-    a pivot that starts at mod·e_i zero column i in every other row."""
+    mod·ℤⁿ span (Cohen §2.4.2), fully reduced, so one lattice has one
+    basis: row i is zero left of column i, its pivot divides ``mod``, and
+    its entry in each later column j lies in [0, h_jj).  Unimodular Euclid
+    steps against a pivot that starts at mod·e_i zero column i in every
+    other row; then each row is reduced by the rows below it."""
     n = len(rows[0])
     pool, basis = [[x % mod for x in row] for row in rows], []
     for i in range(n):
@@ -60,4 +62,18 @@ def hermite(rows: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
                 pivot, v = v, [a - q * b for a, b in zip(pivot, v)]
             pool[k] = [x % mod for x in v]
         basis.append(pivot[:i + 1] + [x % mod for x in pivot[i + 1:]])
-    return basis
+    return [reduce_by(row, basis, mod, i + 1) for i, row in enumerate(basis)]
+
+
+def reduce_by(vector: Sequence[int], basis: Sequence[Sequence[int]], mod: int,
+              first: int = 0) -> tuple[int, ...]:
+    """The least member of vector + the span of ``basis``'s rows from
+    ``first`` on, for an upper-triangular basis with pivots dividing
+    ``mod``: coordinate i, in order, is taken down to its residue mod h_ii
+    by row i, which leaves the coordinates before it alone."""
+    v = tuple(vector)
+    for i in range(first, len(basis)):
+        q = v[i] // basis[i][i]
+        if q:
+            v = tuple([(x - q * y) % mod for x, y in zip(v, basis[i])])
+    return v

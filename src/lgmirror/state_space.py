@@ -322,14 +322,14 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         kept = kept_at.get((g.perm, fixed))
         if kept is None:
             kept = kept_at[g.perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
-                                                  group._fixed_generators(g.perm), gmod, limit)
+                                                  group._kernel(g.perm)[1], gmod, limit)
         if len(kept) > limit:
             raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
         counted += len(kept) * len(members)
         if not kept:
             continue
         # a sector and maps only where lifts move monomials
-        lift_gens = [] if group.is_diagonal else group._centralizer_forms(r)[2]
+        lift_gens = [] if group.is_diagonal else group._centralizer_lifts(*forms[r])[1]
         sector = build_sector(poly, g) if lift_gens else None
         moves = [sector_map(make(*lift, gmod), sector, sector) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit

@@ -16,36 +16,36 @@ so that diagonal elements read off as plain phase vectors and composition
 ``g * h`` is the matrix product: (g*h)·x = g·(h·x), concretely
 perm i ↦ τ(σ(i)) and phase_i = a_i + b_{σ(i)} for g = (σ, a), h = (τ, b).
 
-Groups are finite, immutable, checked against a cap before they are listed
-and held as integer forms over the lcm of their elements' moduli, in the
-canonical order (lexicographic on permutation images, then phases) that
-makes every output reproducible byte for byte; elements are made when first
-read.  A diagonal group is a lattice, listed in that order from its Hermite
-normal form; only a group with permutations is generated one right coset at
-a time (Dimino's algorithm) and sorted.
+Groups are finite, immutable and held as their structure over the lcm of
+their elements' moduli: the Hermite normal form of the diagonal part N, a
+lattice, and one lift per permutation image.  Order, membership, equality
+and generators are read off that structure.  The integer forms are listed
+only when read, one coset of N at a time, in the canonical order
+(lexicographic on permutation images, then phases) that makes every output
+reproducible byte for byte; elements are made from them.  ``closure`` finds
+the structure by one walk over the permutation images, checking a cap as it
+goes and again before anything is listed.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import gcd, lcm, prod
 
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
-    InternalError,
     NotAGroupError,
     NotAMemberError,
     NotAPermutationError,
     ParseError,
 )
-from .linalg import hermite
+from .linalg import hermite, reduce_by
 from .polynomial import InvertiblePolynomial, parse_digits
 
 DEFAULT_CAP = 10 ** 6  # group size cap when the caller sets none
@@ -310,131 +310,129 @@ def form_label(perm, nums, mod: int) -> str:
     return diag if cycles == "()" else cycles if not any(nums) else diag + cycles
 
 
-def _generate(forms, mod: int, cap: int):
-    """The group the integer forms over ``mod`` generate, as a set of forms,
-    and the indices of the forms kept as generators: in order, each form not
-    yet generated joins, and the generated set grows by right cosets of the
-    group it had (Dimino).  Errors as soon as the group has over ``cap``
-    elements, before that coset is built."""
-    n = len(forms[0][0])
-    identity = (tuple(range(n)), (0,) * n)
-    have, sub, picked, gens = {identity}, [identity], [], []
-    for i, form in enumerate(forms):
-        if form in have:
-            continue
-        picked.append(i)
-        gens.append(form)
-        grown, fresh = list(sub), [form]
-        while fresh:
-            rep = fresh.pop()
-            if rep not in have:
-                if len(have) + len(sub) > cap:
-                    raise CapExceededError(f"group exceeds cap of {cap} elements")
-                coset = [_compose(h, rep, mod) for h in sub]
-                have.update(coset)
-                grown.extend(coset)
-                fresh.extend(_compose(rep, g, mod) for g in gens)
-        sub = grown
-    return have, picked
-
-
-def _lattice_forms(basis, mod: int):
-    """The diagonal forms of the lattice with Hermite form ``basis`` over
-    ``mod``, in canonical order without a sort.  Level i holds each choice
-    of the coordinates before i, then the sum of rows that fixes the rest:
-    coordinate i runs up through that sum's residue class mod h_ii, and the
-    later sums, like every coordinate past the last pivot below ``mod``,
-    run beside it as progressions."""
-    n = len(basis)
+def _lattice_forms(basis, mod: int, start):
+    """The numerator vectors of start + Λ, for the lattice Λ with Hermite
+    form ``basis`` over ``mod``, in canonical order without a sort.  Level i
+    holds each choice of the coordinates before i, then start plus the sum
+    of rows that fixes the rest: coordinate i runs up through that sum's
+    residue class mod h_ii, and the later sums, like every coordinate past
+    the last pivot below ``mod``, run beside it as progressions."""
     last = max((i for i, row in enumerate(basis) if row[i] < mod), default=0)
-    level = [(0,) * n]
+    level = [tuple(start)]
     for i, row in enumerate(basis[:last + 1]):
         h, step, grown = row[i], row[i + 1:], []
         for v in level:
-            start = v[i] % h
-            c = (start - v[i]) // h  # the multiple of the row that reaches start
+            low = v[i] % h
+            c = (low - v[i]) // h  # the multiple of the row that reaches low
             sums = [[(a + k * b) % mod for k in range(c, c + mod // h)]
                     for a, b in zip(v[i + 1:], step)]
-            grown.extend([v[:i] + t for t in zip(range(start, mod, h), *sums)])
+            grown.extend([v[:i] + t for t in zip(range(low, mod, h), *sums)])
         level = grown
-    return list(zip(repeat(tuple(range(n))), level))
+    return level
 
 
-def _lattice_generators(forms, mod: int) -> list[int]:
-    """The indices ``_generate(forms, mod, len(forms))[1]`` picks from the
-    diagonal forms of a group Λ in canonical order: each the first form
-    outside the span S of the picks before it.  Take the least t with S_t =
-    Λ_t, for the sublattices zero before coordinate t.  In Λ_{t-1}, which
-    comes first, membership in S depends on coordinate t-1 alone, and S's
-    pivot there is a proper multiple of Λ's, h; so the pick is the first
-    form with coordinate t-1 = h, right after the |Λ_t| forms of Λ_t.  Forms
-    that are not closed error as ``_generate`` does: S must grow and stay
-    within them."""
-    (ident, zero), n = forms[0], len(forms[0][0])
-    sizes = [len(forms)] + [bisect_left(forms, (ident, zero[:t] + (1,))) for t in range(n)]
-    span, picked, t, order = hermite([zero], mod), [], n, 1  # S = {0}
-    while True:
-        while t and sizes[t] * (mod // span[t - 1][t - 1]) == sizes[t - 1]:
-            t -= 1
-        if not t:
-            return picked
-        picked.append(sizes[t])
-        span = hermite(span + [forms[sizes[t]][1]], mod)
-        grown, order = order, prod(mod // row[i] for i, row in enumerate(span))
-        if not grown < order <= len(forms):
-            raise CapExceededError(f"group exceeds cap of {len(forms)} elements")
+def _lattice_generators(basis, mod: int) -> list[tuple[int, ...]]:
+    """The vectors a scan of the lattice Λ with fully reduced Hermite form
+    ``basis`` picks in canonical order, each the first outside the span S
+    of the picks before it.  The scan meets Λ_n ⊂ Λ_{n-1} ⊂ … ⊂ Λ_0 = Λ in
+    turn, Λ_t the vectors zero before coordinate t, spanned by rows t on.
+    Once S = Λ_{t+1}, the first vector of Λ_t outside S, if any, is the
+    least with coordinate t = h_tt: row t itself.  So the picks are the
+    rows whose pivot is below ``mod``, last row first."""
+    return [row for i, row in reversed(list(enumerate(basis))) if row[i] < mod]
+
+
+def _walk(generators, mod: int, cap: int):
+    """Breadth-first over the permutation images P of the group the forms
+    ``generators`` over ``mod`` generate: the first lift (τ, a_τ) reached
+    for each τ ∈ P, in reach order, and the Schreier generators of the
+    diagonal part N, one a − a_τ from each product (τ, a) of a lift and a
+    generator whose τ was reached before, as (τ, a)·(τ, a_τ)⁻¹ = (id,
+    a − a_τ) (Schreier's lemma).  Errors as soon as |P| exceeds ``cap``."""
+    ident = (tuple(range(len(generators[0][0]))), (0,) * len(generators[0][1]))
+    lifts, schreier, reached = dict([ident]), set(), [ident]
+    for lift in reached:  # grows while it is read
+        for g in generators:
+            perm, nums = _compose(lift, g, mod)
+            first = lifts.get(perm)
+            if first is None:
+                if len(lifts) >= cap:
+                    raise CapExceededError(f"group exceeds cap of {cap} elements")
+                lifts[perm] = nums
+                reached.append((perm, nums))
+            elif first != nums:
+                schreier.add(tuple([(x - y) % mod for x, y in zip(nums, first)]))
+    return lifts, schreier
 
 
 def _lift_generators(lifts):
     """The lifts (τ, a) whose τ the lifts before them do not generate."""
-    perms = [(tau, (0,) * len(tau)) for tau, _ in lifts]
-    return [lifts[k] for k in _generate(perms, 1, len(perms))[1]]
+    picked, have = [], {tuple(range(len(lifts[0][0])))}
+    for lift in lifts:
+        if lift[0] not in have:
+            picked.append(lift)
+            # forms with no numerators walk the permutations alone
+            have = _walk([(tau, ()) for tau, _ in picked], 1, len(lifts))[0]
+    return picked
 
 
 class SymmetryGroup:
-    """A finite group of monomial symmetries in canonical element order.
+    """A finite group of monomial symmetries, held as its structure.
 
-    Built once from the distinct integer forms (perm, numerators over
-    ``mod``) of a closed set, with ``mod`` reduced to the lcm of the
-    elements' moduli.  Nothing else is computed until first read, and then
-    kept: the elements, the generators (unless given), the index of each
-    form, the lifts and their generators, the class transversals with each
-    element's class, the classes, and per permutation part σ, N^σ with its
-    φ_σ preimages and, once asked for, its generators.
+    G is the union of the cosets (τ, a_τ)·N.  N, the diagonal elements, is a
+    lattice of numerator vectors over ``modulus`` (the lcm of the elements'
+    moduli), kept as its Hermite basis ``basis`` from ``linalg.hermite``.
+    ``lifts`` holds one (τ, a_τ) per permutation image τ ∈ P, sorted by τ,
+    a_τ the least member of a_τ + N (given any member, the constructor
+    reduces it): the first element of its coset in canonical order.  So
+    |G| = |P|·Π M/h_ii, membership reduces a form by the basis, and equal
+    groups have equal fields.  Nothing else is computed until first read,
+    and then kept: the forms, a coset of N per lift, in canonical order;
+    the elements; the generators (unless given); the form index; the lift
+    generators; the class transversals with each element's class; the
+    classes; and per permutation part σ, the φ_σ preimages and N^σ.
 
-    Classes and centralizers come from the group's structure G = N⋊T, not
-    from a scan of its elements.  The diagonal elements N are the kernel of
-    g ↦ perm(g); the first element of each permutation part τ in canonical
-    order is its lift (τ, a_τ).  Conjugating g = (σ, a) by a diagonal c
-    gives (σ, a + φ_σ(c)) with φ_σ(c) = c∘σ − c, so the classes are the
-    orbits of the lifts on the cosets a + im φ_σ.  A diagonal c commutes
-    with g iff c∘σ = c, and (τ, a_τ + c) does iff τσ = στ and φ_σ(c) equals
-    (a∘τ − a) − (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ times one such
-    lift per τ whose target has a preimage under φ_σ.
+    Classes and centralizers come from the structure, not from a scan of
+    the elements.  Conjugating g = (σ, a) by a diagonal c gives (σ, a +
+    φ_σ(c)) with φ_σ(c) = c∘σ − c, so the classes are the orbits of the
+    lifts on the cosets a + im φ_σ.  A diagonal c commutes with g iff c∘σ =
+    c, and (τ, a_τ + c) does iff τσ = στ and φ_σ(c) equals (a∘τ − a) −
+    (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ, read off the Hermite form of
+    the pairs (φ_σ(c), c) for c ∈ N, times one such lift per τ whose target
+    has a preimage under φ_σ.
     """
 
-    def __init__(self, forms, mod: int, generators=None):
-        forms = sorted(forms)  # integer forms sort in the canonical order
-        if not forms:
-            raise NotAGroupError("a group needs at least the identity")
-        n = self.n = len(forms[0][0])
-        if any(len(perm) != n for perm, _ in forms):
+    def __init__(self, mod: int, basis, lifts, generators=None):
+        basis, lifts = [tuple(row) for row in basis], list(lifts)
+        n = self.n = len(basis)
+        if any(len(row) != n for row in basis) or any(
+                len(perm) != n or len(nums) != n for perm, nums in lifts):
             raise DimensionMismatchError("mixed ranks in one group")
-        if forms[0] != (tuple(range(n)), (0,) * n):
-            raise NotAGroupError("identity missing from element list")
-        common = mod  # the modulus is mod // gcd(mod, every numerator)
-        for _, nums in forms:
-            if common == 1:
-                break
-            common = gcd(common, *nums)
+        # the modulus is mod // gcd(mod, every numerator of every element)
+        common = gcd(mod, *(x for row in basis for x in row), *(x for _, a in lifts for x in a))
         if common > 1:
             mod //= common
-            forms = [(perm, tuple([x // common for x in nums])) for perm, nums in forms]
-        self.modulus, self._forms = mod, tuple(forms)
+            basis = [tuple([x // common for x in row]) for row in basis]
+            lifts = [(perm, tuple([x // common for x in nums])) for perm, nums in lifts]
+        self.modulus, self.basis = mod, tuple(basis)
+        self.lifts = tuple(sorted((perm, reduce_by(nums, basis, mod)) for perm, nums in lifts))
+        if not self.lifts or self.lifts[0] != (tuple(range(n)), (0,) * n):
+            raise NotAGroupError("identity missing from the lifts")
+        self.order = len(self.lifts) * prod(mod // row[i] for i, row in enumerate(basis))
+        self._lift_of = dict(self.lifts)
         if generators is not None:
             self.generators = tuple(dict.fromkeys(
                 g for g in generators if not g.is_identity))
-        self._fixed: dict[tuple[int, ...], list] = {}
+        self._preimages_of: dict[tuple[int, ...], dict] = {}
+        self._kernels: dict[tuple[int, ...], tuple] = {}
+
+    @cached_property
+    def _forms(self) -> tuple:
+        """Every integer form in canonical order, listed when first read:
+        the coset a_τ + N of each lift, each distinct a_τ's listed once."""
+        cosets = {a: _lattice_forms(self.basis, self.modulus, a)
+                  for a in dict.fromkeys(nums for _, nums in self.lifts)}
+        return tuple([(perm, x) for perm, nums in self.lifts for x in cosets[nums]])
 
     @cached_property
     def elements(self) -> tuple[MonomialSymmetry, ...]:
@@ -444,31 +442,37 @@ class SymmetryGroup:
 
     @cached_property
     def generators(self) -> tuple[MonomialSymmetry, ...]:
-        """Given, or a greedy small set found scanning in canonical order."""
-        forms, mod = self._forms, self.modulus
-        picked = (_lattice_generators(forms, mod) if self.is_diagonal
-                  else _generate(forms, mod, self.order)[1])
-        return tuple(MonomialSymmetry.from_numerators(*forms[i], mod) for i in picked)
+        """Given, or the greedy ones a scan in canonical order picks, each
+        the first element outside the group the picks before it generate:
+        N's, read off its basis, then the lifts whose τ the lifts before
+        them do not generate."""
+        make, mod, ident = MonomialSymmetry.from_numerators, self.modulus, self.lifts[0][0]
+        return tuple([make(ident, row, mod) for row in _lattice_generators(self.basis, mod)] +
+                     [make(*lift, mod) for lift in self._lift_gens])
 
-    @property
-    def order(self) -> int:
-        return len(self._forms)
+    @cached_property
+    def _lift_gens(self):
+        return _lift_generators(self.lifts)
 
     def __len__(self) -> int:
-        return len(self._forms)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        return self.modulus % g.mod == 0 and g.over(self.modulus) in self._index
+        if self.modulus % g.mod:
+            return False
+        perm, nums = g.over(self.modulus)
+        lift = self._lift_of.get(perm)
+        return lift is not None and lift == reduce_by(nums, self.basis, self.modulus)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetryGroup) and self.modulus == other.modulus \
-            and self._forms == other._forms
+            and self.basis == other.basis and self.lifts == other.lifts
 
-    def __hash__(self) -> int:  # equal groups have equal moduli, orders and last forms
-        return hash((self.modulus, self.order, self._forms[-1]))
+    def __hash__(self) -> int:  # equal groups have equal bases and last lifts
+        return hash((self.modulus, self.basis, len(self.lifts), self.lifts[-1]))
 
     def __repr__(self) -> str:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
@@ -493,18 +497,7 @@ class SymmetryGroup:
 
     @property
     def is_diagonal(self) -> bool:
-        # the identity permutation sorts first, so the last element decides
-        return self._forms[-1][0] == self._forms[0][0]
-
-    @cached_property
-    def _lifts(self):
-        """The lift (τ, a_τ) of each permutation part τ, in canonical order,
-        and the lifts whose τ generate the permutation parts."""
-        lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for perm, nums in self._forms:
-            lifts.setdefault(perm, nums)
-        lifts = tuple(lifts.items())
-        return lifts, _lift_generators(lifts)
+        return len(self.lifts) == 1
 
     def class_transversals(self):
         """Per class, (index, w, c) for each member x, the least index r
@@ -522,12 +515,12 @@ class SymmetryGroup:
     @cached_property
     def _transversals(self):
         """``class_transversals()`` and the class number of each element index."""
-        forms = self._forms
         if self.is_diagonal:  # singleton classes; the walk below is 3x slower on them
-            return [[(i, forms[0], forms[0][1])] for i in range(self.order)], range(self.order)
-        mod, index = self.modulus, self._index
+            ident = self.lifts[0]
+            return [[(i, ident, ident[1])] for i in range(self.order)], range(self.order)
+        forms, mod, index = self._forms, self.modulus, self._index
         gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
-                for g in self._lifts[1]]
+                for g in self._lift_gens]
         owner = [-1] * self.order
         classes = []
         for i in range(self.order):
@@ -541,7 +534,7 @@ class SymmetryGroup:
                 owner[y] = len(classes)
                 members.append((y, word, forms[0][1]))
                 # offsets past the first, 0 from the identity
-                for v, c in islice(self._fixed_diagonals(px)[1].items(), 1, None):
+                for v, c in islice(self._preimages(px).items(), 1, None):
                     x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])]
                     owner[x] = len(classes)
                     members.append((x, word, c))
@@ -563,66 +556,63 @@ class SymmetryGroup:
         return tuple(tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
                      for members in self.class_transversals())
 
-    def _fixed_diagonals(self, sigma):
-        """[N^σ in canonical order, one preimage c of each value of
-        φ_σ(c) = c∘σ − c, the value 0 first], cached per σ; N^σ's generators
-        join the entry when first asked for.  N^id is N, with φ_id = 0."""
-        if sigma not in self._fixed:
-            forms, mod = self._forms, self.modulus
-            ident, zero = forms[0]
-            block = forms[:bisect_left(forms, (ident, (mod,)))]  # N sorts first
-            if sigma == ident:
-                self._fixed[sigma] = [block, {zero: zero}]
-                return self._fixed[sigma]
-            fixed, preimage = [], {}
-            for form in block:
-                c = form[1]
-                value = tuple([(c[s] - x) % mod for s, x in zip(sigma, c)])
-                if not any(value):
-                    fixed.append(form)
-                preimage.setdefault(value, c)
-            self._fixed[sigma] = [fixed, preimage]
-        return self._fixed[sigma]
+    def _preimages(self, sigma):
+        """One preimage c of each value of φ_σ(c) = c∘σ − c, the value 0
+        first, read from N's forms and cached per σ, for the class walk and
+        the centralizers."""
+        if sigma not in self._preimages_of:
+            ident, zero = self.lifts[0]
+            preimage = self._preimages_of[sigma] = {zero: zero}
+            if sigma != ident:  # φ_id = 0
+                mod = self.modulus
+                for _, c in self._forms[:self.order // len(self.lifts)]:  # N sorts first
+                    preimage.setdefault(tuple([(c[s] - x) % mod for s, x in zip(sigma, c)]), c)
+        return self._preimages_of[sigma]
 
-    def _fixed_generators(self, sigma):
-        """Generators of N^σ, found once per σ: the group's own when N^σ is
-        the whole group, else greedy ones."""
-        entry = self._fixed_diagonals(sigma)
-        if len(entry) == 2:  # not asked for before
-            fixed, mod = entry[0], self.modulus
-            entry.append([g.over(mod) for g in self.generators] if len(fixed) == self.order
-                         else [fixed[k] for k in _lattice_generators(fixed, mod)])
-        return entry[2]
+    def _kernel(self, sigma):
+        """(N^σ's basis, N^σ's generators as forms), once per σ.  N^id = N,
+        as φ_id = 0; any other N^σ's basis is the second halves of the last
+        n rows of the Hermite form over 2n columns of the pairs (φ_σ(c), c)
+        for c ∈ N.  The generators are the group's own when N^σ is the whole
+        group, else read off the basis."""
+        if sigma not in self._kernels:
+            n, mod, basis = self.n, self.modulus, self.basis
+            if sigma != self.lifts[0][0]:
+                pairs = [[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
+                         for row in basis]  # (φ_σ(c), c)
+                basis = [row[n:] for row in hermite(pairs, mod)[n:]]
+            self._kernels[sigma] = basis, (
+                [g.over(mod) for g in self.generators] if self.is_diagonal
+                else [(self.lifts[0][0], row) for row in _lattice_generators(basis, mod)])
+        return self._kernels[sigma]
 
-    def _centralizer_forms(self, i: int):
-        """C(g_i) = N^σ·L as integer forms: N^σ; L, each lift (τ, a_τ + c)
-        that commutes with g_i, in canonical order; and the lifts in L whose
-        τ the lifts before them do not generate."""
-        members, owner = self._transversals
-        mod = self.modulus
-        sigma, a = self._forms[i]
-        fixed, preimage = self._fixed_diagonals(sigma)[:2]
-        lifts = []
-        for tau, b in self._lifts[0]:
+    def _centralizer_lifts(self, sigma, a):
+        """The lifts of C(g) for g = (σ, a), in canonical order: (τ, a_τ + c)
+        for each τ that commutes with σ, with c the preimage the class walk
+        keeps of (a∘τ − a) − (a_τ∘σ − a_τ) under φ_σ, where there is one;
+        and those whose τ the lifts before them do not generate."""
+        mod, preimage, lifts = self.modulus, self._preimages(sigma), []
+        for tau, b in self.lifts:
             if any(tau[s] != sigma[t] for s, t in zip(sigma, tau)):
                 continue
             c = preimage.get(tuple([(a[t] - x - b[s] + y) % mod for s, t, x, y
                                     in zip(sigma, tau, a, b)]))
             if c is not None:
                 lifts.append((tau, tuple([(x + y) % mod for x, y in zip(b, c)])))
-        if len(fixed) * len(lifts) * len(members[owner[i]]) != self.order:
-            raise InternalError("centralizer order times class size is not |G|")
-        return fixed, lifts, _lift_generators(lifts)
+        return lifts, _lift_generators(lifts)
 
     def centralizer(self, g: MonomialSymmetry) -> "SymmetryGroup":
-        """C_G(g) as the product set of N^σ and the lifts, generated by
-        N^σ's generators and the lifts whose τ the lifts before them do
-        not generate."""
-        i, mod = self.index(g), self.modulus
-        fixed, lifts, lift_gens = self._centralizer_forms(i)
-        gens = self._fixed_generators(self._forms[i][0]) + lift_gens
-        return SymmetryGroup([_compose(c, lift, mod) for c in fixed for lift in lifts], mod,
-                             [MonomialSymmetry.from_numerators(*form, mod) for form in gens])
+        """C_G(g) from N^σ's basis and the lifts that commute with g,
+        generated by N^σ's generators and the lifts whose τ the lifts before
+        them do not generate."""
+        if g not in self:
+            raise NotAMemberError(f"{g!r} is not in this group")
+        mod = self.modulus
+        sigma, a = g.over(mod)
+        basis, fixed_gens = self._kernel(sigma)
+        lifts, lift_gens = self._centralizer_lifts(sigma, a)
+        return SymmetryGroup(mod, basis, lifts, [MonomialSymmetry.from_numerators(*form, mod)
+                                                 for form in fixed_gens + lift_gens])
 
     def _subgroup_walk(self):
         """Each subgroup, built when reached, ordered by order, then by
@@ -643,7 +633,9 @@ class SymmetryGroup:
         seen = {(0,)}
         while heap:
             _, sub, gens = heappop(heap)
-            yield SymmetryGroup([forms[i] for i in sub], mod)
+            lifts = dict(forms[i] for i in sub)  # a form per permutation part
+            diagonal = [forms[i][1] for i in sub[:len(sub) // len(lifts)]]  # they sort first
+            yield SymmetryGroup(mod, hermite(diagonal, mod), lifts.items())
             tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
                 if x in tried:
@@ -666,7 +658,9 @@ class SymmetryGroup:
 
 
 def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
-    """The group the generators generate; errors past ``cap`` elements."""
+    """The group the generators generate, from one walk over its
+    permutation images (``_walk``); errors past ``cap`` elements, on |P|
+    while the walk grows it and on |P|·|N| before anything is listed."""
     generators = list(generators)
     if not generators:
         raise NotAGroupError("need at least one generator")
@@ -674,13 +668,11 @@ def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
-    if all(g.is_diagonal for g in generators):
-        basis = hermite([g.over(mod)[1] for g in generators], mod)
-        if prod(mod // row[i] for i, row in enumerate(basis)) > cap:
-            raise CapExceededError(f"group exceeds cap of {cap} elements")
-        return SymmetryGroup(_lattice_forms(basis, mod), mod, generators)
-    forms = _generate([g.over(mod) for g in generators], mod, cap)[0]
-    return SymmetryGroup(forms, mod, generators)
+    lifts, schreier = _walk([g.over(mod) for g in generators], mod, cap)
+    group = SymmetryGroup(mod, hermite([*schreier] or [(0,) * n], mod), lifts.items(), generators)
+    if group.order > cap:
+        raise CapExceededError(f"group exceeds cap of {cap} elements")
+    return group
 
 
 def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
@@ -707,12 +699,6 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
 def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:
     """j_W: the diagonal element whose phases are the weights."""
     return MonomialSymmetry.diagonal(poly.weights)
-
-
-def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
-    """Elements of determinant one."""
-    return SymmetryGroup([form for g, form in zip(group, group._forms)
-                          if not g.det_num()], group.modulus)
 
 
 # --- generator grammar -----------------------------------------------------

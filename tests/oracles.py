@@ -45,19 +45,23 @@ from lgmirror import (
     InvertiblePolynomial,
     MonomialSymmetry,
     RestrictedMirror,
+    SymmetryGroup,
     build_sector,
     closure,
     sector_map,
 )
 from lgmirror.errors import (
+    CapExceededError,
     DimensionMismatchError,
     DuplicateVariableError,
     LGError,
+    NotAGroupError,
     NotDiagonalError,
     NotSquareError,
     ParseError,
     TheoremViolationError,
 )
+from lgmirror.linalg import hermite
 from lgmirror.polynomial import parse_digits
 
 ZERO = Fraction(0)
@@ -308,6 +312,78 @@ def frac_closure(gens) -> set:
                     fresh.append(b)
         frontier = fresh
     return elems
+
+
+def _compose_forms(a, b, mod: int):
+    """Product of integer forms (perm, numerators mod ``mod``): perm i ↦
+    b(a(i)), phase_i = a_i + b_{a(i)}."""
+    (pa, na), (pb, nb) = a, b
+    return tuple(pb[p] for p in pa), tuple((x + nb[p]) % mod for x, p in zip(na, pa))
+
+
+def _generate(forms, mod: int, cap: int):
+    """The group the integer forms over ``mod`` generate, as a set of forms,
+    and the indices of the forms kept as generators: in order, each form not
+    yet generated joins, and the generated set grows by right cosets of the
+    group it had (Dimino).  Errors as soon as the group has over ``cap``
+    elements, before that coset is built."""
+    n = len(forms[0][0])
+    identity = (tuple(range(n)), (0,) * n)
+    have, sub, picked, gens = {identity}, [identity], [], []
+    for i, form in enumerate(forms):
+        if form in have:
+            continue
+        picked.append(i)
+        gens.append(form)
+        grown, fresh = list(sub), [form]
+        while fresh:
+            rep = fresh.pop()
+            if rep not in have:
+                if len(have) + len(sub) > cap:
+                    raise CapExceededError(f"group exceeds cap of {cap} elements")
+                coset = [_compose_forms(h, rep, mod) for h in sub]
+                have.update(coset)
+                grown.extend(coset)
+                fresh.extend(_compose_forms(rep, g, mod) for g in gens)
+        sub = grown
+    return have, picked
+
+
+def group_of_forms(forms, mod: int, generators=None) -> SymmetryGroup:
+    """The group whose integer forms over ``mod`` are ``forms``, through the
+    one constructor: N's Hermite basis from the diagonal forms, and the
+    first form of each permutation part as its lift.  NotAGroupError when
+    the forms are not closed: when Dimino over them grows past them, or
+    when the listing of that structure differs from the sorted forms."""
+    forms = sorted(forms)
+    if not forms:
+        raise NotAGroupError("a group needs at least the identity")
+    n = len(forms[0][0])
+    if any(len(perm) != n for perm, _ in forms):
+        raise DimensionMismatchError("mixed ranks in one group")
+    ident = tuple(range(n))
+    if forms[0] != (ident, (0,) * n):
+        raise NotAGroupError("identity missing from element list")
+    try:
+        closed = len(_generate(forms, mod, len(forms))[0]) == len(forms)
+    except CapExceededError:
+        closed = False
+    lifts = {}
+    for perm, nums in forms:
+        lifts.setdefault(perm, nums)
+    group = SymmetryGroup(mod, hermite([nums for perm, nums in forms if perm == ident], mod),
+                          lifts.items(), generators)
+    scale = mod // group.modulus
+    if not closed or forms != [(perm, tuple(x * scale for x in nums))
+                               for perm, nums in group._forms]:
+        raise NotAGroupError("the forms are not closed under composition")
+    return group
+
+
+def sl_subgroup(group) -> SymmetryGroup:
+    """The elements of determinant one, as a group."""
+    return group_of_forms([form for g, form in zip(group, group._forms) if not g.det_num()],
+                          group.modulus)
 
 
 def two_generated_subgroups(elements):

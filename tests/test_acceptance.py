@@ -26,6 +26,7 @@ from oracles import (
     projector_trace,
     random_action_instance,
     random_mirror_instance,
+    sl_subgroup,
     subgroup_count_elementary,
     subgroup_count_square,
 )
@@ -94,7 +95,7 @@ def test_criterion_3_duality_identities(quartic, quintic):
         for poly in (quartic, quintic):
             jw = lg.closure([lg.exponential_grading(poly)])
             assert lg.dual_group(jw, poly) == \
-                lg.sl_subgroup(lg.diagonal_group(poly.transpose()))
+                sl_subgroup(lg.diagonal_group(poly.transpose()))
         cubic = lg.parse_polynomial("x1^3 + x2^3 + x3^3")
         for poly, expected_count in ((cubic, subgroup_count_elementary(3, 3)),
                                      (quartic, subgroup_count_square(2, 4))):

@@ -101,13 +101,15 @@ def test_invariant_basis_matches_on_random_models():
 
 def assert_fixed_generators(group):
     """For each σ of a class representative, N^σ's generators are found
-    once, kept with N^σ, and generate N^σ."""
+    once, kept with N^σ, and generate N^σ: the diagonal elements c with
+    c∘σ = c, filtered from the group's elements."""
     make, mod = lg.MonomialSymmetry.from_numerators, group.modulus
     for members in group.class_transversals():
         sigma = group.elements[members[0][0]].perm
-        gens = group._fixed_generators(sigma)
-        assert group._fixed_generators(sigma) is gens
-        fixed = tuple(make(*form, mod) for form in group._fixed_diagonals(sigma)[0])
+        gens = group._kernel(sigma)[1]
+        assert group._kernel(sigma)[1] is gens
+        fixed = tuple(g for g in group.elements if g.is_diagonal and all(
+            g.nums[s] == x for s, x in zip(sigma, g.nums)))
         made = lg.closure(make(*form, mod) for form in gens).elements if gens \
             else (group.identity,)
         assert made == fixed
@@ -126,10 +128,10 @@ def test_fixed_generators_are_kept_and_generate(cases, quintic, good_group, bad_
 def test_class_transversals_find_no_fixed_generators(cases, monkeypatch):
     def refuse(*args):
         raise AssertionError("class transversals need no generators of N^σ")
-    monkeypatch.setattr(lg.SymmetryGroup, "_fixed_generators", refuse)
+    monkeypatch.setattr(lg.SymmetryGroup, "_kernel", refuse)
     for name in NAMES:
         group = cases[name][1]
-        fresh = lg.SymmetryGroup(group._forms, group.modulus)
+        fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
         assert fresh.class_transversals() == group.class_transversals()
 
 

@@ -88,21 +88,21 @@ def test_star_group_is_the_closure(quartic, quartic_group, quintic,
 
 
 def block_enumeration(monkeypatch):
-    """Replace both group enumerators, Dimino's ``_generate`` and the lattice
-    listing ``_lattice_forms``, under every name a library module binds them
-    to, so no path can reach an original; each module that builds groups
-    must bind one of them."""
+    """Replace the one form listing, ``_lattice_forms``, under every name a
+    library module binds it to, so no path can reach the original: a group
+    is built from its structure, and only ``SymmetryGroup._forms`` lists it.
+    The closure walk stays, as it checks the cap on the permutation images
+    while it finds them."""
     def enumerate_group(*args, **kwargs):
         pytest.fail("a group was enumerated before the cap was checked")
 
-    builders = {}
-    for routine in ("_generate", "_lattice_forms"):
-        original = getattr(symmetry, routine)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "lgmirror" and getattr(module, routine, None) is original:
-                builders.setdefault(module, []).append(routine)
-                monkeypatch.setattr(module, routine, enumerate_group)
-    assert builders == {symmetry: ["_generate", "_lattice_forms"], duality: ["_lattice_forms"]}
+    builders = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lgmirror" and \
+                getattr(module, "_lattice_forms", None) is symmetry._lattice_forms:
+            builders.append(module)
+            monkeypatch.setattr(module, "_lattice_forms", enumerate_group)
+    assert builders == [symmetry]
     return enumerate_group
 
 
@@ -114,6 +114,10 @@ def test_cap_is_checked_before_any_dual_is_enumerated(monkeypatch):
              for i in range(7)]
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
         lg.closure(units, cap=100)  # a diagonal closure is listed only after the cap
+    with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
+        # S7: the walk stops at the 101st permutation image, of 5,040
+        lg.closure([lg.MonomialSymmetry.from_cycles([(0, 1)], 7),
+                    lg.MonomialSymmetry.from_cycles([tuple(range(7))], 7)], cap=100)
     with pytest.raises(CapExceededError, match="exceeds cap of 100 elements"):
         lg.dual_group(group, sextic, cap=100)
     monkeypatch.setattr(duality, "dual_group", enumerate_group)
@@ -129,6 +133,6 @@ def test_default_cap_binds_the_diagonal_group(monkeypatch):
     block_enumeration(monkeypatch)
     with pytest.raises(CapExceededError, match="exceeds cap of 1000000 elements"):
         lg.diagonal_group(poly)
-    trivial = lg.SymmetryGroup([((0, 1), (0, 0))], 1)
+    trivial = lg.SymmetryGroup(1, [(1, 0), (0, 1)], [((0, 1), (0, 0))])
     with pytest.raises(CapExceededError, match="exceeds cap of 1000000 elements"):
         lg.dual_group(trivial, poly.transpose())

@@ -14,7 +14,8 @@ from lgmirror.errors import (
     NotPurePermutationsError,
     OddPermutationError,
 )
-from oracles import brute_force_diagonal, factor_each_element, random_mirror_instance
+from oracles import (brute_force_diagonal, factor_each_element, random_mirror_instance,
+                     sl_subgroup)
 
 
 def diag(*phases):
@@ -102,7 +103,7 @@ def test_dual_of_grading_group_is_sl(quartic, quintic):
     for poly in (quartic, quintic):
         jw = lg.closure([lg.exponential_grading(poly)])
         dual = lg.dual_group(jw, poly)
-        assert dual == lg.sl_subgroup(lg.diagonal_group(poly.transpose()))
+        assert dual == sl_subgroup(lg.diagonal_group(poly.transpose()))
 
 
 def test_dual_of_trivial_and_full():
@@ -149,7 +150,7 @@ def test_nonabelian_dual_quartic(quartic, quartic_group):
     star = lg.nonabelian_dual(quartic_group, quartic)
     assert star.order == 192
     assert not star.is_abelian
-    sl = lg.sl_subgroup(lg.diagonal_group(quartic))
+    sl = sl_subgroup(lg.diagonal_group(quartic))
     assert all(g in star for g in sl)
     assert perm([(0, 1, 2)], 4) in star
     # witness pair of non-commuting elements
@@ -168,7 +169,7 @@ def test_nonabelian_dual_good_quintic(quintic, good_group):
     star = lg.nonabelian_dual(good_group, quintic)
     assert star.order == 1250
     assert perm([(0, 1), (2, 3)], 5) in star
-    sl = lg.sl_subgroup(lg.diagonal_group(quintic))
+    sl = sl_subgroup(lg.diagonal_group(quintic))
     assert all(g in star for g in sl.generators)
 
 

@@ -1,6 +1,9 @@
-"""Every group the library builds goes through one constructor, from
-integer forms: each must be the closure of its elements, in canonical
-order, over the lcm of its elements' moduli."""
+"""Every group the library builds goes through one constructor,
+``SymmetryGroup(mod, basis, lifts, generators=None)``: the Hermite basis of
+its diagonal part N and one lift per permutation part.  Each must be the
+closure of its elements, in canonical order, over the lcm of its elements'
+moduli; its list form (``oracles.group_of_forms``) must give it back; and
+the paths that need only its structure must list none of its forms."""
 
 import random
 from fractions import Fraction as F
@@ -11,20 +14,21 @@ import pytest
 import lgmirror as lg
 from lgmirror import duality
 from lgmirror.errors import DimensionMismatchError, OddPermutationError
-from oracles import factor_each_element, random_mirror_instance
+from oracles import factor_each_element, group_of_forms, random_mirror_instance, sl_subgroup
 
 
 def assert_built_once(group):
     assert group == lg.closure(group.elements)
     assert group.modulus == lcm(*(g.mod for g in group))
+    assert group_of_forms(group._forms, group.modulus) == group
 
 
 def assert_model_groups(poly, group):
     parts = lg.decompose_hk(group, poly)
     h_dual = lg.dual_group(parts.h, poly)
     star = duality.star_group(parts, poly)
-    built = [group, parts.h, parts.k, h_dual, star, lg.sl_subgroup(group),
-             lg.sl_subgroup(star), *parts.k.subgroups()]
+    built = [group, parts.h, parts.k, h_dual, star, sl_subgroup(group),
+             sl_subgroup(star), *parts.k.subgroups()]
     for side in (group, star):
         reps = [cls[0] for cls in side.conjugacy_classes()]
         if side.is_diagonal:  # every centralizer is the whole group
@@ -64,5 +68,39 @@ def test_odd_permutation_is_reported_before_a_missing_factor(quartic):
 
 def test_forms_of_mixed_ranks_are_rejected():
     with pytest.raises(DimensionMismatchError, match="mixed ranks"):
-        lg.SymmetryGroup([((0,), (0,)), ((1, 0), (0, 0))], 1)
+        lg.SymmetryGroup(1, [(1,)], [((0,), (0,)), ((1, 0), (0, 0))])
+    with pytest.raises(DimensionMismatchError, match="mixed ranks"):
+        group_of_forms([((0,), (0,)), ((1, 0), (0, 0))], 1)
 
+
+SEXTIC = " + ".join(f"x{i}^6" for i in range(1, 8))
+
+
+@pytest.mark.parametrize("text, k_order", [("j", 1), ("j; (1 2 3); (4 5 6)", 9)])
+def test_structure_paths_list_no_form(text, k_order):
+    poly = lg.parse_polynomial(SEXTIC)
+    group = lg.closure(lg.parse_generator(t, poly) for t in text.split(";"))
+    parts = lg.decompose_hk(group, poly)
+    star = lg.nonabelian_dual(group, poly)
+    groups = (group, parts.h, parts.k, star)
+    # j is central, so only G* = Hᵀ·K can fail to be abelian
+    assert [(g.order, g.is_abelian) for g in groups] == [
+        (6 * k_order, True), (6, True), (k_order, True), (6 ** 6 * k_order, k_order == 1)]
+    assert [len(g.generators) for g in groups] == [
+        len(group.generators), 1, len(parts.k.generators), 6 + len(parts.k.generators)]
+    for g in groups:
+        assert "_forms" not in g.__dict__ and "elements" not in g.__dict__
+
+
+@pytest.mark.parametrize("text", ["j", "j; (1 2 3); (4 5 6)"])
+def test_hashing_and_comparing_groups_lists_no_form(text):
+    # a basis vector holds its group, so hashing one hashes the group
+    poly = lg.parse_polynomial(SEXTIC)
+    group = lg.closure(lg.parse_generator(t, poly) for t in text.split(";"))
+    star = lg.nonabelian_dual(group, poly)
+    again = lg.nonabelian_dual(group, poly)
+    assert hash(star) == hash(again) and star == again
+    other = "j; (1 2 3)" if text == "j" else "j"
+    assert star != lg.nonabelian_dual(
+        lg.closure(lg.parse_generator(t, poly) for t in other.split(";")), poly)
+    assert "_forms" not in star.__dict__ and "_forms" not in again.__dict__

@@ -26,6 +26,7 @@ from oracles import (
     frac_greedy_generators,
     frac_inverse,
     frac_order,
+    group_of_forms,
 )
 
 
@@ -90,7 +91,7 @@ def test_phases_view_is_reduced_rationals():
 @pytest.mark.parametrize("name", ["quartic G*", "bad quintic G*"])
 def test_lazy_generators_match_greedy_oracle(groups, name):
     group = groups[name]
-    fresh = lg.SymmetryGroup([g.over(group.modulus) for g in group], group.modulus)
+    fresh = group_of_forms([g.over(group.modulus) for g in group], group.modulus)
     pairs = [frac_form(g) for g in group.elements]
     assert [frac_form(g) for g in fresh.generators] == frac_greedy_generators(pairs)
     assert frac_closure([frac_form(g) for g in group.generators]) == set(pairs)
@@ -109,7 +110,7 @@ def test_conjugacy_classes_match_oracle(groups):
 def test_greedy_generators_of_nonabelian_groups(quartic, text):
     # the scan grows by right cosets of subgroups that need not be normal
     group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
-    fresh = lg.SymmetryGroup([g.over(group.modulus) for g in group], group.modulus)
+    fresh = group_of_forms([g.over(group.modulus) for g in group], group.modulus)
     pairs = [frac_form(g) for g in group.elements]
     assert [frac_form(g) for g in fresh.generators] == frac_greedy_generators(pairs)
 

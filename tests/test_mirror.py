@@ -14,7 +14,7 @@ from lgmirror.errors import (
 )
 from oracles import (ExponentOutOfRangeError, NotDiagonalSectorError, corner_pairs,
                      fermat, narrow_diagonal_set, random_mirror_instance,
-                     unprojected_mirror)
+                     sl_subgroup, unprojected_mirror)
 
 
 def diag(*phases):
@@ -28,7 +28,7 @@ def perm(cycles, n):
 def test_narrow_diagonal_set(quartic):
     jw = lg.closure([lg.exponential_grading(quartic)])
     assert len(narrow_diagonal_set(jw)) == 3
-    sl = lg.sl_subgroup(lg.diagonal_group(quartic))
+    sl = sl_subgroup(lg.diagonal_group(quartic))
     narrow = narrow_diagonal_set(sl)
     assert len(narrow) == 21
     numerators = {tuple(sorted(int(p * 4) for p in g.phases)) for g in narrow}

@@ -25,7 +25,7 @@ PUBLIC = [
     "exponential_grading", "full_comparison", "invariant_basis", "is_symmetry",
     "monomial_label", "nonabelian_dual",
     "parity_condition", "parse_generator", "parse_polynomial",
-    "sector_map", "sl_subgroup", "vector_label",
+    "sector_map", "vector_label",
 ]
 
 

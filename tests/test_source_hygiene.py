@@ -181,3 +181,34 @@ def test_the_comparison_path_makes_no_rational_and_lists_no_element():
                     found.append(f"{module}:{name or '<module>'}:{node.lineno}")
     assert seen == {""} | INTEGER_PATH["state_space.py"], seen
     assert not found, f"rationals or element lists on the comparison path: {found}"
+
+
+def _functions(tree):
+    """(name, node) for every module-level function and every method, as
+    ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def test_forms_are_listed_in_one_place_and_no_module_keeps_dimino():
+    # a group is its structure: only SymmetryGroup._forms lists a coset of
+    # its diagonal part, and closure walks the permutation images instead
+    # of generating the whole group (Dimino, which tests/oracles.py keeps
+    # as the reference)
+    calls, sites, dimino = 0, [], []
+    for path in MODULES:
+        tree = _tree(path)
+        calls += sum(isinstance(node, ast.Call) and _called_name(node) == "_lattice_forms"
+                     for node in ast.walk(tree))
+        sites += [f"{path.name}:{name}" for name, scope in _functions(tree)
+                  for node in ast.walk(scope)
+                  if isinstance(node, ast.Call) and _called_name(node) == "_lattice_forms"]
+        dimino += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name == "_generate"]
+    assert calls == 1 and sites == ["symmetry.py:SymmetryGroup._forms"], sites
+    assert not dimino, f"modules that define _generate: {dimino}"

@@ -26,11 +26,13 @@ from oracles import (
     frac_cycles,
     frac_fixed_locus,
     frac_form,
+    group_of_forms,
     matrix_product,
     outcome,
     phase_matrix,
     random_mirror_instance,
     reference_parse_cycles,
+    sl_subgroup,
     sorted_subgroups,
     two_generated_subgroups,
 )
@@ -143,7 +145,7 @@ def test_exponential_grading(quartic):
 def test_closure_orders(quartic, quartic_group):
     assert quartic_group.order == 12
     assert lg.closure([lg.MonomialSymmetry.identity(3)]).order == 1
-    sl = lg.sl_subgroup(lg.diagonal_group(quartic))
+    sl = sl_subgroup(lg.diagonal_group(quartic))
     star = lg.closure(list(sl.generators) + [perm([(0, 1, 2)], 4)])
     assert star.order == 192
 
@@ -160,10 +162,14 @@ def test_element_needs_a_permutation():
 
 
 def test_group_needs_elements_and_identity():
+    for lifts in ([], [((1, 0), (0, 0))]):
+        with pytest.raises(NotAGroupError, match="identity missing"):
+            lg.SymmetryGroup(1, [(1, 0), (0, 1)], lifts)
+    # the list form refuses the same lists
     with pytest.raises(NotAGroupError, match="at least the identity"):
-        lg.SymmetryGroup([], 1)
+        group_of_forms([], 1)
     with pytest.raises(NotAGroupError, match="identity missing"):
-        lg.SymmetryGroup([((0, 1), (1, 1))], 2)
+        group_of_forms([((0, 1), (1, 1))], 2)
 
 
 def test_closure_needs_a_generator():
@@ -172,7 +178,7 @@ def test_closure_needs_a_generator():
 
 
 def test_sl_subgroup(quartic):
-    sl = lg.sl_subgroup(lg.diagonal_group(quartic))
+    sl = sl_subgroup(lg.diagonal_group(quartic))
     assert sl.order == 64
     gens = [diag("1/4", "1/4", "1/4", "1/4"), diag("1/2", "1/4", "1/4", 0),
             diag("1/4", "1/2", "1/4", 0)]
@@ -188,7 +194,7 @@ def test_conjugacy_classes_abelian_are_singletons(quartic_group):
 
 
 def test_conjugacy_classes_and_centralizers_nonabelian(quartic):
-    sl = lg.sl_subgroup(lg.diagonal_group(quartic))
+    sl = sl_subgroup(lg.diagonal_group(quartic))
     star = lg.closure(list(sl.generators) + [perm([(0, 1, 2)], 4)])
     for cls in star.conjugacy_classes():
         assert len(cls) * star.centralizer(cls[0]).order == star.order
@@ -227,7 +233,7 @@ def test_centralizers_of_quartic_dual_match_filter(quartic, quartic_group):
 
 def test_centralizer_makes_its_generators_from_forms(bad_star):
     # C(g) needs its generators, not a list of every element of G
-    fresh = lg.SymmetryGroup(bad_star._forms, bad_star.modulus)
+    fresh = lg.SymmetryGroup(bad_star.modulus, bad_star.basis, bad_star.lifts)
     for g in (bad_star.generators[0], bad_star.generators[-1]):
         cent = fresh.centralizer(g)
         assert lg.closure(cent.generators).elements == cent.elements
@@ -236,10 +242,10 @@ def test_centralizer_makes_its_generators_from_forms(bad_star):
 
 def test_derived_structure_is_computed_once(monkeypatch, quartic_group, bad_group, bad_star):
     calls = []
-    generate = symmetry._generate
-    monkeypatch.setattr(symmetry, "_generate", lambda *args: calls.append(1) or generate(*args))
+    pick = symmetry._lift_generators
+    monkeypatch.setattr(symmetry, "_lift_generators", lambda *args: calls.append(1) or pick(*args))
     for group in (quartic_group, bad_group, bad_star):
-        fresh = lg.SymmetryGroup(group._forms, group.modulus)  # generators not given
+        fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)  # generators not given
         first = fresh.generators, fresh.class_transversals(), fresh.conjugacy_classes()
         made = len(calls)
         assert made > 0
