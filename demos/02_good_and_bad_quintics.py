@@ -26,7 +26,7 @@ for name, gens in (("good", ["j", "(1 2)(3 4)"]),
     parts = lg.decompose_hk(G, W)
     print(f"--- {name} example: G = <{'; '.join(gens)}>, order {G.order}, "
           f"K of order {parts.k.order} ---")
-    holds, witness = lg.parity_condition(parts.k, W.n_vars)
+    holds, witness = lg.parity_condition(parts.k)
     if holds:
         print("parity condition: holds for every subgroup of K")
     else:

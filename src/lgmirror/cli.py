@@ -119,7 +119,7 @@ def _element_json(perm, nums, mod: int) -> dict:  # the integer form (perm, nums
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": lambda: [
         {"size": len(members),
-         "representative": _element_json(*group._forms[members[0][0]], group.modulus)}
+         "representative": _element_json(*members[0][0], group.modulus)}
         for members in group.class_transversals()]}
 
 
@@ -134,12 +134,12 @@ def _pc_json(holds: bool, witness: symmetry.SymmetryGroup | None) -> dict:
 
 
 def _space_json(space: state_space.GradedSpace) -> dict:
-    forms, gmod = space.group._forms, space.group.modulus
+    gmod = space.group.modulus
     mod = lcm(2, gmod)
     basis = [{"bidegree": _bidegree(v.bidegree),
               "label": state_space.vector_label(v, space.poly),
               "terms": [{"phase": symmetry.phase_text(p, mod), "exponents": list(exps),
-                         "element": _element_json(*forms[i], gmod)} for i, exps, p in v.nodes]}
+                         "element": _element_json(*form, gmod)} for form, exps, p in v.nodes]}
              for v in space.basis]
     return {"total_dim": space.total_dim, "dims": _dims_json(space),
             "basis": basis, "census": space.census()}
@@ -199,10 +199,9 @@ def _dual_poly(spec: ProblemSpec):
 
 def _group(spec: ProblemSpec):
     group = spec.group()
-    forms, mod = group._forms, group.modulus
     return ({"group": _group_json(group)},
             [f"order {group.order}"] + [
-                f"class of {symmetry.form_label(*forms[m[0][0]], mod)}: size {len(m)}"
+                f"class of {symmetry.form_label(*m[0][0], group.modulus)}: size {len(m)}"
                 for m in group.class_transversals()])
 
 
@@ -233,7 +232,7 @@ def _nonabelian_dual(spec: ProblemSpec):
 def _pc_check(spec: ProblemSpec):
     group = spec.group()
     parts = duality.decompose_hk(group, spec.poly)
-    holds, witness = duality.parity_condition(parts.k, spec.poly.n_vars)
+    holds, witness = duality.parity_condition(parts.k)
     text = ["parity condition holds" if holds else "parity condition fails"]
     if witness is not None:
         text.append(f"witness subgroup of order {witness.order}: " +

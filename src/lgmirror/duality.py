@@ -116,8 +116,7 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
            for g in h_dual.generators):
         raise InternalError("K does not normalize Hᵀ")
     # G* = ⋃_k k·Hᵀ: Hᵀ's basis, and each permutation of K with lift 0
-    return SymmetryGroup(h_dual.modulus, h_dual.basis, parts.k.lifts,
-                         h_dual.generators + parts.k.generators)
+    return SymmetryGroup(h_dual.modulus, h_dual.basis, parts.k.lifts)
 
 
 def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,
@@ -126,9 +125,8 @@ def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,
     return star_group(decompose_hk(group, poly), poly, cap)
 
 
-def parity_condition(k: SymmetryGroup, n: int
-                     ) -> tuple[bool, SymmetryGroup | None]:
-    """Check dim (ℂⁿ)ᵀ ≡ n (mod 2) for every subgroup T ≤ K.
+def parity_condition(k: SymmetryGroup) -> tuple[bool, SymmetryGroup | None]:
+    """Check dim (ℂⁿ)ᵀ ≡ n (mod 2) for every subgroup T ≤ K, n = K's rank.
 
     Returns (True, None) or (False, first failing subgroup) in subgroup
     order (by order, then elements), building none past it.  The fixed-space
@@ -140,6 +138,7 @@ def parity_condition(k: SymmetryGroup, n: int
         raise NotPurePermutationsError("parity condition needs pure permutations")
     if k.order % 2:
         return True, None
+    n = k.n
     for sub in k._subgroup_walk():
         # in a group, the orbit of i is {g(i) : g ∈ T}
         orbits = {frozenset(g.perm[i] for g in sub) for i in range(n)}

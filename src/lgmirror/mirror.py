@@ -48,21 +48,21 @@ def _corners(space: GradedSpace):
     """The untwisted and the narrow diagonal vectors of ``space``, in basis
     order, each with its corner key: the set of its nodes' integer vectors,
     b for y^b in the untwisted sector and the phases scaled by d, less 1,
-    for a narrow diagonal element, read from the group's forms.  A set of
+    for a narrow diagonal element, read from the node's form.  A set of
     one is keyed by its one vector, which equals no set.  The diagonal
     elements of G = H·K are H, so the lead decides the corner."""
     d = space.poly.fermat_exponents()
-    forms, mod = space.group._forms, space.group.modulus
+    ident, mod = space.group.lifts[0][0], space.group.modulus
     untwisted, narrow = [], []
     for v in space.basis:
-        perm, nums = forms[v.nodes[0][0]]
-        if perm != forms[0][0]:
+        perm, nums = v.nodes[0][0]
+        if perm != ident:
             continue
         if not any(nums):
             corner, keys = untwisted, [exps for _, exps, _ in v.nodes]
         elif all(nums):  # exact: a diagonal symmetry of Fermat W has phases k/d_i
-            corner, keys = narrow, [tuple([x * e // mod - 1 for x, e in zip(forms[i][1], d)])
-                                    for i, _, _ in v.nodes]
+            corner, keys = narrow, [tuple([x * e // mod - 1 for x, e in zip(form[1], d)])
+                                    for form, _, _ in v.nodes]
         else:
             continue
         corner.append((keys[0] if len(keys) == 1 else frozenset(keys), v))
@@ -117,7 +117,7 @@ def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,
     a_space = a_state_space(poly, group)
     b_space = b_state_space(dual_poly, g_star)
     restricted = _corner_pairs(a_space, b_space)
-    pc_holds, pc_witness = parity_condition(parts.k, poly.n_vars)
+    pc_holds, pc_witness = parity_condition(parts.k)
     if a_space.dims == b_space.dims:
         verdict = Verdict.BIGRADED_ISOMORPHIC
     elif a_space.total_dim == b_space.total_dim:

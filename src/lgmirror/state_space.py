@@ -20,8 +20,8 @@ Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age 
 where deg P always includes the volume form: deg(Π y^{b_C}·ω) = Σ (b_C+1)·q_C,
 and age g⁻¹ = n − N_g − age g.
 
-Basis vectors hold integers (``GradedBasisVector``): the search makes only
-the elements that a class representative or a pullback map needs.
+Basis vectors hold integers and integer forms (``GradedBasisVector``): the
+search makes only the elements that a sector or a pullback map needs.
 
 Everything is immutable; sectors are cached per (W, g) in a bounded LRU.
 """
@@ -50,6 +50,7 @@ from .symmetry import (
     MonomialSymmetry,
     SymmetryGroup,
     exponential_grading,
+    form_age,
     form_cycles,
     form_label,
     form_locus,
@@ -161,9 +162,10 @@ def sector_map(gamma: MonomialSymmetry, sector: Sector,
 class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade den")):
     """Orbit sum Σ e(p/M)·⌊y^b·ω, g_i⌉ with one common bidegree, in integers.
 
-    ``nodes`` holds (i, b, p) triples, sorted: i indexes ``group``'s forms
-    and p counts over M = lcm(2, group.modulus); the leading (first) node
-    has p = 0.  The bidegree is ``grade`` over ``den`` = 2·lcm(d).  The
+    ``nodes`` holds (form, b, p) triples, sorted: the form is g_i's
+    integer form over ``group.modulus``, the group's own tuple, and p
+    counts over M = lcm(2, group.modulus); the leading (first) node has
+    p = 0.  The bidegree is ``grade`` over ``den`` = 2·lcm(d).  The
     views below make rationals and elements only when read.
     """
 
@@ -172,9 +174,9 @@ class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade 
     @property
     def terms(self) -> tuple:
         """(phase, exponents, element) triples in node order."""
-        forms, gmod, make = self.group._forms, self.group.modulus, MonomialSymmetry.from_numerators
-        return tuple([(Fraction(p, lcm(2, gmod)), exps, make(*forms[i], gmod))
-                      for i, exps, p in self.nodes])
+        gmod, make = self.group.modulus, MonomialSymmetry.from_numerators
+        return tuple([(Fraction(p, lcm(2, gmod)), exps, make(*form, gmod))
+                      for form, exps, p in self.nodes])
 
     @property
     def leading(self) -> tuple:
@@ -204,12 +206,11 @@ class GradedSpace:
     def census(self) -> dict:
         """Counts by sector type of the leading term, read from its form;
         twisted broad counts are keyed by the leading element's label."""
-        forms, mod = self.group._forms, self.group.modulus
-        ident, twisted = forms[0][0], {}
+        ident, mod, twisted = self.group.lifts[0][0], self.group.modulus, {}
         counts = {"untwisted_broad": 0, "twisted_broad": twisted,
                   "narrow_diagonal": 0, "narrow_nondiagonal": 0}
         for v in self.basis:
-            perm, nums = forms[v.nodes[0][0]]
+            perm, nums = v.nodes[0][0]
             if perm == ident and not any(nums):
                 counts["untwisted_broad"] += 1
             elif not form_cycles(perm, nums, mod):
@@ -269,12 +270,12 @@ def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
     numerators over ``mod`` at the first index C₀ of each fixed cycle C of
     y (r's are ``fixed``) and their sum.  c* keeps every cycle, with scalar
     c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
-    forms, gmod, out = group._forms, group.modulus, [(None, [])]
+    gmod, out = group.modulus, [(None, [])]
     make = MonomialSymmetry.from_numerators
     for x, w, c in members:
         if not any(c) and x != members[0][0]:  # the head y = w⁻¹·r·w of a coset
-            sm = sector_map(make(*w, gmod), build_sector(poly, make(*forms[members[0][0]], gmod)),
-                            build_sector(poly, make(*forms[x], gmod)))
+            sm = sector_map(make(*w, gmod), build_sector(poly, make(*members[0][0], gmod)),
+                            build_sector(poly, make(*x, gmod)))
             fixed = sm.target.locus.cycles
             out.append((sm, []))
         cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
@@ -299,7 +300,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     coset of N, then by the character of the diagonal c (``_carries``).
     The least term of its orbit sum, in the sector of r, has phase 0.
     """
-    forms, gmod = group._forms, group.modulus
+    gmod = group.modulus
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
@@ -315,27 +316,26 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     kept_at: dict[tuple, list] = {}  # (σ, fixed cycles) -> kept exponents
     counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
     for members in group.class_transversals():
-        r = members[0][0]
-        g = make(*forms[r], gmod)
-        fixed = g.fixed_cycles()  # no canonical vectors: only maps need sectors
+        r = perm, nums = members[0][0]
+        fixed = form_cycles(perm, nums, gmod)  # no canonical vectors: only maps need sectors
         limit = (TERM_CAP - counted) // len(members)
-        kept = kept_at.get((g.perm, fixed))
+        kept = kept_at.get((perm, fixed))
         if kept is None:
-            kept = kept_at[g.perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
-                                                  group._kernel(g.perm)[1], gmod, limit)
+            kept = kept_at[perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
+                                                group._kernel(perm)[1], gmod, limit)
         if len(kept) > limit:
             raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
         counted += len(kept) * len(members)
         if not kept:
             continue
         # a sector and maps only where lifts move monomials
-        lift_gens = [] if group.is_diagonal else group._centralizer_lifts(*forms[r])[1]
-        sector = build_sector(poly, g) if lift_gens else None
+        lift_gens = [] if group.is_diagonal else group._centralizer_lifts(perm, nums)[1]
+        sector = build_sector(poly, make(*r, gmod)) if lift_gens else None
         moves = [sector_map(make(*lift, gmod), sector, sector) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
         steps = [den // d_all[c[0]] for c in fixed]  # den·q_C per fixed cycle
-        u = g.age_num() * (den // (2 * g.mod)) - shift
-        v = len(fixed) * den + u if side == A_SIDE else (g.n - len(fixed)) * den - u - 2 * shift
+        u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
+        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
         done: set[tuple[int, ...]] = set()
         for lead in kept:  # an orbit's nodes are all kept: its least comes first
             if lead in done:
@@ -366,7 +366,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
                     image, delta = (exps, 0) if sm is None else sm.apply(exps, mod)
                     nodes += [(x, image, (p + delta + form + sum(map(mul, image, c))) % mod)
                               for x, c, form in coset]
-            nodes.sort()  # element indices follow the canonical element order
+            nodes.sort()  # forms sort in the canonical element order
             deg = sum((b + 1) * q for b, q in zip(lead, steps))
             grade = (u + deg, v + sign * deg)
             vectors.append(GradedBasisVector(side, group, tuple(nodes), grade, den))
@@ -450,9 +450,9 @@ def monomial_label(poly: InvertiblePolynomial, locus: FixedLocus,
 
 def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial) -> str:
     """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``."""
-    forms, gmod = vector.group._forms, vector.group.modulus
+    gmod = vector.group.modulus
     mod, chunks = lcm(2, gmod), []
-    for i, exps, p in vector.nodes:  # the lead, first, has phase 0
-        locus, label = form_locus(*forms[i], gmod), form_label(*forms[i], gmod)
+    for form, exps, p in vector.nodes:  # the lead, first, has phase 0
+        locus, label = form_locus(*form, gmod), form_label(*form, gmod)
         chunks.append(f"{_coefficient(p, mod)}[{monomial_label(poly, locus, exps)}, {label}]")
     return " + ".join(chunks).replace("+ -", "- ")

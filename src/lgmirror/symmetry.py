@@ -22,9 +22,11 @@ lattice, and one lift per permutation image.  Order, membership, equality
 and generators are read off that structure.  The integer forms are listed
 only when read, one coset of N at a time, in the canonical order
 (lexicographic on permutation images, then phases) that makes every output
-reproducible byte for byte; elements are made from them.  ``closure`` finds
-the structure by one walk over the permutation images, checking a cap as it
-goes and again before anything is listed.
+reproducible byte for byte; elements are made from them, and outside the
+group an element is named by its form, never by its place in the listing.
+``closure`` and the subgroup walk find the structure by one walk over the
+permutation images, checking a cap as it goes and again before anything is
+listed.
 """
 
 from __future__ import annotations
@@ -229,14 +231,8 @@ class MonomialSymmetry:
         return Fraction(self.det_num(), 2 * self.mod)
 
     def age_num(self) -> int:
-        """The numerator of ``age`` over 2·mod.
-
-        A cycle of length ℓ with total phase t has the ℓ phases (t + k)/ℓ
-        mod 1, k = 0..ℓ−1, which sum to (t mod 1) + (ℓ − 1)/2.
-        """
-        cycles = self.cycles()
-        total = sum(sum(map(self.nums.__getitem__, c)) % self.mod for c in cycles)
-        return 2 * total + self.mod * (self.n - len(cycles))
+        """The numerator of ``age`` over 2·mod."""
+        return form_age(self.perm, self.nums, self.mod)
 
     def age(self) -> Fraction:
         """Sum of eigenvalue log-phases taken in [0, 1)."""
@@ -292,6 +288,18 @@ def form_cycles(perm, nums, mod: int) -> tuple[tuple[int, ...], ...]:
     """The cycles of Fix(g) for g = (perm, nums over mod), ``mod`` any
     multiple of g's modulus: those whose phases sum to an integer."""
     return tuple([c for c in _perm_cycles(perm) if not sum(map(nums.__getitem__, c)) % mod])
+
+
+def form_age(perm, nums, mod: int) -> int:
+    """The numerator over 2·mod of the age of g = (perm, nums over mod),
+    ``mod`` any multiple of g's modulus.
+
+    A cycle of length ℓ with total phase t has the ℓ phases (t + k)/ℓ
+    mod 1, k = 0..ℓ−1, which sum to (t mod 1) + (ℓ − 1)/2.
+    """
+    cycles = _perm_cycles(perm)
+    total = sum(sum(map(nums.__getitem__, c)) % mod for c in cycles)
+    return 2 * total + mod * (len(perm) - len(cycles))
 
 
 def form_locus(perm, nums, mod: int) -> FixedLocus:
@@ -387,10 +395,11 @@ class SymmetryGroup:
     reduces it): the first element of its coset in canonical order.  So
     |G| = |P|·Π M/h_ii, membership reduces a form by the basis, and equal
     groups have equal fields.  Nothing else is computed until first read,
-    and then kept: the forms, a coset of N per lift, in canonical order;
-    the elements; the generators (unless given); the form index; the lift
-    generators; the class transversals with each element's class; the
-    classes; and per permutation part σ, the φ_σ preimages and N^σ.
+    and then kept: per distinct a_τ, the coset a_τ + N; the forms, a coset
+    of N per lift, in canonical order; the elements; the generators, read
+    off the fields; the form index; the lift generators; the class
+    transversals; the classes; and per permutation part σ, the φ_σ
+    preimages and N^σ.  The form index stays inside the class.
 
     Classes and centralizers come from the structure, not from a scan of
     the elements.  Conjugating g = (σ, a) by a diagonal c gives (σ, a +
@@ -402,7 +411,7 @@ class SymmetryGroup:
     has a preimage under φ_σ.
     """
 
-    def __init__(self, mod: int, basis, lifts, generators=None):
+    def __init__(self, mod: int, basis, lifts):
         basis, lifts = [tuple(row) for row in basis], list(lifts)
         n = self.n = len(basis)
         if any(len(row) != n for row in basis) or any(
@@ -420,19 +429,22 @@ class SymmetryGroup:
             raise NotAGroupError("identity missing from the lifts")
         self.order = len(self.lifts) * prod(mod // row[i] for i, row in enumerate(basis))
         self._lift_of = dict(self.lifts)
-        if generators is not None:
-            self.generators = tuple(dict.fromkeys(
-                g for g in generators if not g.is_identity))
+        self._cosets: dict[tuple[int, ...], list] = {}
         self._preimages_of: dict[tuple[int, ...], dict] = {}
         self._kernels: dict[tuple[int, ...], tuple] = {}
+
+    def _coset(self, a):
+        """The numerator vectors of a + N in canonical order, listed once
+        per a: N's own for the preimages, a_τ + N for the forms."""
+        if a not in self._cosets:
+            self._cosets[a] = _lattice_forms(self.basis, self.modulus, a)
+        return self._cosets[a]
 
     @cached_property
     def _forms(self) -> tuple:
         """Every integer form in canonical order, listed when first read:
-        the coset a_τ + N of each lift, each distinct a_τ's listed once."""
-        cosets = {a: _lattice_forms(self.basis, self.modulus, a)
-                  for a in dict.fromkeys(nums for _, nums in self.lifts)}
-        return tuple([(perm, x) for perm, nums in self.lifts for x in cosets[nums]])
+        the coset a_τ + N of each lift."""
+        return tuple([(perm, x) for perm, nums in self.lifts for x in self._coset(nums)])
 
     @cached_property
     def elements(self) -> tuple[MonomialSymmetry, ...]:
@@ -442,8 +454,8 @@ class SymmetryGroup:
 
     @cached_property
     def generators(self) -> tuple[MonomialSymmetry, ...]:
-        """Given, or the greedy ones a scan in canonical order picks, each
-        the first element outside the group the picks before it generate:
+        """The greedy ones a scan in canonical order picks, each the first
+        element outside the group the picks before it generate:
         N's, read off its basis, then the lifts whose τ the lifts before
         them do not generate."""
         make, mod, ident = MonomialSymmetry.from_numerators, self.modulus, self.lifts[0][0]
@@ -481,11 +493,6 @@ class SymmetryGroup:
     def _index(self) -> dict:
         return {form: i for i, form in enumerate(self._forms)}
 
-    def index(self, g: MonomialSymmetry) -> int:
-        if g not in self:
-            raise NotAMemberError(f"{g!r} is not in this group")
-        return self._index[g.over(self.modulus)]
-
     @property
     def identity(self) -> MonomialSymmetry:
         return MonomialSymmetry.identity(self.n)
@@ -500,24 +507,23 @@ class SymmetryGroup:
         return len(self.lifts) == 1
 
     def class_transversals(self):
-        """Per class, (index, w, c) for each member x, the least index r
-        first: w is the integer form over ``modulus`` of a lift word and c
-        the numerators of a diagonal element, with t = w·c and
-        t⁻¹·g_r·t = x.
+        """Per class, (form, w, c) for each member x, the least member r
+        first: the form is x's integer form over ``modulus``, the listing's
+        own tuple, w the integer form of a lift word and c the numerators of
+        a diagonal element, with t = w·c and t⁻¹·r·t = x.
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
         cosets.  A class is one orbit of cosets, walked from r's along the
         lifts that generate the permutation parts; w is the word of lifts
         that reaches a member's coset and c a preimage of its offset."""
-        return self._transversals[0]
+        return self._transversals
 
     @cached_property
     def _transversals(self):
-        """``class_transversals()`` and the class number of each element index."""
         if self.is_diagonal:  # singleton classes; the walk below is 3x slower on them
             ident = self.lifts[0]
-            return [[(i, ident, ident[1])] for i in range(self.order)], range(self.order)
+            return [[(form, ident, ident[1])] for form in self._forms]
         forms, mod, index = self._forms, self.modulus, self._index
         gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
                 for g in self._lift_gens]
@@ -532,12 +538,12 @@ class SymmetryGroup:
                     continue  # its coset was walked before
                 px, nx = forms[y]
                 owner[y] = len(classes)
-                members.append((y, word, forms[0][1]))
+                members.append((forms[y], word, forms[0][1]))
                 # offsets past the first, 0 from the identity
                 for v, c in islice(self._preimages(px).items(), 1, None):
                     x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])]
                     owner[x] = len(classes)
-                    members.append((x, word, c))
+                    members.append((forms[x], word, c))
                 for (pi, ni), g in gens:
                     pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
                     z = index[tuple([pg[px[j]] for j in pi]), tuple(
@@ -545,7 +551,7 @@ class SymmetryGroup:
                     if owner[z] < 0:
                         cosets.append((z, _compose(word, g, mod)))
             classes.append(members)
-        return classes, owner
+        return classes
 
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         """The classes, each sorted, ordered by leader."""
@@ -553,19 +559,20 @@ class SymmetryGroup:
 
     @cached_property
     def _classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
-        return tuple(tuple(self.elements[x] for x in sorted(x for x, _, _ in members))
+        make, mod = MonomialSymmetry.from_numerators, self.modulus
+        return tuple(tuple([make(*form, mod) for form in sorted(form for form, _, _ in members)])
                      for members in self.class_transversals())
 
     def _preimages(self, sigma):
         """One preimage c of each value of φ_σ(c) = c∘σ − c, the value 0
-        first, read from N's forms and cached per σ, for the class walk and
-        the centralizers."""
+        first, read from N's own coset and cached per σ, for the class walk
+        and the centralizers."""
         if sigma not in self._preimages_of:
             ident, zero = self.lifts[0]
             preimage = self._preimages_of[sigma] = {zero: zero}
             if sigma != ident:  # φ_id = 0
                 mod = self.modulus
-                for _, c in self._forms[:self.order // len(self.lifts)]:  # N sorts first
+                for c in self._coset(zero):
                     preimage.setdefault(tuple([(c[s] - x) % mod for s, x in zip(sigma, c)]), c)
         return self._preimages_of[sigma]
 
@@ -573,17 +580,15 @@ class SymmetryGroup:
         """(N^σ's basis, N^σ's generators as forms), once per σ.  N^id = N,
         as φ_id = 0; any other N^σ's basis is the second halves of the last
         n rows of the Hermite form over 2n columns of the pairs (φ_σ(c), c)
-        for c ∈ N.  The generators are the group's own when N^σ is the whole
-        group, else read off the basis."""
+        for c ∈ N.  The generators are read off the basis."""
         if sigma not in self._kernels:
             n, mod, basis = self.n, self.modulus, self.basis
             if sigma != self.lifts[0][0]:
                 pairs = [[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
                          for row in basis]  # (φ_σ(c), c)
                 basis = [row[n:] for row in hermite(pairs, mod)[n:]]
-            self._kernels[sigma] = basis, (
-                [g.over(mod) for g in self.generators] if self.is_diagonal
-                else [(self.lifts[0][0], row) for row in _lattice_generators(basis, mod)])
+            self._kernels[sigma] = basis, [(self.lifts[0][0], row)
+                                           for row in _lattice_generators(basis, mod)]
         return self._kernels[sigma]
 
     def _centralizer_lifts(self, sigma, a):
@@ -602,21 +607,17 @@ class SymmetryGroup:
         return lifts, _lift_generators(lifts)
 
     def centralizer(self, g: MonomialSymmetry) -> "SymmetryGroup":
-        """C_G(g) from N^σ's basis and the lifts that commute with g,
-        generated by N^σ's generators and the lifts whose τ the lifts before
-        them do not generate."""
+        """C_G(g) from N^σ's basis and the lifts that commute with g."""
         if g not in self:
             raise NotAMemberError(f"{g!r} is not in this group")
-        mod = self.modulus
-        sigma, a = g.over(mod)
-        basis, fixed_gens = self._kernel(sigma)
-        lifts, lift_gens = self._centralizer_lifts(sigma, a)
-        return SymmetryGroup(mod, basis, lifts, [MonomialSymmetry.from_numerators(*form, mod)
-                                                 for form in fixed_gens + lift_gens])
+        sigma, a = g.over(self.modulus)
+        return SymmetryGroup(self.modulus, self._kernel(sigma)[0],
+                             self._centralizer_lifts(sigma, a)[0])
 
     def _subgroup_walk(self):
-        """Each subgroup, built when reached, ordered by order, then by
-        element indices: popped from a heap keyed so.  Each popped S is
+        """Each subgroup, ordered by order, then by element indices: popped
+        from a heap keyed so, and built as ``closure`` builds a group, from
+        the generator indices kept with it.  Each popped S is
         extended once per right coset S·x outside it (⟨S, h·x⟩ = ⟨S, x⟩ for
         h ∈ S), growing ⟨S, x⟩ from S by right cosets on the multiplication
         table (Dimino).  Extensions are larger than S, and T = ⟨S, x⟩ for a
@@ -633,9 +634,8 @@ class SymmetryGroup:
         seen = {(0,)}
         while heap:
             _, sub, gens = heappop(heap)
-            lifts = dict(forms[i] for i in sub)  # a form per permutation part
-            diagonal = [forms[i][1] for i in sub[:len(sub) // len(lifts)]]  # they sort first
-            yield SymmetryGroup(mod, hermite(diagonal, mod), lifts.items())
+            lifts, schreier = _walk([forms[i] for i in gens] or forms[:1], mod, self.order)
+            yield SymmetryGroup(mod, hermite([*schreier] or [forms[0][1]], mod), lifts.items())
             tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
                 if x in tried:
@@ -669,7 +669,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
     lifts, schreier = _walk([g.over(mod) for g in generators], mod, cap)
-    group = SymmetryGroup(mod, hermite([*schreier] or [(0,) * n], mod), lifts.items(), generators)
+    group = SymmetryGroup(mod, hermite([*schreier] or [(0,) * n], mod), lifts.items())
     if group.order > cap:
         raise CapExceededError(f"group exceeds cap of {cap} elements")
     return group

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
@@ -56,6 +57,7 @@ from lgmirror.errors import (
     DuplicateVariableError,
     LGError,
     NotAGroupError,
+    NotAMemberError,
     NotDiagonalError,
     NotSquareError,
     ParseError,
@@ -349,7 +351,7 @@ def _generate(forms, mod: int, cap: int):
     return have, picked
 
 
-def group_of_forms(forms, mod: int, generators=None) -> SymmetryGroup:
+def group_of_forms(forms, mod: int) -> SymmetryGroup:
     """The group whose integer forms over ``mod`` are ``forms``, through the
     one constructor: N's Hermite basis from the diagonal forms, and the
     first form of each permutation part as its lift.  NotAGroupError when
@@ -372,7 +374,7 @@ def group_of_forms(forms, mod: int, generators=None) -> SymmetryGroup:
     for perm, nums in forms:
         lifts.setdefault(perm, nums)
     group = SymmetryGroup(mod, hermite([nums for perm, nums in forms if perm == ident], mod),
-                          lifts.items(), generators)
+                          lifts.items())
     scale = mod // group.modulus
     if not closed or forms != [(perm, tuple(x * scale for x in nums))
                                for perm, nums in group._forms]:
@@ -548,7 +550,7 @@ SearchedVector = namedtuple("SearchedVector", "side terms bidegree")
 def search_invariant_basis(poly, group, side):
     """Orbit-sum basis found as ``invariant_basis`` once did: a search from
     every element's sector under the group's generators, each move's target
-    γ⁻¹gγ built by ``sector_map`` and looked up with ``group.index``, and
+    γ⁻¹gγ built by ``sector_map`` and looked up with ``index_of``, and
     each bidegree taken from the textbook formula on ``Fraction`` ages.
     Each vector is a ``SearchedVector`` of ``Fraction``s and elements."""
     elements = group.elements
@@ -558,7 +560,7 @@ def search_invariant_basis(poly, group, side):
         row = []
         for sector in sectors:
             sm = sector_map(gamma, sector)
-            row.append((group.index(sm.target.element), sm))
+            row.append((index_of(group, sm.target.element), sm))
         moves.append(row)
     mod = lcm(2, group.modulus)
     bidegree_of = a_bidegree if side == "A" else b_bidegree
@@ -740,10 +742,18 @@ def root_of_unity(m: int, p: int) -> int:
 
 # --- views only the tests read -----------------------------------------------
 
+def index_of(group, g) -> int:
+    """g's position in the group's listing, found by bisection, as the
+    listing is sorted; NotAMemberError when g is not in the group."""
+    if g not in group:
+        raise NotAMemberError(f"{g!r} is not in this group")
+    return bisect_left(group._forms, g.over(group.modulus))
+
+
 def class_of(group, g):
     """The conjugacy class of g, sorted, as ``group.conjugacy_classes()``
-    lists it."""
-    return group.conjugacy_classes()[group._transversals[1][group.index(g)]]
+    lists it: the one that holds g."""
+    return next(cls for cls in group.conjugacy_classes() if g in cls)
 
 
 def is_narrow(sector) -> bool:

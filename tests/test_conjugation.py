@@ -55,13 +55,14 @@ def assert_table_rows(group):
         assert [group.elements[j] for j in row] == \
             [g.conjugated_by(gamma) for g in group.elements]
     members = group.class_transversals()
-    assert [tuple(sorted(x for x, _, _ in m)) for m in members] == table_classes(group)
+    assert [tuple(sorted(x for x, _, _ in m)) for m in members] == \
+        [tuple(group._forms[i] for i in cls) for cls in table_classes(group)]
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
     for m in members:
-        rep = group.elements[m[0][0]]
+        rep = make(*m[0][0], group.modulus)
         for x, w, c in m:
             t = make(*w, group.modulus) * make(ident, c, group.modulus)
-            assert t in group and rep.conjugated_by(t) == group.elements[x]
+            assert t in group and rep.conjugated_by(t) == make(*x, group.modulus)
 
 
 def assert_same_basis(basis, expected):
@@ -105,7 +106,7 @@ def assert_fixed_generators(group):
     c∘σ = c, filtered from the group's elements."""
     make, mod = lg.MonomialSymmetry.from_numerators, group.modulus
     for members in group.class_transversals():
-        sigma = group.elements[members[0][0]].perm
+        sigma = members[0][0][0]
         gens = group._kernel(sigma)[1]
         assert group._kernel(sigma)[1] is gens
         fixed = tuple(g for g in group.elements if g.is_diagonal and all(
@@ -156,13 +157,13 @@ def test_coset_map_and_character_give_each_transversal_map(cases, quartic, name)
     mod = lcm(2, group.modulus)
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
     for members in group.class_transversals():
-        sector = lg.build_sector(poly, group.elements[members[0][0]])
+        sector = lg.build_sector(poly, make(*members[0][0], group.modulus))
         carries = lg.state_space._carries(poly, group, members, sector.locus.cycles, mod)
         reached = [(x, sm, c, form) for sm, coset in carries for x, c, form in coset]
         assert [x for x, _, _, _ in reached] == [x for x, _, _ in members]
         for (x, w, c), (_, sm, at, form) in zip(members, reached):
             t = make(*w, group.modulus) * make(ident, c, group.modulus)
-            full = lg.sector_map(t, sector, lg.build_sector(poly, group.elements[x]))
+            full = lg.sector_map(t, sector, lg.build_sector(poly, make(*x, group.modulus)))
             for b in sector.basis:
                 image, delta = (b, 0) if sm is None else sm.apply(b, mod)
                 delta += form + sum(e * k for e, k in zip(image, at))

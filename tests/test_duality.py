@@ -180,13 +180,13 @@ def test_nonabelian_dual_of_diagonal_group_is_plain_dual(quartic):
 
 def test_parity_condition_single_swap_pair():
     k = lg.closure([perm([(0, 1), (2, 3)], 5)])
-    holds, witness = lg.parity_condition(k, 5)
+    holds, witness = lg.parity_condition(k)
     assert holds and witness is None
 
 
 def test_parity_condition_klein_fails():
     k = lg.closure([perm([(0, 1), (2, 3)], 5), perm([(0, 2), (1, 3)], 5)])
-    holds, witness = lg.parity_condition(k, 5)
+    holds, witness = lg.parity_condition(k)
     assert not holds
     assert witness is not None and witness.order == 4
     assert witness == k  # the full Klein group is the first failing subgroup
@@ -205,7 +205,7 @@ def test_parity_condition_stops_at_its_witness(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(lg.SymmetryGroup, "__init__", counting_init)
-    holds, witness = lg.parity_condition(k, 6)
+    holds, witness = lg.parity_condition(k)
     assert not holds and len(built) < 501
     assert [g.cycle_string() for g in witness] == \
         ["()", "(3 4)(5 6)", "(3 5)(4 6)", "(3 6)(4 5)"]
@@ -213,20 +213,20 @@ def test_parity_condition_stops_at_its_witness(monkeypatch):
 
 def test_parity_condition_quartic_cycle():
     k = lg.closure([perm([(0, 1, 2)], 4)])
-    holds, witness = lg.parity_condition(k, 4)
+    holds, witness = lg.parity_condition(k)
     assert holds and witness is None
 
 
 def test_parity_condition_trivial():
     k = lg.closure([lg.MonomialSymmetry.identity(6)])
-    holds, witness = lg.parity_condition(k, 6)
+    holds, witness = lg.parity_condition(k)
     assert holds and witness is None
 
 
 def test_parity_condition_rejects_phases():
     k = lg.closure([diag("1/2", "1/2")])
     with pytest.raises(NotPurePermutationsError):
-        lg.parity_condition(k, 2)
+        lg.parity_condition(k)
 
 
 def _passes(sub, n):
@@ -277,7 +277,7 @@ def test_parity_witness_need_not_hold_a_failing_2_subgroup():
     # {4, 5}, so it fails, while each proper subgroup, its 2-subgroups
     # included, passes: restricting the walk to 2-subgroups misses it
     k = lg.closure([perm([(0, 1, 2)], 5), perm([(0, 1), (3, 4)], 5)])
-    holds, witness = lg.parity_condition(k, 5)
+    holds, witness = lg.parity_condition(k)
     assert not holds and witness == k and witness.order == 6
     proper = [sub for sub in k.subgroups() if sub != k]
     assert len(proper) == 5 and all(_passes(sub, 5) for sub in proper)
@@ -291,7 +291,7 @@ def test_parity_condition_holds_at_once_for_odd_k(monkeypatch):
     def walk(self):
         pytest.fail("an odd K was walked")
     monkeypatch.setattr(lg.SymmetryGroup, "_subgroup_walk", walk)
-    assert lg.parity_condition(k, 18) == (True, None)
+    assert lg.parity_condition(k) == (True, None)
 
 
 def test_subgroup_walk_refuses_a_table_past_the_cap(monkeypatch):
@@ -304,6 +304,6 @@ def test_subgroup_walk_refuses_a_table_past_the_cap(monkeypatch):
     monkeypatch.setattr(symmetry, "_compose", compose)
     message = "subgroup walk of order 2520 exceeds 1000000 table entries"
     with pytest.raises(CapExceededError, match=message):
-        lg.parity_condition(k, 7)
+        lg.parity_condition(k)
     with pytest.raises(CapExceededError, match=message):
         k.subgroups()

@@ -1,6 +1,7 @@
 """Every group the library builds goes through one constructor,
-``SymmetryGroup(mod, basis, lifts, generators=None)``: the Hermite basis of
-its diagonal part N and one lift per permutation part.  Each must be the
+``SymmetryGroup(mod, basis, lifts)``: the Hermite basis of its diagonal
+part N and one lift per permutation part, from which its generators are
+read.  Each must be the
 closure of its elements, in canonical order, over the lcm of its elements'
 moduli; its list form (``oracles.group_of_forms``) must give it back; and
 the paths that need only its structure must list none of its forms."""
@@ -104,3 +105,17 @@ def test_hashing_and_comparing_groups_lists_no_form(text):
     assert star != lg.nonabelian_dual(
         lg.closure(lg.parse_generator(t, poly) for t in other.split(";")), poly)
     assert "_forms" not in star.__dict__ and "_forms" not in again.__dict__
+
+
+def test_a_centralizer_lists_only_the_diagonal_part():
+    # C(g) for the last generator of the non-abelian sextic's G* (|G*| =
+    # 419,904) looks its lifts' preimages up in N's own coset of 46,656
+    # forms, and lists none of G*'s
+    poly = lg.parse_polynomial(SEXTIC)
+    group = lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";"))
+    star = lg.nonabelian_dual(group, poly)
+    g = star.generators[-1]
+    cent = star.centralizer(g)
+    assert star.order == 419_904 and not g.is_diagonal and g in cent
+    assert all(h * g == g * h for h in cent.generators)
+    assert "_forms" not in star.__dict__ and "_forms" not in cent.__dict__

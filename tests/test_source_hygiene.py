@@ -2,8 +2,9 @@
 module-level name nothing refers to; a regular expression whose ``\\d``,
 ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; a
 module-level cache with no bound on its entries, or one keyed by a
-polynomial; and a rational or a listing of group elements on the path that
-builds and compares state spaces.  Read from the syntax trees of
+polynomial; a rational or a listing of group elements on the path that
+builds and compares state spaces; and, outside ``symmetry``, a position in a
+group's listing or a group built from more than its structure.  Read from the syntax trees of
 ``src/lgmirror/*.py`` with the standard library's ``ast`` alone."""
 
 import ast
@@ -195,8 +196,9 @@ def _functions(tree):
 
 
 def test_forms_are_listed_in_one_place_and_no_module_keeps_dimino():
-    # a group is its structure: only SymmetryGroup._forms lists a coset of
-    # its diagonal part, and closure walks the permutation images instead
+    # a group is its structure: only SymmetryGroup._coset lists a coset of
+    # its diagonal part, for the forms and for the preimages of φ_σ, and
+    # closure walks the permutation images instead
     # of generating the whole group (Dimino, which tests/oracles.py keeps
     # as the reference)
     calls, sites, dimino = 0, [], []
@@ -210,5 +212,39 @@ def test_forms_are_listed_in_one_place_and_no_module_keeps_dimino():
         dimino += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                    and node.name == "_generate"]
-    assert calls == 1 and sites == ["symmetry.py:SymmetryGroup._forms"], sites
+    assert calls == 1 and sites == ["symmetry.py:SymmetryGroup._coset"], sites
     assert not dimino, f"modules that define _generate: {dimino}"
+
+
+def _readers(tree, test):
+    """The scopes, named as ``_functions`` names them or '<module>', that
+    hold a node for which ``test`` is true."""
+    scope_of = {id(node): name for name, scope in _functions(tree) for node in ast.walk(scope)}
+    return {scope_of.get(id(node), "<module>") for node in ast.walk(tree) if test(node)}
+
+
+# the two outputs that print a whole group, element by element
+FORM_LISTINGS = {"cli.py:_dual_group", "cli.py:_pc_json"}
+
+
+def test_a_group_is_read_through_its_structure_and_its_forms():
+    # outside symmetry.py no module names an element by its position in a
+    # group's listing: the listing is read only where a whole group is
+    # printed, no form index is read, and every group is built from its
+    # structure alone, SymmetryGroup(mod, basis, lifts), with no given
+    # generators
+    listings, positions, built = set(), set(), []
+    for path in MODULES:
+        tree = _tree(path)
+        built += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _called_name(node) == "SymmetryGroup"
+                  and len(node.args) + len(node.keywords) != 3]
+        if path.name == "symmetry.py":
+            continue
+        listings |= {f"{path.name}:{name}" for name in _readers(
+            tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "_forms")}
+        positions |= {f"{path.name}:{name}" for name in _readers(
+            tree, lambda node: isinstance(node, ast.Attribute) and node.attr in ("_index", "index"))}
+    assert listings == FORM_LISTINGS, listings
+    assert not positions, f"reads of a position in a group's listing: {positions}"
+    assert not built, f"SymmetryGroup calls without exactly (mod, basis, lifts): {built}"

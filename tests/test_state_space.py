@@ -225,10 +225,12 @@ def test_b_state_space_requires_determinant_one(quartic):
 
 
 def test_b_state_space_names_first_non_sl_element(quartic):
-    # the generator (3/4, 0, 0, 0) decides, but the error names the first
-    # element outside SL in canonical order, (1/4, 0, 0, 0)
+    # the generators decide, and the error names the first element outside
+    # SL in canonical order, (1/4, 0, 0, 0).  closure keeps no given
+    # generator: the group's generator is its greedy pick, (1/4, 0, 0, 0),
+    # not the (3/4, 0, 0, 0) it was closed from
     group = lg.closure([diag("3/4", 0, 0, 0)])
-    assert group.generators == (diag("3/4", 0, 0, 0),)
+    assert group.generators == (diag("1/4", 0, 0, 0),)
     with pytest.raises(NotAdmissibleBError) as info:
         lg.b_state_space(quartic, group)
     assert str(info.value) == "(1/4, 0, 0, 0) has determinant e(1/4) ≠ 1"
@@ -400,7 +402,7 @@ def test_kept_monomials_match_a_filter_and_are_counted_first():
         poly, group = random_mirror_instance(rng)
         mod = group.modulus
         for members in group.class_transversals():
-            g = group.elements[members[0][0]]
+            g = lg.MonomialSymmetry.from_numerators(*members[0][0], mod)
             sector = lg.build_sector(poly, g)
             gens = group._kernel(g.perm)[1]
             firsts = [cycle[0] for cycle in sector.locus.cycles]
@@ -431,6 +433,28 @@ def test_a_diagonal_group_builds_no_sector(quartic, monkeypatch):
     assert (report.a_space.basis, report.b_space.basis) == \
         (expected.a_space.basis, expected.b_space.basis)
     assert report.verdict is lg.Verdict.BIGRADED_ISOMORPHIC
+
+
+def test_a_diagonal_group_makes_no_element(quartic, monkeypatch):
+    # every class of a diagonal group is one element: its fixed cycles and
+    # its age are read off its integer form, and its nodes hold that form,
+    # so once the generators are checked no element is made
+    for group, side in ((lg.closure([lg.exponential_grading(quartic)]), "A"),
+                        (lg.dual_group(lg.closure([lg.exponential_grading(quartic)]),
+                                       quartic), "B")):
+        expected = lg.invariant_basis(quartic, group, side)
+        group = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+        assert group.is_diagonal and group.generators
+        made = []
+        make = lg.MonomialSymmetry.from_numerators.__func__
+
+        def counting(cls, *args):
+            made.append(args)
+            return make(cls, *args)
+        monkeypatch.setattr(lg.MonomialSymmetry, "from_numerators", classmethod(counting))
+        basis = lg.invariant_basis(quartic, group, side)
+        monkeypatch.undo()
+        assert made == [] and basis == expected and len(basis) > 0
 
 
 def test_character_dims_match_every_bigraded_dimension(quartic_report, good_report,

@@ -27,6 +27,7 @@ from oracles import (
     frac_fixed_locus,
     frac_form,
     group_of_forms,
+    index_of,
     matrix_product,
     outcome,
     phase_matrix,
@@ -258,15 +259,15 @@ def test_class_transversals_conjugate_the_representative(quartic):
     text = "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"
     group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
     members = group.class_transversals()
-    assert [tuple(group.elements[x] for x in sorted(x for x, _, _ in m))
-            for m in members] == list(group.conjugacy_classes())
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
+    assert [tuple(make(*x, group.modulus) for x in sorted(x for x, _, _ in m))
+            for m in members] == list(group.conjugacy_classes())
     for m in members:
-        rep = group.elements[m[0][0]]
+        rep = make(*m[0][0], group.modulus)
         assert m[0][0] == min(x for x, _, _ in m)
         for x, w, c in m:
             t = make(*w, group.modulus) * make(ident, c, group.modulus)
-            assert t in group and rep.conjugated_by(t) == group.elements[x]
+            assert t in group and rep.conjugated_by(t) == make(*x, group.modulus)
 
 
 def test_age_values(quartic):
@@ -364,14 +365,14 @@ def test_subgroups_match_two_generated_oracle(n, generators, count):
     assert len(subgroups) == count
     assert [[frac_form(g) for g in sub] for sub in subgroups] == \
         two_generated_subgroups(group)
-    assert [[group.index(g) for g in sub] for sub in subgroups] == sorted_subgroups(group)
+    assert [[index_of(group, g) for g in sub] for sub in subgroups] == sorted_subgroups(group)
 
 
 def test_subgroup_walk_matches_sorted_enumeration(quartic):
     # the heap walk yields, in order, what collecting all 1,983 subgroups of
     # the quartic's diagonal group and sorting them gives
     group = lg.diagonal_group(quartic)
-    assert [[group.index(g) for g in sub] for sub in group.subgroups()] == \
+    assert [[index_of(group, g) for g in sub] for sub in group.subgroups()] == \
         sorted_subgroups(group)
 
 
