@@ -129,8 +129,8 @@ def _dims_json(space: state_space.GradedSpace) -> list[dict]:
 
 def _pc_json(holds: bool, witness: symmetry.SymmetryGroup | None) -> dict:
     return {"holds": holds,
-            "witness": None if witness is None else [_element_json(*form, witness.modulus)
-                                                     for form in witness._forms]}
+            "witness": None if witness is None else [_element_json(*lift, witness.modulus)
+                                                     for lift in witness.lifts]}
 
 
 def _space_json(space: state_space.GradedSpace) -> dict:
@@ -236,7 +236,7 @@ def _pc_check(spec: ProblemSpec):
     text = ["parity condition holds" if holds else "parity condition fails"]
     if witness is not None:
         text.append(f"witness subgroup of order {witness.order}: " +
-                    ", ".join(g.cycle_string() for g in witness))
+                    ", ".join(symmetry._cycle_text(perm) for perm, _ in witness.lifts))
     return {"group": _group_json(group), "pc": _pc_json(holds, witness)}, text
 
 
@@ -287,7 +287,8 @@ def _mirror_check(spec: ProblemSpec):
             f"A total {a_space.total_dim}, B total {b_space.total_dim}",
             "parity condition: " + ("holds" if report.pc_holds else "fails")]
     if report.pc_witness is not None:
-        text.append("witness: " + ", ".join(g.cycle_string() for g in report.pc_witness))
+        text.append("witness: " + ", ".join(symmetry._cycle_text(perm)
+                                            for perm, _ in report.pc_witness.lifts))
     text.extend(f"mismatch at ({bd[0]}, {bd[1]}): A {da} vs B {db}"
                 for bd, da, db in report.mismatches)
     if report.verdict is mirror.Verdict.BIGRADED_ISOMORPHIC:

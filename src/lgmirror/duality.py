@@ -130,7 +130,8 @@ def parity_condition(k: SymmetryGroup) -> tuple[bool, SymmetryGroup | None]:
 
     Returns (True, None) or (False, first failing subgroup) in subgroup
     order (by order, then elements), building none past it.  The fixed-space
-    dimension of a permutation group is its number of orbits on coordinates.
+    dimension of a permutation group is its number of orbits on coordinates,
+    read off T's lifts, each one element as K's diagonal part is trivial.
     An odd K holds at once: the orbits of an odd T have odd sizes, so
     n − #orbits = Σ(|O| − 1) is even.
     """
@@ -141,7 +142,7 @@ def parity_condition(k: SymmetryGroup) -> tuple[bool, SymmetryGroup | None]:
     n = k.n
     for sub in k._subgroup_walk():
         # in a group, the orbit of i is {g(i) : g ∈ T}
-        orbits = {frozenset(g.perm[i] for g in sub) for i in range(n)}
+        orbits = {frozenset(perm[i] for perm, _ in sub.lifts) for i in range(n)}
         if (len(orbits) - n) % 2 != 0:
             return False, sub
     return True, None

@@ -57,10 +57,10 @@ def hermite(rows: Sequence[Sequence[int]], mod: int) -> list[tuple[int, ...]]:
     for i in range(n):
         pivot = [mod * (i == j) for j in range(n)]
         for k, v in enumerate(pool):
-            while v[i]:
+            while v[i]:  # a row is reduced again only when it changes
                 q = pivot[i] // v[i]
                 pivot, v = v, [a - q * b for a, b in zip(pivot, v)]
-            pool[k] = [x % mod for x in v]
+                pool[k] = [x % mod for x in v]
         basis.append(pivot[:i + 1] + [x % mod for x in pivot[i + 1:]])
     return [reduce_by(row, basis, mod, i + 1) for i, row in enumerate(basis)]
 

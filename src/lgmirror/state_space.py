@@ -322,7 +322,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         kept = kept_at.get((perm, fixed))
         if kept is None:
             kept = kept_at[perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
-                                                group._kernel(perm)[1], gmod, limit)
+                                                group._part(perm).generators, gmod, limit)
         if len(kept) > limit:
             raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
         counted += len(kept) * len(members)

@@ -36,7 +36,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -94,8 +94,9 @@ class MonomialSymmetry:
 
     ``perm`` holds 0-based images (σ(i) = perm[i]); phase i is
     ``nums[i] / mod``, 0 ≤ nums[i] < mod, with ``mod`` reduced so that equal
-    elements have equal fields.  Instances are hashable; ``key`` orders them
-    by (perm, phases), the canonical element order used everywhere.
+    elements have equal fields.  Instances are hashable; ``key``, (perm,
+    phases), sorts them in the canonical element order, which group
+    listings follow without reading it.
     """
 
     __slots__ = ("perm", "nums", "mod", "_hash")
@@ -384,6 +385,9 @@ def _lift_generators(lifts):
     return picked
 
 
+_Part = namedtuple("_Part", "basis generators preimages")
+
+
 class SymmetryGroup:
     """A finite group of monomial symmetries, held as its structure.
 
@@ -398,17 +402,19 @@ class SymmetryGroup:
     and then kept: per distinct a_τ, the coset a_τ + N; the forms, a coset
     of N per lift, in canonical order; the elements; the generators, read
     off the fields; the form index; the lift generators; the class
-    transversals; the classes; and per permutation part σ, the φ_σ
-    preimages and N^σ.  The form index stays inside the class.
+    transversals; the classes; and per permutation part σ, one record
+    (``_part``) of N^σ and of a preimage of each value of φ_σ.  The form
+    index stays inside the class.
 
     Classes and centralizers come from the structure, not from a scan of
     the elements.  Conjugating g = (σ, a) by a diagonal c gives (σ, a +
     φ_σ(c)) with φ_σ(c) = c∘σ − c, so the classes are the orbits of the
     lifts on the cosets a + im φ_σ.  A diagonal c commutes with g iff c∘σ =
     c, and (τ, a_τ + c) does iff τσ = στ and φ_σ(c) equals (a∘τ − a) −
-    (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ, read off the Hermite form of
-    the pairs (φ_σ(c), c) for c ∈ N, times one such lift per τ whose target
-    has a preimage under φ_σ.
+    (a_τ∘σ − a_τ).  So C(g) is N^σ = ker φ_σ times one such lift per τ
+    whose target has a preimage under φ_σ.  One Hermite form of the pairs
+    (φ_σ(c), c) for c ∈ N gives both N^σ and im φ_σ with a preimage of each
+    value, so nothing scans N.
     """
 
     def __init__(self, mod: int, basis, lifts):
@@ -430,15 +436,16 @@ class SymmetryGroup:
         self.order = len(self.lifts) * prod(mod // row[i] for i, row in enumerate(basis))
         self._lift_of = dict(self.lifts)
         self._cosets: dict[tuple[int, ...], list] = {}
-        self._preimages_of: dict[tuple[int, ...], dict] = {}
-        self._kernels: dict[tuple[int, ...], tuple] = {}
+        self._parts: dict[tuple[int, ...], _Part] = {}
 
-    def _coset(self, a):
-        """The numerator vectors of a + N in canonical order, listed once
-        per a: N's own for the preimages, a_τ + N for the forms."""
-        if a not in self._cosets:
-            self._cosets[a] = _lattice_forms(self.basis, self.modulus, a)
-        return self._cosets[a]
+    def _coset(self, a, basis=None):
+        """The numerator vectors of a + Λ in canonical order, Λ the lattice
+        with Hermite form ``basis``: N's by default, each coset a + N kept
+        once listed, or a permutation part's image rows (``_part``)."""
+        cosets = self._cosets if basis is None else {}
+        if a not in cosets:
+            cosets[a] = _lattice_forms(basis or self.basis, self.modulus, a)
+        return cosets[a]
 
     @cached_property
     def _forms(self) -> tuple:
@@ -516,7 +523,8 @@ class SymmetryGroup:
         (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
         cosets.  A class is one orbit of cosets, walked from r's along the
         lifts that generate the permutation parts; w is the word of lifts
-        that reaches a member's coset and c a preimage of its offset."""
+        that reaches a member's coset and c the preimage of its offset that
+        the record of its σ (``_part``) keeps."""
         return self._transversals
 
     @cached_property
@@ -537,11 +545,8 @@ class SymmetryGroup:
                 if owner[y] >= 0:
                     continue  # its coset was walked before
                 px, nx = forms[y]
-                owner[y] = len(classes)
-                members.append((forms[y], word, forms[0][1]))
-                # offsets past the first, 0 from the identity
-                for v, c in islice(self._preimages(px).items(), 1, None):
-                    x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])]
+                for v, c in self._part(px).preimages.items():  # 0 first: y itself
+                    x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])] if any(v) else y
                     owner[x] = len(classes)
                     members.append((forms[x], word, c))
                 for (pi, ni), g in gens:
@@ -563,40 +568,32 @@ class SymmetryGroup:
         return tuple(tuple([make(*form, mod) for form in sorted(form for form, _, _ in members)])
                      for members in self.class_transversals())
 
-    def _preimages(self, sigma):
-        """One preimage c of each value of φ_σ(c) = c∘σ − c, the value 0
-        first, read from N's own coset and cached per σ, for the class walk
-        and the centralizers."""
-        if sigma not in self._preimages_of:
-            ident, zero = self.lifts[0]
-            preimage = self._preimages_of[sigma] = {zero: zero}
-            if sigma != ident:  # φ_id = 0
-                mod = self.modulus
-                for c in self._coset(zero):
-                    preimage.setdefault(tuple([(c[s] - x) % mod for s, x in zip(sigma, c)]), c)
-        return self._preimages_of[sigma]
-
-    def _kernel(self, sigma):
-        """(N^σ's basis, N^σ's generators as forms), once per σ.  N^id = N,
-        as φ_id = 0; any other N^σ's basis is the second halves of the last
-        n rows of the Hermite form over 2n columns of the pairs (φ_σ(c), c)
-        for c ∈ N.  The generators are read off the basis."""
-        if sigma not in self._kernels:
-            n, mod, basis = self.n, self.modulus, self.basis
-            if sigma != self.lifts[0][0]:
-                pairs = [[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
-                         for row in basis]  # (φ_σ(c), c)
-                basis = [row[n:] for row in hermite(pairs, mod)[n:]]
-            self._kernels[sigma] = basis, [(self.lifts[0][0], row)
-                                           for row in _lattice_generators(basis, mod)]
-        return self._kernels[sigma]
+    def _part(self, sigma) -> "_Part":
+        """The record of the permutation part σ, made once: N^σ's basis,
+        N^σ's generators as forms, and {v: c}, one preimage c of each value
+        v of φ_σ(c) = c∘σ − c, 0 first.  All three come from one Hermite
+        form over 2n columns of the pairs (φ_σ(c), c) for c ∈ N (Cohen
+        §2.4.2).  Its last n rows are (0, c) for c in a basis of N^σ = ker
+        φ_σ, whose generators are read off it.  Its first n rows (v, c) span
+        im φ_σ, c a preimage of v, so listing their combinations gives each
+        value once, with a preimage.  For σ = id they are M·eᵢ: N^id = N."""
+        if sigma not in self._parts:
+            n, mod, ident = self.n, self.modulus, self.lifts[0][0]
+            form = hermite([[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
+                            for row in self.basis], mod)
+            basis = [row[n:] for row in form[n:]]
+            self._parts[sigma] = _Part(
+                basis, [(ident, row) for row in _lattice_generators(basis, mod)],
+                {v[:n]: v[n:] for v in self._coset((0,) * 2 * n, form[:n])})
+        return self._parts[sigma]
 
     def _centralizer_lifts(self, sigma, a):
         """The lifts of C(g) for g = (σ, a), in canonical order: (τ, a_τ + c)
-        for each τ that commutes with σ, with c the preimage the class walk
-        keeps of (a∘τ − a) − (a_τ∘σ − a_τ) under φ_σ, where there is one;
+        for each τ that commutes with σ, with c the preimage σ's record
+        (``_part``) keeps of (a∘τ − a) − (a_τ∘σ − a_τ) under φ_σ, where
+        there is one;
         and those whose τ the lifts before them do not generate."""
-        mod, preimage, lifts = self.modulus, self._preimages(sigma), []
+        mod, preimage, lifts = self.modulus, self._part(sigma).preimages, []
         for tau, b in self.lifts:
             if any(tau[s] != sigma[t] for s, t in zip(sigma, tau)):
                 continue
@@ -611,7 +608,7 @@ class SymmetryGroup:
         if g not in self:
             raise NotAMemberError(f"{g!r} is not in this group")
         sigma, a = g.over(self.modulus)
-        return SymmetryGroup(self.modulus, self._kernel(sigma)[0],
+        return SymmetryGroup(self.modulus, self._part(sigma).basis,
                              self._centralizer_lifts(sigma, a)[0])
 
     def _subgroup_walk(self):

@@ -17,9 +17,10 @@ against the original search over every element's sector, which finds every
 move's target sector by conjugating the element itself and taking each
 bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
 classes from H⋊K against orbits under a conjugation table of every element
-by every generator, structural centralizers against a filter of every
-element of the group, and the ordered subgroup walk against the original
-enumeration, which collects every subgroup before sorting them.  The
+by every generator, each permutation part's values and preimages of φ_σ
+and its N^σ against a scan of N, structural centralizers against a filter
+of every element of the group, and the ordered subgroup walk against the
+original enumeration, which collects every subgroup before sorting them.  The
 restricted mirror check, which pairs corners by integer keys, is checked
 against the map applied term by term, each image built as an element or a
 monomial, with the narrow corners found by scanning H and Hᵀ.  The spec
@@ -507,6 +508,19 @@ def table_classes(group):
                         orbit.append(row[x])
             classes.append(tuple(sorted(orbit)))
     return classes
+
+
+def preimages_by_scan(group, sigma):
+    """({v: c}, N^σ's Hermite basis) for φ_σ(c) = c∘σ − c on N: a scan of
+    N's forms in canonical order that keeps the first c of each value v,
+    the value 0 first, and the Hermite form of the c sent to 0."""
+    mod, preimage, kernel = group.modulus, {}, []
+    for _, c in group._forms[:group.order // len(group.lifts)]:  # N's coset comes first
+        v = tuple([(c[s] - x) % mod for s, x in zip(sigma, c)])
+        preimage.setdefault(v, c)
+        if not any(v):
+            kernel.append(c)
+    return preimage, hermite(kernel, mod)
 
 
 def brute_force_centralizer(group, g):

@@ -17,11 +17,13 @@ from math import lcm
 import pytest
 
 import lgmirror as lg
+from lgmirror.linalg import hermite
 from oracles import (
     conjugation_table,
     fermat,
     frac_conjugacy_classes,
     frac_form,
+    preimages_by_scan,
     random_mirror_instance,
     search_invariant_basis,
     table_classes,
@@ -107,13 +109,29 @@ def assert_fixed_generators(group):
     make, mod = lg.MonomialSymmetry.from_numerators, group.modulus
     for members in group.class_transversals():
         sigma = members[0][0][0]
-        gens = group._kernel(sigma)[1]
-        assert group._kernel(sigma)[1] is gens
+        gens = group._part(sigma).generators
+        assert group._part(sigma).generators is gens
         fixed = tuple(g for g in group.elements if g.is_diagonal and all(
             g.nums[s] == x for s, x in zip(sigma, g.nums)))
         made = lg.closure(make(*form, mod) for form in gens).elements if gens \
             else (group.identity,)
         assert made == fixed
+
+
+def assert_parts_match_scan(group):
+    """For every σ ∈ P, σ's record against a scan of N: the same values of
+    φ_σ, 0 first with preimage 0, each kept c in N with φ_σ(c) the value
+    it is kept for, and the same Hermite basis of N^σ."""
+    make, mod, (ident, zero) = lg.MonomialSymmetry.from_numerators, group.modulus, group.lifts[0]
+    for sigma, _ in group.lifts:
+        part = group._part(sigma)
+        preimages, kernel = preimages_by_scan(group, sigma)
+        assert set(part.preimages) == set(preimages)
+        assert next(iter(part.preimages.items())) == (zero, zero)
+        for v, c in part.preimages.items():
+            assert make(ident, c, mod) in group
+            assert tuple([(c[s] - x) % mod for s, x in zip(sigma, c)]) == v
+        assert part.basis == kernel
 
 
 def test_fixed_generators_are_kept_and_generate(cases, quintic, good_group, bad_group):
@@ -122,18 +140,36 @@ def test_fixed_generators_are_kept_and_generate(cases, quintic, good_group, bad_
     rng = random.Random(11)
     for _ in range(30):
         poly, group = random_mirror_instance(rng)
-        assert_fixed_generators(group)
-        assert_fixed_generators(lg.nonabelian_dual(group, poly))
+        for g in (group, lg.nonabelian_dual(group, poly)):
+            assert_fixed_generators(g)
+            assert_parts_match_scan(g)
 
 
-def test_class_transversals_find_no_fixed_generators(cases, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("class transversals need no generators of N^σ")
-    monkeypatch.setattr(lg.SymmetryGroup, "_kernel", refuse)
+def test_permutation_parts_match_a_scan_of_n(cases, good_group, bad_group, cubic_sides):
+    # the paper's groups and G*s, the quartic and the cubics; the random
+    # models are checked with their fixed generators above
+    for group in [cases[name][1] for name in NAMES] + [good_group, bad_group] + \
+            [group for _, group, _ in cubic_sides]:
+        assert_parts_match_scan(group)
+
+
+def test_class_transversals_eliminate_once_per_permutation_part(cases, monkeypatch):
+    # the class walk reads N^σ and the preimages of φ_σ from one record per
+    # σ, made by one Hermite form over 2n columns, and meets every σ ∈ P
+    calls = []
+
+    def counted(rows, mod):
+        calls.append(len(rows[0]))
+        return hermite(rows, mod)
     for name in NAMES:
         group = cases[name][1]
+        expected = group.class_transversals()
         fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
-        assert fresh.class_transversals() == group.class_transversals()
+        calls.clear()
+        monkeypatch.setattr(lg.symmetry, "hermite", counted)
+        assert fresh.class_transversals() == expected
+        monkeypatch.undo()
+        assert not fresh.is_diagonal and calls == [2 * fresh.n] * len(fresh.lifts)
 
 
 @pytest.mark.parametrize("text", QUARTIC_GROUPS)

@@ -211,6 +211,15 @@ def test_parity_condition_stops_at_its_witness(monkeypatch):
         ["()", "(3 4)(5 6)", "(3 5)(4 6)", "(3 6)(4 5)"]
 
 
+def test_parity_condition_makes_no_element(quintic, bad_group):
+    # K holds pure permutations, one element per lift: each subgroup's
+    # orbits are read off its lifts, and the witness lists nothing
+    k = lg.decompose_hk(bad_group, quintic).k
+    holds, witness = lg.parity_condition(k)
+    assert not holds and witness.order == 4
+    assert "elements" not in witness.__dict__ and "_forms" not in witness.__dict__
+
+
 def test_parity_condition_quartic_cycle():
     k = lg.closure([perm([(0, 1, 2)], 4)])
     holds, witness = lg.parity_condition(k)

@@ -8,7 +8,7 @@ the paths that need only its structure must list none of its forms."""
 
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -109,8 +109,9 @@ def test_hashing_and_comparing_groups_lists_no_form(text):
 
 def test_a_centralizer_lists_only_the_diagonal_part():
     # C(g) for the last generator of the non-abelian sextic's G* (|G*| =
-    # 419,904) looks its lifts' preimages up in N's own coset of 46,656
-    # forms, and lists none of G*'s
+    # 419,904) looks its lifts' preimages up in the record of g's
+    # permutation part, which lists im φ_σ alone, and lists no coset of N
+    # (46,656 forms) and none of G*'s forms
     poly = lg.parse_polynomial(SEXTIC)
     group = lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";"))
     star = lg.nonabelian_dual(group, poly)
@@ -119,3 +120,17 @@ def test_a_centralizer_lists_only_the_diagonal_part():
     assert star.order == 419_904 and not g.is_diagonal and g in cent
     assert all(h * g == g * h for h in cent.generators)
     assert "_forms" not in star.__dict__ and "_forms" not in cent.__dict__
+    assert not star._cosets and not cent._cosets
+    # on the G = j; (1 2 3) sextic's G* (|N| = 46,656), each σ's record
+    # lists |im φ_σ| = |N|/|N^σ| values, not N
+    group = lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3)".split(";"))
+    star = lg.nonabelian_dual(group, poly)
+    order_n = star.order // len(star.lifts)
+    assert order_n == 46_656 and len(star.lifts) == 3
+    sizes = []
+    for sigma, _ in star.lifts:
+        part = star._part(sigma)
+        fixed = prod(star.modulus // row[i] for i, row in enumerate(part.basis))
+        assert len(part.preimages) == order_n // fixed
+        sizes.append(len(part.preimages))
+    assert sizes == [1, 36, 36] and not star._cosets

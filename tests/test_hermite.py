@@ -138,9 +138,9 @@ def test_n_id_is_the_diagonal_block(quintic, good_group):
     star = lg.nonabelian_dual(good_group, quintic)
     ident = star._forms[0][0]
     fixed = [form for form in star._forms if form[0] == ident]
-    basis, gens = star._kernel(ident)
+    basis, gens, preimages = star._part(ident)
     assert [(ident, nums) for nums in symmetry._lattice_forms(basis, star.modulus, (0,) * 5)] == fixed
-    assert star._preimages(ident) == {star._forms[0][1]: star._forms[0][1]}
+    assert preimages == {star._forms[0][1]: star._forms[0][1]}
     assert gens == [fixed[k] for k in _generate(fixed, star.modulus, len(fixed))[1]]
 
 

@@ -196,11 +196,11 @@ def _functions(tree):
 
 
 def test_forms_are_listed_in_one_place_and_no_module_keeps_dimino():
-    # a group is its structure: only SymmetryGroup._coset lists a coset of
-    # its diagonal part, for the forms and for the preimages of φ_σ, and
-    # closure walks the permutation images instead
-    # of generating the whole group (Dimino, which tests/oracles.py keeps
-    # as the reference)
+    # a group is its structure: only SymmetryGroup._coset lists a lattice,
+    # the cosets of its diagonal part for the forms and im φ_σ with its
+    # preimages for a permutation part's record, and closure walks the
+    # permutation images instead of generating the whole group (Dimino,
+    # which tests/oracles.py keeps as the reference)
     calls, sites, dimino = 0, [], []
     for path in MODULES:
         tree = _tree(path)
@@ -223,8 +223,8 @@ def _readers(tree, test):
     return {scope_of.get(id(node), "<module>") for node in ast.walk(tree) if test(node)}
 
 
-# the two outputs that print a whole group, element by element
-FORM_LISTINGS = {"cli.py:_dual_group", "cli.py:_pc_json"}
+# the one output that prints a whole group, element by element
+FORM_LISTINGS = {"cli.py:_dual_group"}
 
 
 def test_a_group_is_read_through_its_structure_and_its_forms():

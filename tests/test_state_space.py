@@ -404,7 +404,7 @@ def test_kept_monomials_match_a_filter_and_are_counted_first():
         for members in group.class_transversals():
             g = lg.MonomialSymmetry.from_numerators(*members[0][0], mod)
             sector = lg.build_sector(poly, g)
-            gens = group._kernel(g.perm)[1]
+            gens = group._part(g.perm).generators
             firsts = [cycle[0] for cycle in sector.locus.cycles]
             expected = [b for b in product(*(range(d - 1) for d in sector.degrees))
                         if all(sum((e + 1) * c[i] for e, i in zip(b, firsts)) % mod == 0
