@@ -319,23 +319,27 @@ def form_label(perm, nums, mod: int) -> str:
     return diag if cycles == "()" else cycles if not any(nums) else diag + cycles
 
 
-def _lattice_forms(basis, mod: int, start):
+def _lattice_forms(basis, mod: int, start, within=None):
     """The numerator vectors of start + Λ, for the lattice Λ with Hermite
     form ``basis`` over ``mod``, in canonical order without a sort.  Level i
     holds each choice of the coordinates before i, then start plus the sum
     of rows that fixes the rest: coordinate i runs up through that sum's
     residue class mod h_ii, and the later sums, like every coordinate past
-    the last pivot below ``mod``, run beside it as progressions."""
+    the last pivot below ``mod``, run beside it as progressions.  Given the
+    Hermite rows ``within`` of a sublattice I ⊂ Λ, coordinate i runs below
+    I's pivot k_ii, a multiple of h_ii, instead of ``mod``: that leaves the
+    least member of each coset of I, the one ``reduce_by`` gives."""
     last = max((i for i, row in enumerate(basis) if row[i] < mod), default=0)
     level = [tuple(start)]
     for i, row in enumerate(basis[:last + 1]):
         h, step, grown = row[i], row[i + 1:], []
+        top = within[i][i] if within else mod
         for v in level:
             low = v[i] % h
             c = (low - v[i]) // h  # the multiple of the row that reaches low
-            sums = [[(a + k * b) % mod for k in range(c, c + mod // h)]
+            sums = [[(a + k * b) % mod for k in range(c, c + top // h)]
                     for a, b in zip(v[i + 1:], step)]
-            grown.extend([v[:i] + t for t in zip(range(low, mod, h), *sums)])
+            grown.extend([v[:i] + t for t in zip(range(low, top, h), *sums)])
         level = grown
     return level
 
@@ -385,7 +389,7 @@ def _lift_generators(lifts):
     return picked
 
 
-_Part = namedtuple("_Part", "basis generators preimages")
+_Part = namedtuple("_Part", "basis generators image preimages")
 
 
 class SymmetryGroup:
@@ -399,12 +403,11 @@ class SymmetryGroup:
     reduces it): the first element of its coset in canonical order.  So
     |G| = |P|·Π M/h_ii, membership reduces a form by the basis, and equal
     groups have equal fields.  Nothing else is computed until first read,
-    and then kept: per distinct a_τ, the coset a_τ + N; the forms, a coset
-    of N per lift, in canonical order; the elements; the generators, read
-    off the fields; the form index; the lift generators; the class
-    transversals; the classes; and per permutation part σ, one record
-    (``_part``) of N^σ and of a preimage of each value of φ_σ.  The form
-    index stays inside the class.
+    and then kept: the forms, a coset of N per lift, in canonical order;
+    the elements; the generators, read off the fields; the lift
+    generators; the class transversals; the classes; and per permutation
+    part σ, one record (``_part``) of N^σ, of im φ_σ and of a preimage of
+    each value of φ_σ.
 
     Classes and centralizers come from the structure, not from a scan of
     the elements.  Conjugating g = (σ, a) by a diagonal c gives (σ, a +
@@ -435,23 +438,20 @@ class SymmetryGroup:
             raise NotAGroupError("identity missing from the lifts")
         self.order = len(self.lifts) * prod(mod // row[i] for i, row in enumerate(basis))
         self._lift_of = dict(self.lifts)
-        self._cosets: dict[tuple[int, ...], list] = {}
         self._parts: dict[tuple[int, ...], _Part] = {}
 
-    def _coset(self, a, basis=None):
+    def _coset(self, a, basis=None, within=None):
         """The numerator vectors of a + Λ in canonical order, Λ the lattice
-        with Hermite form ``basis``: N's by default, each coset a + N kept
-        once listed, or a permutation part's image rows (``_part``)."""
-        cosets = self._cosets if basis is None else {}
-        if a not in cosets:
-            cosets[a] = _lattice_forms(basis or self.basis, self.modulus, a)
-        return cosets[a]
+        with Hermite form ``basis``: N's by default, or a permutation part's
+        image rows (``_part``); the least member per coset of ``within``, if given."""
+        return _lattice_forms(basis or self.basis, self.modulus, a, within)
 
     @cached_property
     def _forms(self) -> tuple:
         """Every integer form in canonical order, listed when first read:
-        the coset a_τ + N of each lift."""
-        return tuple([(perm, x) for perm, nums in self.lifts for x in self._coset(nums)])
+        the coset a_τ + N of each lift, listed once per distinct a_τ."""
+        cosets = {nums: self._coset(nums) for nums in {nums for _, nums in self.lifts}}
+        return tuple([(perm, x) for perm, nums in self.lifts for x in cosets[nums]])
 
     @cached_property
     def elements(self) -> tuple[MonomialSymmetry, ...]:
@@ -496,10 +496,6 @@ class SymmetryGroup:
     def __repr__(self) -> str:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
 
-    @cached_property
-    def _index(self) -> dict:
-        return {form: i for i, form in enumerate(self._forms)}
-
     @property
     def identity(self) -> MonomialSymmetry:
         return MonomialSymmetry.identity(self.n)
@@ -515,47 +511,48 @@ class SymmetryGroup:
 
     def class_transversals(self):
         """Per class, (form, w, c) for each member x, the least member r
-        first: the form is x's integer form over ``modulus``, the listing's
-        own tuple, w the integer form of a lift word and c the numerators of
-        a diagonal element, with t = w·c and t⁻¹·r·t = x.
+        first: the form is x's integer form over ``modulus``, w the integer
+        form of a lift word and c the numerators of a diagonal element, with
+        t = w·c and t⁻¹·r·t = x.
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
-        cosets.  A class is one orbit of cosets, walked from r's along the
-        lifts that generate the permutation parts; w is the word of lifts
-        that reaches a member's coset and c the preimage of its offset that
-        the record of its σ (``_part``) keeps."""
+        cosets.  A class is one orbit of cosets, walked along the lifts that
+        generate the permutation parts from r's, the first not yet met when
+        their least members are listed lift by lift, in canonical order; w
+        is the word of lifts that reaches a member's coset and c the
+        preimage of its offset that the record of its σ (``_part``) keeps."""
         return self._transversals
 
     @cached_property
     def _transversals(self):
-        if self.is_diagonal:  # singleton classes; the walk below is 3x slower on them
+        if self.is_diagonal:  # singleton classes; the walk below is 2x slower on them
             ident = self.lifts[0]
             return [[(form, ident, ident[1])] for form in self._forms]
-        forms, mod, index = self._forms, self.modulus, self._index
+        mod, ident = self.modulus, self.lifts[0]
         gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
                 for g in self._lift_gens]
-        owner = [-1] * self.order
-        classes = []
-        for i in range(self.order):
-            if owner[i] >= 0:
-                continue
-            members, cosets = [], [(i, forms[0])]
-            for y, word in cosets:  # grows while it is read
-                if owner[y] >= 0:
-                    continue  # its coset was walked before
-                px, nx = forms[y]
-                for v, c in self._part(px).preimages.items():  # 0 first: y itself
-                    x = index[px, tuple([(p + q) % mod for p, q in zip(nx, v)])] if any(v) else y
-                    owner[x] = len(classes)
-                    members.append((forms[x], word, c))
-                for (pi, ni), g in gens:
-                    pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
-                    z = index[tuple([pg[px[j]] for j in pi]), tuple(
-                        [(a + nx[j] + ng[px[j]]) % mod for a, j in zip(ni, pi)])]
-                    if owner[z] < 0:
-                        cosets.append((z, _compose(word, g, mod)))
-            classes.append(members)
+        met, classes = set(), []  # the members of the classes walked so far
+        for sigma, a in self.lifts:
+            for r in self._coset(a, within=self._part(sigma).image):
+                if (sigma, r) in met:
+                    continue
+                members, cosets = [], [((sigma, r), ident)]
+                for y, word in cosets:  # grows while it is read
+                    if y in met:
+                        continue  # its coset was walked before
+                    px, nx = y
+                    for v, c in self._part(px).preimages.items():  # 0 first: y itself
+                        x = (px, tuple([(p + q) % mod for p, q in zip(nx, v)])) if any(v) else y
+                        met.add(x)
+                        members.append((x, word, c))
+                    for (pi, ni), g in gens:
+                        pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
+                        z = (tuple([pg[px[j]] for j in pi]), tuple(
+                            [(b + nx[j] + ng[px[j]]) % mod for b, j in zip(ni, pi)]))
+                        if z not in met:
+                            cosets.append((z, _compose(word, g, mod)))
+                classes.append(members)
         return classes
 
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
@@ -570,12 +567,13 @@ class SymmetryGroup:
 
     def _part(self, sigma) -> "_Part":
         """The record of the permutation part σ, made once: N^σ's basis,
-        N^σ's generators as forms, and {v: c}, one preimage c of each value
-        v of φ_σ(c) = c∘σ − c, 0 first.  All three come from one Hermite
-        form over 2n columns of the pairs (φ_σ(c), c) for c ∈ N (Cohen
-        §2.4.2).  Its last n rows are (0, c) for c in a basis of N^σ = ker
-        φ_σ, whose generators are read off it.  Its first n rows (v, c) span
-        im φ_σ, c a preimage of v, so listing their combinations gives each
+        N^σ's generators as forms, im φ_σ's Hermite rows, and {v: c}, one
+        preimage c of each value v of φ_σ(c) = c∘σ − c, 0 first.  All four
+        come from one Hermite form over 2n columns of the pairs (φ_σ(c), c)
+        for c ∈ N (Cohen §2.4.2).  Its last n rows are (0, c) for c in a
+        basis of N^σ = ker φ_σ, whose generators are read off it.  Its first
+        n rows (v, c) span im φ_σ, c a preimage of v: their first halves
+        are im φ_σ's Hermite form, and listing their combinations gives each
         value once, with a preimage.  For σ = id they are M·eᵢ: N^id = N."""
         if sigma not in self._parts:
             n, mod, ident = self.n, self.modulus, self.lifts[0][0]
@@ -584,6 +582,7 @@ class SymmetryGroup:
             basis = [row[n:] for row in form[n:]]
             self._parts[sigma] = _Part(
                 basis, [(ident, row) for row in _lattice_generators(basis, mod)],
+                [row[:n] for row in form[:n]],
                 {v[:n]: v[n:] for v in self._coset((0,) * 2 * n, form[:n])})
         return self._parts[sigma]
 
@@ -625,7 +624,7 @@ class SymmetryGroup:
             raise CapExceededError(
                 f"subgroup walk of order {self.order} exceeds {DEFAULT_CAP} table entries")
         forms, mod = self._forms, self.modulus
-        index = self._index
+        index = {form: i for i, form in enumerate(forms)}
         table = [[index[_compose(a, b, mod)] for b in forms] for a in forms]
         heap = [(1, (0,), [])]  # (order, elements, generators) as indices
         seen = {(0,)}

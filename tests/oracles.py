@@ -17,10 +17,12 @@ against the original search over every element's sector, which finds every
 move's target sector by conjugating the element itself and taking each
 bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
 classes from H⋊K against orbits under a conjugation table of every element
-by every generator, each permutation part's values and preimages of φ_σ
-and its N^σ against a scan of N, structural centralizers against a filter
-of every element of the group, and the ordered subgroup walk against the
-original enumeration, which collects every subgroup before sorting them.  The
+by every generator, the class walk over cosets of im φ_σ against the walk
+over element positions it replaced, each permutation part's values and
+preimages of φ_σ and its N^σ against a scan of N, structural centralizers
+against a filter of every element of the group, and the ordered subgroup
+walk against the original enumeration, which collects every subgroup before
+sorting them.  The
 restricted mirror check, which pairs corners by integer keys, is checked
 against the map applied term by term, each image built as an element or a
 monomial, with the narrow corners found by scanning H and Hᵀ.  The spec
@@ -507,6 +509,39 @@ def table_classes(group):
                         owner[row[x]] = owner[i]
                         orbit.append(row[x])
             classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def class_walk_by_elements(group):
+    """``class_transversals`` walked over element positions: every form
+    listed, a form index over the listing and an owner array of |G| slots.
+    The first position in canonical order that no class owns leads a new
+    class, whose cosets of im φ_σ are walked from it along the inverse
+    lift generators, each coset's members and preimages read off the
+    record of its σ."""
+    forms, mod = group._forms, group.modulus
+    index = {form: i for i, form in enumerate(forms)}
+    gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
+            for g in group._lift_gens]
+    owner = [-1] * group.order
+    classes = []
+    for i in range(group.order):
+        if owner[i] >= 0:
+            continue
+        members, cosets = [], [(i, forms[0])]
+        for y, word in cosets:  # grows while it is read
+            if owner[y] >= 0:
+                continue  # its coset was walked before
+            px, nx = forms[y]
+            for v, c in group._part(px).preimages.items():  # 0 first: y itself
+                x = index[px, tuple((p + q) % mod for p, q in zip(nx, v))]
+                owner[x] = len(classes)
+                members.append((forms[x], word, c))
+            for inv, g in gens:  # g⁻¹·y·g
+                z = index[_compose_forms(_compose_forms(inv, forms[y], mod), g, mod)]
+                if owner[z] < 0:
+                    cosets.append((z, _compose_forms(word, g, mod)))
+        classes.append(members)
     return classes
 
 

@@ -19,6 +19,7 @@ import pytest
 import lgmirror as lg
 from lgmirror.linalg import hermite
 from oracles import (
+    class_walk_by_elements,
     conjugation_table,
     fermat,
     frac_conjugacy_classes,
@@ -49,14 +50,17 @@ def cases(quartic, quartic_group, quintic, good_group, bad_star):
 
 
 def assert_table_rows(group):
-    """The classes are the orbits under the oracle's conjugation table, and
-    every transversal element conjugates the representative to its member."""
+    """The classes are the orbits under the oracle's conjugation table,
+    every transversal element conjugates the representative to its member,
+    and the walk over cosets gives the walk over element positions exactly:
+    members, words and preimages, in order."""
     table = conjugation_table(group)
     assert len(table) == len(group.generators)
     for gamma, row in zip(group.generators, table):
         assert [group.elements[j] for j in row] == \
             [g.conjugated_by(gamma) for g in group.elements]
     members = group.class_transversals()
+    assert members == class_walk_by_elements(group)
     assert [tuple(sorted(x for x, _, _ in m)) for m in members] == \
         [tuple(group._forms[i] for i in cls) for cls in table_classes(group)]
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
@@ -170,6 +174,30 @@ def test_class_transversals_eliminate_once_per_permutation_part(cases, monkeypat
         assert fresh.class_transversals() == expected
         monkeypatch.undo()
         assert not fresh.is_diagonal and calls == [2 * fresh.n] * len(fresh.lifts)
+
+
+def test_class_walk_over_cosets_matches_the_element_walk(quartic, good_group, bad_group):
+    # the paper's G, the cubics and the random models are checked in
+    # assert_table_rows; the third quartic group has a lift with nonzero
+    # phases, so its class leaders are listed from a_σ ≠ 0
+    quartics = [lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+                for text in QUARTIC_GROUPS]
+    assert any(any(a) for _, a in quartics[2].lifts)
+    for group in [good_group, bad_group] + quartics:
+        assert group.class_transversals() == class_walk_by_elements(group)
+
+
+def test_the_class_walk_lists_no_form(cases, bad_star):
+    # the walk lists the least member of each coset of im φ_σ, not G, and
+    # no form index is kept
+    poly = fermat([3] * 6)
+    cubic = lg.nonabelian_dual(
+        lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";")), poly)
+    for group in (cases["quartic G*"][1], bad_star, cubic):
+        fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+        assert not fresh.is_diagonal and fresh.class_transversals()
+        assert "_forms" not in fresh.__dict__
+    assert not hasattr(lg.SymmetryGroup, "_index")
 
 
 @pytest.mark.parametrize("text", QUARTIC_GROUPS)

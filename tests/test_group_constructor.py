@@ -13,7 +13,7 @@ from math import lcm, prod
 import pytest
 
 import lgmirror as lg
-from lgmirror import duality
+from lgmirror import duality, symmetry
 from lgmirror.errors import DimensionMismatchError, OddPermutationError
 from oracles import factor_each_element, group_of_forms, random_mirror_instance, sl_subgroup
 
@@ -107,30 +107,38 @@ def test_hashing_and_comparing_groups_lists_no_form(text):
     assert "_forms" not in star.__dict__ and "_forms" not in again.__dict__
 
 
-def test_a_centralizer_lists_only_the_diagonal_part():
+def test_a_centralizer_lists_only_the_diagonal_part(monkeypatch):
     # C(g) for the last generator of the non-abelian sextic's G* (|G*| =
     # 419,904) looks its lifts' preimages up in the record of g's
     # permutation part, which lists im φ_σ alone, and lists no coset of N
     # (46,656 forms) and none of G*'s forms
+    listed, listing = [], symmetry._lattice_forms
+
+    def spy(*args):
+        forms = listing(*args)
+        listed.append(len(forms))
+        return forms
     poly = lg.parse_polynomial(SEXTIC)
     group = lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";"))
     star = lg.nonabelian_dual(group, poly)
+    monkeypatch.setattr(symmetry, "_lattice_forms", spy)
     g = star.generators[-1]
     cent = star.centralizer(g)
-    assert star.order == 419_904 and not g.is_diagonal and g in cent
+    assert star.order == 419_904 and star.order // len(star.lifts) == 46_656
+    assert not g.is_diagonal and g in cent
     assert all(h * g == g * h for h in cent.generators)
     assert "_forms" not in star.__dict__ and "_forms" not in cent.__dict__
-    assert not star._cosets and not cent._cosets
+    assert listed and max(listed) < 46_656, listed
     # on the G = j; (1 2 3) sextic's G* (|N| = 46,656), each σ's record
     # lists |im φ_σ| = |N|/|N^σ| values, not N
     group = lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3)".split(";"))
     star = lg.nonabelian_dual(group, poly)
     order_n = star.order // len(star.lifts)
     assert order_n == 46_656 and len(star.lifts) == 3
-    sizes = []
+    sizes, listed[:] = [], []
     for sigma, _ in star.lifts:
         part = star._part(sigma)
         fixed = prod(star.modulus // row[i] for i, row in enumerate(part.basis))
         assert len(part.preimages) == order_n // fixed
         sizes.append(len(part.preimages))
-    assert sizes == [1, 36, 36] and not star._cosets
+    assert sizes == [1, 36, 36] and listed == sizes

@@ -20,7 +20,7 @@ import pytest
 import lgmirror as lg
 from lgmirror import symmetry
 from lgmirror.errors import CapExceededError, NotAGroupError
-from lgmirror.linalg import hermite
+from lgmirror.linalg import hermite, reduce_by
 from oracles import (
     _generate,
     frac_form,
@@ -87,6 +87,31 @@ def test_lattice_routines_match_dimino_on_chain_and_loop_duals():
             assert dual._forms == tuple(sorted(_generate(forms, dual.modulus, dual.order)[0]))
 
 
+def test_listing_within_a_sublattice_gives_each_coset_its_least_member():
+    # Λ random, I ⊂ Λ the Hermite span of a few random members of Λ, the
+    # zero sublattice M·ℤⁿ (the whole coset) or Λ itself (one member), from
+    # random starts: one least member per coset of I, in canonical order
+    rng = random.Random(20261020)
+    done = 0
+    while done < 300:
+        n, mod = rng.randint(1, 5), rng.choice(MODULI)
+        basis = hermite([[rng.choice((0, rng.randrange(mod))) for _ in range(n)]
+                         for _ in range(rng.randint(1, 3))], mod)
+        order = prod(mod // row[i] for i, row in enumerate(basis))
+        if order > 2000:
+            continue
+        members = symmetry._lattice_forms(basis, mod, (0,) * n)
+        start = tuple(rng.randrange(mod) for _ in range(n))
+        full = symmetry._lattice_forms(basis, mod, start)
+        assert len(full) == order and full == symmetry._lattice_forms(basis, mod, start, None)
+        for within in (hermite(rng.choices(members, k=rng.randint(1, 3)), mod),
+                       hermite([(0,) * n], mod), basis):
+            listed = symmetry._lattice_forms(basis, mod, start, within)
+            assert listed == sorted({reduce_by(x, within, mod) for x in full})
+            assert len(listed) == order // prod(mod // row[i] for i, row in enumerate(within))
+        done += 1
+
+
 def random_mixed_generators(rng):
     """One to three random forms of rank 2–5 over a modulus 2–8, at least
     one with a permutation that moves an index; phases are often 0."""
@@ -134,14 +159,16 @@ def test_closure_matches_dimino_on_random_mixed_groups():
 
 
 def test_n_id_is_the_diagonal_block(quintic, good_group):
-    # N^id is the diagonal block itself, with the single preimage 0
+    # N^id is the diagonal block itself, and im φ_id is 0, with the single
+    # preimage 0
     star = lg.nonabelian_dual(good_group, quintic)
     ident = star._forms[0][0]
     fixed = [form for form in star._forms if form[0] == ident]
-    basis, gens, preimages = star._part(ident)
-    assert [(ident, nums) for nums in symmetry._lattice_forms(basis, star.modulus, (0,) * 5)] == fixed
-    assert preimages == {star._forms[0][1]: star._forms[0][1]}
-    assert gens == [fixed[k] for k in _generate(fixed, star.modulus, len(fixed))[1]]
+    part = star._part(ident)
+    assert [(ident, nums) for nums in symmetry._lattice_forms(part.basis, star.modulus, (0,) * 5)] == fixed
+    assert part.image == [tuple(star.modulus * (i == j) for j in range(5)) for i in range(5)]
+    assert part.preimages == {star._forms[0][1]: star._forms[0][1]}
+    assert part.generators == [fixed[k] for k in _generate(fixed, star.modulus, len(fixed))[1]]
 
 
 def test_forms_that_are_not_closed_error_before_any_loop():
