@@ -12,18 +12,19 @@ additionally picks up the reordering sign (phase 1/2 per odd rearrangement).
 Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of moves has total phase 0.  They are
-found one conjugacy class at a time (``invariant_basis``), and a sector is
-built only for a pullback map, so a diagonal group builds none.
+found one conjugacy class at a time (``invariant_basis``), each pullback
+map from γ's form and two fixed loci (``form_locus``), and no sector built.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
 where deg P always includes the volume form: deg(Π y^{b_C}·ω) = Σ (b_C+1)·q_C,
 and age g⁻¹ = n − N_g − age g.
 
-Basis vectors hold integers and integer forms (``GradedBasisVector``): the
-search makes only the elements that a sector or a pullback map needs.
+Basis vectors hold integers and integer forms (``GradedBasisVector``): once
+the group's generators are checked against W, the search makes no element.
 
-Everything is immutable; sectors are cached per (W, g) in a bounded LRU.
+Everything is immutable.  ``build_sector``, the public entry that checks g
+against W, caches its sectors per (W, g) in a bounded LRU.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .symmetry import (
     FixedLocus,
     MonomialSymmetry,
     SymmetryGroup,
+    _invert,
     exponential_grading,
     form_age,
     form_cycles,
@@ -90,8 +92,8 @@ def build_sector(poly: InvertiblePolynomial, g: MonomialSymmetry) -> Sector:
     return Sector(poly, g, locus, tuple([d_all[c[0]] for c in locus.cycles]))
 
 
-class SectorMap(namedtuple("SectorMap", "source target cycle_images scalar_nums form_num mod")):
-    """Pullback action of one γ: sector of g → sector of γ⁻¹gγ.
+class SectorMap(namedtuple("SectorMap", "cycle_images scalar_nums form_num mod")):
+    """Pullback action of one γ from the fixed locus of g to that of γ⁻¹gγ.
 
     ``cycle_images[c]`` is the target cycle position receiving source cycle
     c's exponent; γ*(y_c) = e(scalar_nums[c]/mod)·y'_image.  ``form_num``
@@ -113,50 +115,45 @@ class SectorMap(namedtuple("SectorMap", "source target cycle_images scalar_nums 
         return tuple(image), num * (mod // self.mod) % mod
 
 
-def sector_map(gamma: MonomialSymmetry, sector: Sector,
-               target: Sector | None = None) -> SectorMap:
-    """Express γ's pullback in canonical cycle coordinates; ``target``, the
-    sector of γ⁻¹gγ, is built unless given."""
-    if target is None:
-        target = build_sector(sector.poly, sector.element.conjugated_by(gamma))
-    src = sector.locus
-    tgt = target.locus
-    if src.dim != tgt.dim:
+def sector_map(gamma, mod: int, source: FixedLocus, target: FixedLocus) -> SectorMap:
+    """Express the pullback by γ = (perm, numerators over ``mod``) in
+    canonical cycle coordinates, from ``source``, the fixed locus of g, to
+    ``target``, that of γ⁻¹gγ, each as ``form_locus`` reads it off a form."""
+    if source.dim != target.dim:
         raise InternalError("conjugation changed the fixed locus dimension")
     # one modulus for γ's phases, both canonical vectors and the sign 1/2
-    mod = lcm(2, gamma.mod, src.mod, tgt.mod)
-    gnums = gamma.over(mod)[1]
-    inv_perm = gamma.inverse().perm
+    m = lcm(2, mod, source.mod, target.mod)
+    gnums = [x * (m // mod) for x in gamma[1]]
+    inv_perm = _invert(gamma, mod)[0]
     where = {}  # variable index -> (source cycle position, canonical phase)
-    for cpos, (cycle, nums) in enumerate(zip(src.cycles, src.phase_nums)):
+    for cpos, (cycle, nums) in enumerate(zip(source.cycles, source.phase_nums)):
         for i, x in zip(cycle, nums):
-            where[i] = (cpos, x * (mod // src.mod))
+            where[i] = (cpos, x * (m // source.mod))
 
-    cycle_images = [-1] * src.dim
-    scalars = [0] * src.dim
-    for dpos, (dcycle, dnums) in enumerate(zip(tgt.cycles, tgt.phase_nums)):
+    cycle_images = [-1] * source.dim
+    scalars = [0] * source.dim
+    for dpos, (dcycle, dnums) in enumerate(zip(target.cycles, target.phase_nums)):
         i_star = inv_perm[dcycle[0]]
         if i_star not in where:
             raise InternalError("pullback image is not a fixed coordinate")
         cpos, phase_star = where[i_star]
-        scalar = (gnums[i_star] - phase_star) % mod
+        scalar = (gnums[i_star] - phase_star) % m
         # γ·v'_D must be e(scalar) times the canonical source vector
         for j, x in zip(dcycle, dnums):
             i = inv_perm[j]
             if i not in where or where[i][0] != cpos:
                 raise InternalError("pullback image spreads over several cycles")
-            if (gnums[i] + x * (mod // tgt.mod) - scalar - where[i][1]) % mod:
+            if (gnums[i] + x * (m // target.mod) - scalar - where[i][1]) % m:
                 raise InternalError("pullback image is not a canonical vector multiple")
         cycle_images[cpos] = dpos
         scalars[cpos] = scalar
     if -1 in cycle_images:
         raise InternalError("pullback does not pair the fixed cycles bijectively")
 
-    inversions = sum(1 for a in range(src.dim) for b in range(a + 1, src.dim)
+    inversions = sum(1 for a in range(source.dim) for b in range(a + 1, source.dim)
                      if cycle_images[a] > cycle_images[b])
-    form_num = (sum(scalars) + mod // 2 * (inversions % 2)) % mod
-    return SectorMap(sector, target, tuple(cycle_images), tuple(scalars),
-                     form_num, mod)
+    form_num = (sum(scalars) + m // 2 * (inversions % 2)) % m
+    return SectorMap(tuple(cycle_images), tuple(scalars), form_num, m)
 
 
 class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade den")):
@@ -264,20 +261,20 @@ def _kept(cycles, degrees, gens, mod: int, limit: int) -> list[tuple[int, ...]]:
             for c in meet.get(tuple([-x % mod for x in s]), ())]
 
 
-def _carries(poly, group: SymmetryGroup, members, fixed, mod: int):
-    """Per coset of N in the class ``members``: the map from r's sector to
-    its head y's (None for r's own), then each member x = c⁻¹·y·c with c's
-    numerators over ``mod`` at the first index C₀ of each fixed cycle C of
-    y (r's are ``fixed``) and their sum.  c* keeps every cycle, with scalar
-    c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
-    gmod, out = group.modulus, [(None, [])]
-    make = MonomialSymmetry.from_numerators
+def _carries(group: SymmetryGroup, members, fixed, mod: int):
+    """Per coset of N in the class ``members``: the map from r's fixed
+    locus to its head y's (None for r's own), then each member x = c⁻¹·y·c
+    with c's numerators over ``mod`` at the first index C₀ of each fixed
+    cycle C of y (r's are ``fixed``) and their sum.  Both loci are read off
+    the forms, r's when a head first needs it.  c* keeps every cycle, with
+    scalar c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
+    gmod, out, source = group.modulus, [(None, [])], None
     for x, w, c in members:
         if not any(c) and x != members[0][0]:  # the head y = w⁻¹·r·w of a coset
-            sm = sector_map(make(*w, gmod), build_sector(poly, make(*members[0][0], gmod)),
-                            build_sector(poly, make(*x, gmod)))
-            fixed = sm.target.locus.cycles
-            out.append((sm, []))
+            source = source or form_locus(*members[0][0], gmod)
+            target = form_locus(*x, gmod)
+            out.append((sector_map(w, gmod, source, target), []))
+            fixed = target.cycles
         cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
         out[-1][1].append((x, cols, sum(cols)))
     return out
@@ -304,7 +301,6 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     for g in group.generators:  # the symmetries of W form a group
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
-    make = MonomialSymmetry.from_numerators
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, gmod)
     # bidegrees over 2·lcm(d): phases of symmetries of Fermat W are k/d_i
@@ -316,8 +312,8 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     kept_at: dict[tuple, list] = {}  # (σ, fixed cycles) -> kept exponents
     counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
     for members in group.class_transversals():
-        r = perm, nums = members[0][0]
-        fixed = form_cycles(perm, nums, gmod)  # no canonical vectors: only maps need sectors
+        perm, nums = members[0][0]
+        fixed = form_cycles(perm, nums, gmod)  # no canonical vectors: only maps need loci
         limit = (TERM_CAP - counted) // len(members)
         kept = kept_at.get((perm, fixed))
         if kept is None:
@@ -328,10 +324,10 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         counted += len(kept) * len(members)
         if not kept:
             continue
-        # a sector and maps only where lifts move monomials
+        # a fixed locus and maps only where lifts move monomials
         lift_gens = [] if group.is_diagonal else group._centralizer_lifts(perm, nums)[1]
-        sector = build_sector(poly, make(*r, gmod)) if lift_gens else None
-        moves = [sector_map(make(*lift, gmod), sector, sector) for lift in lift_gens]
+        locus = form_locus(perm, nums, gmod) if lift_gens else None
+        moves = [sector_map(lift, gmod, locus, locus) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
         steps = [den // d_all[c[0]] for c in fixed]  # den·q_C per fixed cycle
         u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
@@ -359,7 +355,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             if not consistent:
                 continue
             if carries is None:
-                carries = _carries(poly, group, members, fixed, mod)
+                carries = _carries(group, members, fixed, mod)
             nodes = []
             for sm, coset in carries:
                 for exps, p in phases.items():

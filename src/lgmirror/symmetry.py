@@ -89,6 +89,13 @@ def _compose(a, b, mod: int):
             tuple([(x + nb[p]) % mod for x, p in zip(na, pa)]))
 
 
+def _invert(form, mod: int):
+    """Inverse of an integer form (perm, numerators mod ``mod``)."""
+    perm, nums = form
+    inv = sorted(range(len(perm)), key=perm.__getitem__)  # inv[perm[i]] = i
+    return tuple(inv), tuple([-nums[i] % mod for i in inv])
+
+
 class MonomialSymmetry:
     """Immutable diagonal·permutation symmetry of rank ``n``.
 
@@ -171,12 +178,8 @@ class MonomialSymmetry:
             *_compose((pa, na), (pb, nb), mod), mod)
 
     def inverse(self) -> "MonomialSymmetry":
-        inv = [0] * self.n
-        nums = [0] * self.n
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-            nums[p] = -self.nums[i] % self.mod
-        return MonomialSymmetry.from_numerators(tuple(inv), nums, self.mod)
+        return MonomialSymmetry.from_numerators(
+            *_invert((self.perm, self.nums), self.mod), self.mod)
 
     def __pow__(self, k: int) -> "MonomialSymmetry":
         if k < 0:
@@ -530,8 +533,7 @@ class SymmetryGroup:
             ident = self.lifts[0]
             return [[(form, ident, ident[1])] for form in self._forms]
         mod, ident = self.modulus, self.lifts[0]
-        gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
-                for g in self._lift_gens]
+        gens = [(_invert(g, mod), g) for g in self._lift_gens]
         met, classes = set(), []  # the members of the classes walked so far
         for sigma, a in self.lifts:
             for r in self._coset(a, within=self._part(sigma).image):

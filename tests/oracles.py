@@ -172,6 +172,14 @@ def canonical_vectors(locus):
     return tuple(out)
 
 
+def element_map(gamma: MonomialSymmetry, sector):
+    """(map, target): the pullback by the element γ from ``sector`` to the
+    sector of γ⁻¹gγ, built with its check, as ``sector_map`` reads it off
+    γ's form and the two fixed loci."""
+    target = build_sector(sector.poly, sector.element.conjugated_by(gamma))
+    return sector_map((gamma.perm, gamma.nums), gamma.mod, sector.locus, target.locus), target
+
+
 def sector_scalars(sm):
     """The phases γ*(y_c) = e(t_c)·y'_image of a sector map, as rationals."""
     return tuple(Fraction(x, sm.mod) for x in sm.scalar_nums)
@@ -599,7 +607,7 @@ SearchedVector = namedtuple("SearchedVector", "side terms bidegree")
 def search_invariant_basis(poly, group, side):
     """Orbit-sum basis found as ``invariant_basis`` once did: a search from
     every element's sector under the group's generators, each move's target
-    γ⁻¹gγ built by ``sector_map`` and looked up with ``index_of``, and
+    γ⁻¹gγ built by ``element_map`` and looked up with ``index_of``, and
     each bidegree taken from the textbook formula on ``Fraction`` ages.
     Each vector is a ``SearchedVector`` of ``Fraction``s and elements."""
     elements = group.elements
@@ -608,8 +616,8 @@ def search_invariant_basis(poly, group, side):
     for gamma in group.generators:
         row = []
         for sector in sectors:
-            sm = sector_map(gamma, sector)
-            row.append((index_of(group, sm.target.element), sm))
+            sm, target = element_map(gamma, sector)
+            row.append((index_of(group, target.element), sm))
         moves.append(row)
     mod = lcm(2, group.modulus)
     bidegree_of = a_bidegree if side == "A" else b_bidegree
@@ -820,12 +828,13 @@ def class_action(poly, group, rep):
     index = {node: i for i, node in enumerate(nodes)}
     tables = []
     for gamma in group.elements:
-        maps = {g: sector_map(gamma, sectors[g]) for g in cls}
+        maps = {g: element_map(gamma, sectors[g]) for g in cls}
         images = []
         phases = []
         for g, b in nodes:
-            image, delta = apply_phase(maps[g], b)
-            images.append(index[(maps[g].target.element, image)])
+            sm, target = maps[g]
+            image, delta = apply_phase(sm, b)
+            images.append(index[(target.element, image)])
             phases.append(delta)
         tables.append((images, phases))
     return nodes, tables

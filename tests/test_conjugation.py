@@ -4,7 +4,7 @@
 by the characters of N^σ, searches them under the centralizer's lifts and
 carries each kept orbit to the conjugates; ``oracles.search_invariant_basis``
 searches every element's sector under the group's generators, conjugating
-each element with ``sector_map(γ, sector)``.  Both must give the same basis
+each element with ``element_map(γ, sector)``.  Both must give the same basis
 term for term: phases, exponents, elements, order and bidegrees, as the
 library's vectors show them through their ``terms`` and ``bidegree``.  The
 classes and transversals found from cosets of N are checked against orbits
@@ -21,6 +21,7 @@ from lgmirror.linalg import hermite
 from oracles import (
     class_walk_by_elements,
     conjugation_table,
+    element_map,
     fermat,
     frac_conjugacy_classes,
     frac_form,
@@ -222,25 +223,33 @@ def test_coset_map_and_character_give_each_transversal_map(cases, quartic, name)
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
     for members in group.class_transversals():
         sector = lg.build_sector(poly, make(*members[0][0], group.modulus))
-        carries = lg.state_space._carries(poly, group, members, sector.locus.cycles, mod)
+        carries = lg.state_space._carries(group, members, sector.locus.cycles, mod)
         reached = [(x, sm, c, form) for sm, coset in carries for x, c, form in coset]
         assert [x for x, _, _, _ in reached] == [x for x, _, _ in members]
         for (x, w, c), (_, sm, at, form) in zip(members, reached):
             t = make(*w, group.modulus) * make(ident, c, group.modulus)
-            full = lg.sector_map(t, sector, lg.build_sector(poly, make(*x, group.modulus)))
+            full, target = element_map(t, sector)
+            assert target.element == make(*x, group.modulus)
             for b in sector.basis:
                 image, delta = (b, 0) if sm is None else sm.apply(b, mod)
                 delta += form + sum(e * k for e, k in zip(image, at))
                 assert (image, delta % mod) == full.apply(b, mod)
 
 
-def test_bad_quintic_builds_fewer_sectors_than_elements(cases):
+def test_bad_quintic_builds_fewer_sectors_than_elements(cases, monkeypatch):
+    # a fixed locus is read off a form only for the pullback maps: one per
+    # class with lifts and one per coset head, not one per element
     poly, group, side = cases["bad quintic G*"]
     assert group.order == 2500
-    lg.build_sector.cache_clear()
+    loci, locus = [], lg.state_space.form_locus
+
+    def counting(*args):
+        loci.append(args)
+        return locus(*args)
+    monkeypatch.setattr(lg.state_space, "form_locus", counting)
     basis = lg.invariant_basis(poly, group, side)
     assert len(basis) == 88
-    assert lg.build_sector.cache_info().misses < 300
+    assert len(loci) < 300
 
 
 # an abelian G* whose 729 elements share 121 fixed loci, and a non-abelian

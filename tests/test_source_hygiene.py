@@ -3,9 +3,11 @@ module-level name nothing refers to; a regular expression whose ``\\d``,
 ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; a
 module-level cache with no bound on its entries, or one keyed by a
 polynomial; a rational or a listing of group elements on the path that
-builds and compares state spaces; and, outside ``symmetry``, a position in a
-group's listing or a group built from more than its structure.  Read from the syntax trees of
-``src/lgmirror/*.py`` with the standard library's ``ast`` alone."""
+builds and compares state spaces; an element or a sector on the path of
+the invariant search and the class walk; and, outside ``symmetry``, a
+position in a group's listing or a group built from more than its
+structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
+standard library's ``ast`` alone."""
 
 import ast
 import re
@@ -182,6 +184,27 @@ def test_the_comparison_path_makes_no_rational_and_lists_no_element():
                     found.append(f"{module}:{name or '<module>'}:{node.lineno}")
     assert seen == {""} | INTEGER_PATH["state_space.py"], seen
     assert not found, f"rationals or element lists on the comparison path: {found}"
+
+
+# the invariant search and the class walk run on integer forms: elements
+# and sectors are made only at the public entries and by the views
+FORM_PATH = {"state_space.py": {"invariant_basis", "_carries", "_kept", "sector_map",
+                                "SectorMap.apply"},
+             "symmetry.py": {"SymmetryGroup._transversals"}}
+ELEMENT_NAMES = {"MonomialSymmetry", "from_numerators", "build_sector", "Sector", "inverse",
+                 "conjugated_by"}
+
+
+def test_the_search_makes_no_element_and_builds_no_sector():
+    found, seen = [], set()
+    for module, names in FORM_PATH.items():
+        for name, scope in _scopes(_tree(SRC / module), names):
+            seen.add(f"{module}:{name}")
+            found += [f"{module}:{name}:{node.lineno}" for node in ast.walk(scope)
+                      if isinstance(node, ast.Name) and node.id in ELEMENT_NAMES or
+                      isinstance(node, ast.Attribute) and node.attr in ELEMENT_NAMES]
+    assert seen == {f"{m}:{n}" for m, names in FORM_PATH.items() for n in names}, seen
+    assert not found, f"elements or sectors on the search path: {found}"
 
 
 def _functions(tree):

@@ -20,6 +20,7 @@ from oracles import (
     character_dims,
     class_action,
     class_of,
+    element_map,
     fermat,
     form_phase,
     frac_age,
@@ -79,8 +80,8 @@ def test_sector_map_grading_on_three_cycle(quartic):
     # j_W acts on the (123)-sector by e(1/4) on each coordinate and flips
     # the volume form: form phase 1/4 + 1/4 = 1/2
     sector = lg.build_sector(quartic, perm([(0, 1, 2)], 4))
-    sm = lg.sector_map(lg.exponential_grading(quartic), sector)
-    assert sm.target.element == sector.element  # j_W is central
+    sm, target = element_map(lg.exponential_grading(quartic), sector)
+    assert target.element == sector.element  # j_W is central
     assert sector_scalars(sm) == (F(1, 4), F(1, 4))
     assert form_phase(sm) == F(1, 2)
     image, phase = apply_phase(sm, (2, 0))
@@ -89,14 +90,14 @@ def test_sector_map_grading_on_three_cycle(quartic):
 
 def test_sector_map_cycle_on_own_sector(quartic):
     g = perm([(0, 1, 2)], 4)
-    sm = lg.sector_map(g, lg.build_sector(quartic, g))
+    sm, _ = element_map(g, lg.build_sector(quartic, g))
     assert sector_scalars(sm) == (0, 0) and form_phase(sm) == 0
     assert sm.cycle_images == (0, 1)
 
 
 def test_sector_map_identity(quartic):
     sector = lg.build_sector(quartic, perm([(0, 1, 2)], 4))
-    sm = lg.sector_map(lg.MonomialSymmetry.identity(4), sector)
+    sm, _ = element_map(lg.MonomialSymmetry.identity(4), sector)
     for b in sector.basis:
         assert apply_phase(sm, b) == (b, 0)
 
@@ -105,7 +106,7 @@ def test_sector_map_swap_picks_up_form_sign(quintic):
     # (13)(24) permutes the two 2-cycles of the (12)(34)-sector: odd
     # rearrangement of the three cycle coordinates
     g = perm([(0, 1), (2, 3)], 5)
-    sm = lg.sector_map(perm([(0, 2), (1, 3)], 5), lg.build_sector(quintic, g))
+    sm, _ = element_map(perm([(0, 2), (1, 3)], 5), lg.build_sector(quintic, g))
     assert sm.cycle_images == (1, 0, 2)
     assert sector_scalars(sm) == (0, 0, 0)
     assert form_phase(sm) == F(1, 2)
@@ -121,10 +122,10 @@ def test_sector_maps_compose(quartic):
         g1 = rng.choice(elements)
         g2 = rng.choice(elements)
         sector = lg.build_sector(quartic, g)
-        sm1 = lg.sector_map(g1, sector)
-        sm2 = lg.sector_map(g2, sm1.target)
-        sm12 = lg.sector_map(g1 * g2, sector)
-        assert sm2.target.element == sm12.target.element
+        sm1, target1 = element_map(g1, sector)
+        sm2, target2 = element_map(g2, target1)
+        sm12, target12 = element_map(g1 * g2, sector)
+        assert target2.element == target12.element
         for b in sector.basis:
             mid, p1 = apply_phase(sm1, b)
             end, p2 = apply_phase(sm2, mid)
@@ -185,12 +186,12 @@ def test_bidegree_preserved_by_sector_maps(quartic):
         g = rng.choice(star.elements)
         gamma = rng.choice(star.elements)
         sector = lg.build_sector(quartic, g)
-        sm = lg.sector_map(gamma, sector)
+        sm, target = element_map(gamma, sector)
         for b in sector.basis:
             image, _ = apply_phase(sm, b)
             for fn in (a_bidegree, b_bidegree):
                 before = fn(sector, frac_degree(sector, b))
-                after = fn(sm.target, frac_degree(sm.target, image))
+                after = fn(target, frac_degree(target, image))
                 assert before == after
 
 
@@ -421,40 +422,61 @@ def test_kept_monomials_match_a_filter_and_are_counted_first():
 def test_a_diagonal_group_builds_no_sector(quartic, monkeypatch):
     # G = ⟨j, diag(1/2, 1/2, 0, 0)⟩ and G* are diagonal: no lift moves a
     # monomial and every class is one element, so the search reads fixed
-    # cycles and exponents only and no pullback map needs a sector
+    # cycles and exponents only and needs no pullback map or fixed locus
     group = lg.closure([lg.parse_generator(t, quartic) for t in ("j", "diag(1/2, 1/2, 0, 0)")])
     expected = lg.full_comparison(quartic, group)
     assert group.is_diagonal and expected.dual_group.is_diagonal
 
     def build(*args):
-        pytest.fail("a sector was built")
-    monkeypatch.setattr(lg.state_space, "build_sector", build)
+        pytest.fail("a pullback map or a fixed locus was built")
+    monkeypatch.setattr(lg.state_space, "sector_map", build)
+    monkeypatch.setattr(lg.state_space, "form_locus", build)
     report = lg.full_comparison(quartic, group)
     assert (report.a_space.basis, report.b_space.basis) == \
         (expected.a_space.basis, expected.b_space.basis)
     assert report.verdict is lg.Verdict.BIGRADED_ISOMORPHIC
 
 
-def test_a_diagonal_group_makes_no_element(quartic, monkeypatch):
-    # every class of a diagonal group is one element: its fixed cycles and
-    # its age are read off its integer form, and its nodes hold that form,
-    # so once the generators are checked no element is made
-    for group, side in ((lg.closure([lg.exponential_grading(quartic)]), "A"),
-                        (lg.dual_group(lg.closure([lg.exponential_grading(quartic)]),
-                                       quartic), "B")):
-        expected = lg.invariant_basis(quartic, group, side)
-        group = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
-        assert group.is_diagonal and group.generators
-        made = []
-        make = lg.MonomialSymmetry.from_numerators.__func__
+def test_the_search_makes_no_element_and_checks_each_generator_once(
+        quartic, quartic_group, quintic, good_group, bad_star, monkeypatch):
+    # a class's fixed cycles and age, its members and the pullback maps are
+    # all read off integer forms, and the nodes hold forms, so once the
+    # generators are read no element is made, diagonal group or not; and
+    # the generators are the one symmetry check, as every element is a
+    # product of them
+    cubic = fermat([3] * 6)
+    inputs = [(quartic, lg.closure([lg.exponential_grading(quartic)]), "A"),
+              (quartic, lg.dual_group(lg.closure([lg.exponential_grading(quartic)]), quartic),
+               "B"),
+              (quartic, quartic_group, "A"),
+              (quintic.transpose(), lg.nonabelian_dual(good_group, quintic), "B"),
+              (quintic.transpose(), bad_star, "B"),
+              (cubic.transpose(), lg.nonabelian_dual(lg.closure(
+                  lg.parse_generator(t, cubic) for t in "j; (1 2 3); (4 5 6)".split(";")),
+                  cubic), "B")]
+    assert [group.is_diagonal for _, group, _ in inputs] == [True, True] + [False] * 4
+    made, checked = [], []
+    make, check = lg.MonomialSymmetry.from_numerators.__func__, lg.state_space.is_symmetry
 
-        def counting(cls, *args):
-            made.append(args)
-            return make(cls, *args)
+    def counting(cls, *args):
+        made.append(args)
+        return make(cls, *args)
+
+    def checking(g, w):
+        checked.append(g)
+        return check(g, w)
+    for poly, group, side in inputs:
+        expected = lg.invariant_basis(poly, group, side)
+        group = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+        assert group.generators
+        made.clear()
+        checked.clear()
         monkeypatch.setattr(lg.MonomialSymmetry, "from_numerators", classmethod(counting))
-        basis = lg.invariant_basis(quartic, group, side)
+        monkeypatch.setattr(lg.state_space, "is_symmetry", checking)
+        basis = lg.invariant_basis(poly, group, side)
         monkeypatch.undo()
         assert made == [] and basis == expected and len(basis) > 0
+        assert checked == list(group.generators)
 
 
 def test_character_dims_match_every_bigraded_dimension(quartic_report, good_report,
