@@ -118,9 +118,9 @@ def _element_json(perm, nums, mod: int) -> dict:  # the integer form (perm, nums
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": lambda: [
-        {"size": len(members),
-         "representative": _element_json(*members[0][0], group.modulus)}
-        for members in group.class_transversals()]}
+        {"size": group.class_size(cosets),
+         "representative": _element_json(*cosets[0][0], group.modulus)}
+        for cosets in group.class_transversals]}
 
 
 def _dims_json(space: state_space.GradedSpace) -> list[dict]:
@@ -201,8 +201,8 @@ def _group(spec: ProblemSpec):
     group = spec.group()
     return ({"group": _group_json(group)},
             [f"order {group.order}"] + [
-                f"class of {symmetry.form_label(*m[0][0], group.modulus)}: size {len(m)}"
-                for m in group.class_transversals()])
+                f"class of {symmetry.form_label(*m[0][0], group.modulus)}: "
+                f"size {group.class_size(m)}" for m in group.class_transversals])
 
 
 def _dual_group(spec: ProblemSpec):

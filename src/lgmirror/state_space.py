@@ -43,6 +43,7 @@ from .errors import (
     NotAdmissibleAError,
     NotAdmissibleBError,
 )
+from .linalg import reduce_by
 from .polynomial import InvertiblePolynomial
 from .symmetry import (
     CACHE_SIZE,
@@ -261,22 +262,26 @@ def _kept(cycles, degrees, gens, mod: int, limit: int) -> list[tuple[int, ...]]:
             for c in meet.get(tuple([-x % mod for x in s]), ())]
 
 
-def _carries(group: SymmetryGroup, members, fixed, mod: int):
-    """Per coset of N in the class ``members``: the map from r's fixed
-    locus to its head y's (None for r's own), then each member x = c⁻¹·y·c
-    with c's numerators over ``mod`` at the first index C₀ of each fixed
-    cycle C of y (r's are ``fixed``) and their sum.  Both loci are read off
-    the forms, r's when a head first needs it.  c* keeps every cycle, with
-    scalar c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
-    gmod, out, source = group.modulus, [(None, [])], None
-    for x, w, c in members:
-        if not any(c) and x != members[0][0]:  # the head y = w⁻¹·r·w of a coset
-            source = source or form_locus(*members[0][0], gmod)
-            target = form_locus(*x, gmod)
-            out.append((sector_map(w, gmod, source, target), []))
-            fixed = target.cycles
-        cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
-        out[-1][1].append((x, cols, sum(cols)))
+def _carries(group: SymmetryGroup, cosets, fixed, mod: int):
+    """Per coset of im φ_σ in the class ``cosets`` (``class_transversals``):
+    the map from r's fixed locus to its head y's (None for r's own), then
+    each member x = c⁻¹·y·c, c a preimage that y's σ record (``_part``)
+    keeps, 0 first, with c's numerators over ``mod`` at the first index C₀
+    of each fixed cycle C of y (r's are ``fixed``) and their sum.  Both loci are
+    read off the forms, r's when a head first needs it.  c* keeps every cycle,
+    with scalar c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
+    gmod, out, source, sm = group.modulus, [], None, None
+    for y, w in cosets:
+        if out:  # the head y = w⁻¹·r·w of another coset
+            source = source or form_locus(*cosets[0][0], gmod)
+            target = form_locus(*y, gmod)
+            sm, fixed = sector_map(w, gmod, source, target), target.cycles
+        (perm, nums), members = y, []
+        for v, c in group._part(perm).preimages.items():  # 0 first: y itself
+            x = (perm, tuple([(p + q) % gmod for p, q in zip(nums, v)])) if any(v) else y
+            cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
+            members.append((x, cols, sum(cols)))
+        out.append((sm, members))
     return out
 
 
@@ -311,17 +316,18 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     vectors = []  # appended sorted: by representative, then lead
     kept_at: dict[tuple, list] = {}  # (σ, fixed cycles) -> kept exponents
     counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
-    for members in group.class_transversals():
-        perm, nums = members[0][0]
+    for cosets in group.class_transversals:
+        perm, nums = cosets[0][0]
         fixed = form_cycles(perm, nums, gmod)  # no canonical vectors: only maps need loci
-        limit = (TERM_CAP - counted) // len(members)
+        size = group.class_size(cosets)
+        limit = (TERM_CAP - counted) // size
         kept = kept_at.get((perm, fixed))
         if kept is None:
             kept = kept_at[perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
                                                 group._part(perm).generators, gmod, limit)
         if len(kept) > limit:
             raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
-        counted += len(kept) * len(members)
+        counted += len(kept) * size
         if not kept:
             continue
         # a fixed locus and maps only where lifts move monomials
@@ -355,7 +361,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             if not consistent:
                 continue
             if carries is None:
-                carries = _carries(group, members, fixed, mod)
+                carries = _carries(group, cosets, fixed, mod)
             nodes = []
             for sm, coset in carries:
                 for exps, p in phases.items():
@@ -381,9 +387,14 @@ def b_state_space(poly: InvertiblePolynomial, group: SymmetryGroup) -> GradedSpa
     """B-model state space; every group element must have determinant one."""
     poly.fermat_exponents()
     # det is a homomorphism, so the generators decide; the error names the
-    # first element in canonical order outside SL
+    # first element in canonical order outside SL.  In N, the span of the rows
+    # after the last row outside SL comes first, then that row plus it; if N
+    # lies in SL, det is constant on each coset of N, whose lift comes first
     if any(g.det_num() for g in group.generators):
-        g = next(g for g in group if g.det_num())
+        mod, basis, make = group.modulus, group.basis, MonomialSymmetry.from_numerators
+        rows = [(i, row) for i, row in enumerate(basis) if sum(row) % mod][-1:]
+        forms = [(group.lifts[0][0], reduce_by(row, basis, mod, i + 1)) for i, row in rows]
+        g = next(g for g in (make(*form, mod) for form in forms or group.lifts) if g.det_num())
         raise NotAdmissibleBError(
             f"{g.label()} has determinant e({g.det_phase()}) ≠ 1")
     return GradedSpace(B_SIDE, poly, group, invariant_basis(poly, group, B_SIDE))

@@ -408,9 +408,9 @@ class SymmetryGroup:
     groups have equal fields.  Nothing else is computed until first read,
     and then kept: the forms, a coset of N per lift, in canonical order;
     the elements; the generators, read off the fields; the lift
-    generators; the class transversals; the classes; and per permutation
-    part σ, one record (``_part``) of N^σ, of im φ_σ and of a preimage of
-    each value of φ_σ.
+    generators; each class as its cosets of im φ_σ (``class_transversals``);
+    the classes as elements; and per permutation part σ, one record
+    (``_part``) of N^σ, of im φ_σ and of a preimage of each value of φ_σ.
 
     Classes and centralizers come from the structure, not from a scan of
     the elements.  Conjugating g = (σ, a) by a diagonal c gives (σ, a +
@@ -512,50 +512,47 @@ class SymmetryGroup:
     def is_diagonal(self) -> bool:
         return len(self.lifts) == 1
 
+    @cached_property
     def class_transversals(self):
-        """Per class, (form, w, c) for each member x, the least member r
-        first: the form is x's integer form over ``modulus``, w the integer
-        form of a lift word and c the numerators of a diagonal element, with
-        t = w·c and t⁻¹·r·t = x.
+        """Per class, (head, w) for each of its cosets of im φ_σ, r's own
+        first, r the least member: the head y is a member's integer form
+        over ``modulus`` and w the integer form of a lift word with w⁻¹·r·w
+        = y.  The coset's members c⁻¹·y·c = y + φ_σ(c) come from each
+        preimage c that σ's record (``_part``) keeps; ``class_size`` counts them.
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
         cosets.  A class is one orbit of cosets, walked along the lifts that
         generate the permutation parts from r's, the first not yet met when
-        their least members are listed lift by lift, in canonical order; w
-        is the word of lifts that reaches a member's coset and c the
-        preimage of its offset that the record of its σ (``_part``) keeps."""
-        return self._transversals
-
-    @cached_property
-    def _transversals(self):
-        if self.is_diagonal:  # singleton classes; the walk below is 2x slower on them
+        their least members are listed lift by lift, in canonical order; a
+        coset is met when first reached, and known by its least member."""
+        if self.is_diagonal:  # one-coset classes; the walk below is 2.7x slower on them
             ident = self.lifts[0]
-            return [[(form, ident, ident[1])] for form in self._forms]
+            return [[(form, ident)] for form in self._forms]
         mod, ident = self.modulus, self.lifts[0]
         gens = [(_invert(g, mod), g) for g in self._lift_gens]
-        met, classes = set(), []  # the members of the classes walked so far
+        met, classes = set(), []  # the least member of each coset reached so far
         for sigma, a in self.lifts:
             for r in self._coset(a, within=self._part(sigma).image):
                 if (sigma, r) in met:
                     continue
-                members, cosets = [], [((sigma, r), ident)]
-                for y, word in cosets:  # grows while it is read
-                    if y in met:
-                        continue  # its coset was walked before
-                    px, nx = y
-                    for v, c in self._part(px).preimages.items():  # 0 first: y itself
-                        x = (px, tuple([(p + q) % mod for p, q in zip(nx, v)])) if any(v) else y
-                        met.add(x)
-                        members.append((x, word, c))
+                met.add((sigma, r))
+                cosets = [((sigma, r), ident)]
+                for (px, nx), word in cosets:  # grows while it is read
                     for (pi, ni), g in gens:
                         pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
-                        z = (tuple([pg[px[j]] for j in pi]), tuple(
-                            [(b + nx[j] + ng[px[j]]) % mod for b, j in zip(ni, pi)]))
-                        if z not in met:
-                            cosets.append((z, _compose(word, g, mod)))
-                classes.append(members)
+                        pz = tuple([pg[px[j]] for j in pi])
+                        nz = tuple([(b + nx[j] + ng[px[j]]) % mod for b, j in zip(ni, pi)])
+                        key = (pz, reduce_by(nz, self._part(pz).image, mod))
+                        if key not in met:
+                            met.add(key)
+                            cosets.append(((pz, nz), _compose(word, g, mod)))
+                classes.append(cosets)
         return classes
+
+    def class_size(self, cosets) -> int:
+        """A class's size: its cosets (``class_transversals``) times |im φ_σ|; 1 if diagonal."""
+        return 1 if self.is_diagonal else len(cosets) * len(self._part(cosets[0][0][0]).preimages)
 
     def conjugacy_classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         """The classes, each sorted, ordered by leader."""
@@ -564,8 +561,10 @@ class SymmetryGroup:
     @cached_property
     def _classes(self) -> tuple[tuple[MonomialSymmetry, ...], ...]:
         make, mod = MonomialSymmetry.from_numerators, self.modulus
-        return tuple(tuple([make(*form, mod) for form in sorted(form for form, _, _ in members)])
-                     for members in self.class_transversals())
+        return tuple(tuple([make(*form, mod) for form in sorted(
+            [(px, tuple([(p + q) % mod for p, q in zip(nx, v)]))
+             for (px, nx), _ in cosets for v in self._part(px).preimages])])
+            for cosets in self.class_transversals)
 
     def _part(self, sigma) -> "_Part":
         """The record of the permutation part σ, made once: N^σ's basis,

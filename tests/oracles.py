@@ -17,8 +17,9 @@ against the original search over every element's sector, which finds every
 move's target sector by conjugating the element itself and taking each
 bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
 classes from H⋊K against orbits under a conjugation table of every element
-by every generator, the class walk over cosets of im φ_σ against the walk
-over element positions it replaced, each permutation part's values and
+by every generator, the class walk over cosets of im φ_σ, its cosets
+listed member by member, against the walk over element positions it
+replaced, each permutation part's values and
 preimages of φ_σ and its N^σ against a scan of N, structural centralizers
 against a filter of every element of the group, and the ordered subgroup
 walk against the original enumeration, which collects every subgroup before
@@ -551,6 +552,18 @@ def class_walk_by_elements(group):
                     cosets.append((z, _compose_forms(word, g, mod)))
         classes.append(members)
     return classes
+
+
+def class_members(group):
+    """``class_transversals`` with every coset listed: per class, (x, w, c)
+    for each member x, coset by coset in the walk's order, each coset's
+    head first, x = head + v for each value v of φ_σ and its preimage c
+    in the order the record of the head's σ keeps them, so that t = w·c
+    has t⁻¹·r·t = x: the shape ``class_walk_by_elements`` gives."""
+    mod = group.modulus
+    return [[((px, tuple((p + q) % mod for p, q in zip(nx, v))), w, c)
+             for (px, nx), w in cosets for v, c in group._part(px).preimages.items()]
+            for cosets in group.class_transversals]
 
 
 def preimages_by_scan(group, sigma):

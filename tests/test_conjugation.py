@@ -19,6 +19,7 @@ import pytest
 import lgmirror as lg
 from lgmirror.linalg import hermite
 from oracles import (
+    class_members,
     class_walk_by_elements,
     conjugation_table,
     element_map,
@@ -53,15 +54,19 @@ def cases(quartic, quartic_group, quintic, good_group, bad_star):
 def assert_table_rows(group):
     """The classes are the orbits under the oracle's conjugation table,
     every transversal element conjugates the representative to its member,
-    and the walk over cosets gives the walk over element positions exactly:
-    members, words and preimages, in order."""
+    the walk over cosets, its cosets listed member by member, gives the walk
+    over element positions exactly: members, words and preimages, in order;
+    and each class's size is its number of members, the sizes summing to
+    the order."""
     table = conjugation_table(group)
     assert len(table) == len(group.generators)
     for gamma, row in zip(group.generators, table):
         assert [group.elements[j] for j in row] == \
             [g.conjugated_by(gamma) for g in group.elements]
-    members = group.class_transversals()
+    members = class_members(group)
     assert members == class_walk_by_elements(group)
+    sizes = [group.class_size(cosets) for cosets in group.class_transversals]
+    assert sizes == [len(m) for m in members] and sum(sizes) == group.order
     assert [tuple(sorted(x for x, _, _ in m)) for m in members] == \
         [tuple(group._forms[i] for i in cls) for cls in table_classes(group)]
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
@@ -112,8 +117,8 @@ def assert_fixed_generators(group):
     once, kept with N^σ, and generate N^σ: the diagonal elements c with
     c∘σ = c, filtered from the group's elements."""
     make, mod = lg.MonomialSymmetry.from_numerators, group.modulus
-    for members in group.class_transversals():
-        sigma = members[0][0][0]
+    for cosets in group.class_transversals:
+        sigma = cosets[0][0][0]
         gens = group._part(sigma).generators
         assert group._part(sigma).generators is gens
         fixed = tuple(g for g in group.elements if g.is_diagonal and all(
@@ -168,37 +173,47 @@ def test_class_transversals_eliminate_once_per_permutation_part(cases, monkeypat
         return hermite(rows, mod)
     for name in NAMES:
         group = cases[name][1]
-        expected = group.class_transversals()
+        expected = group.class_transversals
         fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
         calls.clear()
         monkeypatch.setattr(lg.symmetry, "hermite", counted)
-        assert fresh.class_transversals() == expected
+        assert fresh.class_transversals == expected
         monkeypatch.undo()
         assert not fresh.is_diagonal and calls == [2 * fresh.n] * len(fresh.lifts)
 
 
 def test_class_walk_over_cosets_matches_the_element_walk(quartic, good_group, bad_group):
     # the paper's G, the cubics and the random models are checked in
-    # assert_table_rows; the third quartic group has a lift with nonzero
-    # phases, so its class leaders are listed from a_σ ≠ 0
+    # assert_table_rows, with their class sizes; the third quartic group
+    # has a lift with nonzero phases, so its class leaders are listed from
+    # a_σ ≠ 0
     quartics = [lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
                 for text in QUARTIC_GROUPS]
     assert any(any(a) for _, a in quartics[2].lifts)
     for group in [good_group, bad_group] + quartics:
-        assert group.class_transversals() == class_walk_by_elements(group)
+        members = class_members(group)
+        assert members == class_walk_by_elements(group)
+        sizes = [group.class_size(cosets) for cosets in group.class_transversals]
+        assert sizes == [len(m) for m in members] and sum(sizes) == group.order
 
 
 def test_the_class_walk_lists_no_form(cases, bad_star):
     # the walk lists the least member of each coset of im φ_σ, not G, and
-    # no form index is kept
+    # no form index is kept; a class holds one (head, w) per coset and none
+    # per member: the cubic G* of K = ⟨(1 2 3), (4 5 6)⟩ has 2,187 elements
+    # in 107 classes, held as 387 pairs
     poly = fermat([3] * 6)
     cubic = lg.nonabelian_dual(
         lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";")), poly)
     for group in (cases["quartic G*"][1], bad_star, cubic):
         fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
-        assert not fresh.is_diagonal and fresh.class_transversals()
+        assert not fresh.is_diagonal and fresh.class_transversals
         assert "_forms" not in fresh.__dict__
     assert not hasattr(lg.SymmetryGroup, "_index")
+    classes = cubic.class_transversals
+    assert (cubic.order, len(classes)) == (2187, 107)
+    assert sum(len(cosets) for cosets in classes) == 387
+    assert {len(entry) for cosets in classes for entry in cosets} == {2}
 
 
 @pytest.mark.parametrize("text", QUARTIC_GROUPS)
@@ -221,9 +236,9 @@ def test_coset_map_and_character_give_each_transversal_map(cases, quartic, name)
         group = lg.closure(lg.parse_generator(t, quartic) for t in name.split(";"))
     mod = lcm(2, group.modulus)
     make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
-    for members in group.class_transversals():
-        sector = lg.build_sector(poly, make(*members[0][0], group.modulus))
-        carries = lg.state_space._carries(group, members, sector.locus.cycles, mod)
+    for cosets, members in zip(group.class_transversals, class_members(group)):
+        sector = lg.build_sector(poly, make(*cosets[0][0], group.modulus))
+        carries = lg.state_space._carries(group, cosets, sector.locus.cycles, mod)
         reached = [(x, sm, c, form) for sm, coset in carries for x, c, form in coset]
         assert [x for x, _, _, _ in reached] == [x for x, _, _ in members]
         for (x, w, c), (_, sm, at, form) in zip(members, reached):

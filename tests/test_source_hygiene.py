@@ -4,7 +4,8 @@ module-level name nothing refers to; a regular expression whose ``\\d``,
 module-level cache with no bound on its entries, or one keyed by a
 polynomial; a rational or a listing of group elements on the path that
 builds and compares state spaces; an element or a sector on the path of
-the invariant search and the class walk; and, outside ``symmetry``, a
+the invariant search and the class walk; a class member listed by the
+class walk; and, outside ``symmetry``, a
 position in a group's listing or a group built from more than its
 structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
 standard library's ``ast`` alone."""
@@ -190,7 +191,7 @@ def test_the_comparison_path_makes_no_rational_and_lists_no_element():
 # and sectors are made only at the public entries and by the views
 FORM_PATH = {"state_space.py": {"invariant_basis", "_carries", "_kept", "sector_map",
                                 "SectorMap.apply"},
-             "symmetry.py": {"SymmetryGroup._transversals"}}
+             "symmetry.py": {"SymmetryGroup.class_transversals"}}
 ELEMENT_NAMES = {"MonomialSymmetry", "from_numerators", "build_sector", "Sector", "inverse",
                  "conjugated_by"}
 
@@ -244,6 +245,24 @@ def _readers(tree, test):
     hold a node for which ``test`` is true."""
     scope_of = {id(node): name for name, scope in _functions(tree) for node in ast.walk(scope)}
     return {scope_of.get(id(node), "<module>") for node in ast.walk(tree) if test(node)}
+
+
+# a class is its cosets of im φ_σ: the class walk keeps one head and
+# word per coset and lists no member, so the preimages of φ_σ are read
+# where members are listed (the orbit carriers and the element classes),
+# counted (a class's size) or looked up (a centralizer's lifts)
+PREIMAGE_READERS = {"state_space.py:_carries", "symmetry.py:SymmetryGroup._classes",
+                    "symmetry.py:SymmetryGroup.class_size",
+                    "symmetry.py:SymmetryGroup._centralizer_lifts"}
+
+
+def test_the_class_walk_lists_no_member():
+    readers = set()
+    for path in MODULES:
+        readers |= {f"{path.name}:{name}" for name in _readers(
+            _tree(path), lambda node: isinstance(node, ast.Attribute) and node.attr == "preimages")}
+    assert "symmetry.py:SymmetryGroup.class_transversals" not in readers
+    assert readers == PREIMAGE_READERS, readers
 
 
 # the one output that prints a whole group, element by element

@@ -237,6 +237,50 @@ def test_b_state_space_names_first_non_sl_element(quartic):
     assert str(info.value) == "(1/4, 0, 0, 0) has determinant e(1/4) ≠ 1"
 
 
+def test_the_named_non_sl_element_is_the_first_in_the_listing():
+    # the element the error names is read off N's Hermite rows and the
+    # lifts; on seeded random groups, diagonal and not, it is the first
+    # element outside SL in the group's listing, from N or from a lift
+    rng = random.Random(69)
+    named = {True: 0, False: 0}  # by whether the named element is diagonal
+    for _ in range(200):
+        n, balanced = rng.randint(2, 5), rng.random() < 0.5
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(n))
+            if rng.random() < 0.5:
+                rng.shuffle(perm)
+            den = rng.choice([1, 2, 3, 4, 6])
+            phases = [F(rng.randrange(den), den) for _ in perm]
+            if balanced:  # phases summing to 0 keep N in SL: only a lift can leave it
+                phases[-1] -= sum(phases)
+            gens.append(lg.MonomialSymmetry(perm, phases))
+        try:
+            group = lg.closure(gens, cap=3000)
+        except CapExceededError:
+            continue
+        first = next((g for g in group if g.det_num()), None)
+        if first is None:
+            continue
+        named[first.is_diagonal] += 1
+        with pytest.raises(NotAdmissibleBError) as info:
+            lg.b_state_space(fermat([3] * n), group)
+        assert str(info.value) == f"{first.label()} has determinant e({first.det_phase()}) ≠ 1"
+    assert min(named.values()) >= 20, named
+
+
+def test_a_million_element_group_outside_sl_is_not_listed():
+    # G* of G = ⟨diag(1/100, 0, 0, 0)⟩ on four 100th powers has 10⁶
+    # elements; the one the error names is found without listing them
+    poly = lg.parse_polynomial("x1^100 + x2^100 + x3^100 + x4^100")
+    star = lg.nonabelian_dual(lg.closure([diag("1/100", 0, 0, 0)]), poly)
+    assert star.order == 10 ** 6
+    with pytest.raises(NotAdmissibleBError) as info:
+        lg.b_state_space(poly.transpose(), star)
+    assert str(info.value) == "(0, 0, 0, 1/100) has determinant e(1/100) ≠ 1"
+    assert "_forms" not in star.__dict__ and "elements" not in star.__dict__
+
+
 def test_age_identity_and_bidegree_offsets(quartic, quartic_group, quintic,
                                            good_group, bad_group):
     # age g⁻¹ = n − dim Fix(g) − age g on every element of the paper's G and
@@ -402,8 +446,8 @@ def test_kept_monomials_match_a_filter_and_are_counted_first():
     for _ in range(20):
         poly, group = random_mirror_instance(rng)
         mod = group.modulus
-        for members in group.class_transversals():
-            g = lg.MonomialSymmetry.from_numerators(*members[0][0], mod)
+        for cosets in group.class_transversals:
+            g = lg.MonomialSymmetry.from_numerators(*cosets[0][0], mod)
             sector = lg.build_sector(poly, g)
             gens = group._part(g.perm).generators
             firsts = [cycle[0] for cycle in sector.locus.cycles]
