@@ -17,6 +17,8 @@ output mode asked for.
 Rationals serialize as "p/q" strings; every list is emitted in canonical
 order, so identical input yields identical bytes: ``--json`` writes in one
 pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
+Element and class records, the bulk of a group block, are made once as
+that text (``_Text``) and spliced in at their depth.
 """
 
 from __future__ import annotations
@@ -111,15 +113,22 @@ def _bidegree(bd) -> list[str]:
     return [str(bd[0]), str(bd[1])]
 
 
-def _element_json(perm, nums, mod: int) -> dict:  # the integer form (perm, nums over mod)
-    return {"perm": symmetry._cycle_text(perm),
-            "phases": [symmetry.phase_text(x, mod) for x in nums]}
+class _Text(str):
+    """A record written as ``json.dumps(record, indent=2)`` writes it at depth 0."""
+    __slots__ = ()
+
+
+def _element_json(perm, nums, mod: int) -> _Text:  # the integer form (perm, nums over mod), n ≥ 1
+    """{"perm": …, "phases": […]} as text; cycle and phase texts need no escapes."""
+    return _Text('{\n  "perm": "%s",\n  "phases": [\n    "%s"\n  ]\n}' % (
+        symmetry._cycle_text(perm), '",\n    "'.join([symmetry.phase_text(x, mod) for x in nums])))
 
 
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": lambda: [
-        {"size": group.class_size(cosets),
-         "representative": _element_json(*cosets[0][0], group.modulus)}
+        _Text('{\n  "size": %d,\n  "representative": %s\n}' % (
+            group.class_size(cosets),
+            _element_json(*cosets[0][0], group.modulus).replace("\n", "\n  ")))
         for cosets in group.class_transversals]}
 
 
@@ -309,8 +318,11 @@ def _json_chunks(value, out: list[str], head: str = "", pad: str = "\n") -> None
     """Append ``value`` as ``json.dumps(value, indent=2)`` writes it, one
     chunk per scalar with ``head``, the separator, indentation and key before
     it, fused in; ``pad`` indents the closing bracket of the container.  A
-    zero-argument callable is rendered as the value it returns."""
-    if isinstance(value, str):
+    zero-argument callable is rendered as the value it returns, and a record
+    already written as text (``_Text``) is spliced in, each line indented by ``pad``."""
+    if type(value) is _Text:
+        out.append(head + value.replace("\n", pad))
+    elif isinstance(value, str):
         out.append(head + encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
         out.append(head + ("null" if value is None else "true" if value else "false"))

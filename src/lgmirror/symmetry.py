@@ -331,12 +331,18 @@ def _lattice_forms(basis, mod: int, start, within=None):
     the last pivot below ``mod``, run beside it as progressions.  Given the
     Hermite rows ``within`` of a sublattice I ⊂ Λ, coordinate i runs below
     I's pivot k_ii, a multiple of h_ii, instead of ``mod``: that leaves the
-    least member of each coset of I, the one ``reduce_by`` gives."""
+    least member of each coset of I, the one ``reduce_by`` gives.  A level
+    where only one value passes (k_ii = h_ii, or h_ii = ``mod``) just
+    reduces each vector by its row."""
     last = max((i for i, row in enumerate(basis) if row[i] < mod), default=0)
     level = [tuple(start)]
     for i, row in enumerate(basis[:last + 1]):
         h, step, grown = row[i], row[i + 1:], []
         top = within[i][i] if within else mod
+        if top == h:  # v less the multiple of the row that reaches v[i] % h
+            level = [v if v[i] < h else tuple([(x - v[i] // h * y) % mod for x, y in zip(v, row)])
+                     for v in level]
+            continue
         for v in level:
             low = v[i] % h
             c = (low - v[i]) // h  # the multiple of the row that reaches low
@@ -531,6 +537,12 @@ class SymmetryGroup:
             return [[(form, ident)] for form in self._forms]
         mod, ident = self.modulus, self.lifts[0]
         gens = [(_invert(g, mod), g) for g in self._lift_gens]
+        # per σ ∈ P and lift generator g: g⁻¹·(σ, x)·g = (τ, b + x∘j) with j = g⁻¹(i)
+        steps = {sigma: [(tuple([g[0][sigma[j]] for j in pi]), pi,
+                          [(b + g[1][sigma[j]]) % mod for b, j in zip(ni, pi)], g)
+                         for (pi, ni), g in gens] for sigma, _ in self.lifts}
+        rows = {tau: [(i, row) for i, row in enumerate(self._part(tau).image) if row[i] < mod]
+                for tau, _ in self.lifts}  # the rows of im φ_τ with a pivot below M
         met, classes = set(), []  # the least member of each coset reached so far
         for sigma, a in self.lifts:
             for r in self._coset(a, within=self._part(sigma).image):
@@ -539,13 +551,14 @@ class SymmetryGroup:
                 met.add((sigma, r))
                 cosets = [((sigma, r), ident)]
                 for (px, nx), word in cosets:  # grows while it is read
-                    for (pi, ni), g in gens:
-                        pg, ng = g  # g⁻¹·y·g in one pass, with j = g⁻¹(i)
-                        pz = tuple([pg[px[j]] for j in pi])
-                        nz = tuple([(b + nx[j] + ng[px[j]]) % mod for b, j in zip(ni, pi)])
-                        key = (pz, reduce_by(nz, self._part(pz).image, mod))
-                        if key not in met:
-                            met.add(key)
+                    for pz, pi, offsets, g in steps[px]:
+                        nz = key = tuple([(b + nx[j]) % mod for b, j in zip(offsets, pi)])
+                        for i, row in rows[pz]:  # reduce_by, on those rows alone
+                            q = key[i] // row[i]
+                            if q:
+                                key = tuple([(x - q * y) % mod for x, y in zip(key, row)])
+                        if (pz, key) not in met:
+                            met.add((pz, key))
                             cosets.append(((pz, nz), _compose(word, g, mod)))
                 classes.append(cosets)
         return classes
@@ -575,16 +588,20 @@ class SymmetryGroup:
         basis of N^σ = ker φ_σ, whose generators are read off it.  Its first
         n rows (v, c) span im φ_σ, c a preimage of v: their first halves
         are im φ_σ's Hermite form, and listing their combinations gives each
-        value once, with a preimage.  For σ = id they are M·eᵢ: N^id = N."""
+        value once, with a preimage.  For σ = id that form is known, so it is
+        written down: N^id = N, its first rows are M·eᵢ and φ_id is 0."""
         if sigma not in self._parts:
-            n, mod, ident = self.n, self.modulus, self.lifts[0][0]
-            form = hermite([[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
-                            for row in self.basis], mod)
-            basis = [row[n:] for row in form[n:]]
-            self._parts[sigma] = _Part(
-                basis, [(ident, row) for row in _lattice_generators(basis, mod)],
-                [row[:n] for row in form[:n]],
-                {v[:n]: v[n:] for v in self._coset((0,) * 2 * n, form[:n])})
+            n, mod, ident, zero = self.n, self.modulus, self.lifts[0][0], (0,) * self.n
+            if sigma == ident:
+                basis, preimages = list(self.basis), {zero: zero}
+                image = [zero[:i] + (mod,) + zero[i + 1:] for i in range(n)]
+            else:
+                form = hermite([[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
+                                for row in self.basis], mod)
+                basis, image = [row[n:] for row in form[n:]], [row[:n] for row in form[:n]]
+                preimages = {v[:n]: v[n:] for v in self._coset(zero * 2, form[:n])}
+            generators = [(ident, row) for row in _lattice_generators(basis, mod)]
+            self._parts[sigma] = _Part(basis, generators, image, preimages)
         return self._parts[sigma]
 
     def _centralizer_lifts(self, sigma, a):

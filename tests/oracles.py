@@ -20,7 +20,8 @@ classes from H⋊K against orbits under a conjugation table of every element
 by every generator, the class walk over cosets of im φ_σ, its cosets
 listed member by member, against the walk over element positions it
 replaced, each permutation part's values and
-preimages of φ_σ and its N^σ against a scan of N, structural centralizers
+preimages of φ_σ and its N^σ against a scan of N, the record of σ = id,
+written down, against the elimination that gives every other σ's, structural centralizers
 against a filter of every element of the group, and the ordered subgroup
 walk against the original enumeration, which collects every subgroup before
 sorting them.  The
@@ -68,6 +69,7 @@ from lgmirror.errors import (
     TheoremViolationError,
 )
 from lgmirror.linalg import hermite
+from lgmirror.symmetry import _lattice_forms, _lattice_generators
 from lgmirror.polynomial import parse_digits
 
 ZERO = Fraction(0)
@@ -577,6 +579,21 @@ def preimages_by_scan(group, sigma):
         if not any(v):
             kernel.append(c)
     return preimage, hermite(kernel, mod)
+
+
+def part_by_elimination(group, sigma):
+    """σ's record (``SymmetryGroup._part``) as one Hermite form over 2n
+    columns of the pairs (φ_σ(c), c), c in N's basis, gives it for every σ,
+    σ = id included: N^σ's basis and generators from its last n rows, im
+    φ_σ's rows from its first n, and each value of φ_σ with a preimage from
+    their combinations, 0 first."""
+    n, mod, ident = group.n, group.modulus, group.lifts[0][0]
+    form = hermite([[(row[s] - x) % mod for s, x in zip(sigma, row)] + list(row)
+                    for row in group.basis], mod)
+    basis = [row[n:] for row in form[n:]]
+    return (basis, [(ident, row) for row in _lattice_generators(basis, mod)],
+            [row[:n] for row in form[:n]],
+            {v[:n]: v[n:] for v in _lattice_forms(form[:n], mod, (0,) * 2 * n)})
 
 
 def brute_force_centralizer(group, g):
@@ -1351,6 +1368,28 @@ def random_class_permutation(rng: random.Random, ds, even_only: bool):
     size = rng.choice([2, min(3, len(cls))])
     picks = rng.sample(cls, size)
     return MonomialSymmetry.from_cycles([tuple(picks)], n)
+
+
+def random_monomial_group(rng: random.Random, cap: int) -> SymmetryGroup:
+    """The closure of random monomial symmetries on 1–5 variables, of
+    order at most ``cap``: up to two diagonal ones and up to two
+    permutations, with phases at times (so some lifts are nonzero), all over
+    one modulus from 1 to 6; on 4 variables, at times A4 = ⟨(1 2 3), (2 3 4)⟩
+    instead of the permutations."""
+    while True:
+        n, mod = rng.randint(1, 5), rng.randint(1, 6)
+        perms = [tuple(range(n))] * rng.randint(0, 2)
+        if n == 4 and rng.random() < 0.3:
+            perms += [(1, 2, 0, 3), (0, 2, 3, 1)]
+        else:
+            perms += [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 2))]
+        gens = [MonomialSymmetry.from_numerators(
+            perm, [rng.randrange(mod) if rng.random() < 0.6 else 0 for _ in range(n)], mod)
+            for perm in perms]
+        try:
+            return closure(gens or [MonomialSymmetry.identity(n)], cap=cap)
+        except CapExceededError:
+            continue
 
 
 def random_action_instance(rng: random.Random, max_order=200, max_nodes=100):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror import cli
+from oracles import frac_cycles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -756,8 +757,14 @@ def test_fuzzed_spec_files_exit_cleanly(tmp_path_factory, seed, command,
 
 # --- the JSON writer and the argument parser ---------------------------------
 
+_RECORDS = {}  # a record's text -> its dict form, built here without the writer
+
+
 def _called(value):
-    """``value`` with every callable, at any depth, replaced by its result."""
+    """``value`` with every callable, at any depth, replaced by its result,
+    and every record written as text by its dict form."""
+    if type(value) is cli._Text:
+        return _RECORDS[value]
     if callable(value):
         return _called(value())
     if isinstance(value, dict):
@@ -768,9 +775,35 @@ def _called(value):
 
 
 _awkward_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀'), max_size=8)
+
+
+@st.composite
+def _records(draw):
+    """An element record or a class record, as ``cli`` writes it, for a
+    random integer form on 1–7 variables over a modulus up to 10⁶."""
+    n = draw(st.integers(1, 7))
+    perm = tuple(draw(st.permutations(range(n))))
+    mod = draw(st.integers(1, 10 ** 6))
+    nums = tuple(draw(st.lists(st.integers(0, mod - 1), min_size=n, max_size=n)))
+    element = {"perm": "".join("(" + " ".join(str(i + 1) for i in c) + ")"
+                               for c in frac_cycles(perm) if len(c) > 1) or "()",
+               "phases": [str(Fraction(x, mod)) for x in nums]}
+    if draw(st.booleans()):
+        text = cli._element_json(perm, nums, mod)
+        _RECORDS[text] = element
+        return text
+    size = draw(st.integers(1, 10 ** 6))
+    group = types.SimpleNamespace(order=size, modulus=mod, class_size=lambda cosets: size,
+                                  class_transversals=[[((perm, nums), None)]])
+    (text,) = cli._group_json(group)["classes"]()
+    _RECORDS[text] = {"size": size, "representative": element}
+    return text
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.text(max_size=8) | _awkward_text |
-    st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 64]),
+    st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 64]) |
+    _records(),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner) |
                    st.dictionaries(st.text(max_size=4) | _awkward_text, inner, max_size=4) |
                    inner.map(lambda value: lambda: value)),

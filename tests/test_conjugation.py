@@ -26,8 +26,10 @@ from oracles import (
     fermat,
     frac_conjugacy_classes,
     frac_form,
+    part_by_elimination,
     preimages_by_scan,
     random_mirror_instance,
+    random_monomial_group,
     search_invariant_basis,
     table_classes,
 )
@@ -165,7 +167,8 @@ def test_permutation_parts_match_a_scan_of_n(cases, good_group, bad_group, cubic
 
 def test_class_transversals_eliminate_once_per_permutation_part(cases, monkeypatch):
     # the class walk reads N^σ and the preimages of φ_σ from one record per
-    # σ, made by one Hermite form over 2n columns, and meets every σ ∈ P
+    # σ, made by one Hermite form over 2n columns, and meets every σ ∈ P;
+    # the record of σ = id is written down, with no elimination
     calls = []
 
     def counted(rows, mod):
@@ -179,7 +182,58 @@ def test_class_transversals_eliminate_once_per_permutation_part(cases, monkeypat
         monkeypatch.setattr(lg.symmetry, "hermite", counted)
         assert fresh.class_transversals == expected
         monkeypatch.undo()
-        assert not fresh.is_diagonal and calls == [2 * fresh.n] * len(fresh.lifts)
+        assert not fresh.is_diagonal and calls == [2 * fresh.n] * (len(fresh.lifts) - 1)
+
+
+def test_the_identity_record_is_the_elimination_written_down():
+    # N^id = N and im φ_id = 0, so σ = id's record is written down; it must
+    # be the value the 2n-column elimination gives, field by field, the
+    # preimages in their order
+    rng, kinds = random.Random(28), set()
+    for _ in range(240):
+        group = random_monomial_group(rng, cap=10 ** 6)
+        kinds.add(group.is_diagonal)
+        ident = group.lifts[0][0]
+        part, expected = group._part(ident), part_by_elimination(group, ident)
+        assert list(part[:3]) == list(expected[:3])
+        assert list(part.preimages.items()) == list(expected[3].items())
+    assert kinds == {True, False}
+
+
+def test_the_identity_record_and_a_diagonal_group_run_no_elimination(monkeypatch, quartic,
+                                                                     quartic_group, bad_star):
+    # no Hermite form for σ = id on any group, nor for a diagonal group's
+    # classes, their sizes and its invariant search
+    groups = [quartic_group, bad_star, lg.closure([lg.exponential_grading(quartic)])]
+    assert [g.is_diagonal for g in groups] == [False, False, True]
+    fresh = [lg.SymmetryGroup(g.modulus, g.basis, g.lifts) for g in groups]
+
+    def refuse(*args):
+        raise AssertionError("no elimination expected")
+    monkeypatch.setattr(lg.symmetry, "hermite", refuse)
+    for group in fresh:
+        assert group._part(group.lifts[0][0]).preimages == {group.lifts[0][1]: group.lifts[0][1]}
+    diagonal = fresh[-1]
+    sizes = [diagonal.class_size(cosets) for cosets in diagonal.class_transversals]
+    assert sizes == [1] * diagonal.order
+    assert len(lg.invariant_basis(quartic, diagonal, "A")) > 0
+
+
+def test_class_walk_matches_the_element_walk_on_random_groups():
+    # non-diagonal groups of order at most 200 on 1–5 variables, with
+    # nonzero lifts, A4 on 4 variables (|P| = 12) and |P| up to 120: the
+    # coset walk, words and preimages included, against the walk over
+    # element positions
+    rng, seen, parts, phased = random.Random(2828), 0, set(), False
+    while seen < 110:
+        group = random_monomial_group(rng, cap=200)
+        if group.is_diagonal:
+            continue
+        seen += 1
+        parts.add(len(group.lifts))
+        phased |= any(any(a) for _, a in group.lifts)
+        assert class_members(group) == class_walk_by_elements(group)
+    assert 12 in parts and max(parts) > 12 and phased
 
 
 def test_class_walk_over_cosets_matches_the_element_walk(quartic, good_group, bad_group):

@@ -130,7 +130,7 @@ def test_a_centralizer_lists_only_the_diagonal_part(monkeypatch):
     assert "_forms" not in star.__dict__ and "_forms" not in cent.__dict__
     assert listed and max(listed) < 46_656, listed
     # on the G = j; (1 2 3) sextic's G* (|N| = 46,656), each σ's record
-    # lists |im φ_σ| = |N|/|N^σ| values, not N
+    # lists |im φ_σ| = |N|/|N^σ| values, not N, and σ = id's lists nothing
     group = lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3)".split(";"))
     star = lg.nonabelian_dual(group, poly)
     order_n = star.order // len(star.lifts)
@@ -141,4 +141,4 @@ def test_a_centralizer_lists_only_the_diagonal_part(monkeypatch):
         fixed = prod(star.modulus // row[i] for i, row in enumerate(part.basis))
         assert len(part.preimages) == order_n // fixed
         sizes.append(len(part.preimages))
-    assert sizes == [1, 36, 36] and listed == sizes
+    assert sizes == [1, 36, 36] and listed == sizes[1:]
