@@ -17,8 +17,8 @@ output mode asked for.
 Rationals serialize as "p/q" strings; every list is emitted in canonical
 order, so identical input yields identical bytes: ``--json`` writes in one
 pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
-Element and class records, the bulk of a group block, are made once as
-that text (``_Text``) and spliced in at their depth.
+Element, class and term records, the bulk of a group block or a state
+space, are made once as that text (``_Text``) and spliced in at their depth.
 """
 
 from __future__ import annotations
@@ -124,6 +124,14 @@ def _element_json(perm, nums, mod: int) -> _Text:  # the integer form (perm, num
         symmetry._cycle_text(perm), '",\n    "'.join([symmetry.phase_text(x, mod) for x in nums])))
 
 
+def _term_json(form, exps, p: int, gmod: int, mod: int) -> _Text:
+    """{"phase": …, "exponents": […], "element": {…}} for a node, p over ``mod``."""
+    exponents = "[\n    %s\n  ]" % ",\n    ".join(map(str, exps)) if exps else "[]"
+    element = _element_json(*form, gmod).replace("\n", "\n  ")
+    return _Text('{\n  "phase": "%s",\n  "exponents": %s,\n  "element": %s\n}' % (
+        symmetry.phase_text(p, mod), exponents, element))
+
+
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": lambda: [
         _Text('{\n  "size": %d,\n  "representative": %s\n}' % (
@@ -147,8 +155,7 @@ def _space_json(space: state_space.GradedSpace) -> dict:
     mod = lcm(2, gmod)
     basis = [{"bidegree": _bidegree(v.bidegree),
               "label": state_space.vector_label(v, space.poly),
-              "terms": [{"phase": symmetry.phase_text(p, mod), "exponents": list(exps),
-                         "element": _element_json(*form, gmod)} for form, exps, p in v.nodes]}
+              "terms": [_term_json(*node, gmod, mod) for node in v.nodes]}
              for v in space.basis]
     return {"total_dim": space.total_dim, "dims": _dims_json(space),
             "basis": basis, "census": space.census()}

@@ -14,6 +14,8 @@ orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of moves has total phase 0.  They are
 found one conjugacy class at a time (``invariant_basis``), each pullback
 map from γ's form and two fixed loci (``form_locus``), and no sector built.
+A narrow sector (no fixed cycle) has one state, which every conjugation
+fixes, so its class gives its class sum with no locus, map or search.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
@@ -268,11 +270,12 @@ def _carries(group: SymmetryGroup, cosets, fixed, mod: int):
     each member x = c⁻¹·y·c, c a preimage that y's σ record (``_part``)
     keeps, 0 first, with c's numerators over ``mod`` at the first index C₀
     of each fixed cycle C of y (r's are ``fixed``) and their sum.  Both loci are
-    read off the forms, r's when a head first needs it.  c* keeps every cycle,
+    read off the forms, r's when a head first needs it, and neither for a
+    narrow class (``fixed`` empty), whose maps are None.  c* keeps every cycle,
     with scalar c[C₀] and no sign: it multiplies y^b·ω by e(Σ_C (b_C + 1)·c[C₀])."""
     gmod, out, source, sm = group.modulus, [], None, None
     for y, w in cosets:
-        if out:  # the head y = w⁻¹·r·w of another coset
+        if out and fixed:  # the head y = w⁻¹·r·w of another coset, if it has a locus
             source = source or form_locus(*cosets[0][0], gmod)
             target = form_locus(*y, gmod)
             sm, fixed = sector_map(w, gmod, source, target), target.cycles
@@ -300,7 +303,9 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     every loop closes with total phase 0.  As (w·c)* = c*∘w*, it reaches
     each conjugate t⁻¹·r·t, t = w·c, by the map of the lift word w, one per
     coset of N, then by the character of the diagonal c (``_carries``).
-    The least term of its orbit sum, in the sector of r, has phase 0.
+    The least term of its orbit sum, in the sector of r, has phase 0.  A
+    narrow class (r fixes no cycle) keeps its one state in every member:
+    its vector, phase 0 throughout, needs no lifts, locus, map or search.
     """
     gmod = group.modulus
     for g in group.generators:  # the symmetries of W form a group
@@ -330,14 +335,19 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         counted += len(kept) * size
         if not kept:
             continue
+        u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
+        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
+        if not fixed:  # a narrow sector's one state: every conjugation fixes it
+            nodes = sorted([(x, (), 0) for _, coset in _carries(group, cosets, fixed, mod)
+                            for x, _, _ in coset])
+            vectors.append(GradedBasisVector(side, group, tuple(nodes), (u, v), den))
+            continue
         # a fixed locus and maps only where lifts move monomials
         lift_gens = [] if group.is_diagonal else group._centralizer_lifts(perm, nums)[1]
         locus = form_locus(perm, nums, gmod) if lift_gens else None
         moves = [sector_map(lift, gmod, locus, locus) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
         steps = [den // d_all[c[0]] for c in fixed]  # den·q_C per fixed cycle
-        u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
-        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
         done: set[tuple[int, ...]] = set()
         for lead in kept:  # an orbit's nodes are all kept: its least comes first
             if lead in done:
@@ -456,10 +466,11 @@ def monomial_label(poly: InvertiblePolynomial, locus: FixedLocus,
 
 
 def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial) -> str:
-    """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``."""
+    """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``; a
+    term's fixed locus is read only when it has a nonzero exponent."""
     gmod = vector.group.modulus
     mod, chunks = lcm(2, gmod), []
     for form, exps, p in vector.nodes:  # the lead, first, has phase 0
-        locus, label = form_locus(*form, gmod), form_label(*form, gmod)
-        chunks.append(f"{_coefficient(p, mod)}[{monomial_label(poly, locus, exps)}, {label}]")
+        monomial = monomial_label(poly, form_locus(*form, gmod), exps) if any(exps) else "1"
+        chunks.append(f"{_coefficient(p, mod)}[{monomial}, {form_label(*form, gmod)}]")
     return " + ".join(chunks).replace("+ -", "- ")

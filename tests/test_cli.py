@@ -10,6 +10,7 @@ import sys
 import time
 import types
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -779,8 +780,9 @@ _awkward_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀'),
 
 @st.composite
 def _records(draw):
-    """An element record or a class record, as ``cli`` writes it, for a
-    random integer form on 1–7 variables over a modulus up to 10⁶."""
+    """An element, class or term record, as ``cli`` writes it, for a random
+    integer form on 1–7 variables over a modulus up to 10⁶; a term's
+    exponents may be empty, as a narrow sector's are."""
     n = draw(st.integers(1, 7))
     perm = tuple(draw(st.permutations(range(n))))
     mod = draw(st.integers(1, 10 ** 6))
@@ -788,9 +790,17 @@ def _records(draw):
     element = {"perm": "".join("(" + " ".join(str(i + 1) for i in c) + ")"
                                for c in frac_cycles(perm) if len(c) > 1) or "()",
                "phases": [str(Fraction(x, mod)) for x in nums]}
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["element", "class", "term"]))
+    if kind == "element":
         text = cli._element_json(perm, nums, mod)
         _RECORDS[text] = element
+        return text
+    if kind == "term":
+        exps = draw(st.lists(st.integers(0, 10 ** 6), max_size=n))
+        p = draw(st.integers(0, lcm(2, mod) - 1))
+        text = cli._term_json((perm, nums), tuple(exps), p, mod, lcm(2, mod))
+        _RECORDS[text] = {"phase": str(Fraction(p, lcm(2, mod))), "exponents": exps,
+                          "element": element}
         return text
     size = draw(st.integers(1, 10 ** 6))
     group = types.SimpleNamespace(order=size, modulus=mod, class_size=lambda cosets: size,

@@ -103,15 +103,20 @@ def test_conjugation_table_and_classes(cases, name):
         [frac_form(g) for g in group.generators])
 
 
-def test_invariant_basis_matches_on_random_models():
-    rng = random.Random(3)
+@pytest.fixture(scope="module")
+def random_sides():
+    """Both sides of 30 random admissible models (seed 3)."""
+    rng, sides = random.Random(3), []
     for _ in range(30):
         poly, group = random_mirror_instance(rng)
-        star = lg.nonabelian_dual(group, poly)
-        for w, g, side in ((poly, group, "A"), (poly.transpose(), star, "B")):
-            assert_table_rows(g)
-            assert_same_basis(lg.invariant_basis(w, g, side),
-                              search_invariant_basis(w, g, side))
+        sides += [(poly, group, "A"), (poly.transpose(), lg.nonabelian_dual(group, poly), "B")]
+    return sides
+
+
+def test_invariant_basis_matches_on_random_models(random_sides):
+    for w, g, side in random_sides:
+        assert_table_rows(g)
+        assert_same_basis(lg.invariant_basis(w, g, side), search_invariant_basis(w, g, side))
 
 
 def assert_fixed_generators(group):
@@ -347,6 +352,30 @@ def test_invariant_basis_matches_on_cubics(cubic_sides):
 def test_cubic_classes_match_table(cubic_sides):
     for _, group, _ in cubic_sides:
         assert_table_rows(group)
+
+
+def spread_narrow_classes(group) -> int:
+    """Classes with no fixed cycle, σ ≠ id, several cosets of im φ_σ and
+    several members per coset: where the search's narrow exit lists the
+    class sum from ``_carries`` alone."""
+    ident, mod = group.lifts[0][0], group.modulus
+    return sum(1 for cosets in group.class_transversals
+               if cosets[0][0][0] != ident and not lg.symmetry.form_cycles(*cosets[0][0], mod)
+               and len(cosets) > 1 and len(group._part(cosets[0][0][0]).preimages) > 1)
+
+
+def test_the_oracle_comparisons_reach_spread_narrow_classes(cases, quartic, random_sides):
+    # the groups compared with search_invariant_basis above: 12 such classes
+    # in the bad quintic's G*, 2 in the quartic groups, 4 in the random
+    # models' G* and 16 in the 6 cubics' non-abelian G*
+    degrees, cubic_text, _ = CUBICS["6 cubics, G = j; (1 2 3); (4 5 6)"]
+    cubic = fermat(degrees)
+    groups = [cases[name][1] for name in NAMES] + [g for _, g, _ in random_sides] + [
+        lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+        for text in QUARTIC_GROUPS] + [lg.nonabelian_dual(lg.closure(
+            lg.parse_generator(t, cubic) for t in cubic_text.split(";")), cubic)]
+    counts = [spread_narrow_classes(group) for group in groups]
+    assert sum(counts) >= 30 and sum(count > 0 for count in counts) >= 4
 
 
 def test_abelian_b_side_builds_no_sector_map(monkeypatch):

@@ -523,6 +523,59 @@ def test_the_search_makes_no_element_and_checks_each_generator_once(
         assert checked == list(group.generators)
 
 
+def test_a_narrow_class_builds_no_centralizer_locus_or_map(
+        quartic, quartic_group, quintic, good_group, bad_group, quartic_report, good_report,
+        bad_report, monkeypatch):
+    # a narrow sector (no fixed cycle) has one state, which every conjugation
+    # fixes, so its class keeps the class sum with no centralizer lifts, fixed
+    # locus, pullback map or orbit search; and a term with no exponent is
+    # labelled "1" with no fixed locus.  The counts (lifts, loci, maps) are
+    # over one full_comparison of each paper model, both sides
+    cubic = fermat([3] * 6)
+    cubic_group = lg.closure(lg.parse_generator(t, cubic) for t in "j; (1 2 3); (4 5 6)".split(";"))
+    cases = [(quartic, quartic_group, quartic_report, (6, 6, 6)),
+             (quintic, good_group, good_report, (4, 4, 4)),
+             (quintic, bad_group, bad_report, (8, 8, 16)),
+             (cubic, cubic_group, lg.full_comparison(cubic, cubic_group), None)]
+    lifts, loci, maps = [], [], []
+    centralizer_lifts, locus, pullback = (lg.SymmetryGroup._centralizer_lifts,
+                                          lg.state_space.form_locus, lg.state_space.sector_map)
+
+    def lifting(group, sigma, a):
+        lifts.append(len(lg.symmetry.form_cycles(sigma, a, group.modulus)))
+        return centralizer_lifts(group, sigma, a)
+
+    def reading(perm, nums, mod):
+        fixed = locus(perm, nums, mod)
+        loci.append(((perm, nums), fixed.dim))
+        return fixed
+
+    def mapping(gamma, mod, source, target):
+        maps.append(source.dim)
+        return pullback(gamma, mod, source, target)
+    for poly, group, expected, counts in cases:
+        del lifts[:], loci[:], maps[:]
+        monkeypatch.setattr(lg.SymmetryGroup, "_centralizer_lifts", lifting)
+        monkeypatch.setattr(lg.state_space, "form_locus", reading)
+        monkeypatch.setattr(lg.state_space, "sector_map", mapping)
+        report = lg.full_comparison(poly, group)
+        monkeypatch.undo()
+        assert (report.a_space.basis, report.b_space.basis) == \
+            (expected.a_space.basis, expected.b_space.basis)
+        assert 0 not in lifts and 0 not in maps and all(dim for _, dim in loci)
+        if counts is not None:
+            assert (len(lifts), len(loci), len(maps)) == counts
+        for space in (report.a_space, report.b_space):
+            assert any(v.leading[2].fixed_locus().dim == 0 for v in space.basis)
+            loci.clear()
+            monkeypatch.setattr(lg.state_space, "form_locus", reading)
+            labels = [lg.vector_label(v, space.poly) for v in space.basis]
+            monkeypatch.undo()
+            assert [form for form, _ in loci] == \
+                [form for v in space.basis for form, exps, _ in v.nodes if any(exps)]
+            assert "[1, " in "".join(labels)
+
+
 def test_character_dims_match_every_bigraded_dimension(quartic_report, good_report,
                                                        bad_report):
     # each dimension from graded characters averaged over centralizers, with
