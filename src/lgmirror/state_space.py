@@ -15,7 +15,7 @@ vector exactly when every closed loop of moves has total phase 0.  They are
 found one conjugacy class at a time (``invariant_basis``), each pullback
 map from γ's form and two fixed loci (``form_locus``), and no sector built.
 A narrow sector (no fixed cycle) has one state, which every conjugation
-fixes, so its class gives its class sum with no locus, map or search.
+fixes, so its class builds no lifts, locus or map to give its class sum.
 
 Bigradings:  A-side  (deg P + age g − age j_W,  N_g − deg P + age g − age j_W)
              B-side  (deg P + age g − age j_W,  deg P + age g⁻¹ − age j_W)
@@ -305,7 +305,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     coset of N, then by the character of the diagonal c (``_carries``).
     The least term of its orbit sum, in the sector of r, has phase 0.  A
     narrow class (r fixes no cycle) keeps its one state in every member:
-    its vector, phase 0 throughout, needs no lifts, locus, map or search.
+    it builds no lifts, locus or map, and its search is the one node ().
     """
     gmod = group.modulus
     for g in group.generators:  # the symmetries of W form a group
@@ -335,19 +335,16 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
         counted += len(kept) * size
         if not kept:
             continue
-        u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
-        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
-        if not fixed:  # a narrow sector's one state: every conjugation fixes it
-            nodes = sorted([(x, (), 0) for _, coset in _carries(group, cosets, fixed, mod)
-                            for x, _, _ in coset])
-            vectors.append(GradedBasisVector(side, group, tuple(nodes), (u, v), den))
-            continue
-        # a fixed locus and maps only where lifts move monomials
-        lift_gens = [] if group.is_diagonal else group._centralizer_lifts(perm, nums)[1]
+        # a fixed locus and maps only where lifts move monomials: a narrow
+        # sector's one state (no fixed cycle) is fixed by every conjugation
+        lift_gens = ([] if group.is_diagonal or not fixed
+                     else group._centralizer_lifts(perm, nums)[1])
         locus = form_locus(perm, nums, gmod) if lift_gens else None
         moves = [sector_map(lift, gmod, locus, locus) for lift in lift_gens]
         carries = None  # built with the class's first invariant orbit
         steps = [den // d_all[c[0]] for c in fixed]  # den·q_C per fixed cycle
+        u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
+        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
         done: set[tuple[int, ...]] = set()
         for lead in kept:  # an orbit's nodes are all kept: its least comes first
             if lead in done:

@@ -85,12 +85,28 @@ def assert_same_basis(basis, expected):
         [(v.side, v.terms, v.bidegree) for v in expected]
 
 
+def spread_narrow_classes(group) -> int:
+    """Classes with no fixed cycle, σ ≠ id, several cosets of im φ_σ and
+    several members per coset: where a narrow class's sum is listed from
+    ``_carries`` with no lifts, locus or map."""
+    ident, mod = group.lifts[0][0], group.modulus
+    return sum(1 for cosets in group.class_transversals
+               if cosets[0][0][0] != ident and not lg.symmetry.form_cycles(*cosets[0][0], mod)
+               and len(cosets) > 1 and len(group._part(cosets[0][0][0]).preimages) > 1)
+
+
+# the least number of such classes each oracle comparison below reaches
+SPREAD_NARROW = {"bad quintic G*": 12, "random models": 4, QUARTIC_GROUPS[2]: 2,
+                 "6 cubics, G = j; (1 2 3); (4 5 6)": 16}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_invariant_basis_matches_per_element_search(cases, name):
     poly, group, side = cases[name]
     basis = lg.invariant_basis(poly, group, side)
     assert_same_basis(basis, search_invariant_basis(poly, group, side))
     assert len(basis) > 0
+    assert spread_narrow_classes(group) >= SPREAD_NARROW.get(name, 0)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -103,20 +119,17 @@ def test_conjugation_table_and_classes(cases, name):
         [frac_form(g) for g in group.generators])
 
 
-@pytest.fixture(scope="module")
-def random_sides():
-    """Both sides of 30 random admissible models (seed 3)."""
-    rng, sides = random.Random(3), []
+def test_invariant_basis_matches_on_random_models():
+    rng, spread = random.Random(3), 0
     for _ in range(30):
         poly, group = random_mirror_instance(rng)
-        sides += [(poly, group, "A"), (poly.transpose(), lg.nonabelian_dual(group, poly), "B")]
-    return sides
-
-
-def test_invariant_basis_matches_on_random_models(random_sides):
-    for w, g, side in random_sides:
-        assert_table_rows(g)
-        assert_same_basis(lg.invariant_basis(w, g, side), search_invariant_basis(w, g, side))
+        star = lg.nonabelian_dual(group, poly)
+        for w, g, side in ((poly, group, "A"), (poly.transpose(), star, "B")):
+            assert_table_rows(g)
+            assert_same_basis(lg.invariant_basis(w, g, side),
+                              search_invariant_basis(w, g, side))
+            spread += spread_narrow_classes(g)
+    assert spread >= SPREAD_NARROW["random models"]
 
 
 def assert_fixed_generators(group):
@@ -281,6 +294,7 @@ def test_invariant_basis_matches_on_quartic_groups(quartic, text):
     basis = lg.invariant_basis(quartic, group, "A")
     assert_same_basis(basis, search_invariant_basis(quartic, group, "A"))
     assert len(basis) > 0
+    assert spread_narrow_classes(group) >= SPREAD_NARROW.get(text, 0)
 
 
 @pytest.mark.parametrize("name", NAMES[1:] + QUARTIC_GROUPS)
@@ -342,40 +356,19 @@ def cubic_sides(request):
     return (poly, group, "A"), (poly.transpose(), star, "B")
 
 
-def test_invariant_basis_matches_on_cubics(cubic_sides):
+def test_invariant_basis_matches_on_cubics(cubic_sides, request):
+    spread = 0
     for poly, group, side in cubic_sides:
         basis = lg.invariant_basis(poly, group, side)
         assert_same_basis(basis, search_invariant_basis(poly, group, side))
         assert len(basis) > 0
+        spread += spread_narrow_classes(group)
+    assert spread >= SPREAD_NARROW.get(request.node.callspec.params["cubic_sides"], 0)
 
 
 def test_cubic_classes_match_table(cubic_sides):
     for _, group, _ in cubic_sides:
         assert_table_rows(group)
-
-
-def spread_narrow_classes(group) -> int:
-    """Classes with no fixed cycle, σ ≠ id, several cosets of im φ_σ and
-    several members per coset: where the search's narrow exit lists the
-    class sum from ``_carries`` alone."""
-    ident, mod = group.lifts[0][0], group.modulus
-    return sum(1 for cosets in group.class_transversals
-               if cosets[0][0][0] != ident and not lg.symmetry.form_cycles(*cosets[0][0], mod)
-               and len(cosets) > 1 and len(group._part(cosets[0][0][0]).preimages) > 1)
-
-
-def test_the_oracle_comparisons_reach_spread_narrow_classes(cases, quartic, random_sides):
-    # the groups compared with search_invariant_basis above: 12 such classes
-    # in the bad quintic's G*, 2 in the quartic groups, 4 in the random
-    # models' G* and 16 in the 6 cubics' non-abelian G*
-    degrees, cubic_text, _ = CUBICS["6 cubics, G = j; (1 2 3); (4 5 6)"]
-    cubic = fermat(degrees)
-    groups = [cases[name][1] for name in NAMES] + [g for _, g, _ in random_sides] + [
-        lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
-        for text in QUARTIC_GROUPS] + [lg.nonabelian_dual(lg.closure(
-            lg.parse_generator(t, cubic) for t in cubic_text.split(";")), cubic)]
-    counts = [spread_narrow_classes(group) for group in groups]
-    assert sum(counts) >= 30 and sum(count > 0 for count in counts) >= 4
 
 
 def test_abelian_b_side_builds_no_sector_map(monkeypatch):
