@@ -153,10 +153,10 @@ def _pc_json(holds: bool, witness: symmetry.SymmetryGroup | None) -> dict:
 def _space_json(space: state_space.GradedSpace) -> dict:
     gmod = space.group.modulus
     mod = lcm(2, gmod)
-    basis = [{"bidegree": _bidegree(v.bidegree),
-              "label": state_space.vector_label(v, space.poly),
-              "terms": [_term_json(*node, gmod, mod) for node in v.nodes]}
-             for v in space.basis]
+    basis = [{"bidegree": _bidegree(v.bidegree),  # each vector's nodes listed once
+              "label": state_space.vector_label(v, space.poly, nodes),
+              "terms": [_term_json(*node, gmod, mod) for node in nodes]}
+             for v in space.basis for nodes in [v.nodes]]
     return {"total_dim": space.total_dim, "dims": _dims_json(space),
             "basis": basis, "census": space.census()}
 

@@ -48,23 +48,21 @@ def _corners(space: GradedSpace):
     """The untwisted and the narrow diagonal vectors of ``space``, in basis
     order, each with its corner key: the set of its nodes' integer vectors,
     b for y^b in the untwisted sector and the phases scaled by d, less 1,
-    for a narrow diagonal element, read from the node's form.  A set of
-    one is keyed by its one vector, which equals no set.  The diagonal
-    elements of G = H·K are H, so the lead decides the corner."""
+    for a narrow diagonal element, from its orbit and its class's heads.  A
+    set of one is keyed by its one vector, which equals no set.  The
+    diagonal elements of G = H·K are H, so the lead decides the corner."""
     d = space.poly.fermat_exponents()
     ident, mod = space.group.lifts[0][0], space.group.modulus
     untwisted, narrow = [], []
     for v in space.basis:
-        perm, nums = v.nodes[0][0]
-        if perm != ident:
+        perm, nums = v.lead
+        if perm != ident or any(nums) and not all(nums):
             continue
         if not any(nums):
-            corner, keys = untwisted, [exps for _, exps, _ in v.nodes]
-        elif all(nums):  # exact: a diagonal symmetry of Fermat W has phases k/d_i
-            corner, keys = narrow, [tuple([x * e // mod - 1 for x, e in zip(form[1], d)])
-                                    for form, _, _ in v.nodes]
-        else:
-            continue
+            corner, keys = untwisted, [b for b, _ in v.orbit[1]] if v.orbit else [v.exps]
+        else:  # exact: a diagonal symmetry of Fermat W has phases k/d_i
+            heads = [y[1] for y, _ in v.orbit[0].cosets] if v.orbit else [nums]
+            corner, keys = narrow, [tuple([x * e // mod - 1 for x, e in zip(h, d)]) for h in heads]
         corner.append((keys[0] if len(keys) == 1 else frozenset(keys), v))
     return untwisted, narrow
 
@@ -78,7 +76,7 @@ def _match(sources, targets, source_name, target_name):
         w = by_key.pop(key, None)
         if w is None:
             raise TheoremViolationError(
-                f"{source_name} maps to no {target_name}: {v.terms}")
+                f"{source_name} maps to no {target_name}: {v.leading}")
         if w.grade != v.grade:
             raise TheoremViolationError(
                 f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
@@ -118,15 +116,15 @@ def full_comparison(poly: InvertiblePolynomial, group: SymmetryGroup,
     b_space = b_state_space(dual_poly, g_star)
     restricted = _corner_pairs(a_space, b_space)
     pc_holds, pc_witness = parity_condition(parts.k)
-    if a_space.dims == b_space.dims:
+    if a_space.grades == b_space.grades:  # both over the same 2·lcm(d), as Wᵀ = W
         verdict = Verdict.BIGRADED_ISOMORPHIC
     elif a_space.total_dim == b_space.total_dim:
         verdict = Verdict.DIMENSIONS_MATCH_BIGRADING_FAILS
     else:
         verdict = Verdict.DIMENSION_MISMATCH
-    counts = [(bd, a_space.dims.get(bd, 0), b_space.dims.get(bd, 0))
-              for bd in sorted(set(a_space.dims) | set(b_space.dims))]
-    mismatches = [c for c in counts if c[1] != c[2]]
+    mismatches = [(a_space.bidegree(g), a_space.grades[g], b_space.grades[g])
+                  for g in sorted(a_space.grades.keys() | b_space.grades.keys())
+                  if a_space.grades[g] != b_space.grades[g]]
     return MirrorReport(poly, dual_poly, group, g_star, parts, a_space,
                         b_space, restricted, pc_holds, pc_witness, verdict,
                         tuple(mismatches))

@@ -12,8 +12,9 @@ additionally picks up the reordering sign (phase 1/2 per odd rearrangement).
 Because every action is monomial, the invariant subspace has a basis of
 orbit sums: an orbit of (sector, monomial) nodes contributes one basis
 vector exactly when every closed loop of moves has total phase 0.  They are
-found one conjugacy class at a time (``invariant_basis``), each pullback
-map from γ's form and two fixed loci (``form_locus``), and no sector built.
+found one conjugacy class at a time (``invariant_basis``), one form at a
+time in a diagonal group, each pullback map from γ's form and two fixed
+loci (``form_locus``), and no sector built.
 A narrow sector (no fixed cycle) has one state, which every conjugation
 fixes, so its class builds no lifts, locus or map to give its class sum.
 
@@ -24,6 +25,7 @@ and age g⁻¹ = n − N_g − age g.
 
 Basis vectors hold integers and integer forms (``GradedBasisVector``): once
 the group's generators are checked against W, the search makes no element.
+A vector keeps its lead, its orbit and its class, and lists nodes when read.
 
 Everything is immutable.  ``build_sector``, the public entry that checks g
 against W, caches its sectors per (W, g) in a bounded LRU.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 from operator import mul
@@ -159,17 +161,31 @@ def sector_map(gamma, mod: int, source: FixedLocus, target: FixedLocus) -> Secto
     return SectorMap(tuple(cycle_images), tuple(scalars), form_num, m)
 
 
-class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade den")):
+class GradedBasisVector(namedtuple("GradedBasisVector", "side group grade den lead exps orbit")):
     """Orbit sum Σ e(p/M)·⌊y^b·ω, g_i⌉ with one common bidegree, in integers.
 
-    ``nodes`` holds (form, b, p) triples, sorted: the form is g_i's
-    integer form over ``group.modulus``, the group's own tuple, and p
-    counts over M = lcm(2, group.modulus); the leading (first) node has
-    p = 0.  The bidegree is ``grade`` over ``den`` = 2·lcm(d).  The
-    views below make rationals and elements only when read.
+    Its least node is (``lead``, ``exps``, 0): r's integer form over
+    ``group.modulus``, the group's own tuple, and its exponents b.  The
+    others are listed, when read, from ``orbit``: None in a diagonal group,
+    else r's class (``_ClassNodes``) and the orbit's (b, p) in r's sector, p
+    over M = lcm(2, group.modulus).  The bidegree is ``grade`` / ``den``.
     """
 
     __slots__ = ()
+
+    @property
+    def nodes(self) -> tuple:
+        """(form, b, p) triples, sorted, listed from the class's carriers."""
+        if self.orbit is None:
+            return ((self.lead, self.exps, 0),)
+        (record, phases), mod, nodes = self.orbit, lcm(2, self.group.modulus), []
+        for sm, coset in record.carries:
+            for exps, p in phases:
+                image, delta = (exps, 0) if sm is None else sm.apply(exps, mod)
+                nodes += [(x, image, (p + delta + form + sum(map(mul, image, c))) % mod)
+                          for x, c, form in coset]
+        nodes.sort()  # forms sort in the canonical element order
+        return tuple(nodes)
 
     @property
     def terms(self) -> tuple:
@@ -180,7 +196,7 @@ class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade 
 
     @property
     def leading(self) -> tuple:
-        return self._replace(nodes=self.nodes[:1]).terms[0]
+        return self._replace(orbit=None).terms[0]
 
     @property
     def sector_elements(self) -> tuple[MonomialSymmetry, ...]:
@@ -191,17 +207,31 @@ class GradedBasisVector(namedtuple("GradedBasisVector", "side group nodes grade 
         return Fraction(self.grade[0], self.den), Fraction(self.grade[1], self.den)
 
 
+class _ClassNodes(namedtuple("_ClassNodes", "group cosets fixed")):
+    """A class's cosets, as a tuple, and r's fixed cycles: its vectors'
+    nodes are listed from them, by ``_carries`` when first read."""
+
+    @cached_property
+    def carries(self):
+        return _carries(*self, lcm(2, self.group.modulus))
+
+
 class GradedSpace:
-    """State space with canonical basis, bidegree histogram and census; the
-    histogram counts integer pairs and reads each distinct one as rationals."""
+    """State space with canonical basis, integer grade histogram and census;
+    ``dims`` reads the histogram as rationals when read."""
 
     def __init__(self, side: str, poly: InvertiblePolynomial, group: SymmetryGroup,
                  basis: tuple[GradedBasisVector, ...]):
         self.side, self.poly, self.group, self.basis = side, poly, group, basis
-        first = {v.grade: v for v in basis}
-        self.dims: dict[Bidegree, int] = {
-            first[grade].bidegree: k for grade, k in Counter([v.grade for v in basis]).items()}
+        self.den, self.grades = 2 * lcm(*poly.fermat_exponents()), Counter([v.grade for v in basis])
         self.total_dim = len(basis)
+
+    def bidegree(self, grade) -> Bidegree:
+        return Fraction(grade[0], self.den), Fraction(grade[1], self.den)
+
+    @property
+    def dims(self) -> dict[Bidegree, int]:
+        return {self.bidegree(grade): k for grade, k in self.grades.items()}
 
     def census(self) -> dict:
         """Counts by sector type of the leading term, read from its form;
@@ -210,7 +240,7 @@ class GradedSpace:
         counts = {"untwisted_broad": 0, "twisted_broad": twisted,
                   "narrow_diagonal": 0, "narrow_nondiagonal": 0}
         for v in self.basis:
-            perm, nums = v.nodes[0][0]
+            perm, nums = v.lead
             if perm == ident and not any(nums):
                 counts["untwisted_broad"] += 1
             elif not form_cycles(perm, nums, mod):
@@ -282,7 +312,7 @@ def _carries(group: SymmetryGroup, cosets, fixed, mod: int):
         (perm, nums), members = y, []
         for v, c in group._part(perm).preimages.items():  # 0 first: y itself
             x = (perm, tuple([(p + q) % gmod for p, q in zip(nums, v)])) if any(v) else y
-            cols = [c[cycle[0]] * (mod // gmod) for cycle in fixed]
+            cols = tuple([c[cycle[0]] * (mod // gmod) for cycle in fixed])
             members.append((x, cols, sum(cols)))
         out.append((sm, members))
     return out
@@ -306,6 +336,9 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     The least term of its orbit sum, in the sector of r, has phase 0.  A
     narrow class (r fixes no cycle) keeps its one state in every member:
     it builds no lifts, locus or map, and its search is the one node ().
+    In a diagonal group a class is one form r, C(r) = N and no lift moves
+    a monomial: r's fixed set is where its numerators are 0, its age their
+    sum, and each kept b is a vector, its one node (r, b, 0).
     """
     gmod = group.modulus
     for g in group.generators:  # the symmetries of W form a group
@@ -321,32 +354,40 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     vectors = []  # appended sorted: by representative, then lead
     kept_at: dict[tuple, list] = {}  # (σ, fixed cycles) -> kept exponents
     counted = 0  # Σ |kept(r)|·|class| so far, a bound on the terms listed
-    for cosets in group.class_transversals:
-        perm, nums = cosets[0][0]
-        fixed = form_cycles(perm, nums, gmod)  # no canonical vectors: only maps need loci
+    ident, diagonal = group.lifts[0][0], group.is_diagonal
+    # a diagonal group's classes are its forms, one coset each: no class list is made
+    forms = ((((ident, x),),) for x in group._coset(group.lifts[0][1]))
+    for cosets in forms if diagonal else group.class_transversals:
+        perm, nums = r = cosets[0][0]
+        # where r's numerators are 0, if diagonal; no canonical vectors: only maps need loci
+        fixed = (tuple([(i,) for i, x in enumerate(nums) if not x]) if diagonal
+                 else form_cycles(perm, nums, gmod))
         size = group.class_size(cosets)
         limit = (TERM_CAP - counted) // size
         kept = kept_at.get((perm, fixed))
-        if kept is None:
-            kept = kept_at[perm, fixed] = _kept(fixed, [d_all[c[0]] for c in fixed],
-                                                group._part(perm).generators, gmod, limit)
+        if kept is None:  # each b with den·deg(y^b·ω) = Σ_C (b_C + 1)·den·q_C
+            steps = [den // d_all[c[0]] for c in fixed]
+            kept = kept_at[perm, fixed] = [(b, sum(map(mul, b, steps)) + sum(steps)) for b in _kept(
+                fixed, [d_all[c[0]] for c in fixed], group._part(perm).generators, gmod, limit)]
         if len(kept) > limit:
             raise CapExceededError(f"state space exceeds {TERM_CAP} terms")
         counted += len(kept) * size
         if not kept:
             continue
+        u = (2 * sum(nums) if diagonal else form_age(perm, nums, gmod)) * (den // 2 // gmod) - shift
+        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
+        if diagonal:  # no lift moves a monomial: each is a vector, its one node
+            vectors += [GradedBasisVector(side, group, (u + d, v + sign * d), den, r, b, None)
+                        for b, d in kept]
+            continue
         # a fixed locus and maps only where lifts move monomials: a narrow
         # sector's one state (no fixed cycle) is fixed by every conjugation
-        lift_gens = ([] if group.is_diagonal or not fixed
-                     else group._centralizer_lifts(perm, nums)[1])
+        lift_gens = group._centralizer_lifts(perm, nums)[1] if fixed else []
         locus = form_locus(perm, nums, gmod) if lift_gens else None
         moves = [sector_map(lift, gmod, locus, locus) for lift in lift_gens]
-        carries = None  # built with the class's first invariant orbit
-        steps = [den // d_all[c[0]] for c in fixed]  # den·q_C per fixed cycle
-        u = form_age(perm, nums, gmod) * (den // (2 * gmod)) - shift
-        v = len(fixed) * den + u if side == A_SIDE else (group.n - len(fixed)) * den - u - 2 * shift
+        record = None  # made with the class's first invariant orbit
         done: set[tuple[int, ...]] = set()
-        for lead in kept:  # an orbit's nodes are all kept: its least comes first
+        for lead, d in kept:  # an orbit's nodes are all kept: its least comes first
             if lead in done:
                 continue
             phases = {lead: 0}
@@ -367,18 +408,9 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             done.update(phases)
             if not consistent:
                 continue
-            if carries is None:
-                carries = _carries(group, cosets, fixed, mod)
-            nodes = []
-            for sm, coset in carries:
-                for exps, p in phases.items():
-                    image, delta = (exps, 0) if sm is None else sm.apply(exps, mod)
-                    nodes += [(x, image, (p + delta + form + sum(map(mul, image, c))) % mod)
-                              for x, c, form in coset]
-            nodes.sort()  # forms sort in the canonical element order
-            deg = sum((b + 1) * q for b, q in zip(lead, steps))
-            grade = (u + deg, v + sign * deg)
-            vectors.append(GradedBasisVector(side, group, tuple(nodes), grade, den))
+            record = record or _ClassNodes(group, tuple(cosets), fixed)
+            vectors.append(GradedBasisVector(side, group, (u + d, v + sign * d), den, r, lead,
+                                             (record, tuple(phases.items()))))
     return tuple(vectors)
 
 
@@ -411,7 +443,7 @@ class HodgeDiamond:
     """Bidegree histogram arranged as a diamond when the grading is integral."""
 
     def __init__(self, space: GradedSpace):
-        self.dims = dict(space.dims)
+        self.dims = space.dims  # a fresh dict, made when read
         self.integral = all(p.denominator == q.denominator == 1 for p, q in self.dims)
 
     def grid(self) -> dict[tuple[int, int], int]:
@@ -462,12 +494,12 @@ def monomial_label(poly: InvertiblePolynomial, locus: FixedLocus,
     return "*".join(factors) if factors else "1"
 
 
-def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial) -> str:
-    """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``; a
-    term's fixed locus is read only when it has a nonzero exponent."""
+def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial, nodes=None) -> str:
+    """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``, from
+    ``nodes`` if listed; a term's fixed locus is read only if an exponent is not 0."""
     gmod = vector.group.modulus
     mod, chunks = lcm(2, gmod), []
-    for form, exps, p in vector.nodes:  # the lead, first, has phase 0
+    for form, exps, p in nodes or vector.nodes:  # the lead, first, has phase 0
         monomial = monomial_label(poly, form_locus(*form, gmod), exps) if any(exps) else "1"
         chunks.append(f"{_coefficient(p, mod)}[{monomial}, {form_label(*form, gmod)}]")
     return " + ".join(chunks).replace("+ -", "- ")

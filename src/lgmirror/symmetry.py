@@ -531,20 +531,30 @@ class SymmetryGroup:
         cosets.  A class is one orbit of cosets, walked along the lifts that
         generate the permutation parts from r's, the first not yet met when
         their least members are listed lift by lift, in canonical order; a
-        coset is met when first reached, and known by its least member."""
-        if self.is_diagonal:  # one-coset classes; the walk below is 2.7x slower on them
-            ident = self.lifts[0]
-            return [[(form, ident)] for form in self._forms]
+        coset is met when first reached, and known by its least member.  As
+        w⁻¹·(id, x)·w = (id, x∘τ⁻¹) for w = (τ, b), P is walked once, one word
+        per τ, and a class of N is its least x's images in that walk's order."""
         mod, ident = self.modulus, self.lifts[0]
+        if self.is_diagonal:  # one-element classes; the walk of N below is 2.7x slower on them
+            return [[((ident[0], x), ident)] for x in self._coset(ident[1])]
+        walk = [(tuple(sorted(range(self.n), key=tau.__getitem__)), (tau, b))  # τ⁻¹, τ's word
+                for tau, b in _walk(self._lift_gens, mod, len(self.lifts))[0].items()]
+        met, classes = set(), []  # the least member of each coset reached so far
+        for x in self._coset(ident[1]):
+            if x not in met:
+                orbit = {}  # x∘τ⁻¹ in the walk's order, with the word of the first τ
+                for inv, w in walk:
+                    orbit.setdefault(tuple(map(x.__getitem__, inv)), w)
+                met.update(orbit)
+                classes.append([((ident[0], z), w) for z, w in orbit.items()])
         gens = [(_invert(g, mod), g) for g in self._lift_gens]
         # per σ ∈ P and lift generator g: g⁻¹·(σ, x)·g = (τ, b + x∘j) with j = g⁻¹(i)
         steps = {sigma: [(tuple([g[0][sigma[j]] for j in pi]), pi,
                           [(b + g[1][sigma[j]]) % mod for b, j in zip(ni, pi)], g)
-                         for (pi, ni), g in gens] for sigma, _ in self.lifts}
+                         for (pi, ni), g in gens] for sigma, _ in self.lifts[1:]}
         rows = {tau: [(i, row) for i, row in enumerate(self._part(tau).image) if row[i] < mod]
-                for tau, _ in self.lifts}  # the rows of im φ_τ with a pivot below M
-        met, classes = set(), []  # the least member of each coset reached so far
-        for sigma, a in self.lifts:
+                for tau, _ in self.lifts[1:]}  # the rows of im φ_τ with a pivot below M
+        for sigma, a in self.lifts[1:]:
             for r in self._coset(a, within=self._part(sigma).image):
                 if (sigma, r) in met:
                     continue

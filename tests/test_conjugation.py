@@ -380,3 +380,29 @@ def test_abelian_b_side_builds_no_sector_map(monkeypatch):
         raise AssertionError("a diagonal group needs no sector map")
     monkeypatch.setattr(lg.state_space, "sector_map", refuse)
     assert len(lg.invariant_basis(poly.transpose(), star, "B")) > 0
+
+
+def test_the_walk_of_n_composes_one_word_per_permutation(bad_star, monkeypatch):
+    # w⁻¹·(id, x)·w = (id, x∘τ⁻¹) for w = (τ, b): P is walked once, one
+    # product per τ and lift generator and one word kept per τ, and N's
+    # classes are that walk's images; past N the walk composes one word per
+    # coset it appends.  Counted on fresh groups, the lift generators
+    # included: the bad quintic's G* (|P| = 4) and the 6-cubic's (|P| = 9),
+    # where walking each coset of N from its own word composed 490 and 301
+    poly = fermat([3] * 6)
+    cubic = lg.nonabelian_dual(
+        lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";")), poly)
+    compose, calls = lg.symmetry._compose, []
+
+    def counting(a, b, mod):
+        calls.append(mod)
+        return compose(a, b, mod)
+    for group, count in ((bad_star, 48), (cubic, 119)):
+        fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+        calls.clear()
+        monkeypatch.setattr(lg.symmetry, "_compose", counting)
+        classes = fresh.class_transversals
+        monkeypatch.undo()
+        assert len(calls) == count and classes == group.class_transversals
+        assert sum(len(cosets) for cosets in classes if cosets[0][0][0] == group.lifts[0][0]) \
+            == group.order // len(group.lifts)

@@ -426,6 +426,29 @@ def test_corners_and_dims_compare_bidegrees_by_value(quartic_report, good_report
     assert equal == [True, True, False]
 
 
+@pytest.mark.parametrize("model", PAPER_MODELS, ids=["quartic", "good quintic", "bad quintic"])
+def test_comparison_reads_a_bidegree_only_where_the_histograms_differ(model, monkeypatch):
+    # both histograms count integer grades over the same 2·lcm(d), so the
+    # comparison makes two rationals per mismatch it lists and none else;
+    # ``dims``, read afterwards, is the rational view of the same counts
+    poly = lg.parse_polynomial(model[0])
+    group = lg.closure(lg.parse_generator(t, poly) for t in model[1].split(";"))
+    made = []
+
+    def fraction(*args):
+        made.append(args)
+        return F(*args)
+    monkeypatch.setattr(lg.state_space, "Fraction", fraction)
+    report = lg.full_comparison(poly, group)
+    monkeypatch.undo()
+    assert len(made) == 2 * len(report.mismatches)
+    a_dims, b_dims = report.a_space.dims, report.b_space.dims
+    assert [(bd, da, db) for bd, da, db in report.mismatches] == \
+        [(bd, a_dims.get(bd, 0), b_dims.get(bd, 0)) for bd in sorted(set(a_dims) | set(b_dims))
+         if a_dims.get(bd, 0) != b_dims.get(bd, 0)]
+    assert (report.verdict is lg.Verdict.BIGRADED_ISOMORPHIC) == (a_dims == b_dims)
+
+
 def test_abelian_mirror_theorem_on_random_models():
     # Krawitz (arXiv:0906.0796): with K trivial, G = H is diagonal and the
     # A-model of (W, G) is bigraded isomorphic to the B-model of (Wᵀ, Gᵀ).

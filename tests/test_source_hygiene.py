@@ -3,8 +3,9 @@ module-level name nothing refers to; a regular expression whose ``\\d``,
 ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; a
 module-level cache with no bound on its entries, or one keyed by a
 polynomial; a rational or a listing of group elements on the path that
-builds and compares state spaces; an element or a sector on the path of
-the invariant search and the class walk; a class member listed by the
+builds and compares state spaces; a vector's node list read there; an
+element or a sector on the path of the invariant search, the class walk
+and a vector's node list; a class member listed by the
 class walk; and, outside ``symmetry``, a
 position in a group's listing or a group built from more than its
 structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
@@ -187,10 +188,27 @@ def test_the_comparison_path_makes_no_rational_and_lists_no_element():
     assert not found, f"rationals or element lists on the comparison path: {found}"
 
 
+# a vector lists its nodes only when they are read: the corner check and
+# the histograms compare leads, orbits, class heads and integer grades,
+# and the census reads each vector's lead
+NODE_FREE_PATH = {"mirror.py": None,
+                  "state_space.py": {"GradedSpace.__init__", "GradedSpace.census"}}
+
+
+def test_the_comparison_and_the_census_list_no_node():
+    found, seen = [], set()
+    for module, names in NODE_FREE_PATH.items():
+        for name, scope in _scopes(_tree(SRC / module), names):
+            seen.add(name)
+            found += [f"{module}:{name or '<module>'}:{node.lineno}" for node in ast.walk(scope)
+                      if isinstance(node, ast.Attribute) and node.attr in ("nodes", "terms")]
+    assert seen == {""} | NODE_FREE_PATH["state_space.py"], seen
+    assert not found, f"node lists read on the comparison path: {found}"
+
 # the invariant search and the class walk run on integer forms: elements
 # and sectors are made only at the public entries and by the views
 FORM_PATH = {"state_space.py": {"invariant_basis", "_carries", "_kept", "sector_map",
-                                "SectorMap.apply"},
+                                "SectorMap.apply", "GradedBasisVector.nodes"},
              "symmetry.py": {"SymmetryGroup.class_transversals"}}
 ELEMENT_NAMES = {"MonomialSymmetry", "from_numerators", "build_sector", "Sector", "inverse",
                  "conjugated_by"}

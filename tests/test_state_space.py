@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import lgmirror as lg
+from lgmirror import cli
 from lgmirror.errors import (
     CapExceededError,
     NotAdmissibleAError,
@@ -30,6 +31,7 @@ from oracles import (
     projector_rank,
     projector_trace,
     random_mirror_instance,
+    search_invariant_basis,
     sector_scalars,
     sl_subgroup,
 )
@@ -593,3 +595,80 @@ def test_character_dims_match_every_bigraded_dimension(quartic_report, good_repo
     assert sum(not space.group.is_abelian for space in spaces) >= 10
     for space in spaces:
         assert character_dims(space.poly, space.group, space.side) == space.dims
+
+
+def test_the_comparison_lists_no_node_outside_the_corners(quartic, quartic_group, monkeypatch,
+                                                          tmp_path, capsys):
+    # a vector keeps its lead, its orbit and its class, and lists its nodes
+    # only when they are read: full_comparison and text mirror-check read
+    # none and list no class's carriers; mirror-check --json reads the
+    # corner vectors' alone, for the pairings' labels, so the carriers are
+    # listed only for classes that have a corner vector
+    cubic = fermat([3] * 6)
+    cubic_text = "j; (1 2 3); (4 5 6)"
+    models = [(quartic, quartic_group, "j; (1 2 3)"),
+              (cubic, lg.closure(lg.parse_generator(t, cubic) for t in cubic_text.split(";")),
+               cubic_text)]
+    nodes, carries = lg.GradedBasisVector.nodes, lg.state_space._carries
+    read, carried = [], []
+
+    def reading(vector):
+        read.append(vector)
+        return nodes.fget(vector)
+
+    def carrying(group, cosets, fixed, mod):
+        carried.append(cosets[0][0])
+        return carries(group, cosets, fixed, mod)
+    for poly, group, text in models:
+        expected = lg.full_comparison(poly, group)
+        corners = {v for space in (expected.a_space, expected.b_space)
+                   for corner in lg.mirror._corners(space) for _, v in corner}
+        assert not group.is_diagonal and not expected.dual_group.is_diagonal
+        spec = tmp_path / "model.lg"
+        spec.write_text(f"W = {poly}\nG = {text}\n")
+        runs = [lambda: lg.full_comparison(poly, group),
+                lambda: cli.main(["mirror-check", str(spec)]),
+                lambda: cli.main(["mirror-check", str(spec), "--json"])]
+        for k, run in enumerate(runs):
+            del read[:], carried[:]
+            monkeypatch.setattr(lg.GradedBasisVector, "nodes", property(reading))
+            monkeypatch.setattr(lg.state_space, "_carries", carrying)
+            result = run()
+            monkeypatch.undo()
+            capsys.readouterr()
+            if k == 0:
+                assert (result.a_space.basis, result.b_space.basis) == \
+                    (expected.a_space.basis, expected.b_space.basis)
+            if k < 2:
+                assert read == [] and carried == []
+            else:
+                assert read and set(read) <= corners
+                assert carried and set(carried) <= {v.lead for v in corners}
+
+
+def test_a_diagonal_group_is_searched_form_by_form(quartic, monkeypatch):
+    # in a diagonal group a class is one form r and C(r) = N: the search
+    # reads r's fixed set and age off its numerators, lists no class and no
+    # carrier, and each vector is its one node (r, b, 0), the per-element
+    # search's, on G = ⟨j⟩ of the quartic and a seeded random diagonal
+    # model, with their G*
+    rng = random.Random(3031)
+    model = next(m for m in iter(lambda: random_mirror_instance(rng), None) if m[1].is_diagonal)
+    sides = []
+    for poly, group in [(quartic, lg.closure([lg.exponential_grading(quartic)])), model]:
+        star = lg.nonabelian_dual(group, poly)
+        sides += [(poly, group, "A"), (poly.transpose(), star, "B")]
+
+    def refuse(*args):
+        pytest.fail("a class list or a carrier was read")
+    for poly, group, side in sides:
+        fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+        assert fresh.is_diagonal
+        monkeypatch.setattr(lg.SymmetryGroup, "class_transversals", property(refuse))
+        monkeypatch.setattr(lg.state_space, "_carries", refuse)
+        basis = lg.invariant_basis(poly, fresh, side)
+        monkeypatch.undo()
+        assert basis and all(v.orbit is None and v.nodes == ((v.lead, v.exps, 0),)
+                             for v in basis)
+        assert [(v.terms, v.bidegree) for v in basis] == \
+            [(v.terms, v.bidegree) for v in search_invariant_basis(poly, group, side)]
