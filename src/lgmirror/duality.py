@@ -27,15 +27,15 @@ from math import gcd
 from .errors import (
     CapExceededError,
     InternalError,
-    NotASymmetryError,
     NotDiagonalError,
     NotHKProductError,
     NotPurePermutationsError,
     OddPermutationError,
 )
 from .polynomial import InvertiblePolynomial
-from .linalg import adjugate, hermite
-from .symmetry import DEFAULT_CAP, MonomialSymmetry, SymmetryGroup, closure, is_symmetry
+from .linalg import adjugate, hermite, reduce_by
+from .symmetry import (DEFAULT_CAP, MonomialSymmetry, SymmetryGroup, _cycle_text, _perm_cycles,
+                       check_symmetries, closure)
 
 
 class HKDecomposition(namedtuple("HKDecomposition", "group h k")):
@@ -54,16 +54,13 @@ def decompose_hk(group: SymmetryGroup, poly: InvertiblePolynomial) -> HKDecompos
     the first element, in canonical order, whose permutation part is not
     in K: the first nonzero lift.
     """
-    for g in group.generators:  # the symmetries of W form a group
-        if not is_symmetry(g, poly):
-            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
+    check_symmetries(group, poly)
     mod, (ident, zero) = group.modulus, group.lifts[0]
     h = SymmetryGroup(mod, group.basis, [(ident, zero)])
     k = SymmetryGroup(1, hermite([zero], 1), [lift for lift in group.lifts if lift[1] == zero])
-    for perm, nums in k.lifts:
-        g = MonomialSymmetry.from_numerators(perm, nums, 1)
-        if g.perm_parity != 0:
-            raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")
+    for perm, _ in k.lifts:
+        if (len(perm) - len(_perm_cycles(perm))) % 2:
+            raise OddPermutationError(f"pure permutation {_cycle_text(perm)} is odd")
     if len(k.lifts) != len(group.lifts):  # the least element of each coset is its lift
         g = MonomialSymmetry.from_numerators(*next(x for x in group.lifts if any(x[1])), mod)
         raise NotHKProductError(
@@ -88,6 +85,7 @@ def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
     """
     if not h.is_diagonal:
         raise NotDiagonalError("dual groups are defined for diagonal groups")
+    check_symmetries(h, poly)
     _check_cap(h, poly, 1, cap)
     det, adj, m_h = abs(poly.adjugate[0]), poly.adjugate[1], h.modulus
     # B·m ≡ 0 mod M_H for H's Hermite form B over M_H
@@ -112,11 +110,12 @@ def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
     |Hᵀ|·|K| exceeds ``cap``."""
     _check_cap(parts.h, poly, parts.k.order, cap)
     h_dual = dual_group(parts.h, poly, cap)
-    if any(g.conjugated_by(k) not in h_dual for k in parts.k.generators
-           for g in h_dual.generators):
+    basis, mod = h_dual.basis, h_dual.modulus  # each basis row x∘k lies in Hᵀ
+    if any(any(reduce_by(tuple(map(row.__getitem__, k)), basis, mod))
+           for k, _ in parts.k._lift_gens for row in basis):
         raise InternalError("K does not normalize Hᵀ")
     # G* = ⋃_k k·Hᵀ: Hᵀ's basis, and each permutation of K with lift 0
-    return SymmetryGroup(h_dual.modulus, h_dual.basis, parts.k.lifts)
+    return SymmetryGroup(mod, basis, parts.k.lifts)
 
 
 def nonabelian_dual(group: SymmetryGroup, poly: InvertiblePolynomial,

@@ -56,6 +56,7 @@ from .symmetry import (
     MonomialSymmetry,
     SymmetryGroup,
     _invert,
+    check_symmetries,
     exponential_grading,
     form_age,
     form_cycles,
@@ -341,9 +342,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
     sum, and each kept b is a vector, its one node (r, b, 0).
     """
     gmod = group.modulus
-    for g in group.generators:  # the symmetries of W form a group
-        if not is_symmetry(g, poly):
-            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
+    check_symmetries(group, poly)
     # every map's modulus divides the group's, times 2 for the form sign
     mod = lcm(2, gmod)
     # bidegrees over 2·lcm(d): phases of symmetries of Fermat W are k/d_i

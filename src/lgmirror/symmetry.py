@@ -45,6 +45,7 @@ from .errors import (
     NotAGroupError,
     NotAMemberError,
     NotAPermutationError,
+    NotASymmetryError,
     ParseError,
 )
 from .linalg import hermite, reduce_by
@@ -212,10 +213,6 @@ class MonomialSymmetry:
     @property
     def is_diagonal(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
-
-    @property
-    def is_pure_permutation(self) -> bool:
-        return self.mod == 1
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All permutation cycles, each starting at its least index."""
@@ -527,13 +524,14 @@ class SymmetryGroup:
         preimage c that σ's record (``_part``) keeps; ``class_size`` counts them.
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
-        (σ, a) exactly over the coset a + im φ_σ, and the lifts permute these
-        cosets.  A class is one orbit of cosets, walked along the lifts that
-        generate the permutation parts from r's, the first not yet met when
-        their least members are listed lift by lift, in canonical order; a
-        coset is met when first reached, and known by its least member.  As
-        w⁻¹·(id, x)·w = (id, x∘τ⁻¹) for w = (τ, b), P is walked once, one word
-        per τ, and a class of N is its least x's images in that walk's order."""
+        (σ, a) exactly over the coset a + im φ_σ, and a lift moves cosets by
+        its permutation alone.  So P is walked once, one word w_τ per τ.  The
+        cosets' least members are listed lift by lift, in canonical order, and
+        the first r not yet met leads a class: the cosets of w_τ⁻¹·r·w_τ in
+        walk order, each known by its least member and kept with the first
+        τ's word.  The τ of one τ∘⟨σ⟩ meet one coset, their words being rᵏ·w_τ
+        up to N, so only the first is tried; for σ = id, w_τ⁻¹·(id, x)·w_τ =
+        (id, x∘τ⁻¹)."""
         mod, ident = self.modulus, self.lifts[0]
         if self.is_diagonal:  # one-element classes; the walk of N below is 2.7x slower on them
             return [[((ident[0], x), ident)] for x in self._coset(ident[1])]
@@ -547,30 +545,25 @@ class SymmetryGroup:
                     orbit.setdefault(tuple(map(x.__getitem__, inv)), w)
                 met.update(orbit)
                 classes.append([((ident[0], z), w) for z, w in orbit.items()])
-        gens = [(_invert(g, mod), g) for g in self._lift_gens]
-        # per σ ∈ P and lift generator g: g⁻¹·(σ, x)·g = (τ, b + x∘j) with j = g⁻¹(i)
-        steps = {sigma: [(tuple([g[0][sigma[j]] for j in pi]), pi,
-                          [(b + g[1][sigma[j]]) % mod for b, j in zip(ni, pi)], g)
-                         for (pi, ni), g in gens] for sigma, _ in self.lifts[1:]}
-        rows = {tau: [(i, row) for i, row in enumerate(self._part(tau).image) if row[i] < mod]
-                for tau, _ in self.lifts[1:]}  # the rows of im φ_τ with a pivot below M
         for sigma, a in self.lifts[1:]:
+            steps = None
             for r in self._coset(a, within=self._part(sigma).image):
                 if (sigma, r) in met:
                     continue
-                met.add((sigma, r))
-                cosets = [((sigma, r), ident)]
-                for (px, nx), word in cosets:  # grows while it is read
-                    for pz, pi, offsets, g in steps[px]:
-                        nz = key = tuple([(b + nx[j]) % mod for b, j in zip(offsets, pi)])
-                        for i, row in rows[pz]:  # reduce_by, on those rows alone
-                            q = key[i] // row[i]
-                            if q:
-                                key = tuple([(x - q * y) % mod for x, y in zip(key, row)])
-                        if (pz, key) not in met:
-                            met.add((pz, key))
-                            cosets.append(((pz, nz), _compose(word, g, mod)))
-                classes.append(cosets)
+                if steps is None:  # per τ∘⟨σ⟩, its first τ: w⁻¹·(σ, x)·w = (τ⁻¹στ, x∘τ⁻¹ + offsets)
+                    steps, seen, powers = [], set(), _walk([(sigma, ())], 1, len(self.lifts))[0]
+                    for inv, (tau, b) in walk:
+                        if tau not in seen:
+                            seen.update([tuple(map(tau.__getitem__, s)) for s in powers])
+                            pz = tuple([tau[sigma[j]] for j in inv])
+                            steps.append((pz, inv, [(b[sigma[j]] - b[j]) % mod for j in inv],
+                                          self._part(pz).image, (tau, b)))
+                cosets = {(sigma, r): ((sigma, r), ident)}  # τ = id, then the others
+                for pz, inv, offsets, image, w in steps[1:]:
+                    nz = tuple([(b + r[j]) % mod for b, j in zip(offsets, inv)])
+                    cosets.setdefault((pz, reduce_by(nz, image, mod)), ((pz, nz), w))
+                met.update(cosets)
+                classes.append(list(cosets.values()))
         return classes
 
     def class_size(self, cosets) -> int:
@@ -718,6 +711,13 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
         if total % g.mod or tuple(image) not in poly.exponents:
             return False
     return True
+
+
+def check_symmetries(group: SymmetryGroup, poly: InvertiblePolynomial) -> None:
+    """Errors unless G's generators, and so G, are symmetries of W."""
+    for g in group.generators:  # the symmetries of W form a group
+        if not is_symmetry(g, poly):
+            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
 
 
 def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:

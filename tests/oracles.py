@@ -19,7 +19,8 @@ bidegree from the textbook formula on ``Fraction`` ages of g and g⁻¹,
 classes from H⋊K against orbits under a conjugation table of every element
 by every generator, the class walk over cosets of im φ_σ, its cosets
 listed member by member, against the walk over element positions it
-replaced, each permutation part's values and
+replaced, the class walk read off P's one walk against the breadth-first
+walk over cosets it replaced, each permutation part's values and
 preimages of φ_σ and its N^σ against a scan of N, the record of σ = id,
 written down, against the elimination that gives every other σ's, structural centralizers
 against a filter of every element of the group, and the ordered subgroup
@@ -68,7 +69,7 @@ from lgmirror.errors import (
     ParseError,
     TheoremViolationError,
 )
-from lgmirror.linalg import hermite
+from lgmirror.linalg import hermite, reduce_by
 from lgmirror.symmetry import _lattice_forms, _lattice_generators
 from lgmirror.polynomial import parse_digits
 
@@ -334,7 +335,7 @@ def _compose_forms(a, b, mod: int):
     """Product of integer forms (perm, numerators mod ``mod``): perm i ↦
     b(a(i)), phase_i = a_i + b_{a(i)}."""
     (pa, na), (pb, nb) = a, b
-    return tuple(pb[p] for p in pa), tuple((x + nb[p]) % mod for x, p in zip(na, pa))
+    return tuple([pb[p] for p in pa]), tuple([(x + nb[p]) % mod for x, p in zip(na, pa)])
 
 
 def _generate(forms, mod: int, cap: int):
@@ -556,6 +557,34 @@ def class_walk_by_elements(group):
     return classes
 
 
+def class_walk_by_cosets(group):
+    """``class_transversals`` as one breadth-first walk over cosets per
+    class: for each lift (σ, a_σ) in order, the first least member r of a
+    coset of im φ_σ in a_σ + N that no class has met leads a new class,
+    whose cosets are walked from (σ, r) along the lift generators g,
+    g⁻¹·y·g, each coset known by its least member and met when first
+    reached, its word the word of the coset it was reached from times g."""
+    mod, ident = group.modulus, group.lifts[0]
+    gens = [(MonomialSymmetry.from_numerators(*g, mod).inverse().over(mod), g)
+            for g in group._lift_gens]
+    met, classes = set(), []
+    for sigma, a in group.lifts:
+        for r in group._coset(a, within=group._part(sigma).image):
+            if (sigma, r) in met:
+                continue
+            met.add((sigma, r))
+            cosets = [((sigma, r), ident)]
+            for y, word in cosets:  # grows while it is read
+                for inv, g in gens:
+                    pz, nz = _compose_forms(_compose_forms(inv, y, mod), g, mod)
+                    key = (pz, reduce_by(nz, group._part(pz).image, mod))
+                    if key not in met:
+                        met.add(key)
+                        cosets.append(((pz, nz), _compose_forms(word, g, mod)))
+            classes.append(cosets)
+    return classes
+
+
 def class_members(group):
     """``class_transversals`` with every coset listed: per class, (x, w, c)
     for each member x, coset by coset in the walk's order, each coset's
@@ -612,7 +641,7 @@ def factor_each_element(group, poly):
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
     h_elems = [g for g in group if g.is_diagonal]
-    k_elems = [g for g in group if g.is_pure_permutation]
+    k_elems = [g for g in group if g.mod == 1]  # the pure permutations
     for g in k_elems:
         if g.perm_parity != 0:
             raise OddPermutationError(f"pure permutation {g.cycle_string()} is odd")

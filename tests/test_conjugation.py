@@ -20,6 +20,7 @@ import lgmirror as lg
 from lgmirror.linalg import hermite
 from oracles import (
     class_members,
+    class_walk_by_cosets,
     class_walk_by_elements,
     conjugation_table,
     element_map,
@@ -254,6 +255,24 @@ def test_class_walk_matches_the_element_walk_on_random_groups():
     assert 12 in parts and max(parts) > 12 and phased
 
 
+def test_class_walk_matches_the_walk_over_cosets():
+    # every class read off P's one walk against the breadth-first walk over
+    # cosets it replaced, heads, words and order included: on 300 seeded
+    # random groups of order at most 200 and on the G* of the 6-cubic, the
+    # 5-quintic and the A6 cubic (|P| = 9, 60 and 360), each group fresh
+    rng = random.Random(3131)
+    groups = [random_monomial_group(rng, cap=200) for _ in range(300)]
+    for degrees, text in (([3] * 6, "j; (1 2 3); (4 5 6)"), ([5] * 5, "j; (1 2 3); (3 4 5)"),
+                          ([3] * 6, "(1 2 3); (2 3 4 5 6)")):
+        poly = fermat(degrees)
+        groups.append(lg.nonabelian_dual(
+            lg.closure(lg.parse_generator(t, poly) for t in text.split(";")), poly))
+    assert [len(group.lifts) for group in groups[-3:]] == [9, 60, 360]
+    assert sum(not group.is_diagonal for group in groups) > 100
+    for group in groups:
+        assert group.class_transversals == class_walk_by_cosets(group)
+
+
 def test_class_walk_over_cosets_matches_the_element_walk(quartic, good_group, bad_group):
     # the paper's G, the cubics and the random models are checked in
     # assert_table_rows, with their class sizes; the third quartic group
@@ -383,12 +402,15 @@ def test_abelian_b_side_builds_no_sector_map(monkeypatch):
 
 
 def test_the_walk_of_n_composes_one_word_per_permutation(bad_star, monkeypatch):
-    # w⁻¹·(id, x)·w = (id, x∘τ⁻¹) for w = (τ, b): P is walked once, one
-    # product per τ and lift generator and one word kept per τ, and N's
-    # classes are that walk's images; past N the walk composes one word per
-    # coset it appends.  Counted on fresh groups, the lift generators
-    # included: the bad quintic's G* (|P| = 4) and the 6-cubic's (|P| = 9),
-    # where walking each coset of N from its own word composed 490 and 301
+    # P is walked once, one product per τ and lift generator and one word
+    # kept per τ, and every class is read off that walk, its cosets keeping
+    # the walk's words: no word is composed past it.  Besides, ⟨σ⟩ is walked
+    # once for each σ that leads a class, one product per power.  Counted on
+    # fresh groups, the lift generators included: the bad quintic's G*
+    # (|P| = 4, 18 for P and 6 for the three σ of order 2) and the 6-cubic's
+    # (|P| = 9, 39 for P and 24 for the eight σ of order 3), where a walk
+    # over cosets composing one word per coset took 48 and 119, and walking
+    # each coset of N from its own word 490 and 301
     poly = fermat([3] * 6)
     cubic = lg.nonabelian_dual(
         lg.closure(lg.parse_generator(t, poly) for t in "j; (1 2 3); (4 5 6)".split(";")), poly)
@@ -397,7 +419,7 @@ def test_the_walk_of_n_composes_one_word_per_permutation(bad_star, monkeypatch):
     def counting(a, b, mod):
         calls.append(mod)
         return compose(a, b, mod)
-    for group, count in ((bad_star, 48), (cubic, 119)):
+    for group, count in ((bad_star, 24), (cubic, 63)):
         fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
         calls.clear()
         monkeypatch.setattr(lg.symmetry, "_compose", counting)

@@ -146,6 +146,27 @@ def test_dual_requires_diagonal(quartic, quartic_group):
         lg.dual_group(quartic_group, quartic)
 
 
+def test_dual_requires_symmetries():
+    # H = ⟨(1/3, 0)⟩ fixes no monomial of x1^4 + x2^4, so it has no dual:
+    # it is refused before |det A_W| // |H| = 16 // 3 = 5 meets the cap
+    poly = lg.parse_polynomial("x1^4 + x2^4")
+    h = lg.closure([diag("1/3", 0)])
+    for kwargs in ({}, {"cap": 10}):
+        with pytest.raises(NotASymmetryError, match=r"^\(1/3, 0\) is not a symmetry of "):
+            lg.dual_group(h, poly, **kwargs)
+
+
+def test_star_group_checks_that_k_normalizes_the_dual(quartic):
+    # no G = H·K splits so, but star_group trusts its split: the rows of
+    # Hᵀ = {(0, b, c, d)/4}, permuted by (1 2 3), leave it, and by (2 3 4) not
+    h = lg.closure([diag("1/4", 0, 0, 0)])
+    split = lg.duality.HKDecomposition(None, h, lg.closure([perm([(0, 1, 2)], 4)]))
+    with pytest.raises(lg.errors.InternalError, match="^K does not normalize Hᵀ$"):
+        lg.duality.star_group(split, quartic)
+    split = split._replace(k=lg.closure([perm([(1, 2, 3)], 4)]))
+    assert lg.duality.star_group(split, quartic).order == 4 ** 3 * 3
+
+
 def test_nonabelian_dual_quartic(quartic, quartic_group):
     star = lg.nonabelian_dual(quartic_group, quartic)
     assert star.order == 192

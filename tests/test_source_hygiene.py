@@ -4,9 +4,9 @@ module-level name nothing refers to; a regular expression whose ``\\d``,
 module-level cache with no bound on its entries, or one keyed by a
 polynomial; a rational or a listing of group elements on the path that
 builds and compares state spaces; a vector's node list read there; an
-element or a sector on the path of the invariant search, the class walk
-and a vector's node list; a class member listed by the
-class walk; and, outside ``symmetry``, a
+element or a sector on the path of the invariant search, the class walk,
+the check that K normalizes Hᵀ and a vector's node list; a class member
+listed, or a word composed, by the class walk; and, outside ``symmetry``, a
 position in a group's listing or a group built from more than its
 structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
 standard library's ``ast`` alone."""
@@ -205,11 +205,13 @@ def test_the_comparison_and_the_census_list_no_node():
     assert seen == {""} | NODE_FREE_PATH["state_space.py"], seen
     assert not found, f"node lists read on the comparison path: {found}"
 
-# the invariant search and the class walk run on integer forms: elements
-# and sectors are made only at the public entries and by the views
+# the invariant search, the class walk and the check that K normalizes Hᵀ
+# run on integer forms: elements and sectors are made only at the public
+# entries and by the views
 FORM_PATH = {"state_space.py": {"invariant_basis", "_carries", "_kept", "sector_map",
                                 "SectorMap.apply", "GradedBasisVector.nodes"},
-             "symmetry.py": {"SymmetryGroup.class_transversals"}}
+             "symmetry.py": {"SymmetryGroup.class_transversals"},
+             "duality.py": {"star_group"}}
 ELEMENT_NAMES = {"MonomialSymmetry", "from_numerators", "build_sector", "Sector", "inverse",
                  "conjugated_by"}
 
@@ -263,6 +265,14 @@ def _readers(tree, test):
     hold a node for which ``test`` is true."""
     scope_of = {id(node): name for name, scope in _functions(tree) for node in ast.walk(scope)}
     return {scope_of.get(id(node), "<module>") for node in ast.walk(tree) if test(node)}
+
+
+def test_the_class_walk_composes_no_word():
+    # every class is read off P's one walk (``_walk``), each coset keeping
+    # the word of the first τ to meet it: no word is composed past that walk
+    (walk,) = [scope for name, scope in _functions(_tree(SRC / "symmetry.py"))
+               if name == "SymmetryGroup.class_transversals"]
+    assert "_compose" not in _loaded(walk)
 
 
 # a class is its cosets of im φ_σ: the class walk keeps one head and
