@@ -102,9 +102,7 @@ class MonomialSymmetry:
 
     ``perm`` holds 0-based images (σ(i) = perm[i]); phase i is
     ``nums[i] / mod``, 0 ≤ nums[i] < mod, with ``mod`` reduced so that equal
-    elements have equal fields.  Instances are hashable; ``key``, (perm,
-    phases), sorts them in the canonical element order, which group
-    listings follow without reading it.
+    elements have equal fields.  Instances are hashable.
     """
 
     __slots__ = ("perm", "nums", "mod", "_hash")
@@ -202,14 +200,6 @@ class MonomialSymmetry:
         sums = [length // len(c) * sum(self.nums[i] for i in c) for c in cycles]
         return length * (self.mod // gcd(self.mod, *sums))
 
-    def conjugated_by(self, gamma: "MonomialSymmetry") -> "MonomialSymmetry":
-        """γ⁻¹·g·γ."""
-        return gamma.inverse() * self * gamma
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mod == 1 and self.is_diagonal
-
     @property
     def is_diagonal(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
@@ -245,10 +235,6 @@ class MonomialSymmetry:
 
     def fixed_locus(self) -> "FixedLocus":
         return form_locus(self.perm, self.nums, self.mod)
-
-    @property
-    def key(self):
-        return (self.perm, self.phases)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialSymmetry) and self.perm == other.perm \
@@ -527,16 +513,21 @@ class SymmetryGroup:
         (σ, a) exactly over the coset a + im φ_σ, and a lift moves cosets by
         its permutation alone.  So P is walked once, one word w_τ per τ.  The
         cosets' least members are listed lift by lift, in canonical order, and
-        the first r not yet met leads a class: the cosets of w_τ⁻¹·r·w_τ in
-        walk order, each known by its least member and kept with the first
-        τ's word.  The τ of one τ∘⟨σ⟩ meet one coset, their words being rᵏ·w_τ
-        up to N, so only the first is tried; for σ = id, w_τ⁻¹·(id, x)·w_τ =
-        (id, x∘τ⁻¹)."""
+        the first r not yet met leads a class: the cosets of the w_τ⁻¹·r·w_τ,
+        each known by its least member and kept with the first τ's word; for
+        σ = id, the (id, x∘τ⁻¹) in walk order.  Else they are walked
+        breadth-first from r's, a head y reaching g⁻¹·y·g's coset along each
+        lift generator g.  A coset's first τ is reached in P's walk from the
+        first τ of the coset it is reached from, so only P's edges from that τ
+        are tried, a new coset keeping the word where its edge ends.  A head
+        (π, x) is fixed by the generators in ⟨π⟩, so at π = σ those in ⟨σ⟩ are
+        skipped."""
         mod, ident = self.modulus, self.lifts[0]
         if self.is_diagonal:  # one-element classes; the walk of N below is 2.7x slower on them
             return [[((ident[0], x), ident)] for x in self._coset(ident[1])]
+        words = _walk(self._lift_gens, mod, len(self.lifts))[0]  # τ ↦ b, its word w_τ = (τ, b)
         walk = [(tuple(sorted(range(self.n), key=tau.__getitem__)), (tau, b))  # τ⁻¹, τ's word
-                for tau, b in _walk(self._lift_gens, mod, len(self.lifts))[0].items()]
+                for tau, b in words.items()]
         met, classes = set(), []  # the least member of each coset reached so far
         for x in self._coset(ident[1]):
             if x not in met:
@@ -545,25 +536,33 @@ class SymmetryGroup:
                     orbit.setdefault(tuple(map(x.__getitem__, inv)), w)
                 met.update(orbit)
                 classes.append([((ident[0], z), w) for z, w in orbit.items()])
+        tree, reached = {tau: [] for tau in words}, {ident[0]}  # per τ, (γ, γ⁻¹, c, τ∘γ) for each
+        for tau, edges in tree.items():  # lift generator (γ, c) by which P's walk first reaches τ∘γ
+            for gamma, c in self._lift_gens:
+                t = tuple(map(gamma.__getitem__, tau))
+                if t not in reached:
+                    reached.add(t)
+                    edges.append((gamma, _invert((gamma, c), mod)[0], c, t))
         for sigma, a in self.lifts[1:]:
-            steps = None
+            powers = None
             for r in self._coset(a, within=self._part(sigma).image):
                 if (sigma, r) in met:
                     continue
-                if steps is None:  # per τ∘⟨σ⟩, its first τ: w⁻¹·(σ, x)·w = (τ⁻¹στ, x∘τ⁻¹ + offsets)
-                    steps, seen, powers = [], set(), _walk([(sigma, ())], 1, len(self.lifts))[0]
-                    for inv, (tau, b) in walk:
-                        if tau not in seen:
-                            seen.update([tuple(map(tau.__getitem__, s)) for s in powers])
-                            pz = tuple([tau[sigma[j]] for j in inv])
-                            steps.append((pz, inv, [(b[sigma[j]] - b[j]) % mod for j in inv],
-                                          self._part(pz).image, (tau, b)))
-                cosets = {(sigma, r): ((sigma, r), ident)}  # τ = id, then the others
-                for pz, inv, offsets, image, w in steps[1:]:
-                    nz = tuple([(b + r[j]) % mod for b, j in zip(offsets, inv)])
-                    cosets.setdefault((pz, reduce_by(nz, image, mod)), ((pz, nz), w))
-                met.update(cosets)
-                classes.append(list(cosets.values()))
+                if powers is None:
+                    powers = _walk([(sigma, ())], 1, len(self.lifts))[0]  # ⟨σ⟩
+                met.add((sigma, r))
+                cosets = [((sigma, r), ident)]
+                for (pi, x), (tau, _) in cosets:  # grows while it is read
+                    for gamma, inv, c, t in tree[tau]:  # g⁻¹·(π, x)·g = (γ⁻¹πγ, x∘γ⁻¹ + offsets)
+                        if pi == sigma and gamma in powers:
+                            continue
+                        pz = tuple([gamma[pi[j]] for j in inv])
+                        nz = tuple([(x[j] + c[pi[j]] - c[j]) % mod for j in inv])
+                        key = (pz, reduce_by(nz, self._part(pz).image, mod))
+                        if key not in met:
+                            met.add(key)
+                            cosets.append(((pz, nz), (t, words[t])))
+                classes.append(cosets)
         return classes
 
     def class_size(self, cosets) -> int:
@@ -591,11 +590,12 @@ class SymmetryGroup:
         basis of N^σ = ker φ_σ, whose generators are read off it.  Its first
         n rows (v, c) span im φ_σ, c a preimage of v: their first halves
         are im φ_σ's Hermite form, and listing their combinations gives each
-        value once, with a preimage.  For σ = id that form is known, so it is
-        written down: N^id = N, its first rows are M·eᵢ and φ_id is 0."""
+        value once, with a preimage.  For σ = id, and for every σ when N =
+        {0} (M = 1), that form is known, so it is written down: N^σ = N, its
+        first rows are M·eᵢ and φ_σ is 0."""
         if sigma not in self._parts:
             n, mod, ident, zero = self.n, self.modulus, self.lifts[0][0], (0,) * self.n
-            if sigma == ident:
+            if sigma == ident or mod == 1:
                 basis, preimages = list(self.basis), {zero: zero}
                 image = [zero[:i] + (mod,) + zero[i + 1:] for i in range(n)]
             else:

@@ -136,6 +136,20 @@ def matrix_product(a, b):
     return out
 
 
+def is_identity(g: MonomialSymmetry) -> bool:
+    return g.mod == 1 and g.is_diagonal
+
+
+def element_key(g: MonomialSymmetry):
+    """(perm, phases): sorts elements in the canonical order group listings follow."""
+    return (g.perm, g.phases)
+
+
+def conjugated_by(g: MonomialSymmetry, gamma: MonomialSymmetry) -> MonomialSymmetry:
+    """γ⁻¹·g·γ."""
+    return gamma.inverse() * g * gamma
+
+
 def phase_matrix(g: MonomialSymmetry):
     """Dense matrix form: entry (i, σ(i)) holds the phase, others None."""
     mat = [[None] * g.n for _ in range(g.n)]
@@ -180,7 +194,7 @@ def element_map(gamma: MonomialSymmetry, sector):
     """(map, target): the pullback by the element γ from ``sector`` to the
     sector of γ⁻¹gγ, built with its check, as ``sector_map`` reads it off
     γ's form and the two fixed loci."""
-    target = build_sector(sector.poly, sector.element.conjugated_by(gamma))
+    target = build_sector(sector.poly, conjugated_by(sector.element, gamma))
     return sector_map((gamma.perm, gamma.nums), gamma.mod, sector.locus, target.locus), target
 
 
@@ -797,9 +811,9 @@ def corner_pairs(poly, a_space, b_space, h, h_dual) -> RestrictedMirror:
     corners are the leads found by scanning all of H and Hᵀ."""
     a_narrow = frozenset(narrow_diagonal_set(h))
     b_narrow = frozenset(narrow_diagonal_set(h_dual))
-    a0 = [v for v in a_space.basis if v.leading[2].is_identity]
+    a0 = [v for v in a_space.basis if is_identity(v.leading[2])]
     anar = [v for v in a_space.basis if v.leading[2] in a_narrow]
-    b0 = [v for v in b_space.basis if v.leading[2].is_identity]
+    b0 = [v for v in b_space.basis if is_identity(v.leading[2])]
     bnar = [v for v in b_space.basis if v.leading[2] in b_narrow]
     return RestrictedMirror(
         _match_images(poly, a0, bnar, lambda w: frozenset(w.sector_elements), 1,
@@ -1435,7 +1449,7 @@ def random_action_instance(rng: random.Random, max_order=200, max_nodes=100):
         perm = random_class_permutation(rng, ds, even_only=False)
         if perm is not None and rng.random() < 0.8:
             gens.append(perm)
-        gens = [g for g in gens if not g.is_identity]
+        gens = [g for g in gens if not is_identity(g)]
         if not gens:
             continue
         try:
@@ -1470,7 +1484,7 @@ def random_mirror_instance(rng: random.Random, max_order=500,
             if perm is not None:
                 gens.append(perm)
         try:
-            group = closure([g for g in gens if not g.is_identity],
+            group = closure([g for g in gens if not is_identity(g)],
                             cap=max_order + 1)
         except Exception:
             continue

@@ -17,6 +17,7 @@ from oracles import (
     b_bidegree,
     class_action,
     class_of,
+    conjugated_by,
     determinant,
     element_map,
     element_of_matrix,
@@ -232,7 +233,7 @@ def test_criterion_7b_age_identities(quartic_group, good_group, bad_group,
             for _ in range(60):
                 g = rng.choice(elements)
                 gamma = rng.choice(elements)
-                conj = g.conjugated_by(gamma)
+                conj = conjugated_by(g, gamma)
                 assert conj.age() == g.age()
                 assert conj.fixed_locus().dim == g.fixed_locus().dim
 

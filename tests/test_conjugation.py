@@ -22,6 +22,7 @@ from oracles import (
     class_members,
     class_walk_by_cosets,
     class_walk_by_elements,
+    conjugated_by,
     conjugation_table,
     element_map,
     fermat,
@@ -65,7 +66,7 @@ def assert_table_rows(group):
     assert len(table) == len(group.generators)
     for gamma, row in zip(group.generators, table):
         assert [group.elements[j] for j in row] == \
-            [g.conjugated_by(gamma) for g in group.elements]
+            [conjugated_by(g, gamma) for g in group.elements]
     members = class_members(group)
     assert members == class_walk_by_elements(group)
     sizes = [group.class_size(cosets) for cosets in group.class_transversals]
@@ -77,7 +78,7 @@ def assert_table_rows(group):
         rep = make(*m[0][0], group.modulus)
         for x, w, c in m:
             t = make(*w, group.modulus) * make(ident, c, group.modulus)
-            assert t in group and rep.conjugated_by(t) == make(*x, group.modulus)
+            assert t in group and conjugated_by(rep, t) == make(*x, group.modulus)
 
 
 def assert_same_basis(basis, expected):
@@ -255,11 +256,19 @@ def test_class_walk_matches_the_element_walk_on_random_groups():
     assert 12 in parts and max(parts) > 12 and phased
 
 
+def cubic_cycles(k):
+    """K = C3^k on 3k cubics, G = (1 2 3); (4 5 6); …: |P| = 3^k and N = {0}."""
+    poly = fermat([3] * (3 * k))
+    return lg.closure(lg.parse_generator(f"({i} {i + 1} {i + 2})", poly)
+                      for i in range(1, 3 * k, 3))
+
+
 def test_class_walk_matches_the_walk_over_cosets():
     # every class read off P's one walk against the breadth-first walk over
     # cosets it replaced, heads, words and order included: on 300 seeded
-    # random groups of order at most 200 and on the G* of the 6-cubic, the
-    # 5-quintic and the A6 cubic (|P| = 9, 60 and 360), each group fresh
+    # random groups of order at most 200, on the G* of the 6-cubic, the
+    # 5-quintic and the A6 cubic (|P| = 9, 60 and 360) and on C3^5 (|P| =
+    # 243, one coset per class), each group fresh
     rng = random.Random(3131)
     groups = [random_monomial_group(rng, cap=200) for _ in range(300)]
     for degrees, text in (([3] * 6, "j; (1 2 3); (4 5 6)"), ([5] * 5, "j; (1 2 3); (3 4 5)"),
@@ -267,10 +276,56 @@ def test_class_walk_matches_the_walk_over_cosets():
         poly = fermat(degrees)
         groups.append(lg.nonabelian_dual(
             lg.closure(lg.parse_generator(t, poly) for t in text.split(";")), poly))
-    assert [len(group.lifts) for group in groups[-3:]] == [9, 60, 360]
+    groups.append(cubic_cycles(5))
+    assert [len(group.lifts) for group in groups[-4:]] == [9, 60, 360, 243]
     assert sum(not group.is_diagonal for group in groups) > 100
     for group in groups:
         assert group.class_transversals == class_walk_by_cosets(group)
+
+
+def test_a_class_walk_costs_its_cosets(monkeypatch):
+    # C3^5 has |P| = 243, five lift generators and 242 classes with σ ≠ id,
+    # one coset each: its walk reduces at most one head per coset and lift
+    # generator (1,210 in all), where a step per coset τ∘⟨σ⟩ of P for each
+    # class made 19,360
+    group = cubic_cycles(5)
+    fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+    calls, reduce_by = [], lg.symmetry.reduce_by
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return reduce_by(*args)
+    monkeypatch.setattr(lg.symmetry, "reduce_by", counted)
+    classes = fresh.class_transversals
+    monkeypatch.undo()
+    moved = [cosets for cosets in classes if cosets[0][0][0] != fresh.lifts[0][0]]
+    assert (len(fresh.lifts), len(fresh._lift_gens), len(moved)) == (243, 5, 242)
+    assert len(calls) <= sum(map(len, moved)) * len(fresh._lift_gens) == 1210
+
+
+def test_a_trivial_diagonal_part_writes_each_record_down(monkeypatch, quintic, bad_group):
+    # N = {0} over modulus 1, so for every σ N^σ = N, im φ_σ = 0 and the one
+    # preimage is 0: each record is written down, the value the 2n-column
+    # elimination gives, and the class walk runs no elimination on C3^4, on
+    # K = A6 on 6 cubics and on the bad quintic's K
+    poly = fermat([3] * 6)
+    groups = [cubic_cycles(4), lg.closure(lg.parse_generator(t, poly)
+                                          for t in "(1 2 3); (2 3 4 5 6)".split(";")),
+              lg.decompose_hk(bad_group, quintic).k]
+    assert [(group.modulus, len(group.lifts)) for group in groups] == [(1, 81), (1, 360), (1, 4)]
+    fresh = [lg.SymmetryGroup(group.modulus, group.basis, group.lifts) for group in groups]
+
+    def refuse(*args):
+        raise AssertionError("no elimination expected")
+    monkeypatch.setattr(lg.symmetry, "hermite", refuse)
+    for group in fresh:
+        assert group.class_transversals
+    monkeypatch.undo()
+    for group in fresh:
+        for sigma, _ in group.lifts:
+            part, expected = group._part(sigma), part_by_elimination(group, sigma)
+            assert list(part[:3]) == list(expected[:3])
+            assert list(part.preimages.items()) == list(expected[3].items())
 
 
 def test_class_walk_over_cosets_matches_the_element_walk(quartic, good_group, bad_group):

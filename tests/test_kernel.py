@@ -16,6 +16,8 @@ import lgmirror as lg
 from lgmirror.errors import CapExceededError
 from oracles import (
     canonical_vectors,
+    conjugated_by,
+    element_key,
     frac_age,
     frac_closure,
     frac_compose,
@@ -53,7 +55,7 @@ def test_kernel_matches_fraction_oracle(groups, name):
         fa, fb = frac_form(a), frac_form(b)
         assert frac_form(a * b) == frac_compose(fa, fb)
         assert frac_form(a.inverse()) == frac_inverse(fa)
-        assert frac_form(a.conjugated_by(b)) == \
+        assert frac_form(conjugated_by(a, b)) == \
             frac_compose(frac_compose(frac_inverse(fb), fa), fb)
         assert a.order() == frac_order(fa)
         assert a.age() == frac_age(fa)
@@ -67,7 +69,7 @@ def test_kernel_matches_fraction_oracle(groups, name):
 @pytest.mark.parametrize("name", ["quartic G", "quartic G*", "bad quintic G*"])
 def test_elements_are_canonical_however_built(groups, name):
     group = groups[name]
-    assert list(group.elements) == sorted(group.elements, key=lambda g: g.key)
+    assert list(group.elements) == sorted(group.elements, key=element_key)
     rng = random.Random(7)
     for _ in range(200):
         a, b = rng.choice(group.elements), rng.choice(group.elements)

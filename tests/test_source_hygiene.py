@@ -6,7 +6,8 @@ polynomial; a rational or a listing of group elements on the path that
 builds and compares state spaces; a vector's node list read there; an
 element or a sector on the path of the invariant search, the class walk,
 the check that K normalizes Hᵀ and a vector's node list; a class member
-listed, or a word composed, by the class walk; and, outside ``symmetry``, a
+listed, or a word composed, by the class walk, or P's walk iterated by the
+walk of a class with σ ≠ id; and, outside ``symmetry``, a
 position in a group's listing or a group built from more than its
 structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
 standard library's ``ast`` alone."""
@@ -273,6 +274,43 @@ def test_the_class_walk_composes_no_word():
     (walk,) = [scope for name, scope in _functions(_tree(SRC / "symmetry.py"))
                if name == "SymmetryGroup.class_transversals"]
     assert "_compose" not in _loaded(walk)
+
+
+def _bound_from_walk(scope):
+    """The names ``scope`` binds to P's walk, ``_walk(self._lift_gens, …)``,
+    or to a value that reads a name bound so."""
+    assigns = [node for node in ast.walk(scope) if isinstance(node, ast.Assign)]
+    names, grown = set(), True
+    while grown:
+        grown = False
+        for node in assigns:
+            walked = any(isinstance(n, ast.Call) and _called_name(n) == "_walk" and n.args
+                         and ast.unparse(n.args[0]) == "self._lift_gens"
+                         for n in ast.walk(node.value))
+            if walked or _loaded(node.value) & names:
+                bound = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                grown, names = grown or not bound <= names, names | bound
+    return names
+
+
+def test_a_class_with_a_permutation_walks_its_cosets_not_p():
+    # a class led by (σ, r) with σ ≠ id is walked over its own cosets along
+    # P's edges, so it costs its cosets times the lift generators: inside the
+    # loop over the lifts σ ≠ id no loop iterates P's walk, as a table of one
+    # step per coset τ∘⟨σ⟩ of P did, built for each σ that leads a class
+    (walk,) = [scope for name, scope in _functions(_tree(SRC / "symmetry.py"))
+               if name == "SymmetryGroup.class_transversals"]
+    walked = _bound_from_walk(walk)
+    (branch,) = [node for node in ast.walk(walk)
+                 if isinstance(node, ast.For) and ast.unparse(node.iter) == "self.lifts[1:]"]
+    loops = [node.iter for node in ast.walk(branch)
+             if isinstance(node, (ast.For, ast.comprehension)) and node is not branch]
+    over_p = [f"line {it.lineno}: {ast.unparse(it)}" for it in loops
+              if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+              and it.func.attr in ("items", "keys", "values") and not it.args
+              and isinstance(it.func.value, ast.Name) and it.func.value.id in walked
+              or isinstance(it, ast.Name) and it.id in walked]
+    assert walked and not over_p, f"loops over P's walk in the class walk of σ ≠ id: {over_p}"
 
 
 # a class is its cosets of im φ_σ: the class walk keeps one head and
