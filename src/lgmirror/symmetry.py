@@ -200,10 +200,6 @@ class MonomialSymmetry:
         sums = [length // len(c) * sum(self.nums[i] for i in c) for c in cycles]
         return length * (self.mod // gcd(self.mod, *sums))
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All permutation cycles, each starting at its least index."""
         return _perm_cycles(self.perm)
@@ -353,9 +349,11 @@ def _walk(generators, mod: int, cap: int):
     for each τ ∈ P, in reach order, and the Schreier generators of the
     diagonal part N, one a − a_τ from each product (τ, a) of a lift and a
     generator whose τ was reached before, as (τ, a)·(τ, a_τ)⁻¹ = (id,
-    a − a_τ) (Schreier's lemma).  Errors as soon as |P| exceeds ``cap``."""
+    a − a_τ) (Schreier's lemma); and the walk's tree, each edge (τ, g, τ∘γ)
+    by which a generator g = (γ, c) first reaches a permutation, in reach
+    order.  Errors as soon as |P| exceeds ``cap``."""
     ident = (tuple(range(len(generators[0][0]))), (0,) * len(generators[0][1]))
-    lifts, schreier, reached = dict([ident]), set(), [ident]
+    lifts, schreier, reached, tree = dict([ident]), set(), [ident], []
     for lift in reached:  # grows while it is read
         for g in generators:
             perm, nums = _compose(lift, g, mod)
@@ -365,9 +363,10 @@ def _walk(generators, mod: int, cap: int):
                     raise CapExceededError(f"group exceeds cap of {cap} elements")
                 lifts[perm] = nums
                 reached.append((perm, nums))
+                tree.append((lift[0], g, perm))
             elif first != nums:
                 schreier.add(tuple([(x - y) % mod for x, y in zip(nums, first)]))
-    return lifts, schreier
+    return lifts, schreier, tree
 
 
 def _lift_generators(lifts):
@@ -489,10 +488,6 @@ class SymmetryGroup:
         return f"SymmetryGroup(order={self.order}, n={self.n})"
 
     @property
-    def identity(self) -> MonomialSymmetry:
-        return MonomialSymmetry.identity(self.n)
-
-    @property
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
@@ -511,21 +506,21 @@ class SymmetryGroup:
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and a lift moves cosets by
-        its permutation alone.  So P is walked once, one word w_τ per τ.  The
-        cosets' least members are listed lift by lift, in canonical order, and
-        the first r not yet met leads a class: the cosets of the w_τ⁻¹·r·w_τ,
-        each known by its least member and kept with the first τ's word; for
-        σ = id, the (id, x∘τ⁻¹) in walk order.  Else they are walked
-        breadth-first from r's, a head y reaching g⁻¹·y·g's coset along each
-        lift generator g.  A coset's first τ is reached in P's walk from the
-        first τ of the coset it is reached from, so only P's edges from that τ
-        are tried, a new coset keeping the word where its edge ends.  A head
-        (π, x) is fixed by the generators in ⟨π⟩, so at π = σ those in ⟨σ⟩ are
-        skipped."""
+        its permutation alone.  So P is walked once, keeping one word w_τ per τ
+        and the walk's tree.  The cosets' least members are listed lift by
+        lift, in canonical order, and the first r not yet met leads a class:
+        the cosets of the w_τ⁻¹·r·w_τ, each known by its least member and kept
+        with the first τ's word; for σ = id, the (id, x∘τ⁻¹) in walk order.
+        Else they are walked breadth-first from r's, a head y reaching
+        g⁻¹·y·g's coset along each lift generator g, g⁻¹ made once.  A coset's
+        first τ is reached in P's walk from the first τ of the coset it is
+        reached from, so only the tree's edges from that τ are tried, a new
+        coset keeping the word where its edge ends.  A head (π, x) is fixed by
+        the generators in ⟨π⟩, so at π = σ those in ⟨σ⟩ are skipped."""
         mod, ident = self.modulus, self.lifts[0]
         if self.is_diagonal:  # one-element classes; the walk of N below is 2.7x slower on them
             return [[((ident[0], x), ident)] for x in self._coset(ident[1])]
-        words = _walk(self._lift_gens, mod, len(self.lifts))[0]  # τ ↦ b, its word w_τ = (τ, b)
+        words, _, edges = _walk(self._lift_gens, mod, len(self.lifts))  # τ ↦ b: w_τ = (τ, b)
         walk = [(tuple(sorted(range(self.n), key=tau.__getitem__)), (tau, b))  # τ⁻¹, τ's word
                 for tau, b in words.items()]
         met, classes = set(), []  # the least member of each coset reached so far
@@ -536,13 +531,10 @@ class SymmetryGroup:
                     orbit.setdefault(tuple(map(x.__getitem__, inv)), w)
                 met.update(orbit)
                 classes.append([((ident[0], z), w) for z, w in orbit.items()])
-        tree, reached = {tau: [] for tau in words}, {ident[0]}  # per τ, (γ, γ⁻¹, c, τ∘γ) for each
-        for tau, edges in tree.items():  # lift generator (γ, c) by which P's walk first reaches τ∘γ
-            for gamma, c in self._lift_gens:
-                t = tuple(map(gamma.__getitem__, tau))
-                if t not in reached:
-                    reached.add(t)
-                    edges.append((gamma, _invert((gamma, c), mod)[0], c, t))
+        inverted = {gamma: _invert((gamma, c), mod)[0] for gamma, c in self._lift_gens}
+        tree = {tau: [] for tau in words}  # per τ, (γ, γ⁻¹, c, τ∘γ) for each lift generator
+        for tau, (gamma, c), t in edges:  # (γ, c) by which P's walk first reaches τ∘γ
+            tree[tau].append((gamma, inverted[gamma], c, t))
         for sigma, a in self.lifts[1:]:
             powers = None
             for r in self._coset(a, within=self._part(sigma).image):
@@ -651,7 +643,7 @@ class SymmetryGroup:
         seen = {(0,)}
         while heap:
             _, sub, gens = heappop(heap)
-            lifts, schreier = _walk([forms[i] for i in gens] or forms[:1], mod, self.order)
+            lifts, schreier, _ = _walk([forms[i] for i in gens] or forms[:1], mod, self.order)
             yield SymmetryGroup(mod, hermite([*schreier] or [forms[0][1]], mod), lifts.items())
             tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
@@ -685,7 +677,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
-    lifts, schreier = _walk([g.over(mod) for g in generators], mod, cap)
+    lifts, schreier, _ = _walk([g.over(mod) for g in generators], mod, cap)
     group = SymmetryGroup(mod, hermite([*schreier] or [(0,) * n], mod), lifts.items())
     if group.order > cap:
         raise CapExceededError(f"group exceeds cap of {cap} elements")

@@ -20,7 +20,8 @@ classes from H⋊K against orbits under a conjugation table of every element
 by every generator, the class walk over cosets of im φ_σ, its cosets
 listed member by member, against the walk over element positions it
 replaced, the class walk read off P's one walk against the breadth-first
-walk over cosets it replaced, each permutation part's values and
+walk over cosets it replaced, the tree that walk keeps against a replay of
+P on permutations, each permutation part's values and
 preimages of φ_σ and its N^σ against a scan of N, the record of σ = id,
 written down, against the elimination that gives every other σ's, structural centralizers
 against a filter of every element of the group, and the ordered subgroup
@@ -33,7 +34,8 @@ parsers' token scans and state table are checked against the tokenizer,
 recursive-descent loops and gap-checking cycle scan they replaced.  Rational
 views of the library's integer fields (phase matrices, canonical vectors,
 sector-map phases) are built here too, and so are the views only tests
-read: an element's conjugacy class and whether a sector is narrow.
+read: an element's conjugacy class, whether an element is diagonal or a
+sector narrow, and a group's identity.
 """
 
 from __future__ import annotations
@@ -136,8 +138,18 @@ def matrix_product(a, b):
     return out
 
 
+def is_diagonal(g: MonomialSymmetry) -> bool:
+    """True iff g moves no coordinate."""
+    return all(p == i for i, p in enumerate(g.perm))
+
+
 def is_identity(g: MonomialSymmetry) -> bool:
-    return g.mod == 1 and g.is_diagonal
+    return g.mod == 1 and is_diagonal(g)
+
+
+def identity_of(group) -> MonomialSymmetry:
+    """The identity element of ``group``."""
+    return MonomialSymmetry.identity(group.n)
 
 
 def element_key(g: MonomialSymmetry):
@@ -599,6 +611,23 @@ def class_walk_by_cosets(group):
     return classes
 
 
+def walk_tree_by_replay(group):
+    """The tree of P's walk over the lift generators, as the class walk
+    rebuilt it before the walk kept it: P replayed on permutations alone,
+    breadth-first from the identity, each edge (τ, g, τ∘γ) by which a lift
+    generator g = (γ, c) first reaches a permutation, in reach order."""
+    ident = group.lifts[0][0]
+    order, reached, tree = [ident], {ident}, []
+    for tau in order:  # grows while it is read
+        for g in group._lift_gens:
+            t = tuple(map(g[0].__getitem__, tau))
+            if t not in reached:
+                reached.add(t)
+                order.append(t)
+                tree.append((tau, g, t))
+    return tree
+
+
 def class_members(group):
     """``class_transversals`` with every coset listed: per class, (x, w, c)
     for each member x, coset by coset in the walk's order, each coset's
@@ -654,7 +683,7 @@ def factor_each_element(group, poly):
     for g in group.generators:
         if not is_symmetry(g, poly):
             raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
-    h_elems = [g for g in group if g.is_diagonal]
+    h_elems = [g for g in group if is_diagonal(g)]
     k_elems = [g for g in group if g.mod == 1]  # the pure permutations
     for g in k_elems:
         if g.perm_parity != 0:
@@ -662,7 +691,7 @@ def factor_each_element(group, poly):
     h = closure(h_elems)
     k = closure(k_elems)
     make = MonomialSymmetry.from_numerators
-    ident, zeros = group.identity.perm, (0,) * group.n
+    ident, zeros = identity_of(group).perm, (0,) * group.n
     for g in group:
         if make(ident, g.nums, g.mod) not in h or make(g.perm, zeros, 1) not in k:
             raise NotHKProductError(
@@ -760,7 +789,7 @@ def unprojected_mirror(poly: InvertiblePolynomial,
     ascending coordinate order; the image exponents run over the moving
     coordinates the same way.  Applying the map twice returns the input.
     """
-    if not g.is_diagonal:
+    if not is_diagonal(g):
         raise NotDiagonalSectorError("the unprojected map needs a diagonal sector")
     d = poly.fermat_exponents()
     n = poly.n_vars

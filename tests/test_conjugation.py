@@ -28,12 +28,15 @@ from oracles import (
     fermat,
     frac_conjugacy_classes,
     frac_form,
+    identity_of,
+    is_diagonal,
     part_by_elimination,
     preimages_by_scan,
     random_mirror_instance,
     random_monomial_group,
     search_invariant_basis,
     table_classes,
+    walk_tree_by_replay,
 )
 
 NAMES = ["quartic G", "quartic G*", "good quintic G*", "bad quintic G*"]
@@ -73,7 +76,7 @@ def assert_table_rows(group):
     assert sizes == [len(m) for m in members] and sum(sizes) == group.order
     assert [tuple(sorted(x for x, _, _ in m)) for m in members] == \
         [tuple(group._forms[i] for i in cls) for cls in table_classes(group)]
-    make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
+    make, ident = lg.MonomialSymmetry.from_numerators, identity_of(group).perm
     for m in members:
         rep = make(*m[0][0], group.modulus)
         for x, w, c in m:
@@ -143,10 +146,10 @@ def assert_fixed_generators(group):
         sigma = cosets[0][0][0]
         gens = group._part(sigma).generators
         assert group._part(sigma).generators is gens
-        fixed = tuple(g for g in group.elements if g.is_diagonal and all(
+        fixed = tuple(g for g in group.elements if is_diagonal(g) and all(
             g.nums[s] == x for s, x in zip(sigma, g.nums)))
         made = lg.closure(make(*form, mod) for form in gens).elements if gens \
-            else (group.identity,)
+            else (identity_of(group),)
         assert made == fixed
 
 
@@ -283,6 +286,53 @@ def test_class_walk_matches_the_walk_over_cosets():
         assert group.class_transversals == class_walk_by_cosets(group)
 
 
+def star_of(degrees, text):
+    """G* for W = Σ x_i^d_i and the G its ';'-separated generators generate."""
+    poly = fermat(degrees)
+    return lg.nonabelian_dual(
+        lg.closure(lg.parse_generator(t, poly) for t in text.split(";")), poly)
+
+
+A6_CUBIC, SEXTIC = ([3] * 6, "(1 2 3); (2 3 4 5 6)"), ([6] * 7, "j; (1 2 3); (4 5 6)")
+
+
+def test_the_walk_keeps_the_tree_a_replay_of_p_rebuilds():
+    # P's walk keeps its tree, each edge by which a lift generator first
+    # reaches a permutation, in reach order: the tree a replay of P on
+    # permutations rebuilds, edge for edge and in order.  On the groups of
+    # the walk over cosets above and on the non-abelian sextic's G*
+    rng = random.Random(3131)
+    groups = [random_monomial_group(rng, cap=200) for _ in range(300)]
+    groups += [star_of(*model) for model in (([3] * 6, "j; (1 2 3); (4 5 6)"),
+                                             ([5] * 5, "j; (1 2 3); (3 4 5)"), A6_CUBIC, SEXTIC)]
+    groups.append(cubic_cycles(5))
+    assert [len(group.lifts) for group in groups[-5:]] == [9, 60, 360, 9, 243]
+    for group in groups:
+        if not group.is_diagonal:
+            tree = lg.symmetry._walk(group._lift_gens, group.modulus, len(group.lifts))[2]
+            assert tree == walk_tree_by_replay(group)
+
+
+def test_the_class_walk_inverts_each_lift_generator_once(monkeypatch):
+    # the class walk reads the tree P's walk keeps and inverts each lift
+    # generator once, on fresh groups: C3^5, the A6 cubic's G* and the
+    # non-abelian sextic's G*, with 5, 4 and 2 lift generators, where a
+    # replay of P inverting one generator per edge of its tree made 242,
+    # 359 and 8 inversions
+    invert, calls = lg.symmetry._invert, []
+
+    def counted(form, mod):
+        calls.append(mod)
+        return invert(form, mod)
+    for group, gens in ((cubic_cycles(5), 5), (star_of(*A6_CUBIC), 4), (star_of(*SEXTIC), 2)):
+        fresh = lg.SymmetryGroup(group.modulus, group.basis, group.lifts)
+        calls.clear()
+        monkeypatch.setattr(lg.symmetry, "_invert", counted)
+        assert fresh.class_transversals
+        monkeypatch.undo()
+        assert len(fresh._lift_gens) == gens and len(calls) <= gens
+
+
 def test_a_class_walk_costs_its_cosets(monkeypatch):
     # C3^5 has |P| = 243, five lift generators and 242 classes with σ ≠ id,
     # one coset each: its walk reduces at most one head per coset and lift
@@ -382,7 +432,7 @@ def test_coset_map_and_character_give_each_transversal_map(cases, quartic, name)
         poly = quartic
         group = lg.closure(lg.parse_generator(t, quartic) for t in name.split(";"))
     mod = lcm(2, group.modulus)
-    make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
+    make, ident = lg.MonomialSymmetry.from_numerators, identity_of(group).perm
     for cosets, members in zip(group.class_transversals, class_members(group)):
         sector = lg.build_sector(poly, make(*cosets[0][0], group.modulus))
         carries = lg.state_space._carries(group, cosets, sector.locus.cycles, mod)

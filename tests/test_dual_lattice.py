@@ -22,6 +22,7 @@ from oracles import (
     brute_force_diagonal,
     frac_form,
     frac_greedy_generators,
+    identity_of,
     random_chain_or_loop,
     random_mirror_instance,
     scan_dual_group,
@@ -71,7 +72,7 @@ def assert_star_is_closure(poly, group):
     star = duality.star_group(parts, poly)
     h_dual = lg.dual_group(parts.h, poly)
     gens = list(h_dual.generators) + list(parts.k.generators)
-    closed = lg.closure(gens or [group.identity])
+    closed = lg.closure(gens or [identity_of(group)])
     assert star.elements == closed.elements
     assert star.generators == closed.generators
     assert star.order == h_dual.order * parts.k.order

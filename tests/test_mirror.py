@@ -13,8 +13,8 @@ from lgmirror.errors import (
     TheoremViolationError,
 )
 from oracles import (ExponentOutOfRangeError, NotDiagonalSectorError, corner_pairs,
-                     fermat, is_identity, narrow_diagonal_set, random_mirror_instance,
-                     sl_subgroup, unprojected_mirror)
+                     fermat, is_diagonal, is_identity, narrow_diagonal_set,
+                     random_mirror_instance, sl_subgroup, unprojected_mirror)
 
 
 def diag(*phases):
@@ -301,7 +301,7 @@ def test_restricted_mirror_randomized_never_fails():
 
 def is_corner(vector, kind):
     g = vector.leading[2]
-    return is_identity(g) if kind == "untwisted" else g.is_diagonal and all(g.nums)
+    return is_identity(g) if kind == "untwisted" else is_diagonal(g) and all(g.nums)
 
 
 def corrupted(space, kind, change):

@@ -6,8 +6,9 @@ polynomial; a rational or a listing of group elements on the path that
 builds and compares state spaces; a vector's node list read there; an
 element or a sector on the path of the invariant search, the class walk,
 the check that K normalizes Hᵀ and a vector's node list; a class member
-listed, or a word composed, by the class walk, or P's walk iterated by the
-walk of a class with σ ≠ id; and, outside ``symmetry``, a
+listed, or a word composed, by the class walk, P's walk iterated by the
+walk of a class with σ ≠ id, or P walked twice or replayed by the class
+walk; and, outside ``symmetry``, a
 position in a group's listing or a group built from more than its
 structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
 standard library's ``ast`` alone."""
@@ -311,6 +312,38 @@ def test_a_class_with_a_permutation_walks_its_cosets_not_p():
               and isinstance(it.func.value, ast.Name) and it.func.value.id in walked
               or isinstance(it, ast.Name) and it.id in walked]
     assert walked and not over_p, f"loops over P's walk in the class walk of σ ≠ id: {over_p}"
+
+
+def _inner_loops(scope):
+    """The loops, ``for`` statements and comprehension clauses, that
+    ``scope`` holds inside another loop."""
+    inner = []
+    for node in ast.walk(scope):
+        if isinstance(node, (ast.For, ast.While)):
+            body = node.body + node.orelse
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            body = node.generators[1:] + [getattr(node, field) for field in ("elt", "key", "value")
+                                          if hasattr(node, field)]
+        else:
+            continue
+        inner += [n for part in body for n in ast.walk(part)
+                  if isinstance(n, (ast.For, ast.comprehension))]
+    return inner
+
+
+def test_the_class_walk_reads_the_tree_p_s_walk_keeps():
+    # P's walk keeps its tree, so the class walk walks P once, with
+    # ``_walk``, and replays none of it: no loop over the lift generators
+    # runs inside another loop, as one over P's τ did to rebuild the tree
+    (walk,) = [scope for name, scope in _functions(_tree(SRC / "symmetry.py"))
+               if name == "SymmetryGroup.class_transversals"]
+    walks = [node for node in ast.walk(walk) if isinstance(node, ast.Call)
+             and _called_name(node) == "_walk" and node.args
+             and ast.unparse(node.args[0]) == "self._lift_gens"]
+    replays = [f"line {node.iter.lineno}" for node in _inner_loops(walk)
+               if ast.unparse(node.iter) == "self._lift_gens"]
+    assert len(walks) == 1, f"P walked {len(walks)} times by the class walk"
+    assert not replays, f"loops over the lift generators inside a loop: {replays}"
 
 
 # a class is its cosets of im φ_σ: the class walk keeps one head and

@@ -28,6 +28,7 @@ from oracles import (
     frac_age,
     frac_degree,
     frac_form,
+    is_diagonal,
     is_identity,
     is_narrow,
     projector_rank,
@@ -266,7 +267,7 @@ def test_the_named_non_sl_element_is_the_first_in_the_listing():
         first = next((g for g in group if g.det_num()), None)
         if first is None:
             continue
-        named[first.is_diagonal] += 1
+        named[is_diagonal(first)] += 1
         with pytest.raises(NotAdmissibleBError) as info:
             lg.b_state_space(fermat([3] * n), group)
         assert str(info.value) == f"{first.label()} has determinant e({first.det_phase()}) ≠ 1"

@@ -29,6 +29,7 @@ from oracles import (
     frac_fixed_locus,
     frac_form,
     group_of_forms,
+    identity_of,
     index_of,
     is_identity,
     matrix_product,
@@ -262,7 +263,7 @@ def test_class_transversals_conjugate_the_representative(quartic):
     text = "j; diag(1/4,3/4,0,0)*(1 2)(3 4); (1 3)(2 4)"
     group = lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
     members = class_members(group)
-    make, ident = lg.MonomialSymmetry.from_numerators, group.identity.perm
+    make, ident = lg.MonomialSymmetry.from_numerators, identity_of(group).perm
     assert [tuple(make(*x, group.modulus) for x in sorted(x for x, _, _ in m))
             for m in members] == list(group.conjugacy_classes())
     for m in members:
