@@ -48,7 +48,9 @@ class ProblemSpec(namedtuple("ProblemSpec", "poly generators cap g_line")):
             if not symmetry.is_symmetry(g, self.poly):
                 raise NotASymmetryError(
                     f"line {self.g_line}: generator {text!r} is not a symmetry of {self.poly}")
-        return symmetry.closure([g for _, g in self.generators], cap=self.cap)
+        group = symmetry.closure([g for _, g in self.generators], cap=self.cap)
+        group._symmetries_of.add(self.poly)  # generated by symmetries, G is a group of them
+        return group
 
 
 def _on_line(lineno: int, start: int, parse, *args):

@@ -14,9 +14,9 @@ Hermite form of its n generators; G_{Wᵀ}^diag and Hᵀ are never listed.  The
 dual of the trivial group on Wᵀ (L = ℤⁿ) is G_W^diag itself.  For G = H·K
 with H diagonal and K the pure even permutations of G, the non-abelian dual
 is G* = Hᵀ·K ≤ G_{Wᵀ}^max.  K normalizes Hᵀ and meets it only in the
-identity, so G* has Hᵀ's basis and one lift (k, 0) per k ∈ K.  H, K, Hᵀ and
-G* are all built from structure, with no form listed; a cap is checked on
-|Hᵀ|, or on |Hᵀ|·|K| for G*, before either group is built.
+identity, so G* has Hᵀ's basis and one lift (k, 0) per k ∈ K, read off
+Hᵀ's lattice with no Hᵀ built.  Every group is built from structure, with
+no form listed; a cap is checked on |Hᵀ|, or on |Hᵀ|·|K| for G*, before either is built.
 """
 
 from __future__ import annotations
@@ -74,26 +74,28 @@ def _check_cap(h: SymmetryGroup, poly: InvertiblePolynomial, k_order: int, cap: 
         raise CapExceededError(f"group exceeds cap of {cap} elements")
 
 
-def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
-               cap: int = DEFAULT_CAP) -> SymmetryGroup:
-    """Dual of a diagonal group, inside the diagonal group of Wᵀ; errors
-    before building it when it has more than ``cap`` elements (by default
-    ``DEFAULT_CAP``, 10^6).
-
-    Only generators of H are paired against: the pairing (g, h) ↦ g·A_W·hᵀ
-    is bilinear, so integrality on generators gives integrality on all of H.
-    """
-    if not h.is_diagonal:
-        raise NotDiagonalError("dual groups are defined for diagonal groups")
-    check_symmetries(h, poly)
-    _check_cap(h, poly, 1, cap)
+def _dual_lattice(h: SymmetryGroup, poly: InvertiblePolynomial) -> tuple[int, tuple]:
+    """Hᵀ's (modulus, Hermite basis) for diagonal H, paired against H's generators
+    alone: (g, h) ↦ g·A_W·hᵀ is bilinear, so integrality on them is integrality on H."""
     det, adj, m_h = abs(poly.adjugate[0]), poly.adjugate[1], h.modulus
     # B·m ≡ 0 mod M_H for H's Hermite form B over M_H
     d, adj_b = adjugate(h.basis)
     gens = [[sum(a * (m_h * b // d) for a, b in zip(c, m)) % det for c in zip(*adj)]
             for m in zip(*adj_b)]
     mod = det // gcd(det, *(x for row in gens for x in row))  # Hᵀ's modulus
-    basis = hermite([[x // (det // mod) for x in row] for row in gens], mod)
+    return mod, hermite([[x // (det // mod) for x in row] for row in gens], mod)
+
+
+def dual_group(h: SymmetryGroup, poly: InvertiblePolynomial,
+               cap: int = DEFAULT_CAP) -> SymmetryGroup:
+    """Dual of a diagonal group, inside the diagonal group of Wᵀ; errors
+    before building it when it has more than ``cap`` elements (by default
+    ``DEFAULT_CAP``, 10^6)."""
+    if not h.is_diagonal:
+        raise NotDiagonalError("dual groups are defined for diagonal groups")
+    check_symmetries(h, poly)
+    _check_cap(h, poly, 1, cap)
+    mod, basis = _dual_lattice(h, poly)
     return SymmetryGroup(mod, basis, h.lifts)  # H's one lift, the identity
 
 
@@ -106,11 +108,10 @@ def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
 
 def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
                cap: int = DEFAULT_CAP) -> SymmetryGroup:
-    """G* = Hᵀ·K from G's split; errors before building Hᵀ when |G*| =
-    |Hᵀ|·|K| exceeds ``cap``."""
+    """G* = Hᵀ·K from G's split, H ≤ G as ``decompose_hk`` checked G; errors
+    before reading Hᵀ's lattice when |G*| = |Hᵀ|·|K| exceeds ``cap``."""
     _check_cap(parts.h, poly, parts.k.order, cap)
-    h_dual = dual_group(parts.h, poly, cap)
-    basis, mod = h_dual.basis, h_dual.modulus  # each basis row x∘k lies in Hᵀ
+    mod, basis = _dual_lattice(parts.h, poly)  # each basis row x∘k lies in Hᵀ
     if any(any(reduce_by(tuple(map(row.__getitem__, k)), basis, mod))
            for k, _ in parts.k._lift_gens for row in basis):
         raise InternalError("K does not normalize Hᵀ")

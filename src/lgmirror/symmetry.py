@@ -217,13 +217,9 @@ class MonomialSymmetry:
         """Phase t with det(g) = e(t); zero exactly on SL elements."""
         return Fraction(self.det_num(), 2 * self.mod)
 
-    def age_num(self) -> int:
-        """The numerator of ``age`` over 2·mod."""
-        return form_age(self.perm, self.nums, self.mod)
-
     def age(self) -> Fraction:
         """Sum of eigenvalue log-phases taken in [0, 1)."""
-        return Fraction(self.age_num(), 2 * self.mod)
+        return Fraction(form_age(self.perm, self.nums, self.mod), 2 * self.mod)
 
     def fixed_cycles(self) -> tuple[tuple[int, ...], ...]:
         """The cycles of Fix(g): those whose phases sum to an integer."""
@@ -430,6 +426,7 @@ class SymmetryGroup:
         self.order = len(self.lifts) * prod(mod // row[i] for i, row in enumerate(basis))
         self._lift_of = dict(self.lifts)
         self._parts: dict[tuple[int, ...], _Part] = {}
+        self._symmetries_of: set = set()  # each W check_symmetries passed G for
 
     def _coset(self, a, basis=None, within=None):
         """The numerator vectors of a + Λ in canonical order, Λ the lattice
@@ -706,10 +703,12 @@ def is_symmetry(g: MonomialSymmetry, poly: InvertiblePolynomial) -> bool:
 
 
 def check_symmetries(group: SymmetryGroup, poly: InvertiblePolynomial) -> None:
-    """Errors unless G's generators, and so G, are symmetries of W."""
-    for g in group.generators:  # the symmetries of W form a group
-        if not is_symmetry(g, poly):
-            raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
+    """Errors unless G's generators, and so G, are symmetries of W; a W passed is kept on G."""
+    if poly not in group._symmetries_of:
+        for g in group.generators:  # the symmetries of W form a group
+            if not is_symmetry(g, poly):
+                raise NotASymmetryError(f"{g.label()} is not a symmetry of {poly}")
+        group._symmetries_of.add(poly)
 
 
 def exponential_grading(poly: InvertiblePolynomial) -> MonomialSymmetry:

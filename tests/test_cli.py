@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgmirror import cli
+from lgmirror import cli, duality, mirror, state_space, symmetry
 from oracles import frac_cycles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +188,53 @@ def test_mirror_check_bad_is_exit_zero(capsys, tmp_path):
     assert "verdict: DimensionsMatchBigradingFails" in out
     assert "mismatch at (1, 1): A 7 vs B 1" in out
     assert "mismatch at (1, 2): A 35 vs B 41" in out
+
+
+# (user generators, G*'s generators) of each bench spec
+SPEC_GENERATORS = {"quartic_k3": (2, 4), "good_quintic": (2, 5), "bad_quintic": (3, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_GENERATORS))
+def test_each_generator_is_checked_once_per_command(capsys, monkeypatch, name):
+    # a command checks each user generator against W once, where the spec
+    # is read, and each generator of G* against Wᵀ once where the B side is
+    # built: the H·K split, the A side and G* find W kept on the group.  G*
+    # reads Hᵀ's lattice, so nonabelian-dual builds G, H, K and G*, no Hᵀ.
+    # full_comparison, called directly as the model sweep does, checks G once
+    path = str(Path(__file__).resolve().parent.parent / "bench" / "specs" / f"{name}.lg")
+    spec = cli.read_problem(path)
+    user = [g for _, g in spec.generators]
+    star = duality.nonabelian_dual(symmetry.closure(user), spec.poly)
+    assert (len(user), len(star.generators)) == SPEC_GENERATORS[name]
+    checked, built = [], []
+    check, init = symmetry.is_symmetry, symmetry.SymmetryGroup.__init__
+
+    def checking(g, w):
+        checked.append((g, w))
+        return check(g, w)
+
+    def building(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(symmetry, "is_symmetry", checking)
+    monkeypatch.setattr(state_space, "is_symmetry", checking)
+    monkeypatch.setattr(symmetry.SymmetryGroup, "__init__", building)
+    on_w = [(g, spec.poly) for g in user]
+    on_dual = [(g, spec.poly.transpose()) for g in star.generators]
+    for command, expected in [("mirror-check", on_w + on_dual), ("bstate", on_w + on_dual),
+                              ("nonabelian-dual", on_w), ("pc-check", on_w),
+                              ("astate", on_w), ("hodge", on_w), ("group", on_w)]:
+        checked.clear()
+        built.clear()
+        assert run(capsys, command, path)[0] == 0
+        assert checked == expected, command
+        if command == "nonabelian-dual":
+            assert len(built) == 4
+    group = symmetry.closure(user)
+    checked.clear()
+    report = mirror.full_comparison(spec.poly, group)
+    assert checked == [(g, spec.poly) for g in group.generators] + on_dual
+    assert report.dual_group == star
 
 
 def test_output_is_deterministic(capsys, quartic_file):

@@ -8,9 +8,10 @@ element or a sector on the path of the invariant search, the class walk,
 the check that K normalizes Hᵀ and a vector's node list; a class member
 listed, or a word composed, by the class walk, P's walk iterated by the
 walk of a class with σ ≠ id, or P walked twice or replayed by the class
-walk; and, outside ``symmetry``, a
+walk; outside ``symmetry``, a
 position in a group's listing or a group built from more than its
-structure.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
+structure; and a symmetry check outside its three places, or G*'s Hᵀ
+built as a dual group.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
 standard library's ``ast`` alone."""
 
 import ast
@@ -390,3 +391,26 @@ def test_a_group_is_read_through_its_structure_and_its_forms():
     assert listings == FORM_LISTINGS, listings
     assert not positions, f"reads of a position in a group's listing: {positions}"
     assert not built, f"SymmetryGroup calls without exactly (mod, basis, lifts): {built}"
+
+
+# where a generator meets is_symmetry: the user's, as the spec is read; a
+# group's, once per W in the shared check; an element's, as its sector is built
+SYMMETRY_CHECKERS = {"cli.py:ProblemSpec.group", "symmetry.py:check_symmetries",
+                     "state_space.py:build_sector"}
+
+
+def test_each_group_is_checked_against_w_in_one_place():
+    # every other step reaches is_symmetry through check_symmetries, which
+    # keeps each W a group passed for; and G* reads Hᵀ's lattice instead of
+    # building Hᵀ with dual_group, whose checks would repeat what the H·K
+    # split has checked
+    callers = set()
+    for path in MODULES:
+        callers |= {f"{path.name}:{name}" for name in _readers(
+            _tree(path), lambda node: isinstance(node, ast.Call)
+            and _called_name(node) == "is_symmetry")}
+    assert callers == SYMMETRY_CHECKERS, callers
+    (star,) = [scope for name, scope in _functions(_tree(SRC / "duality.py"))
+               if name == "star_group"]
+    assert not [node.lineno for node in ast.walk(star)
+                if isinstance(node, ast.Call) and _called_name(node) == "dual_group"]

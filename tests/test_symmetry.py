@@ -13,6 +13,7 @@ from lgmirror.errors import (
     NotAGroupError,
     NotAMemberError,
     NotAPermutationError,
+    NotASymmetryError,
     ParseError,
 )
 from oracles import (
@@ -106,6 +107,38 @@ def test_is_symmetry_respects_weights():
     # x2, x3 share a weight; x1 does not
     assert lg.is_symmetry(perm([(1, 2)], 3), poly)
     assert not lg.is_symmetry(perm([(0, 1)], 3), poly)
+
+
+def test_a_group_keeps_each_polynomial_it_passed_for(quartic, monkeypatch):
+    # check_symmetries checks a group's generators once per W it passes for:
+    # a failure is never kept, so a bad group raises on every call, and a
+    # group kept for W is checked afresh for any other polynomial
+    checked, check = [], symmetry.is_symmetry
+
+    def checking(g, w):
+        checked.append((g, w))
+        return check(g, w)
+    monkeypatch.setattr(symmetry, "is_symmetry", checking)
+    bad = lg.closure([diag("1/3", 0, 0, 0)])
+    for calls in (1, 2):
+        with pytest.raises(NotASymmetryError, match=r"^\(1/3, 0, 0, 0\) is not a symmetry of "):
+            symmetry.check_symmetries(bad, quartic)
+        assert len(checked) == calls
+    group = lg.closure([lg.exponential_grading(quartic), perm([(0, 1, 2)], 4)])
+    checked.clear()
+    for _ in range(3):
+        symmetry.check_symmetries(group, quartic)
+    assert checked == [(g, quartic) for g in group.generators]
+    octic_x4 = lg.parse_polynomial("x1^4 + x2^4 + x3^4 + x4^8")  # j_W of the quartic fixes it
+    quintic_x4 = lg.parse_polynomial("x1^4 + x2^4 + x3^4 + x4^5")  # and not this one
+    checked.clear()
+    symmetry.check_symmetries(group, octic_x4)
+    assert checked == [(g, octic_x4) for g in group.generators]
+    for _ in range(2):
+        with pytest.raises(NotASymmetryError):
+            symmetry.check_symmetries(group, quintic_x4)
+    symmetry.check_symmetries(group, quartic)
+    assert len(checked) == len(group.generators) + 2
 
 
 def test_diagonal_group_fermat_quartic(quartic):
