@@ -345,11 +345,9 @@ def _walk(generators, mod: int, cap: int):
     for each τ ∈ P, in reach order, and the Schreier generators of the
     diagonal part N, one a − a_τ from each product (τ, a) of a lift and a
     generator whose τ was reached before, as (τ, a)·(τ, a_τ)⁻¹ = (id,
-    a − a_τ) (Schreier's lemma); and the walk's tree, each edge (τ, g, τ∘γ)
-    by which a generator g = (γ, c) first reaches a permutation, in reach
-    order.  Errors as soon as |P| exceeds ``cap``."""
+    a − a_τ) (Schreier's lemma).  Errors as soon as |P| exceeds ``cap``."""
     ident = (tuple(range(len(generators[0][0]))), (0,) * len(generators[0][1]))
-    lifts, schreier, reached, tree = dict([ident]), set(), [ident], []
+    lifts, schreier, reached = dict([ident]), set(), [ident]
     for lift in reached:  # grows while it is read
         for g in generators:
             perm, nums = _compose(lift, g, mod)
@@ -359,10 +357,9 @@ def _walk(generators, mod: int, cap: int):
                     raise CapExceededError(f"group exceeds cap of {cap} elements")
                 lifts[perm] = nums
                 reached.append((perm, nums))
-                tree.append((lift[0], g, perm))
             elif first != nums:
                 schreier.add(tuple([(x - y) % mod for x, y in zip(nums, first)]))
-    return lifts, schreier, tree
+    return lifts, schreier
 
 
 def _lift_generators(lifts):
@@ -503,21 +500,21 @@ class SymmetryGroup:
 
         Conjugating (σ, a) by a diagonal c gives (σ, a + φ_σ(c)), so N moves
         (σ, a) exactly over the coset a + im φ_σ, and a lift moves cosets by
-        its permutation alone.  So P is walked once, keeping one word w_τ per τ
-        and the walk's tree.  The cosets' least members are listed lift by
-        lift, in canonical order, and the first r not yet met leads a class:
+        its permutation alone.  So P is walked once, keeping one word w_τ per τ.
+        The cosets' least members are listed lift by lift, in canonical
+        order, and the first r not yet met leads a class:
         the cosets of the w_τ⁻¹·r·w_τ, each known by its least member and kept
         with the first τ's word; for σ = id, the (id, x∘τ⁻¹) in walk order.
         Else they are walked breadth-first from r's, a head y reaching
-        g⁻¹·y·g's coset along each lift generator g, g⁻¹ made once.  A coset's
-        first τ is reached in P's walk from the first τ of the coset it is
-        reached from, so only the tree's edges from that τ are tried, a new
-        coset keeping the word where its edge ends.  A head (π, x) is fixed by
-        the generators in ⟨π⟩, so at π = σ those in ⟨σ⟩ are skipped."""
+        g⁻¹·y·g's coset along each lift generator g = (γ, c), g⁻¹ made once.
+        A new coset keeps the word of τ∘γ, τ the first τ of y's coset: it is
+        first met along the edge by which P's walk first reached τ∘γ, so its
+        head is that word's w⁻¹·r·w (README).  A head (π, x) is fixed by the
+        generators in ⟨π⟩, so at π = σ those in ⟨σ⟩ are skipped."""
         mod, ident = self.modulus, self.lifts[0]
         if self.is_diagonal:  # one-element classes; the walk of N below is 2.7x slower on them
             return [[((ident[0], x), ident)] for x in self._coset(ident[1])]
-        words, _, edges = _walk(self._lift_gens, mod, len(self.lifts))  # τ ↦ b: w_τ = (τ, b)
+        words = _walk(self._lift_gens, mod, len(self.lifts))[0]  # τ ↦ b: w_τ = (τ, b)
         walk = [(tuple(sorted(range(self.n), key=tau.__getitem__)), (tau, b))  # τ⁻¹, τ's word
                 for tau, b in words.items()]
         met, classes = set(), []  # the least member of each coset reached so far
@@ -528,10 +525,7 @@ class SymmetryGroup:
                     orbit.setdefault(tuple(map(x.__getitem__, inv)), w)
                 met.update(orbit)
                 classes.append([((ident[0], z), w) for z, w in orbit.items()])
-        inverted = {gamma: _invert((gamma, c), mod)[0] for gamma, c in self._lift_gens}
-        tree = {tau: [] for tau in words}  # per τ, (γ, γ⁻¹, c, τ∘γ) for each lift generator
-        for tau, (gamma, c), t in edges:  # (γ, c) by which P's walk first reaches τ∘γ
-            tree[tau].append((gamma, inverted[gamma], c, t))
+        gens = [(gamma, _invert((gamma, c), mod)[0], c) for gamma, c in self._lift_gens]
         for sigma, a in self.lifts[1:]:
             powers = None
             for r in self._coset(a, within=self._part(sigma).image):
@@ -542,7 +536,7 @@ class SymmetryGroup:
                 met.add((sigma, r))
                 cosets = [((sigma, r), ident)]
                 for (pi, x), (tau, _) in cosets:  # grows while it is read
-                    for gamma, inv, c, t in tree[tau]:  # g⁻¹·(π, x)·g = (γ⁻¹πγ, x∘γ⁻¹ + offsets)
+                    for gamma, inv, c in gens:  # g⁻¹·(π, x)·g = (γ⁻¹πγ, x∘γ⁻¹ + offsets)
                         if pi == sigma and gamma in powers:
                             continue
                         pz = tuple([gamma[pi[j]] for j in inv])
@@ -550,6 +544,7 @@ class SymmetryGroup:
                         key = (pz, reduce_by(nz, self._part(pz).image, mod))
                         if key not in met:
                             met.add(key)
+                            t = tuple(map(gamma.__getitem__, tau))  # τ∘γ
                             cosets.append(((pz, nz), (t, words[t])))
                 classes.append(cosets)
         return classes
@@ -622,8 +617,8 @@ class SymmetryGroup:
 
     def _subgroup_walk(self):
         """Each subgroup, ordered by order, then by element indices: popped
-        from a heap keyed so, and built as ``closure`` builds a group, from
-        the generator indices kept with it.  Each popped S is
+        from a heap keyed so, and built by ``closure`` from the generator
+        indices kept with it.  Each popped S is
         extended once per right coset S·x outside it (⟨S, h·x⟩ = ⟨S, x⟩ for
         h ∈ S), growing ⟨S, x⟩ from S by right cosets on the multiplication
         table (Dimino).  Extensions are larger than S, and T = ⟨S, x⟩ for a
@@ -640,8 +635,8 @@ class SymmetryGroup:
         seen = {(0,)}
         while heap:
             _, sub, gens = heappop(heap)
-            lifts, schreier, _ = _walk([forms[i] for i in gens] or forms[:1], mod, self.order)
-            yield SymmetryGroup(mod, hermite([*schreier] or [forms[0][1]], mod), lifts.items())
+            yield closure([MonomialSymmetry.from_numerators(*forms[i], mod) for i in gens or [0]],
+                          self.order)
             tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
                 if x in tried:
@@ -674,7 +669,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:
     if any(g.n != n for g in generators):
         raise DimensionMismatchError("mixed ranks among generators")
     mod = lcm(*(g.mod for g in generators))
-    lifts, schreier, _ = _walk([g.over(mod) for g in generators], mod, cap)
+    lifts, schreier = _walk([g.over(mod) for g in generators], mod, cap)
     group = SymmetryGroup(mod, hermite([*schreier] or [(0,) * n], mod), lifts.items())
     if group.order > cap:
         raise CapExceededError(f"group exceeds cap of {cap} elements")

@@ -20,8 +20,9 @@ classes from H⋊K against orbits under a conjugation table of every element
 by every generator, the class walk over cosets of im φ_σ, its cosets
 listed member by member, against the walk over element positions it
 replaced, the class walk read off P's one walk against the breadth-first
-walk over cosets it replaced, the tree that walk keeps against a replay of
-P on permutations, each permutation part's values and
+walk over cosets it replaced, and each coset's word and head against the
+first τ, in a walk of P by element products, whose word carries the
+class's leader into it, each permutation part's values and
 preimages of φ_σ and its N^σ against a scan of N, the record of σ = id,
 written down, against the elimination that gives every other σ's, structural centralizers
 against a filter of every element of the group, and the ordered subgroup
@@ -611,21 +612,50 @@ def class_walk_by_cosets(group):
     return classes
 
 
-def walk_tree_by_replay(group):
-    """The tree of P's walk over the lift generators, as the class walk
-    rebuilt it before the walk kept it: P replayed on permutations alone,
-    breadth-first from the identity, each edge (τ, g, τ∘γ) by which a lift
-    generator g = (γ, c) first reaches a permutation, in reach order."""
-    ident = group.lifts[0][0]
-    order, reached, tree = [ident], {ident}, []
-    for tau in order:  # grows while it is read
-        for g in group._lift_gens:
-            t = tuple(map(g[0].__getitem__, tau))
-            if t not in reached:
-                reached.add(t)
-                order.append(t)
-                tree.append((tau, g, t))
-    return tree
+def class_heads_by_first_reach(group):
+    """``class_transversals`` as the first τ of P to reach each coset
+    finds it: P walked breadth-first from the identity with
+    ``MonomialSymmetry`` products along the lift generators, w_τ the first
+    element reached over each τ, and for a class led by r, each of its
+    cosets given ((w_τ⁻¹·r·w_τ)'s form, w_τ's form) for the first τ in
+    reach order whose conjugate lies in it.  (π, y) lies in the coset of
+    (π, x) iff y − x is a value of φ_π, read off a scan of N
+    (``preimages_by_scan`` on N alone).  The walk of a class stops once
+    each of its cosets is found."""
+    mod, make = group.modulus, MonomialSymmetry.from_numerators
+    gens = [make(*g, mod) for g in group._lift_gens]
+    reached = [make(*group.lifts[0], mod)]
+    perms = {reached[0].perm}
+    for w in reached:  # grows while it is read
+        for g in gens:
+            t = w * g
+            if t.perm not in perms:
+                perms.add(t.perm)
+                reached.append(t)
+    walk = [(w.inverse(), w) for w in reached]
+    diagonal = SymmetryGroup(mod, group.basis, group.lifts[:1])
+    scale, values, classes = mod // diagonal.modulus, {}, []
+    for cosets in group.class_transversals:
+        heads, found, left = {}, [None] * len(cosets), len(cosets)
+        for k, ((pi, x), _) in enumerate(cosets):
+            heads.setdefault(pi, []).append((k, x))
+        r = make(*cosets[0][0], mod)
+        for inv, w in walk:
+            perm, y = (inv * r * w).over(mod)
+            if perm not in values:
+                values[perm] = {tuple([x * scale for x in v])
+                                for v in preimages_by_scan(diagonal, perm)[0]}
+            for k, x in heads.get(perm, ()):
+                if tuple([(a - b) % mod for a, b in zip(y, x)]) in values[perm]:
+                    break
+            else:
+                raise AssertionError(f"{(perm, y)} lies in no coset of its class")
+            if found[k] is None:
+                found[k], left = ((perm, y), w.over(mod)), left - 1
+                if not left:
+                    break
+        classes.append(found)
+    return classes
 
 
 def class_members(group):

@@ -19,6 +19,7 @@ import pytest
 import lgmirror as lg
 from lgmirror.linalg import hermite
 from oracles import (
+    class_heads_by_first_reach,
     class_members,
     class_walk_by_cosets,
     class_walk_by_elements,
@@ -36,7 +37,6 @@ from oracles import (
     random_monomial_group,
     search_invariant_basis,
     table_classes,
-    walk_tree_by_replay,
 )
 
 NAMES = ["quartic G", "quartic G*", "good quintic G*", "bad quintic G*"]
@@ -296,29 +296,30 @@ def star_of(degrees, text):
 A6_CUBIC, SEXTIC = ([3] * 6, "(1 2 3); (2 3 4 5 6)"), ([6] * 7, "j; (1 2 3); (4 5 6)")
 
 
-def test_the_walk_keeps_the_tree_a_replay_of_p_rebuilds():
-    # P's walk keeps its tree, each edge by which a lift generator first
-    # reaches a permutation, in reach order: the tree a replay of P on
-    # permutations rebuilds, edge for edge and in order.  On the groups of
-    # the walk over cosets above and on the non-abelian sextic's G*
+def test_each_coset_keeps_the_word_of_the_first_tau_to_reach_it():
+    # the class walk tries every lift generator from each coset's first τ
+    # and keeps P's walk's word for τ∘γ, which is exact because a coset is
+    # first met along the edge by which P's walk first reached that word's
+    # τ: each coset's word is the first in P's reach order that carries the
+    # class's leader r into it, and its head is exactly w⁻¹·r·w, against a
+    # walk of P by element products.  On the random groups of the walk over
+    # cosets above, the G* of the A6 cubic with j (|P| = 360) and of the
+    # 6-cubic (|P| = 9), and C3^5 (|P| = 243), each group fresh
     rng = random.Random(3131)
     groups = [random_monomial_group(rng, cap=200) for _ in range(300)]
-    groups += [star_of(*model) for model in (([3] * 6, "j; (1 2 3); (4 5 6)"),
-                                             ([5] * 5, "j; (1 2 3); (3 4 5)"), A6_CUBIC, SEXTIC)]
-    groups.append(cubic_cycles(5))
-    assert [len(group.lifts) for group in groups[-5:]] == [9, 60, 360, 9, 243]
+    groups += [star_of([3] * 6, "j; (1 2 3); (2 3 4 5 6)"),
+               star_of([3] * 6, "j; (1 2 3); (4 5 6)"), cubic_cycles(5)]
+    assert [len(group.lifts) for group in groups[-3:]] == [360, 9, 243]
     for group in groups:
-        if not group.is_diagonal:
-            tree = lg.symmetry._walk(group._lift_gens, group.modulus, len(group.lifts))[2]
-            assert tree == walk_tree_by_replay(group)
+        assert group.class_transversals == class_heads_by_first_reach(group)
 
 
 def test_the_class_walk_inverts_each_lift_generator_once(monkeypatch):
-    # the class walk reads the tree P's walk keeps and inverts each lift
-    # generator once, on fresh groups: C3^5, the A6 cubic's G* and the
+    # the class walk tries every lift generator from each coset and inverts
+    # each once, on fresh groups: C3^5, the A6 cubic's G* and the
     # non-abelian sextic's G*, with 5, 4 and 2 lift generators, where a
-    # replay of P inverting one generator per edge of its tree made 242,
-    # 359 and 8 inversions
+    # replay of P that inverted one generator per edge of P's walk made
+    # 242, 359 and 8 inversions
     invert, calls = lg.symmetry._invert, []
 
     def counted(form, mod):

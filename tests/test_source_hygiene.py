@@ -8,7 +8,8 @@ element or a sector on the path of the invariant search, the class walk,
 the check that K normalizes Hᵀ and a vector's node list; a class member
 listed, or a word composed, by the class walk, P's walk iterated by the
 walk of a class with σ ≠ id, or P walked twice or replayed by the class
-walk; outside ``symmetry``, a
+walk; a group built from a walk of P anywhere but ``closure``; outside
+``symmetry``, a
 position in a group's listing or a group built from more than its
 structure; and a symmetry check outside its three places, or G*'s Hᵀ
 built as a dual group.  Read from the syntax trees of ``src/lgmirror/*.py`` with the
@@ -332,10 +333,10 @@ def _inner_loops(scope):
     return inner
 
 
-def test_the_class_walk_reads_the_tree_p_s_walk_keeps():
-    # P's walk keeps its tree, so the class walk walks P once, with
-    # ``_walk``, and replays none of it: no loop over the lift generators
-    # runs inside another loop, as one over P's τ did to rebuild the tree
+def test_the_class_walk_walks_p_once():
+    # the class walk reads every word off P's one walk, ``_walk``, and
+    # replays none of it: no loop over the lift generators runs inside
+    # another loop, as one over P's τ did to find the edges P's walk took
     (walk,) = [scope for name, scope in _functions(_tree(SRC / "symmetry.py"))
                if name == "SymmetryGroup.class_transversals"]
     walks = [node for node in ast.walk(walk) if isinstance(node, ast.Call)
@@ -345,6 +346,19 @@ def test_the_class_walk_reads_the_tree_p_s_walk_keeps():
                if ast.unparse(node.iter) == "self._lift_gens"]
     assert len(walks) == 1, f"P walked {len(walks)} times by the class walk"
     assert not replays, f"loops over the lift generators inside a loop: {replays}"
+
+
+def test_a_walk_becomes_a_group_only_in_closure():
+    # a group generated by forms is built in one place: closure walks P
+    # and takes the Hermite form of the Schreier generators, and the
+    # subgroup walk, like every other caller, goes through it
+    both = set()
+    for path in MODULES:
+        for name, scope in _functions(_tree(path)):
+            called = {_called_name(node) for node in ast.walk(scope) if isinstance(node, ast.Call)}
+            if {"_walk", "hermite"} <= called:
+                both.add(f"{path.name}:{name}")
+    assert both == {"symmetry.py:closure"}, both
 
 
 # a class is its cosets of im φ_σ: the class walk keeps one head and
