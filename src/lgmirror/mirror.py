@@ -9,11 +9,11 @@ for diagonal g with phases a_j/d_j, where I_g indexes the nonzero phases,
 g' has phases (b_i+1)/d_i on the g-fixed coordinates and 0 elsewhere.  In
 integers it is one rule: the untwisted term y^b and the narrow diagonal
 element with phases (b_i+1)/d_i both read as the vector b.  So each
-untwisted vector and each narrow diagonal class sum is keyed by the set of
-its terms' vectors, and the map restricts to bigraded isomorphisms between
-the untwisted broad sector on one side and the narrow diagonal class sums
-on the other exactly when equal keys pair the two corners one to one, in
-both directions, with equal bidegrees.  No element or rational is made.
+untwisted vector and each narrow diagonal class sum is keyed by its lead's
+vector, the least of its terms', and the map restricts to bigraded
+isomorphisms between the untwisted broad sector and the narrow diagonal
+class sums exactly when equal keys pair the two corners one to one, in both
+directions, with equal bidegrees.  No element or rational is made.
 
 The full bigraded comparison never forces a bijection outside those corners
 (none is canonical there); it compares dimension histograms and attaches the
@@ -46,11 +46,11 @@ class RestrictedMirror(namedtuple("RestrictedMirror", "a0_to_narrow narrow_to_b0
 
 def _corners(space: GradedSpace):
     """The untwisted and the narrow diagonal vectors of ``space``, in basis
-    order, each with its corner key: the set of its nodes' integer vectors,
-    b for y^b in the untwisted sector and the phases scaled by d, less 1,
-    for a narrow diagonal element, from its orbit and its class's heads.  A
-    set of one is keyed by its one vector, which equals no set.  The
-    diagonal elements of G = H·K are H, so the lead decides the corner."""
+    order, each keyed by its lead's vector: b for y^b, or the phases scaled
+    by d, less 1.  G = H·K lifts each symmetry to (k, 0), so the diagonal
+    elements are H and the nodes' vectors are the K-images of the lead's.  K
+    mixes only variables of equal d and the key rises in each, so the lead's
+    key is their least, which names the K-orbit."""
     d = space.poly.fermat_exponents()
     ident, mod = space.group.lifts[0][0], space.group.modulus
     untwisted, narrow = [], []
@@ -59,11 +59,9 @@ def _corners(space: GradedSpace):
         if perm != ident or any(nums) and not all(nums):
             continue
         if not any(nums):
-            corner, keys = untwisted, [b for b, _ in v.orbit[1]] if v.orbit else [v.exps]
+            untwisted.append((v.exps, v))
         else:  # exact: a diagonal symmetry of Fermat W has phases k/d_i
-            heads = [y[1] for y, _ in v.orbit[0].cosets] if v.orbit else [nums]
-            corner, keys = narrow, [tuple([x * e // mod - 1 for x, e in zip(h, d)]) for h in heads]
-        corner.append((keys[0] if len(keys) == 1 else frozenset(keys), v))
+            narrow.append((tuple([x * e // mod - 1 for x, e in zip(nums, d)]), v))
     return untwisted, narrow
 
 
@@ -81,9 +79,9 @@ def _match(sources, targets, source_name, target_name):
             raise TheoremViolationError(
                 f"bidegree not preserved: {v.bidegree} vs {w.bidegree}")
         pairs.append((v, w))
-    if by_key:
+    if len(pairs) < len(targets):
         raise TheoremViolationError(
-            f"{len(by_key)} {target_name}s are not hit by the {source_name}s")
+            f"{len(targets) - len(pairs)} {target_name}s are not hit by the {source_name}s")
     return tuple(pairs)
 
 

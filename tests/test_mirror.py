@@ -356,7 +356,41 @@ def test_corner_check_rejects_a_repeated_a_vector(quartic_report, kind):
         mirror._corner_pairs(a_space, r.b_space)
 
 
+@pytest.mark.parametrize("kind", ["untwisted", "narrow"])
+def test_corner_check_rejects_a_repeated_b_vector(quartic_report, kind):
+    r = quartic_report
+    b_space = corrupted(r.b_space, OTHER[kind], lambda v: [v, v])
+    with pytest.raises(TheoremViolationError, match=NOT_HIT[kind]):
+        mirror._corner_pairs(r.a_space, b_space)
+
+
 # --- the corner check against the element-wise oracle -------------------------
+
+def node_key(node, d, mod):
+    """A corner node's integer vector: b for y^b in the untwisted sector,
+    else its diagonal element's phases scaled by d, less 1."""
+    (_, nums), exps, _ = node
+    return exps if not any(nums) else tuple(x * e // mod - 1 for x, e in zip(nums, d))
+
+
+def corner_orbit_sizes(report):
+    """The number of distinct node keys of each corner vector of both
+    spaces, after asserting that they are the K-images of the lead's key
+    and that the lead's key is the least of them."""
+    k_perms = [perm for perm, _ in report.hk.k.lifts]
+    sizes = []
+    for space in (report.a_space, report.b_space):
+        d, mod = space.poly.fermat_exponents(), space.group.modulus
+        for v in space.basis:
+            if not (is_corner(v, "untwisted") or is_corner(v, "narrow")):
+                continue
+            lead = node_key((v.lead, v.exps, 0), d, mod)
+            keys = {node_key(node, d, mod) for node in v.nodes}
+            assert keys == {tuple(lead[i] for i in p) for p in k_perms}, v.leading
+            assert lead == min(keys), v.leading
+            sizes.append(len(keys))
+    return sizes
+
 
 def assert_corners_match_oracle(report):
     h = report.hk.h
@@ -364,14 +398,17 @@ def assert_corners_match_oracle(report):
                             lg.dual_group(h, report.poly))
     assert mirror._corner_pairs(report.a_space, report.b_space) == expected
     assert report.restricted == expected
+    return corner_orbit_sizes(report)
 
 
 def test_corner_check_matches_oracle(quartic_report, good_report, bad_report):
+    sizes = []
     for report in (quartic_report, good_report, bad_report):
-        assert_corners_match_oracle(report)
+        sizes += assert_corners_match_oracle(report)
     rng = random.Random(1103)
     for _ in range(30):
-        assert_corners_match_oracle(lg.full_comparison(*random_mirror_instance(rng)))
+        sizes += assert_corners_match_oracle(lg.full_comparison(*random_mirror_instance(rng)))
+    assert max(sizes) > 1  # the lead stands for more than itself somewhere
 
 
 def test_corners_and_labels_build_no_element_or_sector(bad_report, monkeypatch):

@@ -3,7 +3,8 @@ module-level name nothing refers to; a regular expression whose ``\\d``,
 ``\\s`` or ``\\w`` would read Unicode digits, blanks or letters; a
 module-level cache with no bound on its entries, or one keyed by a
 polynomial; a rational or a listing of group elements on the path that
-builds and compares state spaces; a vector's node list read there; an
+builds and compares state spaces; a vector's node list read there, or
+an orbit record or a set key in the corner check; an
 element or a sector on the path of the invariant search, the class walk,
 the check that K normalizes Hᵀ and a vector's node list; a class member
 listed, or a word composed, by the class walk, P's walk iterated by the
@@ -192,9 +193,9 @@ def test_the_comparison_path_makes_no_rational_and_lists_no_element():
     assert not found, f"rationals or element lists on the comparison path: {found}"
 
 
-# a vector lists its nodes only when they are read: the corner check and
-# the histograms compare leads, orbits, class heads and integer grades,
-# and the census reads each vector's lead
+# a vector lists its nodes only when they are read: the corner check keys
+# each vector by its lead and exponents, the histograms compare integer
+# grades, and the census reads each vector's lead
 NODE_FREE_PATH = {"mirror.py": None,
                   "state_space.py": {"GradedSpace.__init__", "GradedSpace.census"}}
 
@@ -208,6 +209,16 @@ def test_the_comparison_and_the_census_list_no_node():
                       if isinstance(node, ast.Attribute) and node.attr in ("nodes", "terms")]
     assert seen == {""} | NODE_FREE_PATH["state_space.py"], seen
     assert not found, f"node lists read on the comparison path: {found}"
+
+
+def test_the_corner_check_reads_no_orbit_record():
+    # a corner vector's key is its lead's vector: the orbit record and the
+    # class's cosets stay inside state_space, and no key is a set
+    tree = _tree(SRC / "mirror.py")
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("orbit", "cosets")
+             or isinstance(node, ast.Name) and node.id == "frozenset"]
+    assert not found, f"mirror.py reads an orbit record or builds a set key at lines {found}"
 
 # the invariant search, the class walk and the check that K normalizes Hᵀ
 # run on integer forms: elements and sectors are made only at the public
