@@ -17,8 +17,11 @@ output mode asked for.
 Rationals serialize as "p/q" strings; every list is emitted in canonical
 order, so identical input yields identical bytes: ``--json`` writes in one
 pass the bytes of ``json.dumps(value, indent=2)``, with ASCII escapes.
-Element, class and term records, the bulk of a group block or a state
-space, are made once as that text (``_Text``) and spliced in at their depth.
+Element, class, pairing and basis-vector records, the bulk of a group
+block, a pairing list or a state space, are made once as that text
+(``_Text``) and spliced in at their depth.  A vector's label and its terms
+come from one pass over its nodes, and in each render a form's texts are
+made once per run of nodes that share the form (``state_space.labeller``).
 """
 
 from __future__ import annotations
@@ -126,14 +129,6 @@ def _element_json(perm, nums, mod: int) -> _Text:  # the integer form (perm, num
         symmetry._cycle_text(perm), '",\n    "'.join([symmetry.phase_text(x, mod) for x in nums])))
 
 
-def _term_json(form, exps, p: int, gmod: int, mod: int) -> _Text:
-    """{"phase": …, "exponents": […], "element": {…}} for a node, p over ``mod``."""
-    exponents = "[\n    %s\n  ]" % ",\n    ".join(map(str, exps)) if exps else "[]"
-    element = _element_json(*form, gmod).replace("\n", "\n  ")
-    return _Text('{\n  "phase": "%s",\n  "exponents": %s,\n  "element": %s\n}' % (
-        symmetry.phase_text(p, mod), exponents, element))
-
-
 def _group_json(group: symmetry.SymmetryGroup) -> dict:
     return {"order": group.order, "classes": lambda: [
         _Text('{\n  "size": %d,\n  "representative": %s\n}' % (
@@ -153,20 +148,28 @@ def _pc_json(holds: bool, witness: symmetry.SymmetryGroup | None) -> dict:
 
 
 def _space_json(space: state_space.GradedSpace) -> dict:
-    gmod = space.group.modulus
-    mod = lcm(2, gmod)
-    basis = [{"bidegree": _bidegree(v.bidegree),  # each vector's nodes listed once
-              "label": state_space.vector_label(v, space.poly, nodes),
-              "terms": [_term_json(*node, gmod, mod) for node in nodes]}
-             for v in space.basis for nodes in [v.nodes]]
+    """Basis records; a term's text but its phase and exponents once per run."""
+    mod, basis, terms = lcm(2, space.group.modulus), [], []
+    label = state_space.labeller(space.poly, space.group.modulus, lambda cycles, phases: (
+        '{\n      "phase": "%%s",\n      "exponents": %%s,\n      "element": {\n        "perm": '
+        '"%s",\n        "phases": [\n          "%s"\n        ]\n      }\n    }' % (
+            cycles, '",\n          "'.join(phases))))
+    for v in space.basis:  # the label fills ``terms``
+        text = encode_basestring_ascii(label(v.nodes, terms))
+        written = ",\n    ".join([term % (symmetry.phase_text(p, mod), "[\n        %s\n      ]" % (
+            ",\n        ".join(map(str, exps))) if exps else "[]") for term, exps, p in terms])
+        basis.append(_Text('{\n  "bidegree": [\n    "%s",\n    "%s"\n  ],\n  "label": %s,\n  '
+                           '"terms": [\n    %s\n  ]\n}' % (*v.bidegree, text, written)))
+        terms.clear()
     return {"total_dim": space.total_dim, "dims": _dims_json(space),
             "basis": basis, "census": space.census()}
 
 
 def _space_text(space: state_space.GradedSpace):
     """The text lines, generated only when printed."""
+    label = state_space.labeller(space.poly, space.group.modulus)
     for v in space.basis:
-        yield f"({v.bidegree[0]}, {v.bidegree[1]})  {state_space.vector_label(v, space.poly)}"
+        yield f"({v.bidegree[0]}, {v.bidegree[1]})  {label(v.nodes)}"
     yield f"total dimension: {space.total_dim}"
     yield from (f"dim({bd[0]}, {bd[1]}) = {d}" for bd, d in space.sorted_dims())
     census = space.census()
@@ -177,11 +180,12 @@ def _space_text(space: state_space.GradedSpace):
            f"narrow nondiagonal {census['narrow_nondiagonal']}")
 
 
-def _pairing_json(direction, pairs, a_space, b_space):
-    return [{"direction": direction,
-             "a": state_space.vector_label(va, a_space.poly),
-             "b": state_space.vector_label(vb, b_space.poly),
-             "bidegree": _bidegree(va.bidegree)}
+def _pairing_json(direction, pairs, a_space, b_space) -> list[_Text]:
+    """One record per pair; each side's labels are one render."""
+    a_label, b_label = (state_space.labeller(s.poly, s.group.modulus) for s in (a_space, b_space))
+    return [_Text('{\n  "direction": %s,\n  "a": %s,\n  "b": %s,\n  "bidegree": [\n    "%s",\n'
+                  '    "%s"\n  ]\n}' % (*map(encode_basestring_ascii, (
+                      direction, a_label(va.nodes), b_label(vb.nodes))), *va.bidegree))
             for va, vb in pairs]
 
 

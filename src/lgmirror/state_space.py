@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import lcm, prod
 from operator import mul
 
@@ -55,6 +55,7 @@ from .symmetry import (
     FixedLocus,
     MonomialSymmetry,
     SymmetryGroup,
+    _cycle_text,
     _invert,
     check_symmetries,
     exponential_grading,
@@ -474,31 +475,45 @@ def _coefficient(num: int, mod: int) -> str:
     return "" if not num else "-" if 2 * num == mod else f"e({phase_text(num, mod)})*"
 
 
-def _coordinate_label(poly: InvertiblePolynomial, cycle, nums, mod) -> str:
-    if len(cycle) == 1:
-        return poly.var_names[cycle[0]]
-    parts = [_coefficient(x, mod) + poly.var_names[i] for i, x in sorted(zip(cycle, nums))]
-    return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
-
-
 def monomial_label(poly: InvertiblePolynomial, locus: FixedLocus,
                    exponents: tuple[int, ...]) -> str:
     """Render Π y^{b_C} over the cycle coordinates of Fix(g) (form omitted)."""
-    factors = []
+    factors, names = [], poly.var_names
     for (cycle, nums, b) in zip(locus.cycles, locus.phase_nums, exponents):
-        if b == 0:
-            continue
-        base = _coordinate_label(poly, cycle, nums, locus.mod)
-        factors.append(base if b == 1 else f"{base}^{b}")
+        if b:
+            base = names[cycle[0]] if len(cycle) == 1 else "(" + " + ".join([
+                _coefficient(x, locus.mod) + names[i] for i, x in sorted(zip(cycle, nums))
+            ]).replace("+ -", "- ") + ")"
+            factors.append(base if b == 1 else f"{base}^{b}")
     return "*".join(factors) if factors else "1"
 
 
-def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial, nodes=None) -> str:
-    """Orbit sum with the leading term first, e.g. ``[x4^2, (1 2 3)]``, from
-    ``nodes`` if listed; a term's fixed locus is read only if an exponent is not 0."""
-    gmod = vector.group.modulus
-    mod, chunks = lcm(2, gmod), []
-    for form, exps, p in nodes or vector.nodes:  # the lead, first, has phase 0
-        monomial = monomial_label(poly, form_locus(*form, gmod), exps) if any(exps) else "1"
-        chunks.append(f"{_coefficient(p, mod)}[{monomial}, {form_label(*form, gmod)}]")
-    return " + ".join(chunks).replace("+ -", "- ")
+def labeller(poly: InvertiblePolynomial, gmod: int, element=None):
+    """Labels for one render (a pairing's side, or a space's lines or basis
+    records): ``label(nodes, terms)`` renders the orbit sum of ``nodes`` (form
+    over ``gmod``, b, p), lead first, e.g. ``[x4^2, (1 2 3)]``, and appends
+    each node's (element(cycle text, phase texts), b, p) to ``terms`` if given.
+    A form's texts, and its fixed locus where an exponent is not 0, are made
+    once per run of nodes that share the form, and live as long as ``label``."""
+    mod, gmods, form, text, locus, record = lcm(2, gmod), repeat(gmod), None, None, None, None
+
+    def label(nodes, terms=None) -> str:
+        nonlocal form, text, locus, record
+        chunks = []
+        for node, exps, p in nodes:
+            if node != form:  # a new run
+                cycles, phases = _cycle_text(node[0]), [*map(phase_text, node[1], gmods)]
+                form, text, locus = node, form_label(*node, gmod, cycles, phases), None
+                record = element and element(cycles, phases)
+            monomial = monomial_label(
+                poly, locus := locus or form_locus(*node, gmod), exps) if any(exps) else "1"
+            chunks.append(f"{_coefficient(p, mod)}[{monomial}, {text}]")
+            if terms is not None:
+                terms.append((record, exps, p))
+        return " + ".join(chunks).replace("+ -", "- ")
+    return label
+
+
+def vector_label(vector: GradedBasisVector, poly: InvertiblePolynomial) -> str:
+    """The vector's label, a render of its own: form texts once per run of nodes."""
+    return labeller(poly, vector.group.modulus)(vector.nodes)

@@ -290,10 +290,10 @@ def form_locus(perm, nums, mod: int) -> FixedLocus:
     return FixedLocus(len(perm), cycles, tuple(vectors), mod)
 
 
-def form_label(perm, nums, mod: int) -> str:
-    """The label of g = (perm, nums over mod): its phases, its cycles, or both."""
-    diag = "(" + ", ".join([phase_text(x, mod) for x in nums]) + ")"
-    cycles = _cycle_text(perm)  # '()' when no index moves
+def form_label(perm, nums, mod: int, cycles=None, phases=None) -> str:
+    """The label of g = (perm, nums over mod), from its cycle and phase texts if given."""
+    diag = "(" + ", ".join(phases or [phase_text(x, mod) for x in nums]) + ")"
+    cycles = cycles or _cycle_text(perm)  # '()' when no index moves
     return diag if cycles == "()" else cycles if not any(nums) else diag + cycles
 
 

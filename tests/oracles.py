@@ -30,9 +30,12 @@ walk against the original enumeration, which collects every subgroup before
 sorting them.  The
 restricted mirror check, which pairs corners by integer keys, is checked
 against the map applied term by term, each image built as an element or a
-monomial, with the narrow corners found by scanning H and Hᵀ.  The spec
-parsers' token scans and state table are checked against the tokenizer,
-recursive-descent loops and gap-checking cycle scan they replaced.  Rational
+monomial, with the narrow corners found by scanning H and Hᵀ.  Vector
+labels, whose form texts the library makes once per run of nodes, are
+checked against labels rendered term by term from ``Fraction`` phases and
+each element's label and fixed locus.  The spec parsers' token scans and
+state table are checked against the tokenizer, recursive-descent loops and
+gap-checking cycle scan they replaced.  Rational
 views of the library's integer fields (phase matrices, canonical vectors,
 sector-map phases) are built here too, and so are the views only tests
 read: an element's conjugacy class, whether an element is diagonal or a
@@ -879,6 +882,32 @@ def corner_pairs(poly, a_space, b_space, h, h_dual) -> RestrictedMirror:
                       "untwisted vector", "narrow class sum"),
         _match_images(poly, anar, b0, lambda w: frozenset(e for _, e, _ in w.terms),
                       0, "narrow class sum", "untwisted vector"))
+
+
+# --- labels term by term -----------------------------------------------------
+
+def _coefficient_text(phase: Fraction) -> str:
+    return "" if phase == 0 else "-" if phase == Fraction(1, 2) else f"e({phase})*"
+
+
+def label_from_terms(v, poly) -> str:
+    """v's label rendered from ``v.terms``, with no memo: each term's
+    ``Fraction`` phase, its element's ``label()`` and, for the monomial, its
+    element's ``fixed_locus()``: y_C is the variable of a one-index cycle C,
+    else the sum of C's variables in index order, each times its canonical
+    phase; Π y_C^{b_C} omits b_C = 0 and reads '1' if nothing is left."""
+    terms = []
+    for phase, exps, g in v.terms:
+        locus, factors = g.fixed_locus(), []
+        for cycle, nums, b in zip(locus.cycles, locus.phase_nums, exps):
+            if b == 0:
+                continue
+            names = [_coefficient_text(Fraction(x, locus.mod)) + poly.var_names[i]
+                     for i, x in sorted(zip(cycle, nums))]
+            base = names[0] if len(cycle) == 1 else "(" + " + ".join(names) + ")"
+            factors.append(base.replace("+ -", "- ") + ("" if b == 1 else f"^{b}"))
+        terms.append(f"{_coefficient_text(phase)}[{'*'.join(factors) or '1'}, {g.label()}]")
+    return " + ".join(terms).replace("+ -", "- ")
 
 
 # --- primes and roots of unity ----------------------------------------------

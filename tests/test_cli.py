@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror import cli, duality, mirror, state_space, symmetry
-from oracles import frac_cycles
+from oracles import frac_cycles, label_from_terms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -170,6 +170,41 @@ def test_mirror_check_json_pairings_are_flat(capsys, quartic_file):
     assert isinstance(pairings, list) and len(pairings) == 12
     directions = {p["direction"] for p in pairings}
     assert directions == {"untwisted-to-narrow", "narrow-to-untwisted"}
+
+
+def _oracle_record(v, poly) -> dict:
+    """v's basis record, its label from the oracle and its terms from ``v.terms``."""
+    return {"bidegree": [str(x) for x in v.bidegree], "label": label_from_terms(v, poly),
+            "terms": [{"phase": str(phase), "exponents": list(exps),
+                       "element": {"perm": g.cycle_string(),
+                                   "phases": [str(Fraction(x, g.mod)) for x in g.nums]}}
+                      for phase, exps, g in v.terms]}
+
+
+@pytest.mark.parametrize("model, group", [("quartic", "j; (1 2 3)"),
+                                          ("good", "j; (1 2)(3 4)"),
+                                          ("bad", "j; (1 2)(3 4); (1 3)(2 4)")],
+                         ids=["quartic", "good quintic", "bad quintic"])
+def test_json_labels_match_the_oracle(model, group, request, capsys, tmp_path):
+    # the paper models' pairings and basis records are the bytes json.dumps
+    # writes for dicts made from the oracle's labels
+    report = request.getfixturevalue(f"{model}_report")
+    path = tmp_path / "spec.lg"
+    path.write_text(f"W = {report.poly}\nG = {group}\n")
+    for command, space in (("astate", report.a_space), ("bstate", report.b_space)):
+        code, out = run(capsys, command, str(path), "--json")
+        document = json.loads(out)
+        document["space"]["basis"] = [_oracle_record(v, space.poly) for v in space.basis]
+        assert code == 0 and out == json.dumps(document, indent=2) + "\n"
+    code, out = run(capsys, "mirror-check", str(path), "--json")
+    document, a, b = json.loads(out), report.a_space.poly, report.b_space.poly
+    document["mirror"]["pairings"] = [
+        {"direction": direction, "a": label_from_terms(va, a), "b": label_from_terms(vb, b),
+         "bidegree": [str(x) for x in va.bidegree]}
+        for direction, pairs in (("untwisted-to-narrow", report.restricted.a0_to_narrow),
+                                 ("narrow-to-untwisted", report.restricted.narrow_to_b0))
+        for va, vb in pairs]
+    assert code == 0 and out == json.dumps(document, indent=2) + "\n"
 
 
 def test_mirror_check_quartic(capsys, quartic_file):
@@ -825,30 +860,80 @@ def _called(value):
 _awkward_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀'), max_size=8)
 
 
+def _element_dict(perm, nums, mod: int) -> dict:
+    return {"perm": "".join("(" + " ".join(str(i + 1) for i in c) + ")"
+                            for c in frac_cycles(perm) if len(c) > 1) or "()",
+            "phases": [str(Fraction(x, mod)) for x in nums]}
+
+
+@st.composite
+def _vectors(draw, n: int, mod: int):
+    """A basis vector as the renderers read it: 1–3 nodes on one or two
+    forms of the same permutation, some of whose cycles are fixed, with
+    exponents on the fixed cycles (none for a narrow form) and phases over
+    lcm(2, mod), so that runs of one form repeat."""
+    perm = tuple(draw(st.permutations(range(n))))
+    forms = []
+    for _ in range(draw(st.integers(1, 2))):
+        nums = [draw(st.integers(0, mod - 1)) for _ in range(n)]
+        for cycle in frac_cycles(perm):  # a cycle whose phases sum to 0 is fixed
+            if draw(st.booleans()):
+                nums[cycle[-1]] = (nums[cycle[-1]] - sum(nums[i] for i in cycle)) % mod
+        forms.append((perm, tuple(nums)))
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        form = draw(st.sampled_from(forms))
+        dim = len(symmetry.form_cycles(*form, mod))
+        exps = tuple(draw(st.lists(st.integers(0, 10 ** 6), min_size=dim, max_size=dim)))
+        nodes.append((form, exps, draw(st.integers(0, lcm(2, mod) - 1))))
+    bidegree = tuple(Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 99))) for _ in "pq")
+    return types.SimpleNamespace(group=types.SimpleNamespace(modulus=mod), nodes=tuple(nodes),
+                                 bidegree=bidegree)
+
+
 @st.composite
 def _records(draw):
-    """An element, class or term record, as ``cli`` writes it, for a random
-    integer form on 1–7 variables over a modulus up to 10⁶; a term's
-    exponents may be empty, as a narrow sector's are."""
+    """An element, class, pairing or basis-vector record, as ``cli`` writes
+    it, for random integer forms on 1–7 variables over a modulus up to 10⁶;
+    a vector's exponents may be empty, as a narrow sector's are, and its
+    variable names need escapes.  A basis is one render of 1–3 vectors."""
     n = draw(st.integers(1, 7))
     perm = tuple(draw(st.permutations(range(n))))
     mod = draw(st.integers(1, 10 ** 6))
     nums = tuple(draw(st.lists(st.integers(0, mod - 1), min_size=n, max_size=n)))
-    element = {"perm": "".join("(" + " ".join(str(i + 1) for i in c) + ")"
-                               for c in frac_cycles(perm) if len(c) > 1) or "()",
-               "phases": [str(Fraction(x, mod)) for x in nums]}
-    kind = draw(st.sampled_from(["element", "class", "term"]))
+    element = _element_dict(perm, nums, mod)
+    kind = draw(st.sampled_from(["element", "class", "pairing", "basis"]))
     if kind == "element":
         text = cli._element_json(perm, nums, mod)
         _RECORDS[text] = element
         return text
-    if kind == "term":
-        exps = draw(st.lists(st.integers(0, 10 ** 6), max_size=n))
-        p = draw(st.integers(0, lcm(2, mod) - 1))
-        text = cli._term_json((perm, nums), tuple(exps), p, mod, lcm(2, mod))
-        _RECORDS[text] = {"phase": str(Fraction(p, lcm(2, mod))), "exponents": exps,
-                          "element": element}
-        return text
+    if kind in ("pairing", "basis"):
+        spaces = [types.SimpleNamespace(
+            poly=types.SimpleNamespace(var_names=draw(st.lists(_awkward_text, min_size=n,
+                                                               max_size=n))),
+            group=types.SimpleNamespace(modulus=mod)) for _ in "ab"]
+        vectors = draw(st.lists(_vectors(n, mod), min_size=1, max_size=3 if kind == "basis" else 2))
+        poly = spaces[0].poly
+        if kind == "pairing":
+            direction = draw(st.sampled_from(["untwisted-to-narrow", "narrow-to-untwisted"]) |
+                             _awkward_text)
+            va, vb = vectors * (3 - len(vectors))
+            (text,) = cli._pairing_json(direction, [(va, vb)], *spaces)
+            _RECORDS[text] = {
+                "direction": direction, "a": state_space.vector_label(va, poly),
+                "b": state_space.vector_label(vb, spaces[1].poly),
+                "bidegree": [str(x) for x in va.bidegree]}
+            return text
+        spaces[0].basis, spaces[0].total_dim = vectors, 0
+        spaces[0].sorted_dims, spaces[0].census = list, dict
+        texts = cli._space_json(spaces[0])["basis"]
+        for text, v in zip(texts, vectors):
+            _RECORDS[text] = {
+                "bidegree": [str(x) for x in v.bidegree],
+                "label": state_space.vector_label(v, poly),
+                "terms": [{"phase": str(Fraction(p, lcm(2, mod))), "exponents": list(exps),
+                           "element": _element_dict(*form, mod)} for form, exps, p in v.nodes]}
+        return texts
     size = draw(st.integers(1, 10 ** 6))
     group = types.SimpleNamespace(order=size, modulus=mod, class_size=lambda cosets: size,
                                   class_transversals=[[((perm, nums), None)]])

@@ -13,7 +13,7 @@ from lgmirror.errors import (
     TheoremViolationError,
 )
 from oracles import (ExponentOutOfRangeError, NotDiagonalSectorError, corner_pairs,
-                     fermat, is_diagonal, is_identity, narrow_diagonal_set,
+                     fermat, is_diagonal, is_identity, label_from_terms, narrow_diagonal_set,
                      random_mirror_instance, sl_subgroup, unprojected_mirror)
 
 
@@ -401,13 +401,27 @@ def assert_corners_match_oracle(report):
     return corner_orbit_sizes(report)
 
 
+def assert_labels_match_oracle(report):
+    """Every vector's label, as a render of its own and within one render of
+    its whole space, is the oracle's, rendered term by term."""
+    for space in (report.a_space, report.b_space):
+        expected = [label_from_terms(v, space.poly) for v in space.basis]
+        assert [lg.vector_label(v, space.poly) for v in space.basis] == expected
+        label = lg.state_space.labeller(space.poly, space.group.modulus)
+        assert [label(v.nodes) for v in space.basis] == expected
+
+
 def test_corner_check_matches_oracle(quartic_report, good_report, bad_report):
+    # the corners, and the labels of both spaces, match the oracles
     sizes = []
     for report in (quartic_report, good_report, bad_report):
         sizes += assert_corners_match_oracle(report)
+        assert_labels_match_oracle(report)
     rng = random.Random(1103)
     for _ in range(30):
-        sizes += assert_corners_match_oracle(lg.full_comparison(*random_mirror_instance(rng)))
+        report = lg.full_comparison(*random_mirror_instance(rng))
+        sizes += assert_corners_match_oracle(report)
+        assert_labels_match_oracle(report)
     assert max(sizes) > 1  # the lead stands for more than itself somewhere
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -529,14 +530,30 @@ def test_the_search_makes_no_element_and_checks_each_generator_once(
         assert checked == list(group.generators)
 
 
+def locus_reads(vectors) -> list:
+    """The forms whose fixed locus one render of ``vectors`` reads: per run
+    of consecutive nodes with one form, that form once if some node of the
+    run has an exponent other than 0, and nothing for an all-zero node."""
+    reads, form = [], None
+    for v in vectors:
+        for node, exps, _ in v.nodes:
+            if node != form:
+                form, read = node, False
+            if any(exps) and not read:
+                reads.append(node)
+                read = True
+    return reads
+
+
 def test_a_narrow_class_builds_no_centralizer_locus_or_map(
         quartic, quartic_group, quintic, good_group, bad_group, quartic_report, good_report,
-        bad_report, monkeypatch):
+        bad_report, monkeypatch, capsys, tmp_path):
     # a narrow sector (no fixed cycle) has one state, which every conjugation
     # fixes, so its class keeps the class sum with no centralizer lifts, fixed
     # locus, pullback map or orbit search; and a term with no exponent is
     # labelled "1" with no fixed locus.  The counts (lifts, loci, maps) are
-    # over one full_comparison of each paper model, both sides
+    # over one full_comparison of each paper model, both sides.  A space
+    # rendered at once reads a form's locus once per run of its nodes
     cubic = fermat([3] * 6)
     cubic_group = lg.closure(lg.parse_generator(t, cubic) for t in "j; (1 2 3); (4 5 6)".split(";"))
     cases = [(quartic, quartic_group, quartic_report, (6, 6, 6)),
@@ -575,11 +592,36 @@ def test_a_narrow_class_builds_no_centralizer_locus_or_map(
             assert any(v.leading[2].fixed_locus().dim == 0 for v in space.basis)
             loci.clear()
             monkeypatch.setattr(lg.state_space, "form_locus", reading)
-            labels = [lg.vector_label(v, space.poly) for v in space.basis]
+            label = lg.state_space.labeller(space.poly, space.group.modulus)  # one render
+            labels = [label(v.nodes) for v in space.basis]
             monkeypatch.undo()
-            assert [form for form, _ in loci] == \
-                [form for v in space.basis for form, exps, _ in v.nodes if any(exps)]
+            assert [form for form, _ in loci] == locus_reads(space.basis)
             assert "[1, " in "".join(labels)
+    # mirror-check --json on the good quintic renders four label runs: the A
+    # and then the B side of each direction's pairings.  Every A node is on
+    # the identity, so its locus is read once, not once per node
+    path, renders, labeller = tmp_path / "good.lg", [], lg.state_space.labeller
+    path.write_text("W = x1^5 + x2^5 + x3^5 + x4^5 + x5^5\nG = j; (1 2)(3 4)\n")
+
+    def labelling(*args):
+        label, reads = labeller(*args), []
+        renders.append(reads)
+
+        def tracked(nodes, terms=None):
+            start = len(loci)
+            text = label(nodes, terms)
+            reads.extend(form for form, _ in loci[start:])
+            return text
+        return tracked
+    loci.clear()
+    monkeypatch.setattr(lg.state_space, "form_locus", reading)
+    monkeypatch.setattr(lg.state_space, "labeller", labelling)
+    assert cli.main(["mirror-check", str(path), "--json"]) == 0
+    monkeypatch.undo()
+    pairings = json.loads(capsys.readouterr().out)["mirror"]["pairings"]
+    identity = (tuple(range(5)), (0,) * 5)
+    assert len(renders) == 4 and renders[0] + renders[2] == [identity]
+    assert sum(pair["a"].count(", (0, 0, 0, 0, 0)]") for pair in pairings) > 200
 
 
 def test_character_dims_match_every_bigraded_dimension(quartic_report, good_report,

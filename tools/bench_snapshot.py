@@ -2,7 +2,9 @@
 
     python3 tools/bench_snapshot.py
 
-Runs the unedited ``bench/run.py`` on every workload that ``BENCHMARK.json``
+n is one more than the highest n of a BENCH_<n>.json already there (1 if
+there is none), so each snapshot adds a point to the trajectory.  It runs
+the unedited ``bench/run.py`` on every workload that ``BENCHMARK.json``
 lists, alternating between the workloads, once per seed of ``SEEDS`` with
 ``--seconds SECONDS``.  The file holds the git revision, the Python version,
 the number of usable CPUs, the seeds and the seconds, and per workload
@@ -19,13 +21,13 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SNAPSHOT = 1  # the n of BENCH_<n>.json; each later snapshot takes the next n
 SEEDS = (36001, 36002, 36003, 36004, 36005)
 SECONDS = 10
 
@@ -33,6 +35,13 @@ SECONDS = 10
 def git_revision() -> str:
     return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                           cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def next_snapshot() -> Path:
+    """BENCH_<n>.json for n one more than the highest taken."""
+    taken = [int(m[1]) for path in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+    return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
 def bench_run(workload: str, seed: int) -> dict | None:
@@ -76,7 +85,7 @@ def main() -> int:
     snapshot = {"git": git_revision(), "python": platform.python_version(),
                 "nproc": len(os.sched_getaffinity(0)), "seeds": list(SEEDS),
                 "seconds": SECONDS, "workloads": report}
-    path = ROOT / f"BENCH_{SNAPSHOT}.json"
+    path = next_snapshot()
     path.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}", file=sys.stderr)
     return 0 if all(w["correct"] for w in report.values()) else 1
