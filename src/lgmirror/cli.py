@@ -26,6 +26,7 @@ made once per run of nodes that share the form (``state_space.labeller``).
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from collections import namedtuple
@@ -417,7 +418,11 @@ def main(argv=None) -> int:
         print('{"error": {"type": %s, "message": %s}}' % tuple(map(encode_basestring_ascii, error))
               if args.json else "error: %s: %s" % error)
         return 1
-    print(out)
+    try:
+        print(out)
+    except BrokenPipeError:  # the reader left: fd 1 to devnull, so the exit's flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

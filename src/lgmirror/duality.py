@@ -108,12 +108,12 @@ def diagonal_group(poly: InvertiblePolynomial) -> SymmetryGroup:
 
 def star_group(parts: HKDecomposition, poly: InvertiblePolynomial,
                cap: int = DEFAULT_CAP) -> SymmetryGroup:
-    """G* = Hᵀ·K from G's split, H ≤ G as ``decompose_hk`` checked G; errors
-    before reading Hᵀ's lattice when |G*| = |Hᵀ|·|K| exceeds ``cap``."""
+    """G* = Hᵀ·K from G's split, H ≤ G as ``decompose_hk`` checked G, K's lifts checked to
+    normalize Hᵀ; errors before reading Hᵀ's lattice when |G*| = |Hᵀ|·|K| exceeds ``cap``."""
     _check_cap(parts.h, poly, parts.k.order, cap)
-    mod, basis = _dual_lattice(parts.h, poly)  # each basis row x∘k lies in Hᵀ
-    if any(any(reduce_by(tuple(map(row.__getitem__, k)), basis, mod))
-           for k, _ in parts.k._lift_gens for row in basis):
+    mod, basis = _dual_lattice(parts.h, poly)  # each basis row x∘k lies in Hᵀ; each image once
+    if any(any(reduce_by(x, basis, mod)) for x in {tuple(map(row.__getitem__, k))
+                                                   for k, _ in parts.k.lifts for row in basis}):
         raise InternalError("K does not normalize Hᵀ")
     # G* = ⋃_k k·Hᵀ: Hᵀ's basis, and each permutation of K with lift 0
     return SymmetryGroup(mod, basis, parts.k.lifts)
@@ -129,20 +129,20 @@ def parity_condition(k: SymmetryGroup) -> tuple[bool, SymmetryGroup | None]:
     """Check dim (ℂⁿ)ᵀ ≡ n (mod 2) for every subgroup T ≤ K, n = K's rank.
 
     Returns (True, None) or (False, first failing subgroup) in subgroup
-    order (by order, then elements), building none past it.  The fixed-space
+    order (by order, then elements), building only that one.  The fixed-space
     dimension of a permutation group is its number of orbits on coordinates,
-    read off T's lifts, each one element as K's diagonal part is trivial.
-    An odd K holds at once: the orbits of an odd T have odd sizes, so
-    n − #orbits = Σ(|O| − 1) is even.
+    read off K's lifts at T's indices: K's diagonal part is trivial, so its
+    lifts are its elements, in the walk's order.  An odd K holds at once:
+    the orbits of an odd T have odd sizes, so n − #orbits = Σ(|O| − 1) is even.
     """
     if k.modulus != 1:  # some element has a nonzero phase
         raise NotPurePermutationsError("parity condition needs pure permutations")
     if k.order % 2:
         return True, None
-    n = k.n
-    for sub in k._subgroup_walk():
+    n, lifts = k.n, k.lifts
+    for sub, _ in k._subgroup_walk():
         # in a group, the orbit of i is {g(i) : g ∈ T}
-        orbits = {frozenset(perm[i] for perm, _ in sub.lifts) for i in range(n)}
+        orbits = {frozenset(lifts[j][0][i] for j in sub) for i in range(n)}
         if (len(orbits) - n) % 2 != 0:
-            return False, sub
+            return False, SymmetryGroup(1, k.basis, [lifts[j] for j in sub])
     return True, None

@@ -57,6 +57,7 @@ from .symmetry import (
     SymmetryGroup,
     _cycle_text,
     _invert,
+    _lift_generators,
     check_symmetries,
     exponential_grading,
     form_age,
@@ -382,7 +383,7 @@ def invariant_basis(poly: InvertiblePolynomial, group: SymmetryGroup,
             continue
         # a fixed locus and maps only where lifts move monomials: a narrow
         # sector's one state (no fixed cycle) is fixed by every conjugation
-        lift_gens = group._centralizer_lifts(perm, nums)[1] if fixed else []
+        lift_gens = _lift_generators(group._centralizer_lifts(perm, nums)) if fixed else []
         locus = form_locus(perm, nums, gmod) if lift_gens else None
         moves = [sector_map(lift, gmod, locus, locus) for lift in lift_gens]
         record = None  # made with the class's first invariant orbit

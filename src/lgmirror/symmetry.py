@@ -595,8 +595,7 @@ class SymmetryGroup:
         """The lifts of C(g) for g = (σ, a), in canonical order: (τ, a_τ + c)
         for each τ that commutes with σ, with c the preimage σ's record
         (``_part``) keeps of (a∘τ − a) − (a_τ∘σ − a_τ) under φ_σ, where
-        there is one;
-        and those whose τ the lifts before them do not generate."""
+        there is one.  No generators: the invariant search picks its own."""
         mod, preimage, lifts = self.modulus, self._part(sigma).preimages, []
         for tau, b in self.lifts:
             if any(tau[s] != sigma[t] for s, t in zip(sigma, tau)):
@@ -605,7 +604,7 @@ class SymmetryGroup:
                                     in zip(sigma, tau, a, b)]))
             if c is not None:
                 lifts.append((tau, tuple([(x + y) % mod for x, y in zip(b, c)])))
-        return lifts, _lift_generators(lifts)
+        return lifts
 
     def centralizer(self, g: MonomialSymmetry) -> "SymmetryGroup":
         """C_G(g) from N^σ's basis and the lifts that commute with g."""
@@ -613,12 +612,12 @@ class SymmetryGroup:
             raise NotAMemberError(f"{g!r} is not in this group")
         sigma, a = g.over(self.modulus)
         return SymmetryGroup(self.modulus, self._part(sigma).basis,
-                             self._centralizer_lifts(sigma, a)[0])
+                             self._centralizer_lifts(sigma, a))
 
     def _subgroup_walk(self):
-        """Each subgroup, ordered by order, then by element indices: popped
-        from a heap keyed so, and built by ``closure`` from the generator
-        indices kept with it.  Each popped S is
+        """Each subgroup as its sorted element indices in ``_forms``, with
+        the generator indices kept with it, ordered by order, then by
+        element indices: popped from a heap keyed so.  Each popped S is
         extended once per right coset S·x outside it (⟨S, h·x⟩ = ⟨S, x⟩ for
         h ∈ S), growing ⟨S, x⟩ from S by right cosets on the multiplication
         table (Dimino).  Extensions are larger than S, and T = ⟨S, x⟩ for a
@@ -635,8 +634,7 @@ class SymmetryGroup:
         seen = {(0,)}
         while heap:
             _, sub, gens = heappop(heap)
-            yield closure([MonomialSymmetry.from_numerators(*forms[i], mod) for i in gens or [0]],
-                          self.order)
+            yield sub, gens
             tried = set(sub)  # the cosets S·x extended so far
             for x in range(len(forms)):
                 if x in tried:
@@ -654,8 +652,10 @@ class SymmetryGroup:
                     heappush(heap, (len(ext), ext, ext_gens))
 
     def subgroups(self) -> tuple["SymmetryGroup", ...]:
-        """Every subgroup, ordered by order, then by element indices."""
-        return tuple(self._subgroup_walk())
+        """Every subgroup in the walk's order, built by ``closure`` from its generators."""
+        return tuple([closure([MonomialSymmetry.from_numerators(*self._forms[i], self.modulus)
+                               for i in gens or [0]], self.order)
+                      for _, gens in self._subgroup_walk()])
 
 
 def closure(generators, cap: int = DEFAULT_CAP) -> SymmetryGroup:

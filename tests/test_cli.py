@@ -384,6 +384,20 @@ def test_no_half_sector_is_listed_past_the_term_count(tmp_path, as_json):
         assert proc.stdout == f"error: CapExceeded: {message}\n"
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # the quartic's bstate --json is 84,833 bytes, more than a pipe holds:
+    # the reader takes 300 and closes, and the write ends in exit code 1
+    spec = SRC.parent / "tests" / "golden" / "quartic.lg"
+    proc = subprocess.Popen([sys.executable, "-m", "lgmirror.cli", "bstate", str(spec), "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head.startswith(b'{\n  "command": "bstate"') and len(head) == 300
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_pc_check_is_bounded(capsys, tmp_path, as_json):
     # K = C3^6 (729 elements, odd) holds at once; K = A7 (2,520 elements)

@@ -215,7 +215,7 @@ def test_parity_condition_klein_fails():
 
 def test_parity_condition_stops_at_its_witness(monkeypatch):
     # A6 has 501 subgroups; the first failing one, in subgroup order, is
-    # the 87th, of order 4
+    # the 87th, of order 4, and it is the one group built
     k = lg.closure([perm([(0, 1, 2)], 6), perm([(1, 2, 3, 4, 5)], 6)])
     assert k.order == 360
     built = []
@@ -225,9 +225,12 @@ def test_parity_condition_stops_at_its_witness(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def refuse(*args):
+        pytest.fail("a walked subgroup was closed")
     monkeypatch.setattr(lg.SymmetryGroup, "__init__", counting_init)
+    monkeypatch.setattr(symmetry, "closure", refuse)
     holds, witness = lg.parity_condition(k)
-    assert not holds and len(built) < 501
+    assert not holds and built == [witness]
     assert [g.cycle_string() for g in witness] == \
         ["()", "(3 4)(5 6)", "(3 5)(4 6)", "(3 6)(4 5)"]
 
@@ -239,6 +242,55 @@ def test_parity_condition_makes_no_element(quintic, bad_group):
     holds, witness = lg.parity_condition(k)
     assert not holds and witness.order == 4
     assert "elements" not in witness.__dict__ and "_forms" not in witness.__dict__
+
+
+def test_parity_condition_builds_only_its_witness(monkeypatch):
+    # each subgroup's orbits are read off K's lifts at its element indices:
+    # no walked subgroup goes through closure, and only a witness is built
+    groups = [lg.closure([perm([(0, 1), (2, 3)], 5), perm([(0, 2), (1, 3)], 5)]),  # V4
+              lg.closure([perm([(0, 1), (2, 3)], 5)]),
+              lg.closure([perm([(0, 1, 2)], 4), perm([(0, 1), (2, 3)], 4)]),  # A4
+              lg.closure([perm([(0, 1, 2)], 5), perm([(0, 1), (3, 4)], 5)])]  # S3
+    built = []
+    init = lg.SymmetryGroup.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def refuse(*args):
+        pytest.fail("a walked subgroup was closed")
+    monkeypatch.setattr(lg.SymmetryGroup, "__init__", counting_init)
+    monkeypatch.setattr(symmetry, "closure", refuse)
+    monkeypatch.setattr(lg.duality, "closure", refuse)
+    verdicts = []
+    for k in groups:
+        del built[:]
+        holds, witness = lg.parity_condition(k)
+        verdicts.append((holds, witness and witness.order))
+        assert built == ([] if holds else [witness])
+    assert verdicts == [(False, 4), (True, None), (False, 4), (False, 6)]
+
+
+def test_nonabelian_dual_picks_no_generators_of_k(monkeypatch, quintic, bad_group, good_group):
+    # G* checks that K normalizes Hᵀ on K's lifts, its elements, so no
+    # greedy generators of K are picked
+    given, splits = [], []
+    lift_generators, decompose = symmetry._lift_generators, lg.duality.decompose_hk
+
+    def picking(lifts):
+        given.append(lifts)
+        return lift_generators(lifts)
+
+    def splitting(*args):
+        splits.append(decompose(*args))
+        return splits[-1]
+    monkeypatch.setattr(symmetry, "_lift_generators", picking)
+    monkeypatch.setattr(lg.duality, "decompose_hk", splitting)
+    stars = [lg.nonabelian_dual(group, quintic) for group in (good_group, bad_group)]
+    assert [star.order for star in stars] == [1250, 2500]
+    assert [len(parts.k.lifts) for parts in splits] == [2, 4]
+    assert not [lifts for lifts in given for parts in splits if lifts is parts.k.lifts]
 
 
 def test_parity_condition_quartic_cycle():
@@ -285,7 +337,8 @@ def _random_even_group(rng):
 
 def test_odd_subgroups_pass_the_orbit_test():
     # the lemma behind the odd-|K| shortcut: the orbits of an odd T have odd
-    # sizes, so n − #orbits = Σ(|O| − 1) is even.  Even subgroups do fail
+    # sizes, so n − #orbits = Σ(|O| − 1) is even.  Even subgroups do fail,
+    # and the parity condition's witness is the first of them
     rng = random.Random(20261019)
     groups = [(lg.closure([perm([(0, 1, 2)], 4), perm([(0, 1), (2, 3)], 4)]), 4),
               (lg.closure([perm([(0, 1, 2)], 5), perm([(0, 1, 2, 3, 4)], 5)]), 5)]
@@ -293,12 +346,20 @@ def test_odd_subgroups_pass_the_orbit_test():
     groups += [_random_even_group(rng) for _ in range(60)]
     odd = failing = 0
     for k, n in groups:
+        first = None  # the first subgroup whose orbits, read off its lifts, fail
         for sub in k.subgroups():
             if sub.order % 2:
                 odd += 1
                 assert _passes(sub, n), [g.cycle_string() for g in sub]
             else:
                 failing += not _passes(sub, n)
+            orbits = {frozenset(perm[i] for perm, _ in sub.lifts) for i in range(n)}
+            if first is None and (n - len(orbits)) % 2:
+                first = sub
+        # parity_condition reads the same walk without building its subgroups
+        holds, witness = lg.parity_condition(k)
+        assert (holds, witness) == (first is None, first)
+        assert witness is None or witness.lifts == first.lifts
     assert odd > 150 and failing > 0
 
 

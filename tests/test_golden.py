@@ -128,6 +128,22 @@ def test_demo_output(demo):
     assert buf.getvalue().encode() == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()
 
 
+def test_golden_check_names_a_command_for_every_pinned_file():
+    # tools/golden_check.py replays these files under any interpreter,
+    # rebuilding each command from the file's name alone
+    path = Path(__file__).resolve().parent.parent / "tools" / "golden_check.py"
+    tool = runpy.run_path(str(path))
+    commands = {p.name: tool["command_for"](p) for p in tool["pinned_files"]()}
+    assert None not in commands.values() and "quartic.lg" not in commands
+    assert commands["quartic_k3_mirror_check.json"][2:] == [
+        "mirror-check", str((BENCH / "specs" / "quartic_k3.lg").resolve()), "--json"]
+    assert commands["quartic_dual_poly.txt"][2:] == [
+        "dual-poly", str((GOLDEN / "quartic.lg").resolve())]
+    assert commands["bad_quintic_bstate.json.gz"][2:4] == [
+        "bstate", str((BENCH / "specs" / "bad_quintic.lg").resolve())]
+    assert commands[f"demo_{DEMOS[0].stem}.txt"] == [str(DEMOS[0].resolve())]
+
+
 def installed_pythons():
     """CPython 3.10–3.13 interpreters installed by pyenv, by version."""
     root = os.environ.get("PYENV_ROOT")

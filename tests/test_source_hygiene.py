@@ -9,7 +9,9 @@ element or a sector on the path of the invariant search, the class walk,
 the check that K normalizes Hᵀ and a vector's node list; a class member
 listed, or a word composed, by the class walk, P's walk iterated by the
 walk of a class with σ ≠ id, or P walked twice or replayed by the class
-walk; a group built from a walk of P anywhere but ``closure``; outside
+walk; a group built from a walk of P anywhere but ``closure``; a
+subgroup closed by the parity walk, or lift generators read by
+``duality``; outside
 ``symmetry``, a
 position in a group's listing or a group built from more than its
 structure; and a symmetry check outside its three places, or G*'s Hᵀ
@@ -361,8 +363,9 @@ def test_the_class_walk_walks_p_once():
 
 def test_a_walk_becomes_a_group_only_in_closure():
     # a group generated by forms is built in one place: closure walks P
-    # and takes the Hermite form of the Schreier generators, and the
-    # subgroup walk, like every other caller, goes through it
+    # and takes the Hermite form of the Schreier generators.  subgroups()
+    # builds each walked subgroup through it; the parity witness is not
+    # walked, as its lifts are K's lifts at the indices the walk yields
     both = set()
     for path in MODULES:
         for name, scope in _functions(_tree(path)):
@@ -370,6 +373,23 @@ def test_a_walk_becomes_a_group_only_in_closure():
             if {"_walk", "hermite"} <= called:
                 both.add(f"{path.name}:{name}")
     assert both == {"symmetry.py:closure"}, both
+
+
+def test_the_parity_walk_closes_no_subgroup():
+    # the subgroup walk yields element indices and the parity condition
+    # builds only its witness, from K's lifts, so neither calls closure;
+    # and G* checks that K normalizes Hᵀ on K's lifts, so duality reads
+    # no greedy lift generators
+    scopes = {f"{path.name}:{name}": scope for path in (SRC / "symmetry.py", SRC / "duality.py")
+              for name, scope in _functions(_tree(path))}
+    found = [f"{name} calls closure" for name in ("symmetry.py:SymmetryGroup._subgroup_walk",
+                                                  "duality.py:parity_condition")
+             if any(isinstance(node, ast.Call) and _called_name(node) == "closure"
+                    for node in ast.walk(scopes[name]))]
+    found += [f"duality.py:{name} reads _lift_gens" for name in sorted(_readers(
+        _tree(SRC / "duality.py"),
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_lift_gens"))]
+    assert not found, found
 
 
 # a class is its cosets of im φ_σ: the class walk keeps one head and

@@ -269,6 +269,23 @@ def test_centralizers_of_quartic_dual_match_filter(quartic, quartic_group):
             assert lg.closure(cent.generators).elements == cent.elements
 
 
+def test_a_centralizer_picks_no_lift_generators(quartic, monkeypatch):
+    # C(g) is N^σ and the lifts that commute with g: the invariant search
+    # picks its own generators of those lifts, and centralizer() picks none
+    groups = [lg.closure(lg.parse_generator(t, quartic) for t in text.split(";"))
+              for text in QUARTIC_GROUPS]
+    members = [(group, g) for group in groups for g in group.elements]
+
+    def refuse(lifts):
+        pytest.fail("a centralizer picked lift generators")
+    monkeypatch.setattr(symmetry, "_lift_generators", refuse)
+    cents = [group.centralizer(g) for group, g in members]
+    monkeypatch.undo()
+    assert len(cents) == sum(group.order for group in groups)
+    for (group, g), cent in zip(members, cents):
+        assert list(cent.elements) == brute_force_centralizer(group, g)
+
+
 def test_centralizer_makes_its_generators_from_forms(bad_star):
     # C(g) needs its generators, not a list of every element of G
     fresh = lg.SymmetryGroup(bad_star.modulus, bad_star.basis, bad_star.lifts)
